@@ -414,11 +414,11 @@ def estimate_cover_time(
 
 
 def geometric_grid(t_end: float, points_per_decade: int = 64) -> np.ndarray:
-    """[0] followed by a geometric grid up to t_end."""
+    """[0] followed by a geometric grid from min(1e-3, t_end/10) up to t_end."""
     if t_end <= 0:
         return np.array([0.0])
-    lo = min(1.0, t_end / 10)
-    decades = max(math.log10(t_end / lo), 0.1)
+    lo = min(1e-3, t_end / 10)
+    decades = math.log10(t_end / lo)
     count = max(2, int(math.ceil(decades * points_per_decade)))
     return np.concatenate([[0.0], np.geomspace(lo, t_end, count)])
 

@@ -21,8 +21,6 @@ import numpy as np
 from . import __version__
 from . import analysis as an
 from . import experiments as ex
-from .engine import Continuous, SynchronousDiscrete
-from .fusion import fusion_from_name
 from .graph import (
     GraphGenerationError,
     GraphSpec,
@@ -120,23 +118,18 @@ def cmd_run(args) -> int:
     if args.proto == "hybrid_k":
         params["k"] = args.k
         params["horizon"] = args.horizon
-    if args.proto == "two_phase" and args.gamma is not None:
-        params["gamma"] = args.gamma if args.gamma != "log_n" else "log_n"
     values = f"file:{args.values}" if args.values else args.values_kind
+    out_dir = _out_root() / args.out if args.out else None
     try:
         fusion_kind = "gossip" if args.proto == "gossip" else args.fusion
         x = ex.initial_values(values, g.n, fusion_kind, args.values_seed)
-        point_params = dict(params)
         if args.proto == "two_phase":
-            gamma = params.get("gamma", "log_n")
-            gamma = max(1, math.ceil(math.log(g.n))) if gamma == "log_n" else float(gamma)
-            point_params["gamma"] = float(gamma)
-            point_params["switch_time"] = an.estimate_decay(
-                g, trials=32, stream=args.seed + 0x517
-            ).t_gamma(float(gamma))[0] if gamma < g.n else 0.0
+            params = ex.resolve_two_phase(g, {**params, "gamma": args.gamma}, args.seed)
+        if out_dir is not None:
+            out_dir.mkdir(parents=True, exist_ok=True)
         summaries = ex.run_point(
-            g, args.proto, args.fusion, x, point_params, args.trials, args.seed,
-            jobs=args.jobs,
+            g, args.proto, args.fusion, x, params, args.trials, args.seed,
+            jobs=args.jobs, out_dir=out_dir,
         )
     except ex.ExperimentError as e:
         print(f"simulation incomplete: {e}", file=sys.stderr)
@@ -151,10 +144,8 @@ def cmd_run(args) -> int:
     tau = float(np.mean([s.tau for s in summaries]))
     eta = float(np.mean([s.eta for s in summaries]))
     print(f"{tau!r} {eta!r} {eta / g.n!r}")
-    if args.out:
-        out_dir = _out_root() / args.out
-        out_dir.mkdir(parents=True, exist_ok=True)
-        outputs = _write_trial_files(g, args, x, point_params, out_dir)
+    if out_dir is not None:
+        outputs = [p for t in range(args.trials) for p in ex.trial_files(out_dir, t)]
         cfg_json = {
             "protocol": args.proto,
             "fusion": args.fusion,
@@ -162,7 +153,7 @@ def cmd_run(args) -> int:
             "values_seed": args.values_seed,
             "trials": args.trials,
             "seed": args.seed,
-            "params": {k: v for k, v in point_params.items() if k != "P"},
+            "params": {k: v for k, v in params.items() if k != "P"},
             "clock": "discrete" if args.lazy is not None else "continuous",
             "lazy_prob": args.lazy,
             "gossip_matrix": "uniform" if args.proto == "gossip" else None,
@@ -171,52 +162,6 @@ def cmd_run(args) -> int:
         }
         _write_manifest(out_dir, cfg_json, args.seed, started, outputs)
     return EXIT_OK
-
-
-def _write_trial_files(g, args, x, params, out_dir: Path) -> list:
-    # re-run trials to materialize full traces (run_point keeps summaries only)
-    outputs = []
-    for trial in range(args.trials):
-        tr = _full_trace(g, args.proto, args.fusion, x, params, args.seed, trial)
-        base = out_dir / f"trial_{trial:04d}"
-        tr.write_trajectory_csv(base.with_suffix(".csv"))
-        tr.write_node_summary_csv(Path(str(base) + "_nodes.csv"))
-        tr.write_metadata_json(base.with_suffix(".json"))
-        outputs.extend(
-            [base.with_suffix(".csv"), Path(str(base) + "_nodes.csv"), base.with_suffix(".json")]
-        )
-    return outputs
-
-
-def _full_trace(g, proto, fusion_name, x, params, seed, trial):
-    from .protocols import (
-        ExplicitTime,
-        GossipEps,
-        ProtocolKind,
-        Termination,
-        hybrid_k_run,
-        init,
-        run,
-        two_phase_run,
-    )
-
-    fusion = fusion_from_name(fusion_name) if proto != "gossip" else None
-    clock = (
-        SynchronousDiscrete(params["lazy_prob"])
-        if params.get("lazy_prob") is not None
-        else Continuous()
-    )
-    if proto == "two_phase":
-        return two_phase_run(g, x, fusion, ExplicitTime(params["switch_time"]),
-                             seed=seed, clock=clock, stream_id=trial)
-    if proto == "hybrid_k":
-        return hybrid_k_run(g, x, k=params["k"], seed=seed,
-                            horizon=params.get("horizon", 100.0), stream_id=trial)
-    if proto == "gossip":
-        st = init(ProtocolKind.GOSSIP, g, x, None, seed=seed, stream_id=trial)
-        return run(st, GossipEps(params["eps"]))
-    st = init(ProtocolKind(proto), g, x, fusion, seed=seed, clock=clock, stream_id=trial)
-    return run(st, Termination())
 
 
 def cmd_analyze(args) -> int:

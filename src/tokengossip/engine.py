@@ -9,7 +9,6 @@ lazy-hold probability.  Every run is a pure function of its seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -100,20 +99,3 @@ class BlockSampler:
         self._ei = i + 1
         return self._e[i]
 
-
-def next_firing(active_count: int, sampler: BlockSampler) -> float:
-    """Waiting time to the next clock tick among ``active_count`` tokens.
-
-    The superposition of k unit-rate Poisson clocks is a rate-k Poisson
-    process; inactive nodes' ticks are no-ops and are never sampled.
-    """
-    if active_count < 1:
-        raise ValueError("no active tokens: termination must be detected first")
-    return sampler.exponential() / active_count
-
-
-def pick_uniform(items: Sequence, sampler: BlockSampler):
-    """Uniform choice from a nonempty sequence."""
-    if not items:
-        raise ValueError("cannot pick from an empty sequence")
-    return items[int(sampler.uniform() * len(items))]

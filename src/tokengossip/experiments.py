@@ -89,7 +89,7 @@ def initial_values(source: str, n: int, fusion_kind: str, seed: int) -> list:
         lines = Path(source[5:]).read_text().split()
         if len(lines) < n:
             raise ValueError(f"values file has {len(lines)} entries, need {n}")
-        base = [int(float(v)) if float(v).is_integer() else float(v) for v in lines[:n]]
+        base = [_parse_value(v) for v in lines[:n]]
     else:
         raise ValueError(f"unknown value source {source!r}")
     if fusion_kind == "wavg":
@@ -99,14 +99,48 @@ def initial_values(source: str, n: int, fusion_kind: str, seed: int) -> list:
     return base
 
 
-def _run_one(args) -> TrialSummary:
-    (graph, protocol, fusion_name, x, params, master_seed, trial) = args
-    fusion = fusion_from_name(fusion_name) if fusion_name != "gossip" else None
-    clock = (
-        SynchronousDiscrete(params["lazy_prob"])
-        if params.get("lazy_prob") is not None
-        else Continuous()
+def _parse_value(text: str):
+    # int() first: a float round-trip loses integers above 2**53
+    try:
+        return int(text)
+    except ValueError:
+        v = float(text)
+        return int(v) if v.is_integer() else v
+
+
+def _clock(params: dict):
+    lazy = params.get("lazy_prob")
+    return SynchronousDiscrete(lazy) if lazy is not None else Continuous()
+
+
+def resolve_two_phase(graph: Graph, params: dict, master_seed: int) -> dict:
+    """Two-phase set-up: gamma (None or "log_n" means ceil(ln n)) and the
+    pilot switch time, estimated on the clock the trials will run on."""
+    params = dict(params)
+    gamma = params.get("gamma")
+    if gamma in (None, "log_n"):
+        gamma = max(1, math.ceil(math.log(graph.n)))
+    params["gamma"] = float(gamma)
+    params["switch_time"] = estimate_switch_time(
+        graph,
+        params["gamma"],
+        trials=int(params.get("pilot_trials", 32)),
+        seed=master_seed + 0x517,
+        clock=_clock(params),
     )
+    return params
+
+
+def trial_files(out_dir: Path, trial: int) -> list:
+    """The trajectory CSV, node summary CSV and metadata JSON of one trial."""
+    base = Path(out_dir) / f"trial_{trial:04d}"
+    return [base.with_suffix(".csv"), Path(f"{base}_nodes.csv"), base.with_suffix(".json")]
+
+
+def _run_one(args) -> TrialSummary:
+    (graph, protocol, fusion_name, x, params, master_seed, trial, out_dir) = args
+    fusion = fusion_from_name(fusion_name) if fusion_name != "gossip" else None
+    clock = _clock(params)
     if protocol == "two_phase":
         tr = two_phase_run(
             graph,
@@ -137,6 +171,11 @@ def _run_one(args) -> TrialSummary:
             seed=master_seed, clock=clock, stream_id=trial,
         )
         tr = run(st, Termination())
+    if out_dir is not None:
+        csv, nodes_csv, meta = trial_files(out_dir, trial)
+        tr.write_trajectory_csv(csv)
+        tr.write_node_summary_csv(nodes_csv)
+        tr.write_metadata_json(meta)
     exact = None
     if protocol in ("srw", "crw", "two_phase") and fusion_name in ("sum", "max"):
         expected = fold(fusion, x)
@@ -166,11 +205,16 @@ def run_point(
     trials: int,
     master_seed: int,
     jobs: int = 1,
+    out_dir: Optional[Path] = None,
 ) -> list:
     """All trials of one sweep point; order-independent by construction
-    (each trial is a pure function of (master_seed, trial index))."""
+    (each trial is a pure function of (master_seed, trial index)).
+
+    With ``out_dir``, each trial writes its ``trial_files`` from its own
+    trace before the trace is dropped, so every trial is simulated once.
+    """
     work = [
-        (graph, protocol, fusion_name, list(x), params, master_seed, t)
+        (graph, protocol, fusion_name, list(x), params, master_seed, t, out_dir)
         for t in range(trials)
     ]
     if jobs > 1:
@@ -197,16 +241,7 @@ def run_trials(config: ExperimentConfig) -> dict:
         x = initial_values(config.values, graph.n, fusion_kind, config.values_seed)
         params = dict(config.params)
         if config.protocol == "two_phase" and "switch_time" not in params:
-            gamma = params.get("gamma")
-            if gamma in (None, "log_n"):
-                gamma = max(1, math.ceil(math.log(graph.n)))
-            params["gamma"] = float(gamma)
-            params["switch_time"] = estimate_switch_time(
-                graph,
-                float(gamma),
-                trials=int(params.get("pilot_trials", 32)),
-                seed=config.master_seed + 0x517,
-            )
+            params = resolve_two_phase(graph, params, config.master_seed)
         results[idx] = (
             graph,
             run_point(

@@ -29,7 +29,7 @@ from .engine import (
     RngStream,
     SynchronousDiscrete,
 )
-from .fusion import FusionSpec, FusionValue, TokenPayload, fold, sum_fusion, weighted_avg_fusion
+from .fusion import FusionSpec, TokenPayload, fold, weighted_avg_fusion
 from .graph import Graph
 
 
@@ -85,13 +85,6 @@ class TargetGamma:
     pilot_trials: int = 32
 
 
-@dataclass(frozen=True)
-class NodeState:
-    value: FusionValue
-    count: int
-    status: str  # "active" | "inactive"
-
-
 @dataclass
 class GossipMatrix:
     """An admissible stochastic matrix: support restricted to edges."""
@@ -116,8 +109,9 @@ class GossipMatrix:
                 raise ValueError(f"row {i} puts mass outside the neighborhood")
             if not math.isclose(p[i].sum(), 1.0, rel_tol=0, abs_tol=1e-12):
                 raise ValueError(f"row {i} does not sum to 1")
-            probs = np.array([p[i, j] for j in nbrs])
-            rows.append((list(nbrs), np.cumsum(probs)))
+            cum = np.cumsum([p[i, j] for j in nbrs])
+            cum[-1] = 1.0  # rows sum to 1 only within 1e-12; a draw past cum[-1] overruns nbrs
+            rows.append((list(nbrs), cum))
         return cls(graph=graph, rows=rows)
 
     def sample(self, i: int, sampler: BlockSampler) -> int:
@@ -201,13 +195,6 @@ class SimState:
     @property
     def active_count(self) -> int:
         return len(self.active_list)
-
-    def node_state(self, i: int) -> NodeState:
-        return NodeState(
-            value=self.values[i],
-            count=self.counts[i],
-            status="active" if self.status[i] else "inactive",
-        )
 
     def record_curve_point(self) -> None:
         self.times.append(self.t)
@@ -316,15 +303,6 @@ def handle_receive(state: SimState, j: int, payload) -> None:
         state.activate(j)
     if state.counts[j] == state.graph.n:
         state.holder = j
-
-
-def detect_termination(state: SimState) -> Optional[int]:
-    """The unique node whose count has reached n, if any."""
-    n = state.graph.n
-    for i, c in enumerate(state.counts):
-        if c == n:
-            return i
-    return None
 
 
 def synchronous_round(state: SimState) -> None:
@@ -526,29 +504,6 @@ def _finish_walk_trace(state, completed) -> "Trace":
         final_payload=payload,
         rounds=state.rounds if state.rounds else None,
     )
-
-
-def gossip_step(state: SimState, p: Optional[GossipMatrix] = None) -> None:
-    """One pairwise averaging exchange initiated by a uniform clock owner."""
-    if state.kind is not ProtocolKind.GOSSIP:
-        raise ProtocolError("gossip_step needs a GOSSIP state")
-    p = p or state.params.get("P") or GossipMatrix.uniform(state.graph)
-    sampler = state.sampler
-    n = state.graph.n
-    state.t += sampler.exponential() / n
-    i = int(sampler.uniform() * n)
-    j = p.sample(i, sampler)
-    z = state.values
-    mean = (z[i] + z[j]) * 0.5
-    z[i] = mean
-    z[j] = mean
-    factor = state.params.get("gossip_messages_per_exchange", 2)
-    state.eta += factor
-    state.sends[i] += 1
-    state.receives[j] += 1
-    if factor == 2:
-        state.sends[j] += 1
-        state.receives[i] += 1
 
 
 def _run_gossip(state: SimState, stop) -> "Trace":
@@ -794,12 +749,9 @@ def two_phase_run(
     if isinstance(switch, TargetGamma):
         if switch.gamma < 1:
             raise ValueError("gamma must be >= 1")
-        if switch.gamma >= graph.n:
-            switch_t = 0.0
-        else:
-            switch_t = estimate_switch_time(
-                graph, switch.gamma, trials=switch.pilot_trials, seed=seed, clock=clock
-            )
+        switch_t = estimate_switch_time(
+            graph, switch.gamma, trials=switch.pilot_trials, seed=seed, clock=clock
+        )
     elif isinstance(switch, ExplicitTime):
         if switch.t < 0:
             raise ValueError("switch time must be nonnegative")
@@ -839,45 +791,15 @@ def estimate_switch_time(
     clock: ClockMode = Continuous(),
 ) -> float:
     """Pilot estimate of the first time the expected active-token count of
-    CRW drops to gamma, read off a geometric time grid."""
+    CRW drops to gamma, on ``clock``: ``analysis.estimate_decay`` on
+    streams ``(1 << 20) + trial``, read by ``DecayCurve.t_gamma``."""
     if gamma >= graph.n:
         return 0.0
-    curves = []
-    t_end = 0.0
-    zero = [0] * graph.n
-    for trial in range(trials):
-        st = init(
-            ProtocolKind.CRW, graph, zero, sum_fusion(), seed=seed,
-            clock=clock, stream_id=(1 << 20) + trial,
-        )
-        tr = run(st, Termination())
-        curves.append((tr.times, tr.active_counts))
-        t_end = max(t_end, tr.tau)
-    grid = _geometric_grid(t_end)
-    mean_counts = np.zeros(len(grid))
-    for times, counts in curves:
-        mean_counts += _step_function_at(times, counts, grid)
-    mean_counts /= trials
-    for t, c in zip(grid, mean_counts):
-        if c <= gamma:
-            return float(t)
-    return float(grid[-1])
+    from .analysis import estimate_decay  # call-time: analysis imports this module
 
-
-def _geometric_grid(t_end: float, points_per_decade: int = 64) -> np.ndarray:
-    """[0] followed by a geometric grid, 64 points per decade by default."""
-    if t_end <= 0:
-        return np.array([0.0])
-    lo = min(1e-3, t_end / 10)
-    decades = math.log10(t_end / lo)
-    count = max(2, int(math.ceil(decades * points_per_decade)))
-    return np.concatenate([[0.0], np.geomspace(lo, t_end, count)])
-
-
-def _step_function_at(times, values, grid) -> np.ndarray:
-    """Evaluate a right-continuous step function on a grid."""
-    idx = np.searchsorted(times, grid, side="right") - 1
-    return np.asarray(values, dtype=float)[np.clip(idx, 0, len(values) - 1)]
+    lazy = clock.lazy_prob if isinstance(clock, SynchronousDiscrete) else None
+    curve = estimate_decay(graph, trials, stream=RngStream(seed, 1 << 20), lazy_prob=lazy)
+    return curve.t_gamma(gamma)[0]
 
 
 def hybrid_k_run(

@@ -98,6 +98,44 @@ def test_run_writes_traces_and_manifest(tmp_path, monkeypatch):
     assert manifest["config_hash"]
 
 
+def test_run_two_phase_lazy_pilot_follows_clock(tmp_path, monkeypatch):
+    from tokengossip.engine import SynchronousDiscrete
+    from tokengossip.graph import GraphSpec, generate
+    from tokengossip.protocols import estimate_switch_time
+
+    rc = run_cli(["run", "--proto", "two_phase", "--kind", "grid2d", "--side", "6",
+                  "--lazy", "0.5", "--trials", "2", "--seed", "4", "--out", "lz"],
+                 monkeypatch, tmp_path)
+    assert rc == 0
+    params = json.loads((tmp_path / "lz" / "run_manifest.json").read_text())["config"]["params"]
+    g = generate(GraphSpec.grid2d(6))
+    expected = estimate_switch_time(g, 4.0, 32, 4 + 0x517, SynchronousDiscrete(0.5))
+    assert params["switch_time"] == expected
+    assert float(params["switch_time"]).is_integer()  # a number of rounds
+
+
+def test_run_out_simulates_each_trial_once(tmp_path, monkeypatch):
+    from tokengossip import experiments as ex
+    from tokengossip import protocols
+
+    calls = []
+    real = protocols.two_phase_run
+
+    def counted(*a, **kw):
+        calls.append(kw.get("stream_id"))
+        return real(*a, **kw)
+
+    monkeypatch.setattr(protocols, "two_phase_run", counted)
+    monkeypatch.setattr(ex, "two_phase_run", counted)
+    rc = run_cli(["run", "--proto", "two_phase", "--kind", "grid2d", "--side", "4",
+                  "--trials", "3", "--seed", "6", "--out", "once"], monkeypatch, tmp_path)
+    assert rc == 0
+    assert sorted(calls) == [0, 1, 2]
+    for t in range(3):
+        meta = json.loads((tmp_path / "once" / f"trial_{t:04d}.json").read_text())
+        assert meta["gamma"] == 3.0  # ceil(ln 16)
+
+
 def test_analyze_resistance_ring4(tmp_path, monkeypatch, capsys):
     rc = run_cli(["gen", "--kind", "ring", "--n", "4",
                   "--out", str(tmp_path / "r4.graph")], monkeypatch, tmp_path)

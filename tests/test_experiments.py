@@ -214,6 +214,16 @@ def test_initial_values_sources(tmp_path):
         ex.initial_values("nope", 3, "sum", seed=0)
 
 
+def test_value_file_keeps_integers_above_2_53(tmp_path):
+    big = 2**53 + 1  # float(big) rounds to 2**53
+    f = tmp_path / "big.txt"
+    f.write_text(f"{big}\n-3\n2.5e1\n0\n")
+    x = ex.initial_values(f"file:{f}", 4, "sum", seed=0)
+    assert x == [big, -3, 25, 0]
+    summaries = ex.run_point(generate(GraphSpec.ring(4)), "crw", "sum", x, {}, 3, 1)
+    assert all(s.exact for s in summaries)
+
+
 def test_two_phase_through_harness():
     cfg = ex.ExperimentConfig(
         graphs=[GraphSpec.grid2d(4)], protocol="two_phase", trials=6,
@@ -222,3 +232,26 @@ def test_two_phase_through_harness():
     summaries = ex.run_trials(cfg)[0][1]
     assert all(s.exact for s in summaries)
     assert all(s.phase1_messages + s.phase2_messages == s.eta for s in summaries)
+
+
+def test_two_phase_pilot_follows_lazy_clock(monkeypatch):
+    from tokengossip.engine import SynchronousDiscrete
+    from tokengossip.protocols import estimate_switch_time
+
+    switches = []
+    real = ex.two_phase_run
+
+    def recording(graph, x, fusion, switch, **kw):
+        switches.append(switch.t)
+        return real(graph, x, fusion, switch, **kw)
+
+    monkeypatch.setattr(ex, "two_phase_run", recording)
+    cfg = ex.ExperimentConfig(
+        graphs=[GraphSpec.grid2d(5)], protocol="two_phase", trials=2,
+        master_seed=8, params={"lazy_prob": 0.5},
+    )
+    assert all(s.exact for s in ex.run_trials(cfg)[0][1])
+    g = generate(GraphSpec.grid2d(5))
+    expected = estimate_switch_time(g, 4.0, 32, 8 + 0x517, SynchronousDiscrete(0.5))
+    assert switches == [expected, expected]
+    assert float(expected).is_integer()
