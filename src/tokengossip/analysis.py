@@ -29,7 +29,7 @@ from .graph import (
     diameter,
     distances_from,
 )
-from .protocols import ProtocolKind, SynchronousDiscrete, Termination, init, run
+from .protocols import MaxTime, ProtocolKind, SynchronousDiscrete, Termination, init, run
 
 
 class SolverError(RuntimeError):
@@ -55,12 +55,7 @@ class HittingTimeTable:
 
 
 def _transition_matrix(g: Graph) -> np.ndarray:
-    p = np.zeros((g.n, g.n))
-    for u in range(g.n):
-        du = len(g.adjacency[u])
-        for v in g.adjacency[u]:
-            p[u, v] = 1.0 / du
-    return p
+    return g.adjacency_matrix() / np.asarray(g.degrees, dtype=float)[:, None]
 
 
 def mean_hitting_times(g: Graph, residual_tol: float = 1e-9) -> HittingTimeTable:
@@ -101,11 +96,7 @@ def worst_case_hitting(g: Graph) -> float:
 
 
 def _laplacian(g: Graph) -> np.ndarray:
-    lap = np.diag(np.asarray(g.degrees, dtype=float))
-    for u in range(g.n):
-        for v in g.adjacency[u]:
-            lap[u, v] -= 1.0
-    return lap
+    return np.diag(np.asarray(g.degrees, dtype=float)) - g.adjacency_matrix()
 
 
 @dataclass(frozen=True)
@@ -505,13 +496,11 @@ def estimate_decay(
     samples = np.empty((trials, len(grid)))
     integrals = np.empty((trials, len(grid)))
     for i, (times, counts) in enumerate(curves):
-        idx = np.clip(np.searchsorted(times, grid, side="right") - 1, 0, len(counts) - 1)
-        samples[i] = counts[idx]
+        samples[i] = counts[_step_index(times, grid)]
         if discrete:
             # per-round message accounting: sum of counts over rounds <= t
             rounds = np.arange(0.0, grid[-1] + 1.0)
-            ridx = np.clip(np.searchsorted(times, rounds, side="right") - 1, 0, len(counts) - 1)
-            per_round = counts[ridx]
+            per_round = counts[_step_index(times, rounds)]
             cum = np.concatenate([[0.0], np.cumsum(per_round)])
             integrals[i] = cum[np.clip(grid.astype(np.int64) + 1, 0, len(cum) - 1)]
         else:
@@ -523,12 +512,17 @@ def estimate_decay(
     return DecayCurve(grid, n_hat, n_se, m_hat, m_se, trials, discrete)
 
 
+def _step_index(times, grid) -> np.ndarray:
+    """Index of the step-function breakpoint in force at each grid time."""
+    return np.clip(np.searchsorted(times, grid, side="right") - 1, 0, len(times) - 1)
+
+
 def _step_integral(times: np.ndarray, counts: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Exact pathwise integral of a step function at each grid time."""
     # cumulative area at each breakpoint
     widths = np.diff(times)
     area = np.concatenate([[0.0], np.cumsum(counts[:-1] * widths)])
-    idx = np.clip(np.searchsorted(times, grid, side="right") - 1, 0, len(times) - 1)
+    idx = _step_index(times, grid)
     return area[idx] + counts[idx] * (grid - times[idx])
 
 
@@ -545,49 +539,28 @@ def coalescing_oracle(
     stream: RngStream | int = 0,
 ) -> list:
     """Expected surviving-token counts E|Lambda_B(s)| of a coalescing
-    walk started on B, at each requested time, on coupled trajectories
-    (so the estimates are pathwise nonincreasing in s)."""
+    walk started on B, at each requested time: CRW trials (streams
+    ``stream_id + trial``) with the nodes outside B inactive and holding
+    count 0, each read at every s (so the estimates are pathwise
+    nonincreasing in s)."""
     if isinstance(stream, int):
         stream = RngStream(master_seed=stream, stream_id=0)
-    b = sorted(set(b))
-    if not b:
-        raise ValueError("start set must be nonempty")
-    s_values = list(s_values)
-    s_max = max(s_values)
-    order = np.argsort(s_values)
-    nbr = g.neighbor_lists
-    counts = np.zeros((trials, len(s_values)))
+    b = set(b)
+    if not b or not b <= set(range(g.n)):
+        raise ValueError("start set must be a nonempty set of nodes")
+    s_values = np.asarray(s_values, dtype=float)
+    fusion = sum_fusion()
+    counts = np.empty((trials, len(s_values)))
     for trial in range(trials):
-        sampler = RngStream(stream.master_seed, stream.stream_id + trial).sampler()
-        occupied = set(b)
-        t = 0.0
-        pos = list(b)
-        remaining = [(s_values[i], i) for i in order]
-        ptr = 0
-        while ptr < len(remaining):
-            k = len(pos)
-            if k == 1:
-                break
-            t += sampler.exponential() / k
-            while ptr < len(remaining) and t > remaining[ptr][0]:
-                counts[trial, remaining[ptr][1]] = k
-                ptr += 1
-            if ptr == len(remaining):
-                break
-            i = int(sampler.uniform() * k)
-            node = pos[i]
-            nbrs = nbr[node]
-            dest = nbrs[int(sampler.uniform() * len(nbrs))]
-            occupied.discard(node)
-            if dest in occupied:
-                pos[i] = pos[-1]
-                pos.pop()
-            else:
-                occupied.add(dest)
-                pos[i] = dest
-        while ptr < len(remaining):
-            counts[trial, remaining[ptr][1]] = len(pos)
-            ptr += 1
+        st = init(ProtocolKind.CRW, g, [0] * g.n, fusion, seed=stream.master_seed,
+                  stream_id=stream.stream_id + trial)
+        for i in range(g.n):
+            if i not in b:
+                st.deactivate(i)
+                st.counts[i] = 0
+        st.active_counts[0] = st.active_count
+        tr = run(st, MaxTime(float(s_values.max())))
+        counts[trial] = np.asarray(tr.active_counts)[_step_index(tr.times, s_values)]
     return [
         MCEstimate(float(c.mean()), float(c.std(ddof=1) / math.sqrt(trials)), trials)
         for c in counts.T

@@ -121,6 +121,8 @@ def resolve_two_phase(graph: Graph, params: dict, master_seed: int) -> dict:
     if gamma in (None, "log_n"):
         gamma = max(1, math.ceil(math.log(graph.n)))
     params["gamma"] = float(gamma)
+    if params["gamma"] < 1:
+        raise ValueError("gamma must be >= 1")
     params["switch_time"] = estimate_switch_time(
         graph,
         params["gamma"],
@@ -372,11 +374,7 @@ def slow_mode_start(g: Graph) -> list:
     """
     if g.n > 4000:
         raise ValueError("dense eigensolve capped at 4000 nodes")
-    deg = np.asarray(g.degrees, dtype=float)
-    p = np.zeros((g.n, g.n))
-    for u in range(g.n):
-        for v in g.adjacency[u]:
-            p[u, v] = 1.0 / deg[u]
+    p = g.adjacency_matrix() / np.asarray(g.degrees, dtype=float)[:, None]
     _, vecs = np.linalg.eigh((p + p.T) / 2)
     mode = vecs[:, -2]
     mode = mode - mode.mean()  # exact zero-mean, so the target is 0

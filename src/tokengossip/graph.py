@@ -21,6 +21,10 @@ class GraphGenerationError(RuntimeError):
     """A generator could not produce a valid (connected, simple) graph."""
 
 
+class GraphFileError(ValueError):
+    """A graph file is malformed or does not hold a simple connected graph."""
+
+
 @dataclass(frozen=True)
 class GraphSpec:
     """Parameters of one topology: kind plus its size/shape knobs and seed."""
@@ -114,6 +118,13 @@ class Graph:
             (v for a in self.adjacency for v in a), dtype=np.int64, count=2 * self.m
         )
         return offsets, flat
+
+    def adjacency_matrix(self) -> np.ndarray:
+        """Dense 0/1 adjacency matrix, indexed from ``csr``."""
+        offsets, flat = self.csr
+        a = np.zeros((self.n, self.n))
+        a[np.repeat(np.arange(self.n), np.diff(offsets)), flat] = 1.0
+        return a
 
 
 def _build(
@@ -491,7 +502,7 @@ def check_volume_doubling(g: Graph) -> float:
             v2 = volumes[min(2 * R, 2 * r_max + 1)]
             if v1 > 0:
                 worst = max(worst, v2 / v1)
-    return worst
+    return float(worst)
 
 
 @dataclass(frozen=True)
@@ -577,13 +588,8 @@ def spectral_gap(g: Graph) -> float:
     """1 - lambda_2 of the walk transition matrix (via the symmetric form)."""
     if g.n > 4000:
         raise ValueError("dense spectral gap capped at 4000 nodes")
-    deg = np.asarray(g.degrees, dtype=float)
-    a = np.zeros((g.n, g.n))
-    for u in range(g.n):
-        for v in g.adjacency[u]:
-            a[u, v] = 1.0
-    dinv = 1.0 / np.sqrt(deg)
-    sym = a * dinv[:, None] * dinv[None, :]
+    dinv = 1.0 / np.sqrt(np.asarray(g.degrees, dtype=float))
+    sym = g.adjacency_matrix() * dinv[:, None] * dinv[None, :]
     vals = np.linalg.eigvalsh(sym)
     return float(1.0 - vals[-2])
 
@@ -642,13 +648,26 @@ def save_graph(g: Graph, path) -> None:
 
 
 def load_graph(path) -> Graph:
+    """Read the :func:`save_graph` format; raises :class:`GraphFileError`
+    unless the file holds m edges between distinct nodes in [0, n), none
+    repeated, that connect all n nodes."""
     text = Path(path).read_text().strip().splitlines()
-    n_s, m_s, kind, seed_s = text[0].split()
+    header = text[0].split() if text else []
+    if len(header) != 4:
+        raise GraphFileError("the first line must read 'n m kind seed'")
+    n_s, m_s, kind, seed_s = header
     n, m, seed = int(n_s), int(m_s), int(seed_s)
+    if len(text) - 1 < m:
+        raise GraphFileError(f"header promises {m} edges, only {len(text) - 1} lines follow it")
     edges = []
     for line in text[1 : 1 + m]:
         u_s, v_s = line.split()
-        edges.append((int(u_s), int(v_s)))
+        u, v = int(u_s), int(v_s)
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            raise GraphFileError(f"edge {line!r} must join two distinct nodes in [0, {n})")
+        edges.append((u, v))
+    if len({(min(e), max(e)) for e in edges}) < m:
+        raise GraphFileError("an edge is listed twice")
     coords = None
     rest = text[1 + m :]
     if rest:
@@ -661,4 +680,7 @@ def load_graph(path) -> Graph:
                 raise ValueError(f"malformed coordinate line: {line!r}")
             coords.append((float(x_s), float(y_s)))
         coords = tuple(coords)
-    return _build(n, edges, kind, seed, coords=coords)
+    g = _build(n, edges, kind, seed, coords=coords)
+    if not is_connected(g):
+        raise GraphFileError("graph is not connected")
+    return g

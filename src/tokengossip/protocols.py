@@ -149,6 +149,7 @@ class SimState:
         "active_counts",
         "message_counts",
         "rounds",
+        "active_active",
     )
 
     def __init__(self, graph, fusion, kind, clock, params, stream):
@@ -174,6 +175,7 @@ class SimState:
         self.active_counts = [0]
         self.message_counts = [0]
         self.rounds = 0
+        self.active_active = 0  # hybrid-k active-to-active relaxations
 
     # -- active-set bookkeeping (O(1) activate/deactivate/sample) ------
 
@@ -269,8 +271,9 @@ def init(
 # -- the Figure-level primitives ---------------------------------------
 
 
-def _send_to(state: SimState, i: int, j: int) -> None:
-    # sender releases its permit and is left holding the identity
+def _release(state: SimState, i: int) -> tuple:
+    """Sender side of a send: node i gives up its (value, count) payload
+    and its permit, and is left holding the identity with count zero."""
     v = state.values[i]
     c = state.counts[i]
     state.values[i] = state.fusion.identity
@@ -278,7 +281,7 @@ def _send_to(state: SimState, i: int, j: int) -> None:
     state.deactivate(i)
     state.sends[i] += 1
     state.eta += 1
-    handle_receive(state, j, (v, c))
+    return v, c
 
 
 def handle_send(state: SimState, i: int) -> None:
@@ -287,7 +290,7 @@ def handle_send(state: SimState, i: int) -> None:
         raise ProtocolError(f"send from inactive node {i}")
     nbrs = state.graph.neighbor_lists[i]
     j = nbrs[int(state.sampler.uniform() * len(nbrs))]
-    _send_to(state, i, j)
+    handle_receive(state, j, _release(state, i))
 
 
 def handle_receive(state: SimState, j: int, payload) -> None:
@@ -316,22 +319,15 @@ def synchronous_round(state: SimState) -> None:
     lazy = state.clock.lazy_prob if isinstance(state.clock, SynchronousDiscrete) else 0.0
     sampler = state.sampler
     nbr = state.graph.neighbor_lists
-    moves = []
+    deliveries = []
     for i in list(state.active_list):
         if lazy and sampler.uniform() < lazy:
             continue
         nbrs = nbr[i]
-        moves.append((i, nbrs[int(sampler.uniform() * len(nbrs))]))
-    deliveries = []
-    for i, j in moves:
-        deliveries.append((j, state.values[i], state.counts[i]))
-        state.values[i] = state.fusion.identity
-        state.counts[i] = 0
-        state.deactivate(i)
-        state.sends[i] += 1
-        state.eta += 1
-    for j, v, c in deliveries:
-        handle_receive(state, j, (v, c))
+        j = nbrs[int(sampler.uniform() * len(nbrs))]
+        deliveries.append((j, _release(state, i)))
+    for j, payload in deliveries:
+        handle_receive(state, j, payload)
     state.t += 1.0
     state.rounds += 1
 
@@ -370,13 +366,12 @@ def run(state: SimState, stop, check_invariants: bool = False) -> "Trace":
     return _run_walk_continuous(state, stop, check_invariants, expected)
 
 
-def _bounded_phase_one(state, switch_t):
-    """Run CRW to a fixed time: tokens keep walking even after some node's
-    count has reached n, since no node can observe that globally."""
-    if isinstance(state.clock, SynchronousDiscrete):
-        _run_walk_discrete(state, MaxTime(switch_t), False, None, halt_on_termination=False)
-    else:
-        _run_walk_continuous(state, MaxTime(switch_t), False, None, halt_on_termination=False)
+def _walk_until(state, t) -> "Trace":
+    """Walk to time t and never halt: tokens keep walking after some
+    node's count has reached n, since no node can observe that globally."""
+    discrete = isinstance(state.clock, SynchronousDiscrete)
+    loop = _run_walk_discrete if discrete else _run_walk_continuous
+    return loop(state, MaxTime(t), False, None, halt_on_termination=False)
 
 
 def _stop_params(stop):
@@ -390,9 +385,11 @@ def _stop_params(stop):
 def _run_walk_continuous(state, stop, check_invariants, expected, halt_on_termination=True):
     # Inlined copy of handle_send/handle_receive: this loop dominates the
     # runtime of every experiment, so the per-event work is kept to plain
-    # local-variable arithmetic.  Any change here must mirror those ops.
+    # local-variable arithmetic.  test_loop_replays_handle_send (in
+    # tests/test_protocols.py) checks it against those primitives.
     max_t = _stop_params(stop)
     terminating = halt_on_termination
+    hybrid = state.kind is ProtocolKind.HYBRID_K
     sampler = state.sampler
     active = state.active_list
     active_pos = state.active_pos
@@ -426,6 +423,21 @@ def _run_walk_continuous(state, stop, check_invariants, expected, halt_on_termin
         i = active[int(uniform() * k)]
         nbrs = nbr[i]
         j = nbrs[int(uniform() * len(nbrs))]
+        if hybrid and status[j]:
+            # active-to-active contact: both relax their (estimate, weight)
+            # pairs as in pairwise gossip and keep their permits
+            yi, wi = values[i]
+            yj, wj = values[j]
+            w = wi + wj
+            ym = (wi * yi + wj * yj) / w if w > 0 else 0.0
+            values[i] = values[j] = (ym, w * 0.5)
+            state.eta += 2
+            sends[i] += 1
+            sends[j] += 1
+            receives[i] += 1
+            receives[j] += 1
+            state.active_active += 1
+            continue
         # sender releases its permit
         v = values[i]
         c = counts[i]
@@ -477,12 +489,9 @@ def _run_walk_discrete(state, stop, check_invariants, expected, halt_on_terminat
             state.record_curve_point()
 
 
-def _finish_walk_trace(state, completed) -> "Trace":
-    state.record_curve_point()
-    holder = state.holder
-    payload = None
-    if holder is not None and state.counts[holder] == state.graph.n:
-        payload = TokenPayload(state.values[holder], state.counts[holder])
+def _trace(state, completed, **fields) -> "Trace":
+    """The Trace of a finished run: the fields every protocol shares, read
+    from ``state``, plus the protocol-specific ``fields``."""
     return Trace(
         protocol=state.kind.value,
         n=state.graph.n,
@@ -500,8 +509,18 @@ def _finish_walk_trace(state, completed) -> "Trace":
         per_node_sends=list(state.sends),
         per_node_receives=list(state.receives),
         final_counts=list(state.counts),
-        holder=holder,
-        final_payload=payload,
+        **fields,
+    )
+
+
+def _finish_walk_trace(state, completed) -> "Trace":
+    state.record_curve_point()
+    holder = state.holder
+    payload = None
+    if holder is not None and state.counts[holder] == state.graph.n:
+        payload = TokenPayload(state.values[holder], state.counts[holder])
+    return _trace(
+        state, completed, holder=holder, final_payload=payload,
         rounds=state.rounds if state.rounds else None,
     )
 
@@ -582,29 +601,9 @@ def _run_gossip(state: SimState, stop) -> "Trace":
                 completed = True
     errors.append((exchanges, rel_error()))
     state.record_curve_point()
-    return Trace(
-        protocol=state.kind.value,
-        n=n,
-        master_seed=state.stream.master_seed,
-        stream_id=state.stream.stream_id,
-        rng_algorithm=RNG_ALGORITHM,
-        clock_mode=state.clock.name,
-        lazy_prob=getattr(state.clock, "lazy_prob", None),
-        completed=completed,
-        tau=state.t,
-        eta=state.eta,
-        times=list(state.times),
-        active_counts=list(state.active_counts),
-        message_counts=list(state.message_counts),
-        per_node_sends=list(state.sends),
-        per_node_receives=list(state.receives),
-        final_counts=list(state.counts),
-        holder=None,
-        final_payload=None,
-        final_values=list(z),
-        gossip_errors=errors,
-        gossip_first_passage=first_passage,
-        gossip_exchanges=exchanges,
+    return _trace(
+        state, completed, final_values=list(z), gossip_errors=errors,
+        gossip_first_passage=first_passage, gossip_exchanges=exchanges,
     )
 
 
@@ -764,7 +763,7 @@ def two_phase_run(
         clock=clock, stream_id=stream_id,
     )
     if switch_t > 0:
-        _bounded_phase_one(state, switch_t)
+        _walk_until(state, switch_t)
     phase1_messages = state.eta
     gamma = switch.gamma if isinstance(switch, TargetGamma) else None
     passage = None
@@ -829,47 +828,17 @@ def hybrid_k_run(
     )
     total_w = math.fsum(w for _, w in x)
     true_mean = math.fsum(y * w for y, w in x) / total_w if total_w > 0 else 0.0
-
-    sampler = state.sampler
-    active = state.active_list
-    nbr = state.graph.neighbor_lists
+    trace = _walk_until(state, horizon)
+    # every change of the active count records a curve point
+    if set(trace.active_counts) != {k}:
+        raise ProtocolError(f"hybrid active count drifted: {sorted(set(trace.active_counts))}")
+    trace.completed = True
     values = state.values
-    active_active = 0
-    while True:
-        kk = len(active)
-        dt = sampler.exponential() / kk
-        if state.t + dt > horizon:
-            state.t = horizon
-            break
-        state.t += dt
-        i = active[int(sampler.uniform() * kk)]
-        nbrs = nbr[i]
-        j = nbrs[int(sampler.uniform() * len(nbrs))]
-        if state.status[j]:
-            yi, wi = values[i]
-            yj, wj = values[j]
-            w = wi + wj
-            ym = (wi * yi + wj * yj) / w if w > 0 else 0.0
-            half = w * 0.5
-            values[i] = (ym, half)
-            values[j] = (ym, half)
-            state.eta += 2
-            state.sends[i] += 1
-            state.sends[j] += 1
-            state.receives[i] += 1
-            state.receives[j] += 1
-            active_active += 1
-        else:
-            _send_to(state, i, j)
-        if len(active) != k:
-            raise ProtocolError(f"hybrid active count drifted to {len(active)}")
-    state.record_curve_point()
-    trace = _finish_walk_trace(state, completed=True)
     trace.final_values = list(values)
     errs = [abs(values[i][0] - true_mean) for i in state.active_list]
     trace.value_error_max = max(errs)
     trace.value_error_mean = sum(errs) / len(errs)
-    trace.active_active_events = active_active
+    trace.active_active_events = state.active_active
     trace.holder = None
     trace.final_payload = None
     return trace
@@ -899,8 +868,8 @@ class Trace:
     per_node_sends: list
     per_node_receives: list
     final_counts: list
-    holder: Optional[int]
-    final_payload: Optional[TokenPayload]
+    holder: Optional[int] = None
+    final_payload: Optional[TokenPayload] = None
     final_values: Optional[list] = None
     gossip_errors: Optional[list] = None
     gossip_first_passage: Optional[int] = None

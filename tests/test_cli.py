@@ -136,6 +136,34 @@ def test_run_out_simulates_each_trial_once(tmp_path, monkeypatch):
         assert meta["gamma"] == 3.0  # ceil(ln 16)
 
 
+def test_run_two_phase_gamma_below_one_exits_2(tmp_path, monkeypatch, capsys):
+    rc = run_cli(["run", "--proto", "two_phase", "--kind", "grid2d", "--side", "5",
+                  "--gamma", "0.5", "--trials", "2", "--out", "g"], monkeypatch, tmp_path)
+    assert rc == 2
+    assert "gamma must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
+def test_graph_file_endpoint_out_of_range_exits_2(tmp_path, monkeypatch, capsys):
+    (tmp_path / "bad.graph").write_text("4 4 ring 0\n0 1\n1 2\n2 3\n3 4\n")
+    for cmd in (["run", "--proto", "crw", "--trials", "2"], ["analyze", "--what", "hitting"]):
+        rc = run_cli(cmd + ["--graph", str(tmp_path / "bad.graph")], monkeypatch, tmp_path)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "[0, 4)" in err
+
+
+def test_analyze_regularity_torus(tmp_path, monkeypatch, capsys):
+    run_cli(["gen", "--kind", "torus", "--side", "5", "--dim", "2",
+             "--out", str(tmp_path / "t5.graph")], monkeypatch, tmp_path)
+    capsys.readouterr()
+    rc = run_cli(["analyze", "--what", "regularity", "--tmax", "6",
+                  "--graph", str(tmp_path / "t5.graph")], monkeypatch, tmp_path)
+    assert rc == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["doubling_pass"] is True and rep["gaussian_pass"] is True
+
+
 def test_analyze_resistance_ring4(tmp_path, monkeypatch, capsys):
     rc = run_cli(["gen", "--kind", "ring", "--n", "4",
                   "--out", str(tmp_path / "r4.graph")], monkeypatch, tmp_path)

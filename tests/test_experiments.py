@@ -234,6 +234,15 @@ def test_two_phase_through_harness():
     assert all(s.phase1_messages + s.phase2_messages == s.eta for s in summaries)
 
 
+def test_two_phase_gamma_below_one_is_rejected():
+    cfg = ex.ExperimentConfig(
+        graphs=[GraphSpec.grid2d(5)], protocol="two_phase", trials=2,
+        master_seed=8, params={"gamma": 0.5},
+    )
+    with pytest.raises(ValueError, match="gamma must be >= 1"):
+        ex.run_trials(cfg)
+
+
 def test_two_phase_pilot_follows_lazy_clock(monkeypatch):
     from tokengossip.engine import SynchronousDiscrete
     from tokengossip.protocols import estimate_switch_time

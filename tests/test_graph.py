@@ -6,6 +6,7 @@ import pytest
 
 from tokengossip.graph import (
     Graph,
+    GraphFileError,
     GraphGenerationError,
     GraphSpec,
     ball,
@@ -264,6 +265,23 @@ def test_file_round_trip(tmp_path):
         p2 = tmp_path / "g2.graph"
         save_graph(h, p2)
         assert p.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("text", [
+    "4 4 ring 0\n0 1\n1 2\n2 3\n3 4\n",  # endpoint >= n
+    "4 4 ring 0\n0 1\n1 2\n2 3\n3 -1\n",  # negative endpoint
+    "4 4 ring 0\n0 1\n1 2\n2 0\n",  # header m above the edge lines: node 3 isolated
+    "4 2 pairs 0\n0 1\n2 3\n",  # two components
+    "3 3 loop 0\n0 1\n1 2\n2 2\n",  # self-loop
+    "3 3 dup 0\n0 1\n1 2\n2 1\n",  # the same edge twice
+    "",  # no header
+], ids=["endpoint-n", "endpoint-neg", "short-edge-block", "disconnected",
+        "self-loop", "duplicate-edge", "empty"])
+def test_load_graph_rejects_malformed_files(tmp_path, text):
+    p = tmp_path / "bad.graph"
+    p.write_text(text)
+    with pytest.raises(GraphFileError):
+        load_graph(p)
 
 
 def test_spectral_gap_of_expander_proxy():

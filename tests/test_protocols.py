@@ -113,6 +113,43 @@ def test_detect_termination():
     assert tr1.tau == 0.0 and tr1.eta == 0
 
 
+def _replay_with_handle_send(st):
+    """run(st, Termination()) rebuilt from the public primitives: one
+    exponential at the active count, a uniform pick of the firing token,
+    then handle_send.  Returns (tau, times, active counts, messages)."""
+    sampler = st.sampler
+    t = 0.0
+    times, counts, messages = [0.0], [st.active_count], [0]
+    while st.holder is None:
+        k = st.active_count
+        t += sampler.exponential() / k
+        handle_send(st, st.active_list[int(sampler.uniform() * k)])
+        if st.active_count != counts[-1]:
+            times.append(t)
+            counts.append(st.active_count)
+            messages.append(st.eta)
+    # the run's closing curve point
+    return t, times + [t], counts + [st.active_count], messages + [st.eta]
+
+
+@pytest.mark.parametrize("kind,fusion", [("crw", SUM), ("srw", max_fusion())])
+@pytest.mark.parametrize("spec", [GraphSpec.torus(4, 2), GraphSpec.ring(9),
+                                  GraphSpec.clique(6), GraphSpec.rgg(30, seed=3)])
+def test_loop_replays_handle_send(spec, kind, fusion):
+    # the continuous loop inlines handle_send/handle_receive for speed;
+    # it must be the same automaton, draw for draw
+    g = generate(spec)
+    x = [(7 * i) % 11 - 5 for i in range(g.n)]
+    for seed in (0, 1, 2):
+        tr = run(init(kind, g, x, fusion, seed=seed), Termination())
+        st = init(kind, g, x, fusion, seed=seed)
+        replayed = _replay_with_handle_send(st)
+        assert (tr.tau, tr.times, tr.active_counts, tr.message_counts) == replayed
+        assert (tr.eta, tr.per_node_sends, tr.per_node_receives) == (st.eta, st.sends, st.receives)
+        assert (tr.final_counts, tr.holder) == (st.counts, st.holder)
+        assert tr.final_payload.value == fold(fusion, x)
+
+
 def test_srw_exact_every_trial():
     g = generate(GraphSpec.ring(3))
     for i in range(20):
