@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, diags, identity, kron
 from scipy.sparse.linalg import splu
 
 from .engine import Continuous, RngStream
@@ -154,10 +155,6 @@ def effective_resistance(g: Graph, u: int, v: int, residual_tol: float = 1e-9) -
     return float(x[keep.index(u)])
 
 
-def max_resistance(g: Graph) -> float:
-    return resistance_report(g).rho_star
-
-
 def set_resistance(g: Graph, a: set, b: set) -> float:
     """Resistance between the shorted set A and the grounded complement
     of B: one volt on A, zero outside B, interior harmonic; returns
@@ -214,37 +211,20 @@ def mean_meeting_times(g: Graph) -> MeetingTable:
     """Exact product-chain solve of pairwise meeting times.
 
     The product chain jumps at total rate 2; each jump moves one of the
-    two walks, chosen fairly; the diagonal absorbs.  Capped at 10^4
+    two walks, chosen fairly; the diagonal absorbs.  With state (x, y) at
+    x * n + y the system is I - diag(x != y) (P kron I + I kron P) / 2, with
+    the mean holding time 1/2 on the right off the diagonal.  Capped at 10^4
     product states (n = 100); use :func:`estimate_alpha` beyond.
     """
     n = g.n
     if n * n > 10_000:
         raise SolverError("product-chain solve capped at 10^4 states; use the MC estimator")
-    size = n * n
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(size)
-    for x in range(n):
-        for y in range(n):
-            s = x * n + y
-            if x == y:
-                rows.append(s)
-                cols.append(s)
-                vals.append(1.0)
-                continue
-            rows.append(s)
-            cols.append(s)
-            vals.append(1.0)
-            rhs[s] = 0.5  # mean holding time at rate 2
-            for xp in g.adjacency[x]:
-                rows.append(s)
-                cols.append(xp * n + y)
-                vals.append(-0.5 / len(g.adjacency[x]))
-            for yp in g.adjacency[y]:
-                rows.append(s)
-                cols.append(x * n + yp)
-                vals.append(-0.5 / len(g.adjacency[y]))
-    mat = csr_matrix((vals, (rows, cols)), shape=(size, size)).tocsc()
-    sol = splu(mat).solve(rhs)
+    p = csr_matrix(_transition_matrix(g))
+    eye = identity(n, format="csr")
+    off = 1.0 - np.eye(n).ravel()
+    mat = (identity(n * n) - diags(off) @ (0.5 * (kron(p, eye) + kron(eye, p)))).tocsc()
+    mat.eliminate_zeros()
+    sol = splu(mat).solve(0.5 * off)
     entry = sol.reshape(n, n)
     entry = np.maximum(entry, 0.0)
     return MeetingTable(entry)
@@ -441,13 +421,9 @@ class DecayCurve:
         return float(self.n_hat[i]), float(self.m_hat[i])
 
     def write_csv(self, path) -> None:
+        columns = (self.grid, self.n_hat, self.n_se, self.m_hat)
         lines = ["t,N_hat,stderr,M_hat"]
-        lines.extend(
-            f"{t!r},{nh!r},{se!r},{mh!r}"
-            for t, nh, se, mh in zip(self.grid, self.n_hat, self.n_se, self.m_hat)
-        )
-        from pathlib import Path
-
+        lines.extend(",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns)))
         Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -69,7 +69,8 @@ class BlockSampler:
 
     Consumption order is strictly sequential, so results are a
     deterministic function of the underlying generator state while
-    amortizing per-call overhead in event loops.
+    amortizing per-call overhead in event loops.  Blocks hold Python
+    floats, so event times (and the files written from them) do too.
     """
 
     __slots__ = ("_rng", "_block", "_u", "_ui", "_e", "_ei")
@@ -77,15 +78,15 @@ class BlockSampler:
     def __init__(self, rng: np.random.Generator, block: int = 4096):
         self._rng = rng
         self._block = block
-        self._u = rng.random(block)
+        self._u = rng.random(block).tolist()
         self._ui = 0
-        self._e = rng.standard_exponential(block)
+        self._e = rng.standard_exponential(block).tolist()
         self._ei = 0
 
     def uniform(self) -> float:
         i = self._ui
         if i == self._block:
-            self._u = self._rng.random(self._block)
+            self._u = self._rng.random(self._block).tolist()
             i = 0
         self._ui = i + 1
         return self._u[i]
@@ -94,7 +95,7 @@ class BlockSampler:
         """One Exp(1) draw."""
         i = self._ei
         if i == self._block:
-            self._e = self._rng.standard_exponential(self._block)
+            self._e = self._rng.standard_exponential(self._block).tolist()
             i = 0
         self._ei = i + 1
         return self._e[i]

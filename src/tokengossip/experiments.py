@@ -12,12 +12,13 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .analysis import _transition_matrix
 from .engine import Continuous, RngStream, SynchronousDiscrete
 from .fusion import fold, fusion_from_name
 from .graph import Graph, GraphSpec, generate
@@ -121,8 +122,6 @@ def resolve_two_phase(graph: Graph, params: dict, master_seed: int) -> dict:
     if gamma in (None, "log_n"):
         gamma = max(1, math.ceil(math.log(graph.n)))
     params["gamma"] = float(gamma)
-    if params["gamma"] < 1:
-        raise ValueError("gamma must be >= 1")
     params["switch_time"] = estimate_switch_time(
         graph,
         params["gamma"],
@@ -153,18 +152,15 @@ def _run_one(args) -> TrialSummary:
             clock=clock,
             stream_id=trial,
         )
-        tr.gamma = params.get("gamma")
+        tr = replace(tr, gamma=params.get("gamma"))
     elif protocol == "hybrid_k":
         tr = hybrid_k_run(
             graph, x, k=params["k"], seed=master_seed,
             horizon=params.get("horizon", 100.0), stream_id=trial,
         )
     elif protocol == "gossip":
-        st = init(
-            ProtocolKind.GOSSIP, graph, x, None,
-            params={k: v for k, v in params.items() if k in ("P", "gossip_messages_per_exchange")},
-            seed=master_seed, stream_id=trial,
-        )
+        st = init(ProtocolKind.GOSSIP, graph, x, None, params=params, seed=master_seed,
+                  stream_id=trial)
         tr = run(st, GossipEps(params["eps"], params.get("horizon", 1_000_000_000)))
     else:
         st = init(
@@ -364,6 +360,9 @@ class GossipKEstimate:
     first_passages: tuple
 
 
+GOSSIP_K_HORIZON = 200_000_000  # exchanges per trial before a gossip_K trial fails
+
+
 def slow_mode_start(g: Graph) -> list:
     """Start vector on the slowest non-constant averaging mode.
 
@@ -374,7 +373,7 @@ def slow_mode_start(g: Graph) -> list:
     """
     if g.n > 4000:
         raise ValueError("dense eigensolve capped at 4000 nodes")
-    p = g.adjacency_matrix() / np.asarray(g.degrees, dtype=float)[:, None]
+    p = _transition_matrix(g)
     _, vecs = np.linalg.eigh((p + p.T) / 2)
     mode = vecs[:, -2]
     mode = mode - mode.mean()  # exact zero-mean, so the target is 0
@@ -388,37 +387,26 @@ def measure_gossip_K(
     z0: Optional[Sequence[float]] = None,
     trials: int = 40,
     master_seed: int = 0,
-    horizon: int = 200_000_000,
-    messages_per_exchange: int = 2,
+    horizon: int = GOSSIP_K_HORIZON,
 ) -> GossipKEstimate:
     """Empirical stopping index: the smallest exchange count k such that
     the fraction of trials still above the error threshold at k is at
     most eps.  The default start vector is the single spike n*e_1; the
     supremum over start vectors is not searched, so this lower-bounds
-    the worst case."""
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0, 1)")
+    the worst case.  ``first_passages`` are sorted."""
     if z0 is None:
-        z0 = [float(g.n)] + [0.0] * (g.n - 1)
-    passages = []
-    for trial in range(trials):
-        params = {"gossip_messages_per_exchange": messages_per_exchange}
-        if p is not None:
-            params["P"] = p
-        st = init(ProtocolKind.GOSSIP, g, z0, None, params=params,
-                  seed=master_seed, stream_id=trial)
-        tr = run(st, GossipEps(eps, horizon))
-        if not tr.completed:
-            raise ExperimentError(f"gossip trial {trial} exceeded the {horizon}-exchange horizon")
-        passages.append(tr.gossip_first_passage)
-    passages.sort()
-    allowed = math.floor(eps * trials)
-    k_hat = passages[trials - allowed - 1]
+        z0 = initial_values("spike", g.n, "gossip", 0)
+    params = {"eps": eps, "horizon": horizon}
+    if p is not None:
+        params["P"] = p
+    summaries = run_point(g, "gossip", "gossip", z0, params, trials, master_seed)
+    passages = sorted(s.gossip_first_passage for s in summaries)
+    k_hat = passages[trials - math.floor(eps * trials) - 1]
     return GossipKEstimate(
-        k_hat=int(k_hat),
+        k_hat=k_hat,
         eps=eps,
         trials=trials,
-        per_node_messages=messages_per_exchange * k_hat / g.n,
+        per_node_messages=2 * k_hat / g.n,
         first_passages=tuple(passages),
     )
 
@@ -448,13 +436,6 @@ class SuiteReport:
         return all(r.passed for r in self.rows)
 
 
-def _graph_specs_from_row(row: dict) -> list:
-    specs = []
-    for item in row["sweep"]:
-        specs.append(GraphSpec(**item))
-    return specs
-
-
 def run_suite(config: dict, out_dir: Optional[Path] = None) -> SuiteReport:
     """Run every enabled row of a suite config and check its pass band.
 
@@ -468,27 +449,25 @@ def run_suite(config: dict, out_dir: Optional[Path] = None) -> SuiteReport:
     summary_lines = ["n,protocol,metric,mean,stderr,trials"]
     fits = []
     trial_tables = {}
+    jobs = int(config.get("jobs", 1))
     for row in config.get("rows", []):
         if not row.get("enabled", True):
             continue
         protocol = row["protocol"]
         metric = row.get("metric", "tau")
         records = []
-        for spec in _graph_specs_from_row(row):
-            graph = generate(spec)
+        for item in row["sweep"]:
+            spec = GraphSpec(**item)
             if protocol == "gossip_K":
-                z0 = slow_mode_start(graph) if row.get("z0") == "slow_mode" else None
-                est = measure_gossip_K(
-                    graph, None, eps=float(row.get("eps", 0.01)), z0=z0,
-                    trials=int(row.get("trials", 40)), master_seed=master_seed,
+                graph = generate(spec)
+                spike = initial_values("spike", graph.n, "gossip", 0)
+                z0 = slow_mode_start(graph) if row.get("z0") == "slow_mode" else spike
+                summaries = run_point(
+                    graph, "gossip", "gossip", z0,
+                    {"eps": float(row.get("eps", 0.01)), "horizon": GOSSIP_K_HORIZON},
+                    int(row.get("trials", 40)), master_seed, jobs=jobs,
                 )
-                per_trial = [
-                    TrialSummary(n=graph.n, trial=i, tau=0.0,
-                                 eta=int(2 * k), completed=True)
-                    for i, k in enumerate(est.first_passages)
-                ]
-                rec = aggregate(per_trial, "eta_per_node", seed=master_seed)
-                summaries = per_trial
+                rec = aggregate(summaries, "eta_per_node", seed=master_seed)
             else:
                 cfg = ExperimentConfig(
                     graphs=[spec],
@@ -498,9 +477,9 @@ def run_suite(config: dict, out_dir: Optional[Path] = None) -> SuiteReport:
                     trials=int(row.get("trials", 100)),
                     master_seed=master_seed,
                     params=dict(row.get("params", {})),
-                    jobs=int(config.get("jobs", 1)),
+                    jobs=jobs,
                 )
-                (_, summaries) = run_trials(cfg)[0]
+                graph, summaries = run_trials(cfg)[0]
                 rec = aggregate(summaries, metric, seed=master_seed)
             records.append(rec)
             summary_lines.append(

@@ -559,10 +559,10 @@ def check_isoperimetry(g: Graph, u: int, radius: int) -> IsoperimetryCertificate
             if denom > 0:
                 best = min(best, radius * cut / denom)
         return IsoperimetryCertificate(float(best), "exact", True, "exact minimum")
-    lap = np.diag(deg).astype(float)
-    for i in range(k):
-        for j in sub[i]:
-            lap[i, j] -= 1.0
+    # the induced adjacency, built k x k: the graph's dense n x n matrix can be large
+    a = np.zeros((k, k))
+    a[np.repeat(np.arange(k), deg), np.concatenate(sub)] = 1.0
+    lap = np.diag(deg).astype(float) - a
     vals, vecs = np.linalg.eigh(lap)
     fiedler = vecs[:, 1]
     order = np.argsort(fiedler)

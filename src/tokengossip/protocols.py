@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
@@ -199,9 +199,12 @@ class SimState:
         return len(self.active_list)
 
     def record_curve_point(self) -> None:
-        self.times.append(self.t)
-        self.active_counts.append(self.active_count)
-        self.message_counts.append(self.eta)
+        """Append (t, active count, messages) unless it repeats the last point."""
+        point = (self.t, self.active_count, self.eta)
+        if point != (self.times[-1], self.active_counts[-1], self.message_counts[-1]):
+            self.times.append(self.t)
+            self.active_counts.append(self.active_count)
+            self.message_counts.append(self.eta)
 
 
 def init(
@@ -361,17 +364,28 @@ def run(state: SimState, stop, check_invariants: bool = False) -> "Trace":
     if state.kind is ProtocolKind.HYBRID_K:
         raise ProtocolError("use hybrid_k_run for the fixed-k hybrid")
     expected = fold(state.fusion, state.values) if check_invariants else None
-    if isinstance(state.clock, SynchronousDiscrete):
-        return _run_walk_discrete(state, stop, check_invariants, expected)
-    return _run_walk_continuous(state, stop, check_invariants, expected)
+    completed = _walk_loop(state)(state, stop, check_invariants, expected)
+    holder = state.holder
+    payload = None
+    if holder is not None and state.counts[holder] == state.graph.n:
+        payload = TokenPayload(state.values[holder], state.counts[holder])
+    return _trace(
+        state, completed, holder=holder, final_payload=payload,
+        rounds=state.rounds if state.rounds else None,
+    )
 
 
-def _walk_until(state, t) -> "Trace":
-    """Walk to time t and never halt: tokens keep walking after some
-    node's count has reached n, since no node can observe that globally."""
+def _walk_loop(state):
     discrete = isinstance(state.clock, SynchronousDiscrete)
-    loop = _run_walk_discrete if discrete else _run_walk_continuous
-    return loop(state, MaxTime(t), False, None, halt_on_termination=False)
+    return _run_walk_discrete if discrete else _run_walk_continuous
+
+
+def _walk_until(state, t) -> None:
+    """Walk to time t, ending with a curve point there, and never halt:
+    tokens keep walking after some node's count has reached n, since no
+    node can observe that globally."""
+    _walk_loop(state)(state, MaxTime(t), False, None, halt_on_termination=False)
+    state.record_curve_point()
 
 
 def _stop_params(stop):
@@ -383,6 +397,7 @@ def _stop_params(stop):
 
 
 def _run_walk_continuous(state, stop, check_invariants, expected, halt_on_termination=True):
+    """Walk until the stop condition; returns whether the run completed."""
     # Inlined copy of handle_send/handle_receive: this loop dominates the
     # runtime of every experiment, so the per-event work is kept to plain
     # local-variable arithmetic.  test_loop_replays_handle_send (in
@@ -409,13 +424,13 @@ def _run_walk_continuous(state, stop, check_invariants, expected, halt_on_termin
     while True:
         if terminating and state.holder is not None:
             state.t = t
-            return _finish_walk_trace(state, completed=True)
+            return True
         k = len(active)
         dt = exponential() / k
         nt = t + dt
         if nt > max_t:
             state.t = max_t
-            return _finish_walk_trace(state, completed=False)
+            return False
         if nt == t:
             # float collision: draw order breaks the (probability-zero) tie
             _log.debug("timestamp collision at t=%r", t)
@@ -478,9 +493,9 @@ def _run_walk_discrete(state, stop, check_invariants, expected, halt_on_terminat
     last_count = state.active_count
     while True:
         if terminating and state.holder is not None:
-            return _finish_walk_trace(state, completed=True)
+            return True
         if state.t + 1.0 > max_t:
-            return _finish_walk_trace(state, completed=False)
+            return False
         synchronous_round(state)
         if check_invariants:
             _check_event_invariants(state, expected)
@@ -490,8 +505,10 @@ def _run_walk_discrete(state, stop, check_invariants, expected, halt_on_terminat
 
 
 def _trace(state, completed, **fields) -> "Trace":
-    """The Trace of a finished run: the fields every protocol shares, read
-    from ``state``, plus the protocol-specific ``fields``."""
+    """The Trace of a finished run, after recording its final curve point:
+    the fields every protocol shares, read from ``state``, plus the
+    protocol-specific ``fields``."""
+    state.record_curve_point()
     return Trace(
         protocol=state.kind.value,
         n=state.graph.n,
@@ -513,18 +530,6 @@ def _trace(state, completed, **fields) -> "Trace":
     )
 
 
-def _finish_walk_trace(state, completed) -> "Trace":
-    state.record_curve_point()
-    holder = state.holder
-    payload = None
-    if holder is not None and state.counts[holder] == state.graph.n:
-        payload = TokenPayload(state.values[holder], state.counts[holder])
-    return _trace(
-        state, completed, holder=holder, final_payload=payload,
-        rounds=state.rounds if state.rounds else None,
-    )
-
-
 def _run_gossip(state: SimState, stop) -> "Trace":
     if isinstance(stop, GossipEps):
         eps, horizon, max_t = stop.eps, stop.horizon, math.inf
@@ -537,7 +542,6 @@ def _run_gossip(state: SimState, stop) -> "Trace":
 
     p = state.params.get("P") or GossipMatrix.uniform(state.graph)
     uniform_p = p.rows is None
-    factor = state.params.get("gossip_messages_per_exchange", 2)
     sampler = state.sampler
     n = state.graph.n
     z = state.values
@@ -582,12 +586,11 @@ def _run_gossip(state: SimState, stop) -> "Trace":
         d = a - b
         q -= 0.5 * d * d
         exchanges += 1
-        state.eta += factor
+        state.eta += 2
         sends[i] += 1
+        sends[j] += 1
+        receives[i] += 1
         receives[j] += 1
-        if factor == 2:
-            sends[j] += 1
-            receives[i] += 1
         if exchanges == next_log:
             errors.append((exchanges, rel_error()))
             next_log *= 2
@@ -600,7 +603,6 @@ def _run_gossip(state: SimState, stop) -> "Trace":
                 first_passage = exchanges
                 completed = True
     errors.append((exchanges, rel_error()))
-    state.record_curve_point()
     return _trace(
         state, completed, final_values=list(z), gossip_errors=errors,
         gossip_first_passage=first_passage, gossip_exchanges=exchanges,
@@ -716,16 +718,12 @@ def cfld_run(state: SimState, origins: Optional[Sequence[int]] = None) -> "Trace
             raise ProtocolError(f"flood from origin {origins[oi]} did not reach all nodes")
     if any(c != n for c in counts):
         raise ProtocolError("flood completed but some node's count is not n")
-    state.record_curve_point()
-    trace = _finish_walk_trace(state, completed=True)
-    trace.flood_messages = state.eta - phase_start_eta
-    trace.flood_messages_per_origin = per_origin_messages
-    trace.flood_origins = len(origins)
-    trace.rounds = state.rounds
-    trace.final_values = list(values)
-    trace.final_payload = TokenPayload(values[0], counts[0])
-    trace.holder = None
-    return trace
+    return _trace(
+        state, True, final_payload=TokenPayload(values[0], counts[0]),
+        final_values=list(values), flood_messages=state.eta - phase_start_eta,
+        flood_messages_per_origin=per_origin_messages, flood_origins=len(origins),
+        rounds=state.rounds,
+    )
 
 
 def two_phase_run(
@@ -741,16 +739,12 @@ def two_phase_run(
     """CRW until a deterministic switch time, then flood the survivors.
 
     All n nodes finish holding the exact aggregate; the trace records
-    phase-1 and phase-2 message counts separately, plus the pathwise
-    first time the active count dipped to the target (which differs from
-    the expected-count crossing used to resolve TargetGamma).
+    phase-1 and phase-2 (flood) message counts separately, plus the
+    pathwise first time the active count dipped to the target (which
+    differs from the expected-count crossing used to resolve TargetGamma).
     """
     if isinstance(switch, TargetGamma):
-        if switch.gamma < 1:
-            raise ValueError("gamma must be >= 1")
-        switch_t = estimate_switch_time(
-            graph, switch.gamma, trials=switch.pilot_trials, seed=seed, clock=clock
-        )
+        switch_t = estimate_switch_time(graph, switch.gamma, switch.pilot_trials, seed, clock)
     elif isinstance(switch, ExplicitTime):
         if switch.t < 0:
             raise ValueError("switch time must be nonnegative")
@@ -765,21 +759,13 @@ def two_phase_run(
     if switch_t > 0:
         _walk_until(state, switch_t)
     phase1_messages = state.eta
-    gamma = switch.gamma if isinstance(switch, TargetGamma) else None
-    passage = None
-    if gamma is not None:
-        for tt, cc in zip(state.times, state.active_counts):
-            if cc <= gamma:
-                passage = tt
-                break
     trace = cfld_run(state)
-    trace.protocol = ProtocolKind.TWO_PHASE.value
-    trace.switch_time = switch_t
-    trace.phase1_messages = phase1_messages
-    trace.phase2_messages = trace.eta - phase1_messages
-    trace.gamma = gamma
-    trace.gamma_passage_time = passage
-    return trace
+    gamma = switch.gamma if isinstance(switch, TargetGamma) else None
+    return replace(
+        trace, switch_time=switch_t, phase1_messages=phase1_messages,
+        phase2_messages=trace.flood_messages, gamma=gamma,
+        gamma_passage_time=None if gamma is None else trace.sigma(gamma),
+    )
 
 
 def estimate_switch_time(
@@ -792,6 +778,8 @@ def estimate_switch_time(
     """Pilot estimate of the first time the expected active-token count of
     CRW drops to gamma, on ``clock``: ``analysis.estimate_decay`` on
     streams ``(1 << 20) + trial``, read by ``DecayCurve.t_gamma``."""
+    if gamma < 1:
+        raise ValueError("gamma must be >= 1")
     if gamma >= graph.n:
         return 0.0
     from .analysis import estimate_decay  # call-time: analysis imports this module
@@ -828,26 +816,22 @@ def hybrid_k_run(
     )
     total_w = math.fsum(w for _, w in x)
     true_mean = math.fsum(y * w for y, w in x) / total_w if total_w > 0 else 0.0
-    trace = _walk_until(state, horizon)
+    _walk_until(state, horizon)
     # every change of the active count records a curve point
-    if set(trace.active_counts) != {k}:
-        raise ProtocolError(f"hybrid active count drifted: {sorted(set(trace.active_counts))}")
-    trace.completed = True
+    if set(state.active_counts) != {k}:
+        raise ProtocolError(f"hybrid active count drifted: {sorted(set(state.active_counts))}")
     values = state.values
-    trace.final_values = list(values)
     errs = [abs(values[i][0] - true_mean) for i in state.active_list]
-    trace.value_error_max = max(errs)
-    trace.value_error_mean = sum(errs) / len(errs)
-    trace.active_active_events = state.active_active
-    trace.holder = None
-    trace.final_payload = None
-    return trace
+    return _trace(
+        state, True, final_values=list(values), value_error_max=max(errs),
+        value_error_mean=sum(errs) / len(errs), active_active_events=state.active_active,
+    )
 
 
 # -- traces ---------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trace:
     """The raw material for all complexity metrics: the token-count step
     function, message ledger, termination time, and the final payload."""

@@ -136,6 +136,35 @@ def test_run_out_simulates_each_trial_once(tmp_path, monkeypatch):
         assert meta["gamma"] == 3.0  # ceil(ln 16)
 
 
+@pytest.mark.parametrize("lazy", [[], ["--lazy", "0.5"]])
+@pytest.mark.parametrize("proto", ["crw", "two_phase"])
+def test_trajectory_rows_are_plain_numbers_without_repeats(tmp_path, monkeypatch, proto, lazy):
+    rc = run_cli(["run", "--proto", proto, "--kind", "grid2d", "--side", "6",
+                  "--trials", "3", "--seed", "2", *lazy, "--out", "tr"], monkeypatch, tmp_path)
+    assert rc == 0
+    for t in range(3):
+        lines = (tmp_path / "tr" / f"trial_{t:04d}.csv").read_text().splitlines()
+        assert lines[0] == "t,active_count,total_messages"
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert all(a != b for a, b in zip(rows, rows[1:]))
+        if proto == "two_phase":
+            # the curve keeps its point at the switch, carrying the phase-1 messages
+            meta = json.loads((tmp_path / "tr" / f"trial_{t:04d}.json").read_text())
+            assert [meta["switch_time"], meta["phase1_messages"]] in [[r[0], r[2]] for r in rows]
+
+
+def test_analyze_decay_csv_is_plain_numbers(tmp_path, monkeypatch):
+    rc = run_cli(["gen", "--kind", "ring", "--n", "12", "--out", str(tmp_path / "r.graph")],
+                 monkeypatch, tmp_path)
+    assert rc == 0
+    rc = run_cli(["analyze", "--what", "decay", "--graph", str(tmp_path / "r.graph"),
+                  "--trials", "10", "--out", str(tmp_path / "d.json")], monkeypatch, tmp_path)
+    assert rc == 0
+    lines = (tmp_path / "d.csv").read_text().splitlines()
+    assert lines[0] == "t,N_hat,stderr,M_hat"
+    assert all(len([float(v) for v in line.split(",")]) == 4 for line in lines[1:])
+
+
 def test_run_two_phase_gamma_below_one_exits_2(tmp_path, monkeypatch, capsys):
     rc = run_cli(["run", "--proto", "two_phase", "--kind", "grid2d", "--side", "5",
                   "--gamma", "0.5", "--trials", "2", "--out", "g"], monkeypatch, tmp_path)

@@ -159,6 +159,32 @@ def test_run_suite_writes_outputs(tmp_path):
     assert fits[0]["passed"] is True
 
 
+def test_gossip_k_trial_table_is_run_point_for_any_jobs(tmp_path):
+    sweep = [{"kind": "ring", "n": n} for n in (6, 8, 10, 12)]
+    row = {"predictor": "n", "sweep": sweep, "trials": 6, "slope_band": [0.0, 5.0],
+           "r2_min": 0.0}
+    config = {"master_seed": 9, "rows": [
+        {**row, "label": "ring/crw", "protocol": "crw"},
+        {**row, "label": "ring/gossip", "protocol": "gossip_K", "metric": "eta_per_node",
+         "eps": 0.05},
+    ]}
+    ex.run_suite(config, out_dir=tmp_path / "j1")
+    ex.run_suite({**config, "jobs": 2}, out_dir=tmp_path / "j2")
+    names = sorted(f.name for f in (tmp_path / "j1").iterdir())
+    assert names == sorted(f.name for f in (tmp_path / "j2").iterdir())
+    for name in names:
+        assert (tmp_path / "j1" / name).read_bytes() == (tmp_path / "j2" / name).read_bytes()
+    x = ex.initial_values("spike", 12, "gossip", 0)
+    summaries = ex.run_point(generate(GraphSpec.ring(12)), "gossip", "gossip", x,
+                             {"eps": 0.05}, 6, 9)
+    lines = (tmp_path / "j1" / "trials_ring_gossip_12.csv").read_text().splitlines()
+    assert lines[1:] == [f"{s.trial},{s.tau!r},{s.eta},{s.eta_per_node!r}" for s in summaries]
+    for name in names:
+        if name.startswith("trials_"):
+            for line in (tmp_path / "j1" / name).read_text().splitlines()[1:]:
+                assert len([float(v) for v in line.split(",")]) == 4
+
+
 def test_run_suite_respects_enabled_flag(tmp_path):
     config = {
         "master_seed": 1,

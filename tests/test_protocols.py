@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -113,6 +114,13 @@ def test_detect_termination():
     assert tr1.tau == 0.0 and tr1.eta == 0
 
 
+def test_trace_is_frozen():
+    g = generate(GraphSpec.ring(4))
+    tr = run(init("crw", g, [1] * 4, SUM, seed=4), Termination())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tr.eta = 0
+
+
 def _replay_with_handle_send(st):
     """run(st, Termination()) rebuilt from the public primitives: one
     exponential at the active count, a uniform pick of the firing token,
@@ -128,8 +136,12 @@ def _replay_with_handle_send(st):
             times.append(t)
             counts.append(st.active_count)
             messages.append(st.eta)
-    # the run's closing curve point
-    return t, times + [t], counts + [st.active_count], messages + [st.eta]
+    # the run's closing curve point, unless it repeats the last one
+    if (t, st.active_count, st.eta) != (times[-1], counts[-1], messages[-1]):
+        times.append(t)
+        counts.append(st.active_count)
+        messages.append(st.eta)
+    return t, times, counts, messages
 
 
 @pytest.mark.parametrize("kind,fusion", [("crw", SUM), ("srw", max_fusion())])
@@ -257,14 +269,6 @@ def test_gossip_converges_on_ring():
     assert tr.eta == 2 * tr.gossip_exchanges
     # error trajectory is recorded and ends below the threshold
     assert tr.gossip_errors[0][1] > tr.gossip_errors[-1][1]
-
-
-def test_gossip_one_way_accounting_flag():
-    g = generate(GraphSpec.clique(2))
-    st = init("gossip", g, [0.0, 2.0], None, seed=16,
-              params={"gossip_messages_per_exchange": 1})
-    tr = run(st, GossipEps(0.5))
-    assert tr.eta == tr.gossip_exchanges
 
 
 def test_gossip_matrix_validation():
