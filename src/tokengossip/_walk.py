@@ -1,0 +1,207 @@
+"""The compiled continuous-time token walk.
+
+``_walk.c`` is the event loop of ``protocols._run_walk_python`` in C,
+giving the same trace draw for draw.  It is built on first use with the
+system C compiler into a per-user cache (``$XDG_CACHE_HOME/tokengossip``,
+else ``~/.cache/tokengossip``, else the temp directory), named by the
+SHA-256 of the source and the compiler flags, and moved into place with
+``os.replace`` so that concurrent processes never load a half-written
+library.  Without a compiler or a usable cache directory, ``walk`` returns
+None after one logged warning, and the Python loop runs instead.
+"""
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import logging
+import os
+import shutil
+import subprocess
+import tempfile
+from itertools import chain
+from pathlib import Path
+from typing import Optional
+
+import numpy as np
+
+from .engine import BlockSampler
+from .fusion import INT64_MIN, MAX_IDENTITY, FusionKind
+
+_log = logging.getLogger(__name__)
+
+SOURCE = Path(__file__).with_name("_walk.c")
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+# the return codes, the slots of the scalar arrays and the fusion codes of _walk.c
+_DONE, _MAX_TIME, _NEED_UNIFORM, _NEED_EXPONENTIAL, _SUM_OVERFLOW, _CURVE_FULL = range(6)
+(_NACTIVE, _ETA, _HOLDER, _ACTIVE_ACTIVE, _UI, _EI, _NPOINTS, _STAGE, _PENDING, _ERR_J, _ERR_V,
+ _NIV) = range(12)
+_T, _T_STATE, _MAX_T, _NDV = range(4)
+_FUSION = {FusionKind.SUM: 0, FusionKind.MAX: 1, FusionKind.WEIGHTED_AVG: 2}
+
+
+def _cache_dir() -> Path:
+    xdg = os.environ.get("XDG_CACHE_HOME")
+    if xdg and os.path.isabs(xdg):
+        return Path(xdg, "tokengossip")
+    home = os.path.expanduser("~")
+    if home != "~":
+        return Path(home, ".cache", "tokengossip")
+    return Path(tempfile.gettempdir(), f"tokengossip-{os.getuid()}")
+
+
+def _build() -> Path:
+    """The path of the compiled kernel, compiling it if the cache lacks it."""
+    source = SOURCE.read_bytes()
+    key = hashlib.sha256(source + " ".join(FLAGS).encode()).hexdigest()
+    lib = _cache_dir() / f"_walk-{key[:32]}.so"
+    if lib.parent.exists() and lib.parent.stat().st_uid != os.getuid():
+        raise OSError(f"{lib.parent} belongs to another user")  # never load their code
+    if lib.exists():
+        return lib
+    cc = shutil.which("cc")
+    if cc is None:
+        raise OSError("no C compiler (cc) on PATH")
+    lib.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix="_walk-", suffix=".tmp", dir=lib.parent)
+    os.close(fd)
+    try:
+        subprocess.run([cc, *FLAGS, "-x", "c", "-o", tmp, "-"], input=source,
+                       capture_output=True, check=True, timeout=300)
+        os.replace(tmp, lib)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return lib
+
+
+@functools.lru_cache(maxsize=None)
+def load():
+    """The kernel's entry point, or None (after one warning) when it cannot
+    be built or loaded."""
+    try:
+        fn = ctypes.CDLL(str(_build())).tg_walk_continuous
+    except (OSError, subprocess.SubprocessError) as e:
+        _log.warning("compiled token walk unavailable, using the Python loop: %s", e)
+        return None
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    fn.argtypes = [i64, ptr, ptr, i64, i64, i64, ptr, ptr, ptr, i64, ptr, ptr]
+    fn.restype = ctypes.c_int
+    return fn
+
+
+def _encode(kind: FusionKind, values: list, ival: np.ndarray, yv: np.ndarray,
+            wv: np.ndarray) -> bool:
+    """Write the node values into the kernel's arrays; False when they
+    cannot be held there exactly."""
+    if kind is FusionKind.WEIGHTED_AVG:
+        if set(map(type, values)) != {tuple} or set(map(len, values)) != {2}:
+            return False
+        flat = list(chain.from_iterable(values))
+        if set(map(type, flat)) != {float}:
+            return False
+        yv[:] = flat[0::2]
+        wv[:] = flat[1::2]
+        return True
+    neg_inf = 0
+    if kind is FusionKind.MAX:
+        neg_inf = values.count(MAX_IDENTITY)
+        values = [INT64_MIN if v == MAX_IDENTITY else v for v in values]
+    if set(map(type, values)) != {int}:
+        return False
+    try:
+        ival[:] = values
+    except OverflowError:
+        return False
+    # INT64_MIN stands for MAX's -inf, so no MAX value may be INT64_MIN itself
+    return kind is FusionKind.SUM or np.count_nonzero(ival == INT64_MIN) == neg_inf
+
+
+def _decode(kind: FusionKind, ival: np.ndarray, yv: np.ndarray, wv: np.ndarray) -> list:
+    if kind is FusionKind.WEIGHTED_AVG:
+        return list(zip(yv.tolist(), wv.tolist()))
+    if kind is FusionKind.MAX:
+        return [MAX_IDENTITY if v == INT64_MIN else v for v in ival.tolist()]
+    return ival.tolist()
+
+
+def walk(state, max_t: float, terminating: bool) -> Optional[bool]:
+    """Run ``state``'s continuous-time token walk to ``max_t`` in the kernel,
+    or until some node's count reaches n when ``terminating``; returns
+    whether it completed.  Returns None, leaving ``state`` untouched, when
+    the kernel is unavailable or cannot hold the state exactly.  A SUM
+    overflow raises the Python loop's OverflowError at the same event, with
+    ``state`` as that loop leaves it."""
+    sampler = state.sampler
+    if (type(sampler).uniform is not BlockSampler.uniform
+            or type(sampler).exponential is not BlockSampler.exponential):
+        return None  # a sampler that watches its draws sees every one in Python
+    g = state.graph
+    n = g.n
+    indptr, indices = g.csr
+    if (not state.active_list or 0 in g.degrees
+            or (len(indices) and (indices.min() < 0 or indices.max() >= n))):
+        # no token, an isolated node or a neighbour outside the graph:
+        # the Python loop raises its own error there
+        return None
+    fn = load()
+    if fn is None:
+        return None
+    kind = state.fusion.kind
+    k = len(state.active_list)
+    ints = np.zeros(_NIV + 8 * n + 2, dtype=np.int64)
+    floats = np.zeros(_NDV + 3 * n + 1)
+    counts, active, active_pos, sends, receives, ival = ints[_NIV:_NIV + 6 * n].reshape(6, n)
+    pt_count, pt_eta = ints[_NIV + 6 * n:].reshape(2, n + 1)
+    yv, wv = floats[_NDV:_NDV + 2 * n].reshape(2, n)
+    pt_t = floats[_NDV + 2 * n:]
+    if not _encode(kind, state.values, ival, yv, wv):
+        return None
+    ints[:_NIV] = [k, state.eta, -1 if state.holder is None else state.holder,
+                   state.active_active, sampler._ui, sampler._ei, 0, 0, 0, 0, 0]
+    floats[:_NDV] = [state.t, state.t, max_t]
+    counts[:] = state.counts
+    active[:k] = state.active_list
+    active_pos[:] = state.active_pos
+    sends[:] = state.sends
+    receives[:] = state.receives
+
+    status = (ctypes.c_uint8 * n).from_buffer(state.status)
+    u, e = sampler._ua, sampler._ea
+    hybrid = state.kind == "hybrid_k"
+    fixed = (n, indptr.ctypes.data, indices.ctypes.data, _FUSION[kind], hybrid, terminating,
+             status)
+    buffers = (sampler._block, ints.ctypes.data, floats.ctypes.data)
+    while True:
+        rc = fn(*fixed, u.ctypes.data, e.ctypes.data, *buffers)
+        if rc == _NEED_UNIFORM:
+            u = sampler._refill_uniform()
+            ints[_UI] = 0
+        elif rc == _NEED_EXPONENTIAL:
+            e = sampler._refill_exponential()
+            ints[_EI] = 0
+        else:
+            break
+
+    iv = ints[:_NIV].tolist()
+    sampler._advance_to(iv[_UI], iv[_EI])
+    state.values[:] = _decode(kind, ival, yv, wv)
+    state.counts[:] = counts.tolist()
+    state.active_list[:] = active[:iv[_NACTIVE]].tolist()
+    state.active_pos[:] = active_pos.tolist()
+    state.sends[:] = sends.tolist()
+    state.receives[:] = receives.tolist()
+    state.eta = iv[_ETA]
+    state.holder = None if iv[_HOLDER] < 0 else iv[_HOLDER]
+    state.active_active = iv[_ACTIVE_ACTIVE]
+    state.t = floats[_T_STATE].item()
+    points = iv[_NPOINTS]
+    state.times.extend(pt_t[:points].tolist())
+    state.active_counts.extend(pt_count[:points].tolist())
+    state.message_counts.extend(pt_eta[:points].tolist())
+    if rc == _SUM_OVERFLOW:
+        state.fusion.fuse(state.values[iv[_ERR_J]], iv[_ERR_V])  # raises the loop's error
+    if rc not in (_DONE, _MAX_TIME):
+        raise RuntimeError(f"compiled token walk stopped with code {rc}")
+    return rc == _DONE

@@ -125,8 +125,6 @@ def cmd_run(args) -> int:
         x = ex.initial_values(values, g.n, fusion_kind, args.values_seed)
         if args.proto == "two_phase":
             params = ex.resolve_two_phase(g, {**params, "gamma": args.gamma}, args.seed)
-        if out_dir is not None:
-            out_dir.mkdir(parents=True, exist_ok=True)
         summaries = ex.run_point(
             g, args.proto, args.fusion, x, params, args.trials, args.seed,
             jobs=args.jobs, out_dir=out_dir,
@@ -154,8 +152,8 @@ def cmd_run(args) -> int:
             "trials": args.trials,
             "seed": args.seed,
             "params": {k: v for k, v in params.items() if k != "P"},
-            "clock": "discrete" if args.lazy is not None else "continuous",
-            "lazy_prob": args.lazy,
+            "clock": summaries[0].clock_mode,
+            "lazy_prob": summaries[0].lazy_prob,
             "gossip_matrix": "uniform" if args.proto == "gossip" else None,
             "graph_kind": g.kind,
             "n": g.n,

@@ -69,34 +69,71 @@ class BlockSampler:
 
     Consumption order is strictly sequential, so results are a
     deterministic function of the underlying generator state while
-    amortizing per-call overhead in event loops.  Blocks hold Python
-    floats, so event times (and the files written from them) do too.
+    amortizing per-call overhead in event loops.  A block is drawn when
+    the previous one is used up and the next draw is asked for.
+
+    Blocks are float64 arrays, which the compiled walk (``_walk``) reads
+    in place.  A block's list of Python floats, which ``uniform`` and
+    ``exponential`` index, is built when Python first draws from it: until
+    then ``_uend``/``_eend`` equal the cursor, so that first draw takes
+    the slow path and the others cost no extra branch.
     """
 
-    __slots__ = ("_rng", "_block", "_u", "_ui", "_e", "_ei")
+    __slots__ = ("_rng", "_block", "_ua", "_u", "_ui", "_uend", "_ea", "_e", "_ei", "_eend")
 
     def __init__(self, rng: np.random.Generator, block: int = 4096):
         self._rng = rng
         self._block = block
-        self._u = rng.random(block).tolist()
-        self._ui = 0
-        self._e = rng.standard_exponential(block).tolist()
-        self._ei = 0
+        self._ua = rng.random(block)
+        self._ea = rng.standard_exponential(block)
+        self._u = self._e = None
+        self._ui = self._uend = self._ei = self._eend = 0
 
     def uniform(self) -> float:
         i = self._ui
-        if i == self._block:
-            self._u = self._rng.random(self._block).tolist()
-            i = 0
+        if i == self._uend:
+            i = self._uniform_list()
         self._ui = i + 1
         return self._u[i]
 
     def exponential(self) -> float:
         """One Exp(1) draw."""
         i = self._ei
-        if i == self._block:
-            self._e = self._rng.standard_exponential(self._block).tolist()
-            i = 0
+        if i == self._eend:
+            i = self._exponential_list()
         self._ei = i + 1
         return self._e[i]
 
+    def _uniform_list(self) -> int:
+        if self._ui == self._block:
+            self._refill_uniform()
+        self._u = self._ua.tolist()
+        self._uend = self._block
+        return self._ui
+
+    def _exponential_list(self) -> int:
+        if self._ei == self._block:
+            self._refill_exponential()
+        self._e = self._ea.tolist()
+        self._eend = self._block
+        return self._ei
+
+    def _refill_uniform(self) -> np.ndarray:
+        self._ua = self._rng.random(self._block)
+        self._ui = self._uend = 0
+        return self._ua
+
+    def _refill_exponential(self) -> np.ndarray:
+        self._ea = self._rng.standard_exponential(self._block)
+        self._ei = self._eend = 0
+        return self._ea
+
+    def _advance_to(self, ui: int, ei: int) -> None:
+        """Move the cursors to where a compiled walk stopped reading the
+        current blocks."""
+        if self._uend != self._block:
+            self._uend = ui
+        if self._eend != self._block:
+            self._eend = ei
+        self._ui = ui
+        self._ei = ei

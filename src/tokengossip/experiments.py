@@ -51,6 +51,8 @@ class TrialSummary:
     phase1_messages: Optional[int] = None
     phase2_messages: Optional[int] = None
     gossip_first_passage: Optional[int] = None
+    clock_mode: str = "continuous"
+    lazy_prob: Optional[float] = None
 
     @property
     def eta_per_node(self) -> float:
@@ -139,7 +141,7 @@ def trial_files(out_dir: Path, trial: int) -> list:
 
 
 def _run_one(args) -> TrialSummary:
-    (graph, protocol, fusion_name, x, params, master_seed, trial, out_dir) = args
+    (graph, protocol, fusion_name, x, params, master_seed, trial, out_dir, expected) = args
     fusion = fusion_from_name(fusion_name) if fusion_name != "gossip" else None
     clock = _clock(params)
     if protocol == "two_phase":
@@ -175,8 +177,7 @@ def _run_one(args) -> TrialSummary:
         tr.write_node_summary_csv(nodes_csv)
         tr.write_metadata_json(meta)
     exact = None
-    if protocol in ("srw", "crw", "two_phase") and fusion_name in ("sum", "max"):
-        expected = fold(fusion, x)
+    if expected is not None:
         if protocol == "two_phase":
             exact = all(v == expected for v in tr.final_values)
         else:
@@ -191,6 +192,8 @@ def _run_one(args) -> TrialSummary:
         phase1_messages=tr.phase1_messages,
         phase2_messages=tr.phase2_messages,
         gossip_first_passage=tr.gossip_first_passage,
+        clock_mode=tr.clock_mode,
+        lazy_prob=tr.lazy_prob,
     )
 
 
@@ -208,11 +211,22 @@ def run_point(
     """All trials of one sweep point; order-independent by construction
     (each trial is a pure function of (master_seed, trial index)).
 
-    With ``out_dir``, each trial writes its ``trial_files`` from its own
-    trace before the trace is dropped, so every trial is simulated once.
+    With ``out_dir`` (created if missing), each trial writes its
+    ``trial_files`` from its own trace before the trace is dropped, so
+    every trial is simulated once.  Gossip and hybrid-k run on the
+    continuous clock only, so they reject ``lazy_prob``.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if protocol in ("gossip", "hybrid_k") and params.get("lazy_prob") is not None:
+        raise ValueError(f"{protocol} runs on the continuous clock only, not lazy rounds")
+    expected = None  # the aggregate every SUM/MAX walk trial must return exactly
+    if protocol in ("srw", "crw", "two_phase") and fusion_name in ("sum", "max"):
+        expected = fold(fusion_from_name(fusion_name), x)
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     work = [
-        (graph, protocol, fusion_name, list(x), params, master_seed, t, out_dir)
+        (graph, protocol, fusion_name, list(x), params, master_seed, t, out_dir, expected)
         for t in range(trials)
     ]
     if jobs > 1:

@@ -401,17 +401,13 @@ def eccentricity(g: Graph, u: int) -> int:
 def diameter(g: Graph) -> int:
     """Exact diameter by all-pairs BFS up to 10^4 nodes.
 
-    Above that a double-sweep lower bound is returned (flagged via
-    :func:`diameter_is_exact`).
+    Above that a double-sweep lower bound is returned: the eccentricity
+    of the node farthest from node 0.
     """
-    if diameter_is_exact(g):
+    if g.n <= 10_000:
         return max(eccentricity(g, u) for u in range(g.n))
     far = int(np.argmax(distances_from(g, 0)))
     return eccentricity(g, far)
-
-
-def diameter_is_exact(g: Graph) -> bool:
-    return g.n <= 10_000
 
 
 # ----------------------------------------------------------------------

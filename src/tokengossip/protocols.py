@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _walk
 from .engine import (
     RNG_ALGORITHM,
     BlockSampler,
@@ -397,13 +398,27 @@ def _stop_params(stop):
 
 
 def _run_walk_continuous(state, stop, check_invariants, expected, halt_on_termination=True):
-    """Walk until the stop condition; returns whether the run completed."""
-    # Inlined copy of handle_send/handle_receive: this loop dominates the
-    # runtime of every experiment, so the per-event work is kept to plain
-    # local-variable arithmetic.  test_loop_replays_handle_send (in
-    # tests/test_protocols.py) checks it against those primitives.
+    """Walk until the stop condition; returns whether the run completed.
+
+    The compiled kernel (``_walk``) runs the walk when it is available
+    and can hold the state exactly; otherwise, and to check invariants
+    after every event, the Python loop does.  Both give the same trace.
+    """
     max_t = _stop_params(stop)
-    terminating = halt_on_termination
+    if not check_invariants:
+        completed = _walk.walk(state, max_t, halt_on_termination)
+        if completed is not None:
+            return completed
+    return _run_walk_python(state, max_t, check_invariants, expected, halt_on_termination)
+
+
+def _run_walk_python(state, max_t, check_invariants, expected, terminating):
+    # Inlined copy of handle_send/handle_receive: this loop is the
+    # reference for the compiled kernel (_walk.c), and the per-event work
+    # is kept to plain local-variable arithmetic.
+    # test_loop_replays_handle_send (in tests/test_protocols.py) checks it
+    # against those primitives, and tests/test_walk_kernel.py checks the
+    # kernel against it.
     hybrid = state.kind is ProtocolKind.HYBRID_K
     sampler = state.sampler
     active = state.active_list

@@ -114,6 +114,38 @@ def test_run_two_phase_lazy_pilot_follows_clock(tmp_path, monkeypatch):
     assert float(params["switch_time"]).is_integer()  # a number of rounds
 
 
+@pytest.mark.parametrize("proto", [
+    ["gossip", "--eps", "0.01"],
+    ["hybrid_k", "--fusion", "wavg", "--k", "2", "--horizon", "5"],
+])
+def test_continuous_only_protocols_reject_lazy(tmp_path, monkeypatch, capsys, proto):
+    rc = run_cli(["run", "--proto", *proto, "--kind", "ring", "--n", "8", "--trials", "2",
+                  "--lazy", "0.5", "--out", "lz"], monkeypatch, tmp_path)
+    assert rc == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not (tmp_path / "lz").exists()
+
+
+def test_run_rejects_zero_trials(tmp_path, monkeypatch, capsys):
+    rc = run_cli(["run", "--proto", "crw", "--kind", "ring", "--n", "8", "--trials", "0",
+                  "--out", "none"], monkeypatch, tmp_path)
+    assert rc == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("proto", [["crw"], ["crw", "--lazy", "0.25"],
+                                   ["gossip", "--eps", "0.01"],
+                                   ["hybrid_k", "--fusion", "wavg", "--k", "2"]])
+def test_manifest_clock_is_the_trials_clock(tmp_path, monkeypatch, proto):
+    rc = run_cli(["run", "--proto", *proto, "--kind", "ring", "--n", "8", "--trials", "2",
+                  "--out", "clk"], monkeypatch, tmp_path)
+    assert rc == 0
+    config = json.loads((tmp_path / "clk" / "run_manifest.json").read_text())["config"]
+    for t in range(2):
+        meta = json.loads((tmp_path / "clk" / f"trial_{t:04d}.json").read_text())
+        assert (config["clock"], config["lazy_prob"]) == (meta["clock_mode"], meta["lazy_prob"])
+
+
 def test_run_out_simulates_each_trial_once(tmp_path, monkeypatch):
     from tokengossip import experiments as ex
     from tokengossip import protocols

@@ -1,0 +1,263 @@
+"""The compiled token walk (``_walk``) against the Python loop it replaces.
+
+Every case runs twice: once with each walk on the kernel (asserting that
+the kernel took it), once with the dispatch patched to the Python loop.
+Both must give equal traces and leave the state and its sampler equal.
+"""
+import ctypes
+import functools
+import logging
+import random
+import shutil
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tokengossip import _walk, analysis, protocols
+from tokengossip.engine import BlockSampler
+from tokengossip.fusion import (
+    INT64_MAX,
+    MAX_IDENTITY,
+    max_fusion,
+    sum_fusion,
+    weighted_avg_fusion,
+)
+from tokengossip.graph import Graph, GraphSpec, generate
+from tokengossip.protocols import (
+    ExplicitTime,
+    MaxTime,
+    Termination,
+    hybrid_k_run,
+    init,
+    run,
+    two_phase_run,
+)
+
+FUSIONS = {"sum": sum_fusion(), "max": max_fusion(), "wavg": weighted_avg_fusion()}
+
+specs = st.one_of(
+    st.builds(GraphSpec.ring, st.integers(3, 30)),
+    st.builds(GraphSpec.clique, st.integers(2, 12)),
+    st.builds(GraphSpec.torus, st.integers(3, 5)),
+    st.builds(GraphSpec.rgg, st.integers(8, 30), seed=st.integers(0, 1000)),
+    st.builds(GraphSpec.random_regular, st.integers(5, 15).map(lambda h: 2 * h),
+              st.sampled_from([3, 4]), seed=st.integers(0, 1000)),
+)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def values(fusion: str, n: int, seed: int) -> list:
+    """Seeded node values, with -inf (MAX) and zero weights (WAVG) mixed in."""
+    r = random.Random(seed)
+    if fusion == "wavg":
+        return [(r.uniform(-5, 5), r.choice([0.0, 0.5, 1.0, 3.0])) for _ in range(n)]
+    x = [r.randint(-1000, 1000) for _ in range(n)]
+    if fusion == "max":
+        x = [MAX_IDENTITY if r.random() < 0.2 else v for v in x]
+    return x
+
+
+def snapshot(s) -> tuple:
+    """A simulation state and its sampler, as comparable values."""
+    smp = s.sampler
+    return (
+        s.t, s.eta, s.values, s.counts, bytes(s.status), s.active_list, s.active_pos,
+        s.sends, s.receives, s.holder, s.active_active, s.times, s.active_counts,
+        s.message_counts, smp._ui, smp._ei, smp._ua.tolist(), smp._ea.tolist(),
+        smp._rng.bit_generator.state,
+    )
+
+
+def on_both(fn):
+    """``fn()`` with every walk on the kernel, then on the Python loop."""
+    real = _walk.walk
+
+    def kernel_only(*args):
+        completed = real(*args)
+        assert completed is not None, "the kernel declined a walk it can hold"
+        return completed
+
+    with mock.patch.object(_walk, "walk", kernel_only):
+        got = fn()
+    with mock.patch.object(_walk, "walk", return_value=None):
+        want = fn()
+    return got, want
+
+
+def small_blocks(block: int):
+    """Samplers of ``block`` draws, so walks cross many block boundaries,
+    including the one between an event's exponential and its uniforms."""
+    return mock.patch.object(protocols, "BlockSampler",
+                             functools.partial(BlockSampler, block=block))
+
+
+def test_kernel_loads_here():
+    assert _walk.load() is not None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(spec=specs, seed=seeds, kind=st.sampled_from(["crw", "srw"]),
+       fusion=st.sampled_from(sorted(FUSIONS)), block=st.sampled_from([1, 3, 4096]))
+def test_walk_matches_python_loop(spec, seed, kind, fusion, block):
+    g = generate(spec)
+    x = values(fusion, g.n, seed)
+
+    def walk():
+        with small_blocks(block):
+            s = init(kind, g, x, FUSIONS[fusion], seed=seed)
+        return run(s, Termination()), snapshot(s)
+
+    got, want = on_both(walk)
+    assert got == want
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(spec=specs, seed=seeds, k_frac=st.floats(0.0, 1.0), block=st.sampled_from([2, 4096]))
+def test_hybrid_matches_python_loop(spec, seed, k_frac, block):
+    g = generate(spec)
+    k = 1 + int(k_frac * (g.n - 1))
+    x = values("wavg", g.n, seed)
+
+    def hybrid():
+        with small_blocks(block):
+            return hybrid_k_run(g, x, k=k, seed=seed, horizon=10.0)
+
+    got, want = on_both(hybrid)
+    assert got == want
+
+
+@pytest.mark.parametrize("spec,kind,fusion", [
+    (GraphSpec.torus(40, 2), "crw", "sum"),
+    (GraphSpec.ring(256), "srw", "max"),
+    (GraphSpec.ring(200), "crw", "wavg"),
+])
+def test_walk_crosses_blocks(spec, kind, fusion):
+    g = generate(spec)
+    x = values(fusion, g.n, 11)
+
+    def walk():
+        s = init(kind, g, x, FUSIONS[fusion], seed=11)
+        return run(s, Termination()), snapshot(s)
+
+    got, want = on_both(walk)
+    assert got == want
+    assert got[0].eta >= 3 * 4096  # at least 3 exponential and 6 uniform blocks
+
+
+@pytest.mark.parametrize("block", [1, 2, 4096])
+def test_two_phase_stops_mid_block_then_floods(block):
+    # the walk ends on a MaxTime draw; the Python flood then draws from the
+    # same generator, so the kernel must not have refilled a block early
+    g = generate(GraphSpec.grid2d(10))
+    x = values("sum", g.n, 3)
+    for switch in (0.5, 7.25, 40.0):
+        def two_phase():
+            with small_blocks(block):
+                return two_phase_run(g, x, sum_fusion(), ExplicitTime(switch), seed=5,
+                                     stream_id=2)
+
+        got, want = on_both(two_phase)
+        assert got == want
+
+
+def test_coalescing_oracle_start_state():
+    g = generate(GraphSpec.torus(6, 2))
+    b = {0, 3, 7, 14, 20, 33}
+
+    def oracle_trial():
+        s = init("crw", g, [0] * g.n, sum_fusion(), seed=9, stream_id=4)
+        for i in range(g.n):
+            if i not in b:
+                s.deactivate(i)
+                s.counts[i] = 0
+        s.active_counts[0] = s.active_count
+        return run(s, MaxTime(30.0)), snapshot(s)
+
+    got, want = on_both(oracle_trial)
+    assert got == want
+    got, want = on_both(lambda: analysis.coalescing_oracle(g, b, [0.5, 3.0, 30.0], trials=40))
+    assert got == want
+
+
+def test_sum_overflow_raises_at_the_same_event():
+    g = generate(GraphSpec.ring(12))
+    x = [INT64_MAX // 4 + i for i in range(g.n)]
+
+    def overflow():
+        s = init("crw", g, x, sum_fusion(), seed=2)
+        with pytest.raises(OverflowError) as err:
+            run(s, Termination())
+        return str(err.value), snapshot(s)
+
+    got, want = on_both(overflow)
+    assert got == want
+    assert got[0].startswith("sum fusion overflowed 64-bit range: ")
+
+
+@pytest.mark.parametrize("x", [[2**63, 1, 2], [-(2**63), 1, 2], [1, 2.5, 3]])
+def test_values_the_kernel_cannot_hold_run_in_python(x):
+    # MAX ints outside (INT64_MIN, INT64_MAX] and floats have no exact
+    # place in the kernel's arrays
+    g = generate(GraphSpec.ring(3))
+    s = init("srw", g, [1, 2, 3], max_fusion(), seed=1)
+    s.values[:] = x
+    assert _walk.walk(s, float("inf"), True) is None
+    assert s.values == x and s.eta == 0
+
+
+def test_neighbour_outside_the_graph_raises_in_python():
+    # the kernel would index past its arrays; the Python loop raises
+    g = Graph(n=3, adjacency=((1,), (0, 5), (1,)), kind="bad", seed=0)
+    s = init("srw", g, [1, 2, 3], sum_fusion(), seed=1, params={"origin": 1})
+    assert _walk.walk(s, float("inf"), True) is None
+    with pytest.raises(IndexError):  # node 2 is unreachable, so node 1 picks 5 in the end
+        run(s, Termination())
+
+
+def _cache_under_a_file(tmp_path, monkeypatch):
+    (tmp_path / "file").write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+
+
+def _no_compiler(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(shutil, "which", lambda name: None)
+
+
+def _read_only_cache(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(_walk.tempfile, "mkstemp",
+                        mock.Mock(side_effect=PermissionError(13, "read-only")))
+
+
+@pytest.mark.parametrize("break_build", [_no_compiler, _cache_under_a_file, _read_only_cache])
+def test_build_failure_falls_back_with_one_warning(tmp_path, monkeypatch, caplog, break_build):
+    g = generate(GraphSpec.torus(5, 2))
+    x = values("sum", g.n, 1)
+    expected = [run(init("crw", g, x, sum_fusion(), seed=s), Termination()) for s in (1, 2)]
+    break_build(tmp_path, monkeypatch)
+    _walk.load.cache_clear()
+    try:
+        with caplog.at_level(logging.WARNING, logger="tokengossip._walk"):
+            got = [run(init("crw", g, x, sum_fusion(), seed=s), Termination()) for s in (1, 2)]
+        assert _walk.load() is None
+    finally:
+        _walk.load.cache_clear()
+    assert got == expected
+    assert len([r for r in caplog.records if r.name == "tokengossip._walk"]) == 1
+
+
+def test_concurrent_builds_share_one_library(tmp_path, monkeypatch):
+    # more builders than cores, into one empty cache: each must load a
+    # complete library, and no temporary file may be left behind
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    with ProcessPoolExecutor(3, mp_context=get_context("spawn")) as pool:
+        futures = [pool.submit(_walk._build) for _ in range(3)]
+        paths = {f.result(timeout=120) for f in futures}
+    files = list((tmp_path / "tokengossip").iterdir())
+    assert paths == set(files) and len(files) == 1
+    assert ctypes.CDLL(str(files[0])).tg_walk_continuous
