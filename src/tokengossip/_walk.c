@@ -1,5 +1,6 @@
-/* Continuous-time token walk: the event loop of
- * protocols._run_walk_python, draw for draw and bit for bit.
+/* Continuous-time token walk: the continuous-clock loop of
+ * protocols._run_walk (an exponential wait, a uniform pick of the firing
+ * token, then handle_send), draw for draw and bit for bit.
  *
  * The random draws stay in numpy.  The caller passes the sampler's current
  * uniform and exponential blocks with their cursors; when the walk needs a
@@ -25,7 +26,7 @@ enum { SUM, MAX, WAVG };
 /* slots of iv */
 enum { NACTIVE, ETA, HOLDER, ACTIVE_ACTIVE, UI, EI, NPOINTS, STAGE, PENDING, ERR_J, ERR_V, NIV };
 /* slots of dv */
-enum { T, T_STATE, MAX_T, NDV };
+enum { T, MAX_T, NDV };
 
 int tg_walk_continuous(
     int64_t n, const int64_t *indptr, const int64_t *indices,
@@ -40,13 +41,12 @@ int tg_walk_continuous(
     int64_t k = iv[NACTIVE], eta = iv[ETA], holder = iv[HOLDER];
     int64_t active_active = iv[ACTIVE_ACTIVE], ui = iv[UI], ei = iv[EI];
     int64_t npoints = iv[NPOINTS], stage = iv[STAGE], i = iv[PENDING];
-    double t = dv[T], t_state = dv[T_STATE];
+    double t = dv[T];
     const double max_t = dv[MAX_T];
     int rc;
     for (;;) {
         if (stage == 0) {
             if (terminating && holder >= 0) {
-                t_state = t;
                 rc = DONE;
                 break;
             }
@@ -56,7 +56,7 @@ int tg_walk_continuous(
             }
             double nt = t + e[ei++] / (double)k;
             if (nt > max_t) {
-                t_state = max_t;
+                t = max_t;
                 rc = MAX_TIME;
                 break;
             }
@@ -158,7 +158,6 @@ int tg_walk_continuous(
                 rc = CURVE_FULL;
                 break;
             }
-            t_state = t;
             pt_t[npoints] = t;
             pt_count[npoints] = k;
             pt_eta[npoints] = eta;
@@ -175,6 +174,5 @@ int tg_walk_continuous(
     iv[STAGE] = stage;
     iv[PENDING] = i;
     dv[T] = t;
-    dv[T_STATE] = t_state;
     return rc;
 }

@@ -1,6 +1,6 @@
 """The compiled continuous-time token walk.
 
-``_walk.c`` is the event loop of ``protocols._run_walk_python`` in C,
+``_walk.c`` is the continuous-clock loop of ``protocols._run_walk`` in C,
 giving the same trace draw for draw.  It is built on first use with the
 system C compiler into a per-user cache (``$XDG_CACHE_HOME/tokengossip``,
 else ``~/.cache/tokengossip``, else the temp directory), named by the
@@ -37,7 +37,7 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _DONE, _MAX_TIME, _NEED_UNIFORM, _NEED_EXPONENTIAL, _SUM_OVERFLOW, _CURVE_FULL = range(6)
 (_NACTIVE, _ETA, _HOLDER, _ACTIVE_ACTIVE, _UI, _EI, _NPOINTS, _STAGE, _PENDING, _ERR_J, _ERR_V,
  _NIV) = range(12)
-_T, _T_STATE, _MAX_T, _NDV = range(4)
+_T, _MAX_T, _NDV = range(3)
 _FUSION = {FusionKind.SUM: 0, FusionKind.MAX: 1, FusionKind.WEIGHTED_AVG: 2}
 
 
@@ -160,7 +160,7 @@ def walk(state, max_t: float, terminating: bool) -> Optional[bool]:
         return None
     ints[:_NIV] = [k, state.eta, -1 if state.holder is None else state.holder,
                    state.active_active, sampler._ui, sampler._ei, 0, 0, 0, 0, 0]
-    floats[:_NDV] = [state.t, state.t, max_t]
+    floats[:_NDV] = [state.t, max_t]
     counts[:] = state.counts
     active[:k] = state.active_list
     active_pos[:] = state.active_pos
@@ -195,7 +195,7 @@ def walk(state, max_t: float, terminating: bool) -> Optional[bool]:
     state.eta = iv[_ETA]
     state.holder = None if iv[_HOLDER] < 0 else iv[_HOLDER]
     state.active_active = iv[_ACTIVE_ACTIVE]
-    state.t = floats[_T_STATE].item()
+    state.t = floats[_T].item()
     points = iv[_NPOINTS]
     state.times.extend(pt_t[:points].tolist())
     state.active_counts.extend(pt_count[:points].tolist())

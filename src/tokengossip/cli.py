@@ -163,6 +163,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.trials < 1 or args.tmax < 1:
+        print(f"invalid analysis: need --trials >= 1 and --tmax >= 1, got "
+              f"{args.trials} and {args.tmax}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         g = load_graph(args.graph)
     except (OSError, ValueError) as e:

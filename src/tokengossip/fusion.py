@@ -9,6 +9,7 @@ handed off its token is left holding exactly ``e`` with count zero.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
@@ -110,6 +111,8 @@ class FusionSpec:
                 or not all(isinstance(c, (int, float)) for c in v)
             ):
                 raise FusionError(f"weighted-avg fusion needs a (y, w) pair, got {v!r}")
+            if any(isinstance(c, float) and not math.isfinite(c) for c in v):
+                raise FusionError(f"weighted-avg estimate and weight must be finite, got {v!r}")
             if v[1] < 0:
                 raise FusionError(f"weighted-avg weight must be nonnegative, got {v!r}")
 

@@ -12,7 +12,6 @@ reach exact consensus at every node.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -32,9 +31,6 @@ from .engine import (
 )
 from .fusion import FusionSpec, TokenPayload, fold, weighted_avg_fusion
 from .graph import Graph
-
-
-_log = logging.getLogger(__name__)
 
 
 class ProtocolError(RuntimeError):
@@ -235,6 +231,8 @@ def init(
     state = SimState(graph, fusion, kind, clock, params, stream)
     if kind is ProtocolKind.GOSSIP:
         state.values = [float(v) for v in x]
+        if not all(map(math.isfinite, state.values)):
+            raise ValueError("gossip values must be finite")
     else:
         if fusion is None:
             raise ValueError("token protocols need a fusion spec")
@@ -289,11 +287,30 @@ def _release(state: SimState, i: int) -> tuple:
 
 
 def handle_send(state: SimState, i: int) -> None:
-    """Active node i sends its payload to a uniformly chosen neighbor."""
+    """Active node i sends its payload to a uniformly chosen neighbor.
+
+    In the fixed-k hybrid, a contact with an active neighbor instead
+    relaxes both (estimate, weight) pairs as in pairwise gossip, and both
+    nodes keep their permits.
+    """
     if not state.status[i]:
         raise ProtocolError(f"send from inactive node {i}")
     nbrs = state.graph.neighbor_lists[i]
     j = nbrs[int(state.sampler.uniform() * len(nbrs))]
+    if state.kind is ProtocolKind.HYBRID_K and state.status[j]:
+        values = state.values
+        yi, wi = values[i]
+        yj, wj = values[j]
+        w = wi + wj
+        ym = (wi * yi + wj * yj) / w if w > 0 else 0.0
+        values[i] = values[j] = (ym, w * 0.5)
+        state.eta += 2
+        state.sends[i] += 1
+        state.sends[j] += 1
+        state.receives[i] += 1
+        state.receives[j] += 1
+        state.active_active += 1
+        return
     handle_receive(state, j, _release(state, i))
 
 
@@ -364,8 +381,14 @@ def run(state: SimState, stop, check_invariants: bool = False) -> "Trace":
         return _run_gossip(state, stop)
     if state.kind is ProtocolKind.HYBRID_K:
         raise ProtocolError("use hybrid_k_run for the fixed-k hybrid")
+    if isinstance(stop, Termination):
+        max_t = math.inf
+    elif isinstance(stop, MaxTime):
+        max_t = float(stop.t)
+    else:
+        raise ValueError(f"unsupported stop condition {stop!r} for a token walk")
     expected = fold(state.fusion, state.values) if check_invariants else None
-    completed = _walk_loop(state)(state, stop, check_invariants, expected)
+    completed = _run_walk(state, max_t, check_invariants, expected)
     holder = state.holder
     payload = None
     if holder is not None and state.counts[holder] == state.graph.n:
@@ -376,146 +399,54 @@ def run(state: SimState, stop, check_invariants: bool = False) -> "Trace":
     )
 
 
-def _walk_loop(state):
-    discrete = isinstance(state.clock, SynchronousDiscrete)
-    return _run_walk_discrete if discrete else _run_walk_continuous
-
-
 def _walk_until(state, t) -> None:
     """Walk to time t, ending with a curve point there, and never halt:
     tokens keep walking after some node's count has reached n, since no
     node can observe that globally."""
-    _walk_loop(state)(state, MaxTime(t), False, None, halt_on_termination=False)
+    _run_walk(state, float(t), False, None, terminating=False)
     state.record_curve_point()
 
 
-def _stop_params(stop):
-    if isinstance(stop, Termination):
-        return math.inf
-    if isinstance(stop, MaxTime):
-        return float(stop.t)
-    raise ValueError(f"unsupported stop condition {stop!r} for a token walk")
+def _run_walk(state, max_t, check_invariants, expected, terminating=True):
+    """Walk to time ``max_t``, or until some node's count reaches n when
+    ``terminating``; returns whether the run completed.
 
-
-def _run_walk_continuous(state, stop, check_invariants, expected, halt_on_termination=True):
-    """Walk until the stop condition; returns whether the run completed.
-
-    The compiled kernel (``_walk``) runs the walk when it is available
-    and can hold the state exactly; otherwise, and to check invariants
-    after every event, the Python loop does.  Both give the same trace.
+    The compiled kernel (``_walk``) runs a continuous-time walk when it is
+    available and can hold the state exactly.  Otherwise, and to check
+    invariants after every event, this loop steps the walk through the
+    primitives: ``synchronous_round`` on the discrete clock, and on the
+    continuous clock an exponential wait at the active count, a uniform
+    pick of the firing token and ``handle_send``.  Both give the same trace.
     """
-    max_t = _stop_params(stop)
-    if not check_invariants:
-        completed = _walk.walk(state, max_t, halt_on_termination)
+    if not max_t >= state.t:
+        raise ValueError(f"stop time {max_t!r} must be a number no earlier than {state.t!r}")
+    continuous = not isinstance(state.clock, SynchronousDiscrete)
+    if continuous and not check_invariants:
+        completed = _walk.walk(state, max_t, terminating)
         if completed is not None:
             return completed
-    return _run_walk_python(state, max_t, check_invariants, expected, halt_on_termination)
-
-
-def _run_walk_python(state, max_t, check_invariants, expected, terminating):
-    # Inlined copy of handle_send/handle_receive: this loop is the
-    # reference for the compiled kernel (_walk.c), and the per-event work
-    # is kept to plain local-variable arithmetic.
-    # test_loop_replays_handle_send (in tests/test_protocols.py) checks it
-    # against those primitives, and tests/test_walk_kernel.py checks the
-    # kernel against it.
-    hybrid = state.kind is ProtocolKind.HYBRID_K
     sampler = state.sampler
     active = state.active_list
-    active_pos = state.active_pos
-    status = state.status
-    nbr = state.graph.neighbor_lists
-    values = state.values
-    counts = state.counts
-    sends = state.sends
-    receives = state.receives
-    fuse = state.fusion.fuse
-    identity = state.fusion.identity
-    n = state.graph.n
-    uniform = sampler.uniform
-    exponential = sampler.exponential
-    t = state.t
     last_count = len(active)
     while True:
         if terminating and state.holder is not None:
-            state.t = t
             return True
-        k = len(active)
-        dt = exponential() / k
-        nt = t + dt
-        if nt > max_t:
-            state.t = max_t
-            return False
-        if nt == t:
-            # float collision: draw order breaks the (probability-zero) tie
-            _log.debug("timestamp collision at t=%r", t)
-        t = nt
-        i = active[int(uniform() * k)]
-        nbrs = nbr[i]
-        j = nbrs[int(uniform() * len(nbrs))]
-        if hybrid and status[j]:
-            # active-to-active contact: both relax their (estimate, weight)
-            # pairs as in pairwise gossip and keep their permits
-            yi, wi = values[i]
-            yj, wj = values[j]
-            w = wi + wj
-            ym = (wi * yi + wj * yj) / w if w > 0 else 0.0
-            values[i] = values[j] = (ym, w * 0.5)
-            state.eta += 2
-            sends[i] += 1
-            sends[j] += 1
-            receives[i] += 1
-            receives[j] += 1
-            state.active_active += 1
-            continue
-        # sender releases its permit
-        v = values[i]
-        c = counts[i]
-        values[i] = identity
-        counts[i] = 0
-        pos = active_pos[i]
-        last = active[-1]
-        active[pos] = last
-        active_pos[last] = pos
-        active.pop()
-        active_pos[i] = -1
-        status[i] = 0
-        sends[i] += 1
-        state.eta += 1
-        # receiver fuses and gains the permit
-        values[j] = fuse(values[j], v)
-        cj = counts[j] + c
-        counts[j] = cj
-        receives[j] += 1
-        if not status[j]:
-            status[j] = 1
-            active_pos[j] = len(active)
-            active.append(j)
-        if cj == n:
-            state.holder = j
-        if check_invariants:
+        if continuous:
+            k = len(active)
+            t = state.t + sampler.exponential() / k
+            if t > max_t:
+                state.t = max_t
+                return False
             state.t = t
+            handle_send(state, active[int(sampler.uniform() * k)])
+        else:
+            if state.t + 1.0 > max_t:
+                return False
+            synchronous_round(state)
+        if check_invariants:
             _check_event_invariants(state, expected)
         if len(active) != last_count:
             last_count = len(active)
-            state.t = t
-            state.record_curve_point()
-
-
-def _run_walk_discrete(state, stop, check_invariants, expected, halt_on_termination=True):
-    max_t = _stop_params(stop)
-    terminating = halt_on_termination
-    last_count = state.active_count
-    while True:
-        if terminating and state.holder is not None:
-            return True
-        if state.t + 1.0 > max_t:
-            return False
-        synchronous_round(state)
-        if check_invariants:
-            _check_event_invariants(state, expected)
-        if state.active_count != last_count:
-            last_count = state.active_count
             state.record_curve_point()
 
 
@@ -761,8 +692,8 @@ def two_phase_run(
     if isinstance(switch, TargetGamma):
         switch_t = estimate_switch_time(graph, switch.gamma, switch.pilot_trials, seed, clock)
     elif isinstance(switch, ExplicitTime):
-        if switch.t < 0:
-            raise ValueError("switch time must be nonnegative")
+        if not 0 <= switch.t < math.inf:
+            raise ValueError("switch time must be finite and nonnegative")
         switch_t = float(switch.t)
     else:
         raise ValueError(f"unsupported switch spec {switch!r}")
@@ -793,7 +724,7 @@ def estimate_switch_time(
     """Pilot estimate of the first time the expected active-token count of
     CRW drops to gamma, on ``clock``: ``analysis.estimate_decay`` on
     streams ``(1 << 20) + trial``, read by ``DecayCurve.t_gamma``."""
-    if gamma < 1:
+    if not gamma >= 1:
         raise ValueError("gamma must be >= 1")
     if gamma >= graph.n:
         return 0.0

@@ -197,12 +197,45 @@ def test_analyze_decay_csv_is_plain_numbers(tmp_path, monkeypatch):
     assert all(len([float(v) for v in line.split(",")]) == 4 for line in lines[1:])
 
 
-def test_run_two_phase_gamma_below_one_exits_2(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("gamma", ["0.5", "nan"])
+def test_run_two_phase_gamma_below_one_exits_2(tmp_path, monkeypatch, capsys, gamma):
     rc = run_cli(["run", "--proto", "two_phase", "--kind", "grid2d", "--side", "5",
-                  "--gamma", "0.5", "--trials", "2", "--out", "g"], monkeypatch, tmp_path)
+                  "--gamma", gamma, "--trials", "2", "--out", "g"], monkeypatch, tmp_path)
     assert rc == 2
     assert "gamma must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "g").exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_run_wavg_non_finite_value_exits_2(tmp_path, monkeypatch, capsys, bad):
+    (tmp_path / "x.txt").write_text("\n".join([bad] + ["1"] * 7) + "\n")
+    rc = run_cli(["run", "--proto", "crw", "--fusion", "wavg", "--kind", "ring", "--n", "8",
+                  "--values", str(tmp_path / "x.txt"), "--trials", "2"], monkeypatch, tmp_path)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "finite" in err
+
+
+@pytest.mark.parametrize("horizon", ["-1", "nan"])
+def test_run_hybrid_bad_horizon_exits_2(tmp_path, monkeypatch, capsys, horizon):
+    rc = run_cli(["run", "--proto", "hybrid_k", "--fusion", "wavg", "--k", "2", "--kind", "ring",
+                  "--n", "8", "--trials", "2", "--horizon", horizon], monkeypatch, tmp_path)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "stop time" in err
+
+
+@pytest.mark.parametrize("what,flag", [("decay", ["--trials", "0"]),
+                                       ("gaussian", ["--tmax", "-1"])])
+def test_analyze_rejects_counts_below_one(tmp_path, monkeypatch, capsys, what, flag):
+    run_cli(["gen", "--kind", "ring", "--n", "8", "--out", str(tmp_path / "r.graph")],
+            monkeypatch, tmp_path)
+    capsys.readouterr()
+    rc = run_cli(["analyze", "--what", what, "--graph", str(tmp_path / "r.graph"), *flag],
+                 monkeypatch, tmp_path)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
 
 
 def test_graph_file_endpoint_out_of_range_exits_2(tmp_path, monkeypatch, capsys):

@@ -128,6 +128,13 @@ def test_kind_mismatch_rejected():
         fuse(WAVG, (1.0, -2.0), (0.0, 1.0))  # negative weight
 
 
+@pytest.mark.parametrize("v", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),
+                               (1.0, math.inf)])
+def test_weighted_avg_rejects_non_finite(v):
+    with pytest.raises(FusionError, match="finite"):
+        WAVG.validate_value(v)
+
+
 def test_negative_count_rejected():
     with pytest.raises(FusionError):
         TokenPayload(0, -1)

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from tokengossip.engine import Continuous, SynchronousDiscrete
-from tokengossip.fusion import TokenPayload, fold, max_fusion, sum_fusion
+from tokengossip.fusion import (
+    TokenPayload,
+    fold,
+    max_fusion,
+    sum_fusion,
+    weighted_avg_fusion,
+)
 from tokengossip.graph import GraphSpec, generate
 from tokengossip.protocols import (
     ExplicitTime,
@@ -50,6 +56,15 @@ def test_init_gossip_values():
     assert st.active_count == 2
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_init_gossip_rejects_non_finite_values(bad):
+    # a non-finite value keeps the gossip error non-finite, so GossipEps
+    # would never stop before its horizon
+    g = generate(GraphSpec.ring(4))
+    with pytest.raises(ValueError, match="finite"):
+        init("gossip", g, [bad, 1.0, 2.0, 3.0], None, seed=0)
+
+
 def test_init_validates():
     g = generate(GraphSpec.ring(4))
     with pytest.raises(ValueError):
@@ -88,6 +103,19 @@ def test_crw_coalescence_drops_active_count():
     assert (st.values[1], st.counts[1]) == (7, 2)
 
 
+def test_hybrid_send_to_active_neighbour_relaxes_both():
+    # clique 2 with k = 2: the receiver is always active, so the contact
+    # relaxes both (estimate, weight) pairs and moves no permit
+    g = generate(GraphSpec.clique(2))
+    st = init("hybrid_k", g, [(1.0, 1.0), (3.0, 3.0)], weighted_avg_fusion(),
+              params={"k": 2}, seed=0)
+    handle_send(st, 0)
+    assert st.values == [(2.5, 2.0), (2.5, 2.0)]
+    assert st.counts == [1, 1] and bytes(st.status) == b"\x01\x01"
+    assert (st.eta, st.active_active) == (2, 1)
+    assert (st.sends, st.receives) == ([1, 1], [1, 1])
+
+
 def test_receive_cases():
     g = generate(GraphSpec.ring(4))
     st = init("crw", g, [10, 20, 30, 40], SUM, seed=3)
@@ -99,6 +127,16 @@ def test_receive_cases():
     assert st.counts[2] == 0
     handle_receive(st, 2, (7, 3))
     assert (st.values[2], st.counts[2], st.status[2]) == (7, 3, 1)
+
+
+@pytest.mark.parametrize("clock", [Continuous(), SynchronousDiscrete()])
+@pytest.mark.parametrize("t", [-2.0, math.nan])
+def test_walk_rejects_stop_time_before_now(clock, t):
+    g = generate(GraphSpec.ring(4))
+    st = init("crw", g, [1] * 4, SUM, seed=4, clock=clock)
+    with pytest.raises(ValueError, match="stop time"):
+        run(st, MaxTime(t))
+    assert st.eta == 0 and st.t == 0.0
 
 
 def test_detect_termination():
@@ -148,8 +186,8 @@ def _replay_with_handle_send(st):
 @pytest.mark.parametrize("spec", [GraphSpec.torus(4, 2), GraphSpec.ring(9),
                                   GraphSpec.clique(6), GraphSpec.rgg(30, seed=3)])
 def test_loop_replays_handle_send(spec, kind, fusion):
-    # the continuous loop inlines handle_send/handle_receive for speed;
-    # it must be the same automaton, draw for draw
+    # run() goes to the compiled kernel; the kernel must step the same
+    # automaton as the public primitives, draw for draw
     g = generate(spec)
     x = [(7 * i) % 11 - 5 for i in range(g.n)]
     for seed in (0, 1, 2):
@@ -418,10 +456,12 @@ def test_two_phase_consensus_every_trial():
 
 def test_two_phase_switch_validation():
     g = generate(GraphSpec.ring(4))
-    with pytest.raises(ValueError):
-        two_phase_run(g, [1] * 4, SUM, TargetGamma(0.5), seed=0)
-    with pytest.raises(ValueError):
-        two_phase_run(g, [1] * 4, SUM, ExplicitTime(-1.0), seed=0)
+    for gamma in (0.5, math.nan):
+        with pytest.raises(ValueError):
+            two_phase_run(g, [1] * 4, SUM, TargetGamma(gamma), seed=0)
+    for t in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            two_phase_run(g, [1] * 4, SUM, ExplicitTime(t), seed=0)
 
 
 def test_crw_passage_time_to_gamma_on_clique16():
