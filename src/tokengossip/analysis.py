@@ -55,8 +55,11 @@ class HittingTimeTable:
         return float(self.entry.max())
 
 
-def _transition_matrix(g: Graph) -> np.ndarray:
-    return g.adjacency_matrix() / np.asarray(g.degrees, dtype=float)[:, None]
+def _transition_matrix(g: Graph, lazy_prob: float = 0.0) -> np.ndarray:
+    """The walk's transition matrix P, or (1 - lazy_prob) P + lazy_prob I
+    for the lazy walk."""
+    p = g.adjacency_matrix() / np.asarray(g.degrees, dtype=float)[:, None]
+    return (1 - lazy_prob) * p + lazy_prob * np.eye(g.n) if lazy_prob else p
 
 
 def mean_hitting_times(g: Graph, residual_tol: float = 1e-9) -> HittingTimeTable:
@@ -629,7 +632,7 @@ def check_gaussian_bound(g: Graph, t_max: int, lazy_prob: float = 0.5) -> Gaussi
     n = g.n
     if n > 2500:
         raise SolverError("dense matrix powers capped at 2500 nodes")
-    p = (1 - lazy_prob) * _transition_matrix(g) + lazy_prob * np.eye(n)
+    p = _transition_matrix(g, lazy_prob)
     dist = np.vstack([distances_from(g, u) for u in range(n)])
     xs, ys = [], []
     ratios = []  # (t*(Pt+Pt1), d^2/t) per constraint for the c3 pass
@@ -670,7 +673,7 @@ def collision_count(g: Graph, u: int, w: int, t_max: int, lazy_prob: float = 0.5
     """Expected number of co-locations of two independent lazy walks from
     u and w over rounds 0..t_max: sum_t sum_v P_t(u,v) P_t(w,v)."""
     n = g.n
-    p = (1 - lazy_prob) * _transition_matrix(g) + lazy_prob * np.eye(n)
+    p = _transition_matrix(g, lazy_prob)
     pu = np.zeros(n)
     pu[u] = 1.0
     pw = np.zeros(n)

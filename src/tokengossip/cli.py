@@ -130,15 +130,11 @@ def cmd_run(args) -> int:
             jobs=args.jobs, out_dir=out_dir,
         )
     except ex.ExperimentError as e:
-        print(f"simulation incomplete: {e}", file=sys.stderr)
+        print(f"simulation failed: {e}", file=sys.stderr)
         return EXIT_SIMULATION
     except (ProtocolError, ValueError) as e:
         print(f"invalid run: {e}", file=sys.stderr)
         return EXIT_USAGE
-    if args.proto in ("srw", "crw", "two_phase") and args.fusion in ("sum", "max"):
-        if not all(s.exact for s in summaries):
-            print("exactness check failed", file=sys.stderr)
-            return EXIT_SIMULATION
     tau = float(np.mean([s.tau for s in summaries]))
     eta = float(np.mean([s.eta for s in summaries]))
     print(f"{tau!r} {eta!r} {eta / g.n!r}")

@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -23,7 +23,6 @@ from .engine import Continuous, RngStream, SynchronousDiscrete
 from .fusion import fold, fusion_from_name
 from .graph import Graph, GraphSpec, generate
 from .protocols import (
-    ExplicitTime,
     GossipEps,
     GossipMatrix,
     ProtocolKind,
@@ -146,15 +145,9 @@ def _run_one(args) -> TrialSummary:
     clock = _clock(params)
     if protocol == "two_phase":
         tr = two_phase_run(
-            graph,
-            x,
-            fusion,
-            ExplicitTime(params["switch_time"]),
-            seed=master_seed,
-            clock=clock,
-            stream_id=trial,
+            graph, x, fusion, params["switch_time"], seed=master_seed, clock=clock,
+            stream_id=trial, gamma=params.get("gamma"),
         )
-        tr = replace(tr, gamma=params.get("gamma"))
     elif protocol == "hybrid_k":
         tr = hybrid_k_run(
             graph, x, k=params["k"], seed=master_seed,
@@ -214,7 +207,9 @@ def run_point(
     With ``out_dir`` (created if missing), each trial writes its
     ``trial_files`` from its own trace before the trace is dropped, so
     every trial is simulated once.  Gossip and hybrid-k run on the
-    continuous clock only, so they reject ``lazy_prob``.
+    continuous clock only, so they reject ``lazy_prob``.  Raises
+    ``ExperimentError`` when a trial hits its horizon or a SUM/MAX walk
+    trial misses the exact aggregate.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -241,6 +236,12 @@ def run_point(
             f"{len(bad)} of {trials} trials hit their horizon before finishing "
             f"(first: trial {bad[0].trial})"
         )
+    wrong = [s for s in out if s.exact is False]
+    if wrong:
+        raise ExperimentError(
+            f"{len(wrong)} of {trials} trials missed the exact {fusion_name} aggregate "
+            f"(first: trial {wrong[0].trial})"
+        )
     return out
 
 
@@ -252,7 +253,7 @@ def run_trials(config: ExperimentConfig) -> dict:
         fusion_kind = "gossip" if config.protocol == "gossip" else config.fusion
         x = initial_values(config.values, graph.n, fusion_kind, config.values_seed)
         params = dict(config.params)
-        if config.protocol == "two_phase" and "switch_time" not in params:
+        if config.protocol == "two_phase":
             params = resolve_two_phase(graph, params, config.master_seed)
         results[idx] = (
             graph,

@@ -30,7 +30,7 @@ from .engine import (
     SynchronousDiscrete,
 )
 from .fusion import FusionSpec, TokenPayload, fold, weighted_avg_fusion
-from .graph import Graph
+from .graph import Graph, distances_from
 
 
 class ProtocolError(RuntimeError):
@@ -64,22 +64,6 @@ class GossipEps:
 
     eps: float
     horizon: int = 1_000_000_000  # max exchanges before flagging incomplete
-
-
-@dataclass(frozen=True)
-class ExplicitTime:
-    """Two-phase switch at a fixed deterministic time."""
-
-    t: float
-
-
-@dataclass(frozen=True)
-class TargetGamma:
-    """Two-phase switch at the estimated time the expected token count
-    drops to gamma, resolved from pilot CRW trials."""
-
-    gamma: float
-    pilot_trials: int = 32
 
 
 @dataclass
@@ -383,6 +367,14 @@ def run(state: SimState, stop, check_invariants: bool = False) -> "Trace":
         raise ProtocolError("use hybrid_k_run for the fixed-k hybrid")
     if isinstance(stop, Termination):
         max_t = math.inf
+        if isinstance(state.clock, SynchronousDiscrete) and state.clock.lazy_prob == 0:
+            # every token crosses an edge each round, so on a bipartite graph
+            # tokens on opposite sides never share a node
+            side = distances_from(state.graph, 0) % 2
+            bipartite = all(side[u] != side[v] for u, v in state.graph.edges)
+            if bipartite and len({side[i] for i in state.active_list}) > 1:
+                raise ValueError("lazy_prob 0 on a bipartite graph: tokens on opposite "
+                                 "sides never meet; use lazy_prob > 0")
     elif isinstance(stop, MaxTime):
         max_t = float(stop.t)
     else:
@@ -676,41 +668,33 @@ def two_phase_run(
     graph: Graph,
     x: Sequence,
     fusion: FusionSpec,
-    switch,
+    switch_time: float,
     seed: int = 0,
     clock: ClockMode = Continuous(),
     stream_id: int = 0,
-    params: Optional[dict] = None,
+    gamma: Optional[float] = None,
 ) -> "Trace":
-    """CRW until a deterministic switch time, then flood the survivors.
+    """CRW until the deterministic ``switch_time``, then flood the survivors.
 
     All n nodes finish holding the exact aggregate; the trace records
-    phase-1 and phase-2 (flood) message counts separately, plus the
-    pathwise first time the active count dipped to the target (which
-    differs from the expected-count crossing used to resolve TargetGamma).
+    phase-1 and phase-2 (flood) message counts separately.  The switch
+    time is usually ``estimate_switch_time(graph, gamma, ...)``, and
+    ``gamma`` records the target token count it was estimated for.
     """
-    if isinstance(switch, TargetGamma):
-        switch_t = estimate_switch_time(graph, switch.gamma, switch.pilot_trials, seed, clock)
-    elif isinstance(switch, ExplicitTime):
-        if not 0 <= switch.t < math.inf:
-            raise ValueError("switch time must be finite and nonnegative")
-        switch_t = float(switch.t)
-    else:
-        raise ValueError(f"unsupported switch spec {switch!r}")
-
+    if not 0 <= switch_time < math.inf:
+        raise ValueError("switch time must be finite and nonnegative")
+    switch_time = float(switch_time)
     state = init(
-        ProtocolKind.TWO_PHASE, graph, x, fusion, params=params, seed=seed,
-        clock=clock, stream_id=stream_id,
+        ProtocolKind.TWO_PHASE, graph, x, fusion, seed=seed, clock=clock,
+        stream_id=stream_id,
     )
-    if switch_t > 0:
-        _walk_until(state, switch_t)
+    if switch_time > 0:
+        _walk_until(state, switch_time)
     phase1_messages = state.eta
     trace = cfld_run(state)
-    gamma = switch.gamma if isinstance(switch, TargetGamma) else None
     return replace(
-        trace, switch_time=switch_t, phase1_messages=phase1_messages,
+        trace, switch_time=switch_time, phase1_messages=phase1_messages,
         phase2_messages=trace.flood_messages, gamma=gamma,
-        gamma_passage_time=None if gamma is None else trace.sigma(gamma),
     )
 
 
@@ -742,7 +726,6 @@ def hybrid_k_run(
     seed: int = 0,
     horizon: float = 100.0,
     stream_id: int = 0,
-    params: Optional[dict] = None,
 ) -> "Trace":
     """Fixed-k token hybrid for weighted averages.
 
@@ -753,12 +736,9 @@ def hybrid_k_run(
     goes to the horizon and reports approximation error against the true
     weighted mean.
     """
-    params = dict(params or {})
-    params["k"] = k
-    fusion = weighted_avg_fusion()
     state = init(
-        ProtocolKind.HYBRID_K, graph, x, fusion, params=params, seed=seed,
-        stream_id=stream_id,
+        ProtocolKind.HYBRID_K, graph, x, weighted_avg_fusion(), params={"k": k},
+        seed=seed, stream_id=stream_id,
     )
     total_w = math.fsum(w for _, w in x)
     true_mean = math.fsum(y * w for y, w in x) / total_w if total_w > 0 else 0.0
@@ -812,7 +792,6 @@ class Trace:
     phase1_messages: Optional[int] = None
     phase2_messages: Optional[int] = None
     gamma: Optional[float] = None
-    gamma_passage_time: Optional[float] = None
     value_error_max: Optional[float] = None
     value_error_mean: Optional[float] = None
     active_active_events: Optional[int] = None
@@ -869,7 +848,6 @@ class Trace:
             "phase1_messages",
             "phase2_messages",
             "gamma",
-            "gamma_passage_time",
         ):
             v = getattr(self, name)
             if v is not None:

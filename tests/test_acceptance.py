@@ -17,7 +17,6 @@ from tokengossip.engine import SynchronousDiscrete
 from tokengossip.fusion import fold, fusion_from_name
 from tokengossip.graph import GraphSpec, eccentricity, generate
 from tokengossip.protocols import (
-    ExplicitTime,
     Termination,
     cfld_run,
     init,
@@ -61,8 +60,7 @@ def test_criterion_01_exactness_randomized():
         expected = fold(fusion, x)
         seed = int(rng.integers(2**31))
         if proto == "two_phase":
-            tr = two_phase_run(g, x, fusion, ExplicitTime(float(rng.uniform(1, 10))),
-                               seed=seed)
+            tr = two_phase_run(g, x, fusion, float(rng.uniform(1, 10)), seed=seed)
             ok = all(v == expected for v in tr.final_values)
         else:
             st = init(proto, g, x, fusion, seed=seed)
@@ -280,7 +278,7 @@ def test_criterion_09_two_phase_bound_on_grids():
         n_se, m_se = float(dc.n_se[i]), float(dc.m_se[i])
         etas = []
         for trial in range(trials):
-            tr = two_phase_run(g, [1] * g.n, tg.sum_fusion(), ExplicitTime(t_gamma),
+            tr = two_phase_run(g, [1] * g.n, tg.sum_fusion(), t_gamma,
                                seed=9200 + side, stream_id=trial)
             assert set(tr.final_values) == {g.n}
             assert all(c == g.n for c in tr.final_counts)

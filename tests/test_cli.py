@@ -73,6 +73,36 @@ def test_run_two_phase_consensus(tmp_path, monkeypatch, capsys):
     assert rc == 0  # exactness is verified before exit 0
 
 
+@pytest.mark.parametrize("args", [
+    ["--proto", "crw", "--kind", "ring", "--n", "8", "--trials", "1"],
+    ["--proto", "two_phase", "--kind", "grid2d", "--side", "4"],
+])
+def test_run_lazy_zero_on_bipartite_graph_exits_2(args, tmp_path, monkeypatch, capsys):
+    rc = run_cli(["run", *args, "--lazy", "0"], monkeypatch, tmp_path)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "bipartite" in err
+
+
+def test_run_inexact_walk_exits_4(tmp_path, monkeypatch, capsys):
+    import dataclasses
+
+    from tokengossip import experiments as ex
+    from tokengossip.fusion import TokenPayload
+
+    real = ex.run
+
+    def zero_payload(state, stop, **kw):
+        tr = real(state, stop, **kw)
+        return dataclasses.replace(tr, final_payload=TokenPayload(0, tr.n))
+
+    monkeypatch.setattr(ex, "run", zero_payload)
+    rc = run_cli(["run", "--proto", "crw", "--kind", "ring", "--n", "8", "--values-kind",
+                  "spike", "--trials", "2"], monkeypatch, tmp_path)
+    assert rc == 4
+    assert capsys.readouterr().err.startswith("simulation failed:")
+
+
 def test_run_gossip(tmp_path, monkeypatch, capsys):
     rc = run_cli(["run", "--proto", "gossip", "--kind", "ring", "--n", "16",
                   "--eps", "0.2", "--trials", "2", "--seed", "2"],

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -19,6 +20,23 @@ def test_run_trials_exactness_flags():
                               fusion="max", trials=4, master_seed=5)
     summaries = ex.run_trials(cfg)[0][1]
     assert all(s.exact for s in summaries)
+
+
+def test_run_trials_rejects_inexact_walk(monkeypatch):
+    from tokengossip.fusion import TokenPayload
+
+    real = ex.run
+
+    def off_by_one(state, stop, **kw):
+        tr = real(state, stop, **kw)
+        p = tr.final_payload
+        return dataclasses.replace(tr, final_payload=TokenPayload(p.value + 1, p.count))
+
+    monkeypatch.setattr(ex, "run", off_by_one)
+    cfg = ex.ExperimentConfig(graphs=[GraphSpec.ring(8)], protocol="crw",
+                              trials=3, master_seed=5)
+    with pytest.raises(ex.ExperimentError, match="exact"):
+        ex.run_trials(cfg)
 
 
 def test_run_trials_parallel_matches_serial():
@@ -276,9 +294,9 @@ def test_two_phase_pilot_follows_lazy_clock(monkeypatch):
     switches = []
     real = ex.two_phase_run
 
-    def recording(graph, x, fusion, switch, **kw):
-        switches.append(switch.t)
-        return real(graph, x, fusion, switch, **kw)
+    def recording(graph, x, fusion, switch_time, **kw):
+        switches.append(switch_time)
+        return real(graph, x, fusion, switch_time, **kw)
 
     monkeypatch.setattr(ex, "two_phase_run", recording)
     cfg = ex.ExperimentConfig(

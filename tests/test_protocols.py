@@ -14,14 +14,13 @@ from tokengossip.fusion import (
 )
 from tokengossip.graph import GraphSpec, generate
 from tokengossip.protocols import (
-    ExplicitTime,
     GossipEps,
     GossipMatrix,
     MaxTime,
     ProtocolError,
-    TargetGamma,
     Termination,
     cfld_run,
+    estimate_switch_time,
     handle_receive,
     handle_send,
     hybrid_k_run,
@@ -367,6 +366,20 @@ def test_discrete_crw_exact():
     assert tr.rounds is not None and tr.tau == tr.rounds
 
 
+def test_lazy_zero_rounds_reject_tokens_on_both_bipartite_sides():
+    # without lazy holds, tokens on opposite sides of a bipartite graph
+    # change side together every round and never meet
+    ring8 = generate(GraphSpec.ring(8))
+    st = init("crw", ring8, [1] * 8, SUM, seed=22, clock=SynchronousDiscrete(0.0))
+    with pytest.raises(ValueError, match="bipartite"):
+        run(st, Termination())
+    st = init("srw", ring8, [1] * 8, SUM, seed=22, clock=SynchronousDiscrete(0.0))
+    assert run(st, Termination()).final_payload == TokenPayload(8, 8)
+    ring7 = generate(GraphSpec.ring(7))
+    st = init("crw", ring7, [1] * 7, SUM, seed=22, clock=SynchronousDiscrete(0.0))
+    assert run(st, Termination()).final_payload == TokenPayload(7, 7)
+
+
 # -- controlled flooding ----------------------------------------------------
 
 
@@ -438,7 +451,7 @@ def test_cfld_rejects_broken_handoff():
 def test_two_phase_degenerate_switch_is_pure_flood():
     g = generate(GraphSpec.torus(3, 2))
     x = list(range(1, 10))
-    tr = two_phase_run(g, x, SUM, TargetGamma(9), seed=24)
+    tr = two_phase_run(g, x, SUM, estimate_switch_time(g, 9, seed=24), seed=24)
     assert tr.phase1_messages == 0
     assert tr.phase2_messages <= 9 * 2 * g.m
     assert set(tr.final_values) == {45}
@@ -448,7 +461,7 @@ def test_two_phase_consensus_every_trial():
     g = generate(GraphSpec.grid2d(4))
     x = [3 * i - 7 for i in range(16)]
     for i in range(10):
-        tr = two_phase_run(g, x, SUM, ExplicitTime(4.0), seed=25, stream_id=i)
+        tr = two_phase_run(g, x, SUM, 4.0, seed=25, stream_id=i)
         assert set(tr.final_values) == {sum(x)}
         assert all(c == 16 for c in tr.final_counts)
         assert tr.eta == tr.phase1_messages + tr.phase2_messages
@@ -458,10 +471,10 @@ def test_two_phase_switch_validation():
     g = generate(GraphSpec.ring(4))
     for gamma in (0.5, math.nan):
         with pytest.raises(ValueError):
-            two_phase_run(g, [1] * 4, SUM, TargetGamma(gamma), seed=0)
+            estimate_switch_time(g, gamma)
     for t in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
-            two_phase_run(g, [1] * 4, SUM, ExplicitTime(t), seed=0)
+            two_phase_run(g, [1] * 4, SUM, t, seed=0)
 
 
 def test_crw_passage_time_to_gamma_on_clique16():
@@ -540,7 +553,7 @@ def test_trace_files_deterministic(tmp_path):
 
 def test_cfld_per_origin_bound_multi_origin():
     g = generate(GraphSpec.torus(4, 2))
-    tr = two_phase_run(g, [1] * g.n, SUM, ExplicitTime(1.0), seed=31)
+    tr = two_phase_run(g, [1] * g.n, SUM, 1.0, seed=31)
     assert tr.flood_messages_per_origin is not None
     assert len(tr.flood_messages_per_origin) == tr.flood_origins
     assert sum(tr.flood_messages_per_origin) == tr.phase2_messages

@@ -28,7 +28,6 @@ from tokengossip.fusion import (
 )
 from tokengossip.graph import Graph, GraphSpec, generate
 from tokengossip.protocols import (
-    ExplicitTime,
     MaxTime,
     Termination,
     hybrid_k_run,
@@ -157,8 +156,7 @@ def test_two_phase_stops_mid_block_then_floods(block):
     for switch in (0.5, 7.25, 40.0):
         def two_phase():
             with small_blocks(block):
-                return two_phase_run(g, x, sum_fusion(), ExplicitTime(switch), seed=5,
-                                     stream_id=2)
+                return two_phase_run(g, x, sum_fusion(), switch, seed=5, stream_id=2)
 
         got, want = on_both(two_phase)
         assert got == want
