@@ -1,16 +1,19 @@
 """Command-line front end: graph generation, protocol runs, analysis
 reports, and scaling suites, all reproducible from (flags, files, seed).
 
-Exit codes are a stable contract: 0 success, 2 usage, 3 generation
-failure, 4 simulation failure, 5 analysis/solver failure.  A run
-manifest (config hash, seed, version, timestamps, outputs) accompanies
-every run that writes files.
+Exit codes are a stable contract: 0 success, 2 invalid input, 3
+generation failure, 4 simulation failure, 5 analysis/solver failure.
+``main`` alone maps library errors to them (``ERROR_EXITS``) and prints
+one stderr line per failure; any other exception keeps its traceback.  A
+run manifest (config hash, seed, version, timestamps, outputs)
+accompanies every run that writes files.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -37,10 +40,18 @@ EXIT_GENERATION = 3
 EXIT_SIMULATION = 4
 EXIT_ANALYSIS = 5
 
+# (error classes, exit code, stderr prefix); the first match wins, so
+# LinAlgError (a ValueError) precedes ValueError.  Every OverflowError
+# comes from SUM values outside int64 or whose partial sums leave it.
+ERROR_EXITS = (
+    ((GraphGenerationError,), EXIT_GENERATION, "generation failed"),
+    ((ex.ExperimentError,), EXIT_SIMULATION, "simulation failed"),
+    ((an.SolverError, np.linalg.LinAlgError), EXIT_ANALYSIS, "analysis failed"),
+    ((ValueError, OSError, OverflowError, ProtocolError), EXIT_USAGE, "invalid input"),
+)
+
 
 def _out_root() -> Path:
-    import os
-
     return Path(os.environ.get("TOKENGOSSIP_OUT", "."))
 
 
@@ -78,15 +89,7 @@ def _spec_from_args(args) -> GraphSpec:
 
 
 def cmd_gen(args) -> int:
-    try:
-        spec = _spec_from_args(args)
-        g = generate(spec)
-    except GraphGenerationError as e:
-        print(f"generation failed: {e}", file=sys.stderr)
-        return EXIT_GENERATION
-    except ValueError as e:
-        print(f"invalid parameters: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    g = generate(_spec_from_args(args))
     save_graph(g, args.out)
     print(f"n={g.n} m={g.m} diameter={diameter(g)}")
     return EXIT_OK
@@ -101,14 +104,7 @@ def _load_or_generate(args) -> object:
 
 
 def cmd_run(args) -> int:
-    try:
-        g = _load_or_generate(args)
-    except GraphGenerationError as e:
-        print(f"generation failed: {e}", file=sys.stderr)
-        return EXIT_GENERATION
-    except (ValueError, OSError) as e:
-        print(f"bad graph argument: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    g = _load_or_generate(args)
     started = time.time()
     params: dict = {}
     if args.lazy is not None:
@@ -120,21 +116,14 @@ def cmd_run(args) -> int:
         params["horizon"] = args.horizon
     values = f"file:{args.values}" if args.values else args.values_kind
     out_dir = _out_root() / args.out if args.out else None
-    try:
-        fusion_kind = "gossip" if args.proto == "gossip" else args.fusion
-        x = ex.initial_values(values, g.n, fusion_kind, args.values_seed)
-        if args.proto == "two_phase":
-            params = ex.resolve_two_phase(g, {**params, "gamma": args.gamma}, args.seed)
-        summaries = ex.run_point(
-            g, args.proto, args.fusion, x, params, args.trials, args.seed,
-            jobs=args.jobs, out_dir=out_dir,
-        )
-    except ex.ExperimentError as e:
-        print(f"simulation failed: {e}", file=sys.stderr)
-        return EXIT_SIMULATION
-    except (ProtocolError, ValueError) as e:
-        print(f"invalid run: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    fusion_kind = "gossip" if args.proto == "gossip" else args.fusion
+    x = ex.initial_values(values, g.n, fusion_kind, args.values_seed)
+    if args.proto == "two_phase":
+        params = ex.resolve_two_phase(g, {**params, "gamma": args.gamma}, args.seed)
+    summaries = ex.run_point(
+        g, args.proto, args.fusion, x, params, args.trials, args.seed,
+        jobs=args.jobs, out_dir=out_dir,
+    )
     tau = float(np.mean([s.tau for s in summaries]))
     eta = float(np.mean([s.eta for s in summaries]))
     print(f"{tau!r} {eta!r} {eta / g.n!r}")
@@ -147,7 +136,7 @@ def cmd_run(args) -> int:
             "values_seed": args.values_seed,
             "trials": args.trials,
             "seed": args.seed,
-            "params": {k: v for k, v in params.items() if k != "P"},
+            "params": params,
             "clock": summaries[0].clock_mode,
             "lazy_prob": summaries[0].lazy_prob,
             "gossip_matrix": "uniform" if args.proto == "gossip" else None,
@@ -160,19 +149,12 @@ def cmd_run(args) -> int:
 
 def cmd_analyze(args) -> int:
     if args.trials < 1 or args.tmax < 1:
-        print(f"invalid analysis: need --trials >= 1 and --tmax >= 1, got "
-              f"{args.trials} and {args.tmax}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        g = load_graph(args.graph)
-    except (OSError, ValueError) as e:
-        print(f"bad graph file: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"need --trials >= 1 and --tmax >= 1, got {args.trials} and {args.tmax}")
+    g = load_graph(args.graph)
     try:
         report = _analysis_report(g, args)
-    except (an.SolverError, ValueError) as e:
-        print(f"analysis failed: {e}", file=sys.stderr)
-        return EXIT_ANALYSIS
+    except ValueError as e:  # the graph is valid, so the analysis cannot handle it
+        raise an.SolverError(str(e)) from e
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -245,24 +227,12 @@ def resolve_config_path(name: str) -> Path:
 
 
 def cmd_scale(args) -> int:
-    try:
-        config = json.loads(resolve_config_path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"bad config: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    rows = [r for r in config.get("rows", []) if r.get("enabled", True)]
-    if not rows:
-        print("config has no enabled rows", file=sys.stderr)
-        return EXIT_USAGE
+    config = json.loads(resolve_config_path(args.config).read_text())
     if args.jobs:
         config["jobs"] = args.jobs
     started = time.time()
     out_dir = _out_root() / (args.out or f"scale_{ex.config_hash(config)}")
-    try:
-        report = ex.run_suite(config, out_dir=out_dir)
-    except ex.ExperimentError as e:
-        print(f"sweep failed: {e}", file=sys.stderr)
-        return EXIT_SIMULATION
+    report = ex.run_suite(config, out_dir=out_dir)
     lines = []
     for row in report.rows:
         flag = "PASS" if row.passed else "FAIL"
@@ -347,7 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as e:
+        for classes, code, what in ERROR_EXITS:
+            if isinstance(e, classes):
+                print(f"{what}: {e}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

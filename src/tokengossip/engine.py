@@ -46,22 +46,18 @@ class RngStream:
     """A named, independently reproducible random stream.
 
     Streams are split from the master seed with the documented rule
-    ``SeedSequence(master_seed, spawn_key=(stream_id,))``: the same
-    (algorithm, seed, stream) triple always reproduces the same draws,
-    and distinct stream ids are statistically independent, so trials can
-    run in any order or concurrently.
+    ``SeedSequence(master_seed, spawn_key=(stream_id,))`` into PCG64: the
+    same (seed, stream) pair always reproduces the same draws, and
+    distinct stream ids are statistically independent, so trials can run
+    in any order or concurrently.
     """
 
     master_seed: int
     stream_id: int = 0
-    algorithm: str = RNG_ALGORITHM
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_id,))
         return np.random.Generator(np.random.PCG64(seq))
-
-    def sampler(self, block: int = 4096) -> "BlockSampler":
-        return BlockSampler(self.generator(), block=block)
 
 
 class BlockSampler:

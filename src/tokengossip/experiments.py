@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -24,7 +24,6 @@ from .fusion import fold, fusion_from_name
 from .graph import Graph, GraphSpec, generate
 from .protocols import (
     GossipEps,
-    GossipMatrix,
     ProtocolKind,
     Termination,
     estimate_switch_time,
@@ -110,6 +109,26 @@ def _parse_value(text: str):
         return int(v) if v.is_integer() else v
 
 
+# The run parameters each protocol reads; run_point rejects any other key.
+PROTOCOL_PARAMS = {
+    "srw": {"lazy_prob"},
+    "crw": {"lazy_prob"},
+    "two_phase": {"lazy_prob", "gamma", "pilot_trials", "switch_time"},
+    "gossip": {"eps", "horizon"},
+    "hybrid_k": {"k", "horizon"},
+}
+
+
+def _check_params(protocol: str, params: dict) -> None:
+    """Raise ``ValueError`` for an unknown protocol or a key it does not read."""
+    if protocol not in PROTOCOL_PARAMS:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    unknown = sorted(set(params) - PROTOCOL_PARAMS[protocol])
+    if unknown:
+        raise ValueError(f"{protocol} takes no parameter {', '.join(unknown)} "
+                         f"(it reads {', '.join(sorted(PROTOCOL_PARAMS[protocol]))})")
+
+
 def _clock(params: dict):
     lazy = params.get("lazy_prob")
     return SynchronousDiscrete(lazy) if lazy is not None else Continuous()
@@ -158,11 +177,8 @@ def _run_one(args) -> TrialSummary:
                   stream_id=trial)
         tr = run(st, GossipEps(params["eps"], params.get("horizon", 1_000_000_000)))
     else:
-        st = init(
-            ProtocolKind(protocol), graph, x, fusion,
-            params=dict(params.get("init_params", {})),
-            seed=master_seed, clock=clock, stream_id=trial,
-        )
+        st = init(ProtocolKind(protocol), graph, x, fusion, seed=master_seed, clock=clock,
+                  stream_id=trial)
         tr = run(st, Termination())
     if out_dir is not None:
         csv, nodes_csv, meta = trial_files(out_dir, trial)
@@ -206,15 +222,17 @@ def run_point(
 
     With ``out_dir`` (created if missing), each trial writes its
     ``trial_files`` from its own trace before the trace is dropped, so
-    every trial is simulated once.  Gossip and hybrid-k run on the
-    continuous clock only, so they reject ``lazy_prob``.  Raises
-    ``ExperimentError`` when a trial hits its horizon or a SUM/MAX walk
-    trial misses the exact aggregate.
+    every trial is simulated once.  ``params`` holds only the keys
+    ``PROTOCOL_PARAMS`` names for ``protocol``.  Raises ``ExperimentError``
+    when a trial hits its horizon or a SUM/MAX walk trial misses the exact
+    aggregate.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if protocol in ("gossip", "hybrid_k") and params.get("lazy_prob") is not None:
-        raise ValueError(f"{protocol} runs on the continuous clock only, not lazy rounds")
+    _check_params(protocol, params)
+    needed = {"two_phase": "switch_time", "gossip": "eps", "hybrid_k": "k"}.get(protocol)
+    if needed is not None and needed not in params:
+        raise ValueError(f"{protocol} needs parameter {needed}")
     expected = None  # the aggregate every SUM/MAX walk trial must return exactly
     if protocol in ("srw", "crw", "two_phase") and fusion_name in ("sum", "max"):
         expected = fold(fusion_from_name(fusion_name), x)
@@ -397,7 +415,6 @@ def slow_mode_start(g: Graph) -> list:
 
 def measure_gossip_K(
     g: Graph,
-    p: Optional[GossipMatrix],
     eps: float,
     z0: Optional[Sequence[float]] = None,
     trials: int = 40,
@@ -411,10 +428,8 @@ def measure_gossip_K(
     the worst case.  ``first_passages`` are sorted."""
     if z0 is None:
         z0 = initial_values("spike", g.n, "gossip", 0)
-    params = {"eps": eps, "horizon": horizon}
-    if p is not None:
-        params["P"] = p
-    summaries = run_point(g, "gossip", "gossip", z0, params, trials, master_seed)
+    summaries = run_point(g, "gossip", "gossip", z0, {"eps": eps, "horizon": horizon},
+                          trials, master_seed)
     passages = sorted(s.gossip_first_passage for s in summaries)
     k_hat = passages[trials - math.floor(eps * trials) - 1]
     return GossipKEstimate(
@@ -451,13 +466,45 @@ class SuiteReport:
         return all(r.passed for r in self.rows)
 
 
+ROW_KEYS = frozenset("label protocol metric predictor sweep trials slope_band r2_min params "
+                     "enabled fusion values eps z0".split())
+_SPEC_FIELDS = frozenset(f.name for f in fields(GraphSpec))
+
+
+def _enabled_rows(config: dict) -> list:
+    """The enabled rows of a suite config, every one checked before any
+    runs; a bad row raises ``ValueError`` naming its label."""
+    rows = [r for r in config.get("rows", []) if r.get("enabled", True)]
+    if not rows:
+        raise ValueError("config has no enabled rows")
+    for i, row in enumerate(rows):
+        try:
+            missing, unknown = {"protocol", "predictor", "sweep"} - set(row), set(row) - ROW_KEYS
+            if missing or unknown:
+                raise ValueError(f"missing keys {sorted(missing)}, unknown keys {sorted(unknown)}")
+            if row.get("metric", "tau") not in ("tau", "eta_per_node", "eta"):
+                raise ValueError(f"metric must be tau, eta_per_node or eta, not {row['metric']!r}")
+            for item in row["sweep"]:
+                if "kind" not in item or not set(item) <= _SPEC_FIELDS:
+                    raise ValueError(f"sweep entry {item} needs a kind and only the fields "
+                                     f"{', '.join(sorted(_SPEC_FIELDS))}")
+            predictor_fn(row["predictor"])
+            if row["protocol"] != "gossip_K":
+                _check_params(row["protocol"], row.get("params", {}))
+        except ValueError as e:
+            raise ValueError(f"suite row {row.get('label', i)!r}: {e}") from None
+    return rows
+
+
 def run_suite(config: dict, out_dir: Optional[Path] = None) -> SuiteReport:
     """Run every enabled row of a suite config and check its pass band.
 
-    Row schema: label, protocol, metric (tau | eta_per_node | eta),
-    predictor, sweep (list of GraphSpec kwargs), trials, slope_band,
-    r2_min, params, enabled.  Writes summary.csv, fits.json, and one
-    per-point trial table when an output directory is given.
+    Row schema (``ROW_KEYS``): label, protocol, metric (tau |
+    eta_per_node | eta), predictor, sweep (list of GraphSpec kwargs),
+    trials, slope_band, r2_min, params, enabled, fusion, values, and for
+    gossip_K rows eps and z0.  Every enabled row is checked before any
+    runs.  Writes summary.csv, fits.json, and one per-point trial table
+    when an output directory is given.
     """
     rows = []
     master_seed = int(config.get("master_seed", 0))
@@ -465,11 +512,10 @@ def run_suite(config: dict, out_dir: Optional[Path] = None) -> SuiteReport:
     fits = []
     trial_tables = {}
     jobs = int(config.get("jobs", 1))
-    for row in config.get("rows", []):
-        if not row.get("enabled", True):
-            continue
+    for row in _enabled_rows(config):
         protocol = row["protocol"]
         metric = row.get("metric", "tau")
+        label = row.get("label", f"{protocol}/{metric}")
         records = []
         for item in row["sweep"]:
             spec = GraphSpec(**item)
@@ -500,7 +546,6 @@ def run_suite(config: dict, out_dir: Optional[Path] = None) -> SuiteReport:
             summary_lines.append(
                 f"{rec.n},{protocol},{rec.metric},{rec.mean!r},{rec.stderr!r},{rec.trials}"
             )
-            label = row.get("label", f"{protocol}/{metric}")
             name = f"trials_{label.replace('/', '_')}_{graph.n}.csv"
             trial_tables[name] = "\n".join(
                 ["trial,tau,eta,eta_per_node"]
@@ -510,20 +555,10 @@ def run_suite(config: dict, out_dir: Optional[Path] = None) -> SuiteReport:
         band = tuple(row.get("slope_band", (0.85, 1.15)))
         r2_min = float(row.get("r2_min", 0.9))
         passed = band[0] <= fit.slope <= band[1] and fit.r2 >= r2_min
-        rows.append(
-            RowResult(
-                label=row.get("label", f"{protocol}/{metric}"),
-                metric=metric,
-                fit=fit,
-                slope_band=band,
-                r2_min=r2_min,
-                passed=passed,
-                records=tuple(records),
-            )
-        )
+        rows.append(RowResult(label, metric, fit, band, r2_min, passed, tuple(records)))
         fits.append(
             {
-                "label": rows[-1].label,
+                "label": label,
                 "metric": metric,
                 "predictor": fit.predictor,
                 "slope": fit.slope,

@@ -68,14 +68,12 @@ class GossipEps:
 
 @dataclass
 class GossipMatrix:
-    """An admissible stochastic matrix: support restricted to edges."""
+    """An admissible stochastic matrix: support restricted to edges.  A
+    gossip run without one (no ``P`` in its params) picks uniform
+    neighbours."""
 
     graph: Graph
-    rows: Optional[list] = None  # per-node (neighbors, cumulative probs); None = uniform
-
-    @classmethod
-    def uniform(cls, graph: Graph) -> "GossipMatrix":
-        return cls(graph=graph, rows=None)
+    rows: list  # per-node (neighbors, cumulative probs)
 
     @classmethod
     def from_dense(cls, graph: Graph, p: np.ndarray) -> "GossipMatrix":
@@ -96,9 +94,6 @@ class GossipMatrix:
         return cls(graph=graph, rows=rows)
 
     def sample(self, i: int, sampler: BlockSampler) -> int:
-        if self.rows is None:
-            nbrs = self.graph.neighbor_lists[i]
-            return nbrs[int(sampler.uniform() * len(nbrs))]
         nbrs, cum = self.rows[i]
         return nbrs[int(np.searchsorted(cum, sampler.uniform(), side="right"))]
 
@@ -244,8 +239,6 @@ def init(
             raise ValueError("hybrid active-active relaxation is defined for weighted averages only")
         for i in sorted(rng.choice(n, size=k, replace=False).tolist()):
             state.activate(i)
-    else:
-        raise ValueError(f"unhandled kind {kind}")
 
     state.sampler = BlockSampler(rng)
     state.active_counts[0] = state.active_count
@@ -478,8 +471,7 @@ def _run_gossip(state: SimState, stop) -> "Trace":
     else:
         raise ValueError(f"unsupported stop condition {stop!r} for gossip")
 
-    p = state.params.get("P") or GossipMatrix.uniform(state.graph)
-    uniform_p = p.rows is None
+    p = state.params.get("P")
     sampler = state.sampler
     n = state.graph.n
     z = state.values
@@ -511,7 +503,7 @@ def _run_gossip(state: SimState, stop) -> "Trace":
             break
         state.t += dt
         i = int(sampler.uniform() * n)
-        if uniform_p:
+        if p is None:
             nbrs = nbr[i]
             j = nbrs[int(sampler.uniform() * len(nbrs))]
         else:
@@ -802,9 +794,6 @@ class Trace:
             if c <= k:
                 return t
         return None
-
-    def eta_per_node(self) -> float:
-        return self.eta / self.n
 
     def write_trajectory_csv(self, path) -> None:
         lines = ["t,active_count,total_messages"]

@@ -200,7 +200,7 @@ def test_criterion_07_gossip_pernode_scaling():
     records = []
     for N in (8, 16, 24, 32):
         g = generate(GraphSpec.torus(N, 2))
-        est = ex.measure_gossip_K(g, None, eps=0.01, z0=ex.slow_mode_start(g),
+        est = ex.measure_gossip_K(g, eps=0.01, z0=ex.slow_mode_start(g),
                                   trials=24, master_seed=7000 + N)
         summaries = [
             ex.TrialSummary(n=g.n, trial=i, tau=0.0, eta=2 * k, completed=True)

@@ -412,3 +412,63 @@ def test_bundled_config_resolution(tmp_path):
     assert resolve_config_path(str(explicit)) == explicit
     with pytest.raises(FileNotFoundError):
         resolve_config_path("no_such_suite")
+
+
+def _values_run(values):
+    def argv(tmp_path):
+        (tmp_path / "v.txt").write_text("\n".join(map(str, values)) + "\n")
+        return ["run", "--proto", "crw", "--kind", "ring", "--n", "4",
+                "--values", str(tmp_path / "v.txt"), "--trials", "20"]
+    return argv
+
+
+def _suite_scale(**changes):
+    def argv(tmp_path):
+        row = {**SMALL_SUITE["rows"][0], "trials": 4, **changes}
+        row = {k: v for k, v in row.items() if v is not None}
+        (tmp_path / "suite.json").write_text(json.dumps({"master_seed": 77, "rows": [row]}))
+        return ["scale", "--config", str(tmp_path / "suite.json"), "--out", "s"]
+    return argv
+
+
+def _out_under_missing_dir(cmd):
+    def argv(tmp_path):
+        from tokengossip.graph import GraphSpec, generate, save_graph
+
+        save_graph(generate(GraphSpec.ring(8)), tmp_path / "r.graph")
+        (tmp_path / "file").write_text("")
+        return {
+            "gen": ["gen", "--kind", "ring", "--n", "8", "--out", str(tmp_path / "no" / "x.graph")],
+            # run --out creates missing parents, so its parent is a regular file
+            "run": ["run", "--proto", "crw", "--kind", "ring", "--n", "8", "--trials", "2",
+                    "--out", "file/d"],
+            "analyze": ["analyze", "--what", "hitting", "--graph", str(tmp_path / "r.graph"),
+                        "--out", str(tmp_path / "no" / "a.json")],
+        }[cmd]
+    return argv
+
+
+BAD_INPUTS = {
+    "sum_total_overflows": _values_run([2**62, 2**62, 1, 1]),
+    "sum_partial_overflows": _values_run([2**62, 2**62, -(2**62), -(2**62) + 1]),
+    "sum_value_outside_int64": _values_run([2**64, 1, 1, 1]),
+    "scale_three_points": _suite_scale(sweep=[{"kind": "clique", "n": n} for n in (8, 16, 24)]),
+    "scale_lazy_zero_ring": _suite_scale(sweep=[{"kind": "ring", "n": n} for n in (8, 12, 16, 20)],
+                                         params={"lazy_prob": 0}),
+    "scale_no_predictor": _suite_scale(predictor=None),
+    "scale_unknown_sweep_field": _suite_scale(sweep=[{"kind": "ring", "nodes": 8}] * 4),
+    "scale_unread_param": _suite_scale(params={"lazy": 0.5}),
+    "scale_gossip_without_eps": _suite_scale(protocol="gossip"),
+    "gen_out_missing_dir": _out_under_missing_dir("gen"),
+    "run_out_missing_dir": _out_under_missing_dir("run"),
+    "analyze_out_missing_dir": _out_under_missing_dir("analyze"),
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
+    rc = run_cli(argv(tmp_path), monkeypatch, tmp_path)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("invalid input: ")
+    assert "Traceback" not in err

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from tokengossip.engine import RngStream, SynchronousDiscrete
+from tokengossip.engine import BlockSampler, RngStream, SynchronousDiscrete
 from tokengossip.fusion import sum_fusion
 from tokengossip.graph import GraphSpec, generate
 from tokengossip.protocols import Termination, init, run
 
 
 def sampler(seed, stream=0):
-    return RngStream(master_seed=seed, stream_id=stream).sampler()
+    return BlockSampler(RngStream(master_seed=seed, stream_id=stream).generator())
 
 
 def test_next_firing_single_clock_mean():

@@ -125,9 +125,9 @@ def test_predictors():
 
 def test_gossip_k_on_k2():
     g = generate(GraphSpec.clique(2))
-    est = ex.measure_gossip_K(g, None, eps=0.5, z0=[0.0, 2.0], trials=20, master_seed=3)
+    est = ex.measure_gossip_K(g, eps=0.5, z0=[0.0, 2.0], trials=20, master_seed=3)
     assert est.k_hat == 1  # one exchange zeroes the error
-    est0 = ex.measure_gossip_K(g, None, eps=0.5, z0=[1.5, 1.5], trials=20, master_seed=3)
+    est0 = ex.measure_gossip_K(g, eps=0.5, z0=[1.5, 1.5], trials=20, master_seed=3)
     assert est0.k_hat == 0  # already at consensus
 
 
@@ -135,14 +135,14 @@ def test_gossip_k_grows_with_ring_size():
     ks = []
     for n in (8, 16, 32):
         g = generate(GraphSpec.ring(n))
-        ks.append(ex.measure_gossip_K(g, None, eps=0.01, trials=20, master_seed=4).k_hat)
+        ks.append(ex.measure_gossip_K(g, eps=0.01, trials=20, master_seed=4).k_hat)
     assert ks[0] < ks[1] < ks[2]
 
 
 def test_gossip_k_horizon_error():
     g = generate(GraphSpec.ring(16))
     with pytest.raises(ex.ExperimentError):
-        ex.measure_gossip_K(g, None, eps=1e-8, trials=3, master_seed=5, horizon=10)
+        ex.measure_gossip_K(g, eps=1e-8, trials=3, master_seed=5, horizon=10)
 
 
 def test_run_suite_writes_outputs(tmp_path):
@@ -235,6 +235,27 @@ def test_run_suite_respects_enabled_flag(tmp_path):
     }
     rep = ex.run_suite(config, out_dir=tmp_path / "o")
     assert [r.label for r in rep.rows] == ["on"]
+
+
+def test_run_trials_rejects_params_the_protocol_does_not_read():
+    cfg = ex.ExperimentConfig(graphs=[GraphSpec.ring(8)], protocol="crw", trials=2,
+                              master_seed=1, params={"lazy": 0.5})
+    with pytest.raises(ValueError, match="lazy"):
+        ex.run_trials(cfg)
+
+
+@pytest.mark.parametrize("bad", [{"predictor": None}, {"protocol": None}, {"colour": "red"},
+                                 {"sweep": [{"kind": "ring", "nodes": 8}] * 4},
+                                 {"metric": "taus"}, {"params": {"lazy": 0.5}}])
+def test_run_suite_checks_every_row_before_running_any(monkeypatch, bad):
+    calls = []
+    monkeypatch.setattr(ex, "run_point", lambda *a, **kw: calls.append(a))
+    good = {"label": "ok", "protocol": "crw", "predictor": "n",
+            "sweep": [{"kind": "ring", "n": n} for n in (4, 6, 8, 10)]}
+    row = {k: v for k, v in {**good, "label": "bad", **bad}.items() if v is not None}
+    with pytest.raises(ValueError, match="'bad'"):
+        ex.run_suite({"rows": [good, row]})
+    assert calls == []
 
 
 def test_config_hash_stable():
