@@ -1,13 +1,15 @@
-"""The compiled continuous-time token walk.
+"""The compiled token walks.
 
-``_walk.c`` is the continuous-clock loop of ``protocols._run_walk`` in C,
-giving the same trace draw for draw.  It is built on first use with the
-system C compiler into a per-user cache (``$XDG_CACHE_HOME/tokengossip``,
-else ``~/.cache/tokengossip``, else the temp directory), named by the
-SHA-256 of the source and the compiler flags, and moved into place with
-``os.replace`` so that concurrent processes never load a half-written
-library.  Without a compiler or a usable cache directory, ``walk`` returns
-None after one logged warning, and the Python loop runs instead.
+``_walk.c`` runs the loops of ``protocols._run_walk`` in C: the
+continuous-clock loop and, on the discrete clock, repeated
+``synchronous_round``, each giving the same trace draw for draw.  It is
+built on first use with the system C compiler into a per-user cache
+(``$XDG_CACHE_HOME/tokengossip``, else ``~/.cache/tokengossip``, else the
+temp directory), named by the SHA-256 of the source and the compiler flags,
+and moved into place with ``os.replace`` so that concurrent processes never
+load a half-written library.  Without a compiler or a usable cache
+directory, ``walk`` returns None after one logged warning, and the Python
+loop runs instead.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import BlockSampler
+from .engine import BlockSampler, SynchronousDiscrete
 from .fusion import INT64_MIN, MAX_IDENTITY, FusionKind
 
 _log = logging.getLogger(__name__)
@@ -36,8 +38,8 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 # the return codes, the slots of the scalar arrays and the fusion codes of _walk.c
 _DONE, _MAX_TIME, _NEED_UNIFORM, _NEED_EXPONENTIAL, _SUM_OVERFLOW, _CURVE_FULL = range(6)
 (_NACTIVE, _ETA, _HOLDER, _ACTIVE_ACTIVE, _UI, _EI, _NPOINTS, _STAGE, _PENDING, _ERR_J, _ERR_V,
- _NIV) = range(12)
-_T, _MAX_T, _NDV = range(3)
+ _ROUNDS, _CURSOR, _NSNAP, _NDELIV, _NIV) = range(16)
+_T, _MAX_T, _LAZY, _NDV = range(4)
 _FUSION = {FusionKind.SUM: 0, FusionKind.MAX: 1, FusionKind.WEIGHTED_AVG: 2}
 
 
@@ -78,17 +80,18 @@ def _build() -> Path:
 
 @functools.lru_cache(maxsize=None)
 def load():
-    """The kernel's entry point, or None (after one warning) when it cannot
-    be built or loaded."""
+    """The compiled library with its entry points declared, or None (after
+    one warning) when it cannot be built or loaded."""
     try:
-        fn = ctypes.CDLL(str(_build())).tg_walk_continuous
+        lib = ctypes.CDLL(str(_build()))
     except (OSError, subprocess.SubprocessError) as e:
         _log.warning("compiled token walk unavailable, using the Python loop: %s", e)
         return None
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    fn.argtypes = [i64, ptr, ptr, i64, i64, i64, ptr, ptr, ptr, i64, ptr, ptr]
-    fn.restype = ctypes.c_int
-    return fn
+    lib.tg_walk_continuous.argtypes = [i64, ptr, ptr, i64, i64, i64, ptr, ptr, ptr, i64, ptr, ptr]
+    lib.tg_walk_discrete.argtypes = [i64, ptr, ptr, i64, i64, ptr, ptr, i64, ptr, ptr]
+    lib.tg_walk_continuous.restype = lib.tg_walk_discrete.restype = ctypes.c_int
+    return lib
 
 
 def _encode(kind: FusionKind, values: list, ival: np.ndarray, yv: np.ndarray,
@@ -127,7 +130,7 @@ def _decode(kind: FusionKind, ival: np.ndarray, yv: np.ndarray, wv: np.ndarray) 
 
 
 def walk(state, max_t: float, terminating: bool) -> Optional[bool]:
-    """Run ``state``'s continuous-time token walk to ``max_t`` in the kernel,
+    """Run ``state``'s token walk on its clock to ``max_t`` in the kernel,
     or until some node's count reaches n when ``terminating``; returns
     whether it completed.  Returns None, leaving ``state`` untouched, when
     the kernel is unavailable or cannot hold the state exactly.  A SUM
@@ -137,6 +140,10 @@ def walk(state, max_t: float, terminating: bool) -> Optional[bool]:
     if (type(sampler).uniform is not BlockSampler.uniform
             or type(sampler).exponential is not BlockSampler.exponential):
         return None  # a sampler that watches its draws sees every one in Python
+    discrete = isinstance(state.clock, SynchronousDiscrete)
+    lazy = state.clock.lazy_prob if discrete else 0.0
+    if float(lazy) != lazy:
+        return None  # the hold test compares draws with a double
     g = state.graph
     n = g.n
     indptr, indices = g.csr
@@ -145,22 +152,24 @@ def walk(state, max_t: float, terminating: bool) -> Optional[bool]:
         # no token, an isolated node or a neighbour outside the graph:
         # the Python loop raises its own error there
         return None
-    fn = load()
-    if fn is None:
+    lib = load()
+    if lib is None:
         return None
     kind = state.fusion.kind
     k = len(state.active_list)
-    ints = np.zeros(_NIV + 8 * n + 2, dtype=np.int64)
-    floats = np.zeros(_NDV + 3 * n + 1)
+    # a round also keeps its snapshot of the active list and its deliveries
+    ints = np.zeros(_NIV + (12 if discrete else 8) * n + 2, dtype=np.int64)
+    floats = np.zeros(_NDV + (5 if discrete else 3) * n + 1)
     counts, active, active_pos, sends, receives, ival = ints[_NIV:_NIV + 6 * n].reshape(6, n)
-    pt_count, pt_eta = ints[_NIV + 6 * n:].reshape(2, n + 1)
+    pt_count, pt_eta = ints[_NIV + 6 * n:_NIV + 8 * n + 2].reshape(2, n + 1)
     yv, wv = floats[_NDV:_NDV + 2 * n].reshape(2, n)
-    pt_t = floats[_NDV + 2 * n:]
+    pt_t = floats[_NDV + 2 * n:_NDV + 3 * n + 1]
     if not _encode(kind, state.values, ival, yv, wv):
         return None
     ints[:_NIV] = [k, state.eta, -1 if state.holder is None else state.holder,
-                   state.active_active, sampler._ui, sampler._ei, 0, 0, 0, 0, 0]
-    floats[:_NDV] = [state.t, max_t]
+                   state.active_active, sampler._ui, sampler._ei, 0, 0, 0, 0, 0,
+                   state.rounds, 0, 0, 0]
+    floats[:_NDV] = [state.t, max_t, lazy]
     counts[:] = state.counts
     active[:k] = state.active_list
     active_pos[:] = state.active_pos
@@ -169,12 +178,14 @@ def walk(state, max_t: float, terminating: bool) -> Optional[bool]:
 
     status = (ctypes.c_uint8 * n).from_buffer(state.status)
     u, e = sampler._ua, sampler._ea
-    hybrid = state.kind == "hybrid_k"
-    fixed = (n, indptr.ctypes.data, indices.ctypes.data, _FUSION[kind], hybrid, terminating,
-             status)
+    graph = (n, indptr.ctypes.data, indices.ctypes.data, _FUSION[kind])
     buffers = (sampler._block, ints.ctypes.data, floats.ctypes.data)
     while True:
-        rc = fn(*fixed, u.ctypes.data, e.ctypes.data, *buffers)
+        if discrete:
+            rc = lib.tg_walk_discrete(*graph, terminating, status, u.ctypes.data, *buffers)
+        else:
+            rc = lib.tg_walk_continuous(*graph, state.kind == "hybrid_k", terminating, status,
+                                        u.ctypes.data, e.ctypes.data, *buffers)
         if rc == _NEED_UNIFORM:
             u = sampler._refill_uniform()
             ints[_UI] = 0
@@ -195,6 +206,7 @@ def walk(state, max_t: float, terminating: bool) -> Optional[bool]:
     state.eta = iv[_ETA]
     state.holder = None if iv[_HOLDER] < 0 else iv[_HOLDER]
     state.active_active = iv[_ACTIVE_ACTIVE]
+    state.rounds = iv[_ROUNDS]
     state.t = floats[_T].item()
     points = iv[_NPOINTS]
     state.times.extend(pt_t[:points].tolist())

@@ -228,6 +228,8 @@ def resolve_config_path(name: str) -> Path:
 
 def cmd_scale(args) -> int:
     config = json.loads(resolve_config_path(args.config).read_text())
+    if not isinstance(config, dict):
+        raise ValueError("a suite config must be a JSON object")
     if args.jobs:
         config["jobs"] = args.jobs
     started = time.time()

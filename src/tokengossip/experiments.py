@@ -474,7 +474,12 @@ _SPEC_FIELDS = frozenset(f.name for f in fields(GraphSpec))
 def _enabled_rows(config: dict) -> list:
     """The enabled rows of a suite config, every one checked before any
     runs; a bad row raises ``ValueError`` naming its label."""
-    rows = [r for r in config.get("rows", []) if r.get("enabled", True)]
+    if not isinstance(config, dict):
+        raise ValueError("a suite config must be a JSON object")
+    rows = config.get("rows", [])
+    if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
+        raise ValueError("suite config rows must be a list of objects")
+    rows = [r for r in rows if r.get("enabled", True)]
     if not rows:
         raise ValueError("config has no enabled rows")
     for i, row in enumerate(rows):
@@ -484,8 +489,12 @@ def _enabled_rows(config: dict) -> list:
                 raise ValueError(f"missing keys {sorted(missing)}, unknown keys {sorted(unknown)}")
             if row.get("metric", "tau") not in ("tau", "eta_per_node", "eta"):
                 raise ValueError(f"metric must be tau, eta_per_node or eta, not {row['metric']!r}")
+            if not isinstance(row["sweep"], list):
+                raise ValueError(f"sweep must be a list of graph specs, not {row['sweep']!r}")
+            if not isinstance(row.get("params", {}), dict):
+                raise ValueError(f"params must be an object, not {row['params']!r}")
             for item in row["sweep"]:
-                if "kind" not in item or not set(item) <= _SPEC_FIELDS:
+                if not (isinstance(item, dict) and "kind" in item and set(item) <= _SPEC_FIELDS):
                     raise ValueError(f"sweep entry {item} needs a kind and only the fields "
                                      f"{', '.join(sorted(_SPEC_FIELDS))}")
             predictor_fn(row["predictor"])

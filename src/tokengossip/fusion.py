@@ -94,6 +94,23 @@ class FusionSpec:
         """
         return _FUSE[self.kind]
 
+    def validate_values(self, values: list) -> None:
+        """``validate_value`` for every value of ``values``.  A list of
+        plain ints within int64 (for MAX, plain ints and -inf) is checked
+        in one pass; any other list is checked value by value, so that the
+        first bad value raises its own error."""
+        types = set(map(type, values))
+        if self.kind is FusionKind.SUM:
+            if types == {int} and INT64_MIN <= min(values) and max(values) <= INT64_MAX:
+                return
+        elif self.kind is FusionKind.MAX and types <= {int, float}:
+            # ints never equal -inf, so every float is -inf when the floats
+            # are as many as the -infs
+            if list(map(type, values)).count(float) == values.count(MAX_IDENTITY):
+                return
+        for v in values:
+            self.validate_value(v)
+
     def validate_value(self, v: FusionValue) -> None:
         if self.kind is FusionKind.SUM:
             if not isinstance(v, int) or isinstance(v, bool):
@@ -163,8 +180,7 @@ def fold(spec: FusionSpec, values: Iterable[FusionValue]) -> FusionValue:
     values = list(values)
     if not values:
         raise FusionError("fold over an empty sequence has no defined value")
-    for v in values:
-        spec.validate_value(v)
+    spec.validate_values(values)
     return reduce(spec.fuse, values)
 
 

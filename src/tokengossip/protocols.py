@@ -215,9 +215,8 @@ def init(
     else:
         if fusion is None:
             raise ValueError("token protocols need a fusion spec")
-        for v in x:
-            fusion.validate_value(v)
         state.values = list(x)
+        fusion.validate_values(state.values)
     state.counts = [1] * n
 
     if kind is ProtocolKind.SRW:
@@ -229,8 +228,9 @@ def init(
             raise ValueError(f"origin {origin} out of range")
         state.activate(origin)
     elif kind in (ProtocolKind.CRW, ProtocolKind.TWO_PHASE, ProtocolKind.GOSSIP):
-        for i in range(n):
-            state.activate(i)
+        state.status[:] = b"\x01" * n
+        state.active_list = list(range(n))
+        state.active_pos = list(range(n))
     elif kind is ProtocolKind.HYBRID_K:
         k = params.get("k")
         if k is None or not 1 <= k <= n:
@@ -396,8 +396,8 @@ def _run_walk(state, max_t, check_invariants, expected, terminating=True):
     """Walk to time ``max_t``, or until some node's count reaches n when
     ``terminating``; returns whether the run completed.
 
-    The compiled kernel (``_walk``) runs a continuous-time walk when it is
-    available and can hold the state exactly.  Otherwise, and to check
+    The compiled kernel (``_walk``) runs the walk, on either clock, when it
+    is available and can hold the state exactly.  Otherwise, and to check
     invariants after every event, this loop steps the walk through the
     primitives: ``synchronous_round`` on the discrete clock, and on the
     continuous clock an exponential wait at the active count, a uniform
@@ -405,11 +405,11 @@ def _run_walk(state, max_t, check_invariants, expected, terminating=True):
     """
     if not max_t >= state.t:
         raise ValueError(f"stop time {max_t!r} must be a number no earlier than {state.t!r}")
-    continuous = not isinstance(state.clock, SynchronousDiscrete)
-    if continuous and not check_invariants:
+    if not check_invariants:
         completed = _walk.walk(state, max_t, terminating)
         if completed is not None:
             return completed
+    continuous = not isinstance(state.clock, SynchronousDiscrete)
     sampler = state.sampler
     active = state.active_list
     last_count = len(active)

@@ -431,6 +431,13 @@ def _suite_scale(**changes):
     return argv
 
 
+def _suite_file(config, *flags):
+    def argv(tmp_path):
+        (tmp_path / "suite.json").write_text(json.dumps(config))
+        return ["scale", "--config", str(tmp_path / "suite.json"), *flags, "--out", "s"]
+    return argv
+
+
 def _out_under_missing_dir(cmd):
     def argv(tmp_path):
         from tokengossip.graph import GraphSpec, generate, save_graph
@@ -459,6 +466,12 @@ BAD_INPUTS = {
     "scale_unknown_sweep_field": _suite_scale(sweep=[{"kind": "ring", "nodes": 8}] * 4),
     "scale_unread_param": _suite_scale(params={"lazy": 0.5}),
     "scale_gossip_without_eps": _suite_scale(protocol="gossip"),
+    "scale_config_is_a_list": _suite_file([1, 2]),
+    "scale_config_is_a_list_with_jobs": _suite_file([1, 2], "--jobs", "2"),
+    "scale_row_is_not_an_object": _suite_file({"rows": [1]}),
+    "scale_sweep_of_numbers": _suite_scale(sweep=[4, 5, 6, 7]),
+    "scale_sweep_is_a_number": _suite_scale(sweep=5),
+    "scale_params_is_a_number": _suite_scale(params=5),
     "gen_out_missing_dir": _out_under_missing_dir("gen"),
     "run_out_missing_dir": _out_under_missing_dir("run"),
     "analyze_out_missing_dir": _out_under_missing_dir("analyze"),

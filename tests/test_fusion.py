@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tokengossip.fusion import (
+    INT64_MAX,
+    INT64_MIN,
     MAX_IDENTITY,
     FusionError,
     TokenPayload,
@@ -138,3 +142,33 @@ def test_weighted_avg_rejects_non_finite(v):
 def test_negative_count_rejected():
     with pytest.raises(FusionError):
         TokenPayload(0, -1)
+
+
+def _first_error(spec, values):
+    """What ``validate_value`` over ``values`` raises first, as comparable data."""
+    try:
+        for v in values:
+            spec.validate_value(v)
+    except (FusionError, OverflowError) as e:
+        return type(e), str(e)
+    return None
+
+
+mixed_values = st.lists(st.one_of(
+    st.integers(-1000, 1000), st.sampled_from([INT64_MIN, INT64_MAX]),
+    st.sampled_from([INT64_MIN - 1, INT64_MAX + 1, True, np.int64(3)]),
+    st.sampled_from([MAX_IDENTITY, math.inf, math.nan, 2.5, -0.0]),
+    st.tuples(st.floats(-5, 5), st.floats(0, 3)),
+), max_size=12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(values=mixed_values, spec=st.sampled_from([SUM, MAX, WAVG]))
+def test_validate_values_raises_what_the_value_loop_raises(values, spec):
+    want = _first_error(spec, values)
+    try:
+        spec.validate_values(values)
+        got = None
+    except (FusionError, OverflowError) as e:
+        got = type(e), str(e)
+    assert got == want

@@ -18,6 +18,7 @@ from tokengossip.protocols import (
     GossipMatrix,
     MaxTime,
     ProtocolError,
+    SimState,
     Termination,
     cfld_run,
     estimate_switch_time,
@@ -39,6 +40,20 @@ def test_init_crw_all_active():
     assert sorted(st.active_list) == [0, 1, 2, 3]
     assert sum(st.counts) == 4
     assert all(st.counts[i] == 1 for i in range(4))
+
+
+@pytest.mark.parametrize("kind,x,fusion", [("crw", [1, 2, 3, 4, 5], SUM),
+                                           ("two_phase", [7, -math.inf, 2, 9, 1], max_fusion()),
+                                           ("gossip", [0.5, 1, 2, 3, 4], None)])
+def test_init_activates_every_node_as_activate_does(kind, x, fusion):
+    g = generate(GraphSpec.ring(5))
+    st = init(kind, g, x, fusion, seed=0)
+    ref = SimState(g, fusion, st.kind, st.clock, {}, st.stream)
+    for i in range(g.n):
+        ref.activate(i)
+    assert (st.status, st.active_list, st.active_pos) == (ref.status, ref.active_list,
+                                                         ref.active_pos)
+    assert type(st.status) is bytearray
 
 
 def test_init_srw_single_origin():

@@ -5,6 +5,7 @@ the kernel took it), once with the dispatch patched to the Python loop.
 Both must give equal traces and leave the state and its sampler equal.
 """
 import ctypes
+import dataclasses
 import functools
 import logging
 import random
@@ -14,11 +15,11 @@ from multiprocessing import get_context
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tokengossip import _walk, analysis, protocols
-from tokengossip.engine import BlockSampler
+from tokengossip.engine import BlockSampler, SynchronousDiscrete
 from tokengossip.fusion import (
     INT64_MAX,
     MAX_IDENTITY,
@@ -26,7 +27,7 @@ from tokengossip.fusion import (
     sum_fusion,
     weighted_avg_fusion,
 )
-from tokengossip.graph import Graph, GraphSpec, generate
+from tokengossip.graph import Graph, GraphSpec, distances_from, generate
 from tokengossip.protocols import (
     MaxTime,
     Termination,
@@ -66,7 +67,7 @@ def snapshot(s) -> tuple:
     return (
         s.t, s.eta, s.values, s.counts, bytes(s.status), s.active_list, s.active_pos,
         s.sends, s.receives, s.holder, s.active_active, s.times, s.active_counts,
-        s.message_counts, smp._ui, smp._ei, smp._ua.tolist(), smp._ea.tolist(),
+        s.message_counts, s.rounds, smp._ui, smp._ei, smp._ua.tolist(), smp._ea.tolist(),
         smp._rng.bit_generator.state,
     )
 
@@ -214,6 +215,92 @@ def test_neighbour_outside_the_graph_raises_in_python():
     assert _walk.walk(s, float("inf"), True) is None
     with pytest.raises(IndexError):  # node 2 is unreachable, so node 1 picks 5 in the end
         run(s, Termination())
+
+
+def bipartite(g) -> bool:
+    side = distances_from(g, 0) % 2
+    return all(side[u] != side[v] for u, v in g.edges)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(spec=specs, seed=seeds, kind=st.sampled_from(["crw", "srw"]),
+       fusion=st.sampled_from(sorted(FUSIONS)), block=st.sampled_from([1, 3, 4096]),
+       lazy=st.sampled_from([0.0, 0.25, 0.5]))
+def test_rounds_match_python_loop(spec, seed, kind, fusion, block, lazy):
+    g = generate(spec)
+    assume(lazy or not bipartite(g))  # lazy 0 never ends with tokens on both sides
+    x = values(fusion, g.n, seed)
+
+    def rounds():
+        with small_blocks(block):
+            s = init(kind, g, x, FUSIONS[fusion], seed=seed, clock=SynchronousDiscrete(lazy))
+        return run(s, Termination()), snapshot(s)
+
+    got, want = on_both(rounds)
+    assert got == want
+
+
+def test_discrete_crw_runs_on_the_kernel():
+    g = generate(GraphSpec.grid2d(20))
+    s = init("crw", g, values("sum", g.n, 1), sum_fusion(), seed=1, clock=SynchronousDiscrete())
+    assert _walk.walk(s, float("inf"), True) is True
+    assert s.counts[s.holder] == g.n and s.rounds == s.t > 0
+
+
+@pytest.mark.parametrize("block", [1, 3, 4096])
+@pytest.mark.parametrize("lazy", [0.25, 0.5])
+def test_rounds_stop_at_max_time_then_flood(block, lazy):
+    g = generate(GraphSpec.grid2d(10))
+    clock = SynchronousDiscrete(lazy)
+    for fusion in ("sum", "max", "wavg"):
+        x = values(fusion, g.n, 3)
+
+        def stopped():
+            with small_blocks(block):
+                s = init("crw", g, x, FUSIONS[fusion], seed=4, clock=clock)
+            return run(s, MaxTime(17.5)), snapshot(s)
+
+        got, want = on_both(stopped)
+        assert got == want
+        assert not got[0].completed and got[0].tau == 17.0
+        for switch in (0.5, 7.0, 40.0):
+            def two_phase():
+                with small_blocks(block):
+                    return two_phase_run(g, x, FUSIONS[fusion], switch, seed=5, clock=clock,
+                                         stream_id=2)
+
+            got, want = on_both(two_phase)
+            assert got == want
+
+
+def test_discrete_decay_matches_python_loop():
+    g = generate(GraphSpec.torus(6, 2))
+
+    def decay():
+        curve = analysis.estimate_decay(g, trials=20, stream=3, lazy_prob=0.5)
+        return [getattr(curve, f.name) for f in dataclasses.fields(curve)]
+
+    got, want = on_both(decay)
+    assert [a.tolist() for a in got[:5]] == [a.tolist() for a in want[:5]]
+    assert got[5:] == want[5:]
+
+
+@pytest.mark.parametrize("lazy", [0.0, 0.5])
+def test_sum_overflow_in_a_round_raises_at_the_same_receive(lazy):
+    g = generate(GraphSpec.ring(13))
+    x = [INT64_MAX // 4 + i for i in range(g.n)]
+
+    def overflow():
+        s = init("crw", g, x, sum_fusion(), seed=2, clock=SynchronousDiscrete(lazy))
+        with pytest.raises(OverflowError) as err:
+            run(s, Termination())
+        return str(err.value), snapshot(s)
+
+    got, want = on_both(overflow)
+    assert got == want
+    assert got[0].startswith("sum fusion overflowed 64-bit range: ")
+    counts, receives = got[1][3], got[1][8]
+    assert sum(counts) < g.n and sum(receives) > 0  # tokens in flight, some received
 
 
 def _cache_under_a_file(tmp_path, monkeypatch):
