@@ -5,36 +5,58 @@
  * tokens through release() and receive(), the C twins of
  * protocols._release and protocols.handle_receive.
  *
- * The random draws stay in numpy.  The caller passes the sampler's current
- * uniform (and exponential) blocks with their cursors; when the walk needs
- * a draw from a used-up block it returns NEED_UNIFORM or NEED_EXPONENTIAL
- * with its progress saved in iv[STAGE] and iv[PENDING] (and, in a round,
- * in iv[CURSOR], the snapshot of the active list and the deliveries so
- * far), and the caller refills that one block and calls again.  A block is
- * refilled only when a draw from it is needed, as the Python sampler does,
- * so the generator's stream is the same on both paths.
+ * The caller passes the sampler's current uniform (and exponential) blocks
+ * with their cursors and the sampler's numpy bit generator.  A used-up
+ * block is refilled in place by numpy's own fill functions, the ones behind
+ * Generator.random and Generator.standard_exponential, when a draw from it
+ * is needed, as the Python sampler does, so the generator sees the same
+ * calls on both paths.
  *
  * State crosses in two buffers, laid out as below (n nodes): I holds the
  * scalars iv, then counts, the active list, active positions, sends,
  * receives, SUM/MAX values (MAX's -inf identity is INT64_MIN), the curve
- * points' counts and messages and, for tg_walk_discrete only, the round's
- * snapshot of the active list and its deliveries' receivers, values and
- * counts; D holds the scalars dv, then the weighted averages' estimates and
- * weights, the curve points' times and, for tg_walk_discrete only, the
- * deliveries' estimates and weights.
+ * points' counts and messages and, for tg_walk_discrete only, scratch for a
+ * round's snapshot of the active list and its deliveries' receivers, values
+ * and counts; D holds the scalars dv, then the weighted averages' estimates
+ * and weights, the curve points' times and, for tg_walk_discrete only,
+ * scratch for the deliveries' estimates and weights.
  *
  * Build with -ffp-contract=off: a fused multiply-add would round the
  * weighted average differently from Python.
  */
 #include <stdint.h>
 
-enum { DONE, MAX_TIME, NEED_UNIFORM, NEED_EXPONENTIAL, SUM_OVERFLOW, CURVE_FULL };
+#include "numpy/random/bitgen.h"
+
+/* numpy's block fills, from libnpyrandom.a (numpy/random/distributions.h
+ * declares them but needs Python.h) */
+typedef void fill_t(bitgen_t *, intptr_t, double *);
+fill_t random_standard_uniform_fill, random_standard_exponential_fill;
+
+enum { DONE, MAX_TIME, SUM_OVERFLOW, CURVE_FULL };
 enum { SUM, MAX, WAVG };
 /* slots of iv */
-enum { NACTIVE, ETA, HOLDER, ACTIVE_ACTIVE, UI, EI, NPOINTS, STAGE, PENDING, ERR_J, ERR_V,
-       ROUNDS, CURSOR, NSNAP, NDELIV, NIV };
+enum { NACTIVE, ETA, HOLDER, ACTIVE_ACTIVE, UI, EI, NPOINTS, ERR_J, ERR_V, ROUNDS, NIV };
 /* slots of dv */
 enum { T, MAX_T, LAZY, NDV };
+
+/* a draw block of the sampler, its cursor and how to refill it */
+typedef struct {
+    bitgen_t *bg;
+    fill_t *fill;
+    double *b;
+    int64_t i, size;
+} block_t;
+
+/* the next draw of a block, refilled in place first if it is used up */
+static inline double draw(block_t *b)
+{
+    if (b->i == b->size) {
+        b->fill(b->bg, b->size, b->b);
+        b->i = 0;
+    }
+    return b->b[b->i++];
+}
 
 /* the node arrays of a walk and its scalars */
 typedef struct {
@@ -145,52 +167,34 @@ static void pack(const walk_t *s, int64_t *I)
 int tg_walk_continuous(
     int64_t n, const int64_t *indptr, const int64_t *indices,
     int64_t fusion, int64_t hybrid, int64_t terminating, uint8_t *status,
-    const double *u, const double *e, int64_t block, int64_t *I, double *D)
+    bitgen_t *bg, double *u, double *e, int64_t block, int64_t *I, double *D)
 {
     walk_t s = unpack(n, fusion, status, I, D);
     int64_t *iv = I, *sends = s.sends, *receives = s.receives, *active = s.active;
     int64_t *pt_count = s.ival + n, *pt_eta = pt_count + n + 1;
     double *dv = D, *yv = s.yv, *wv = s.wv, *pt_t = wv + n;
     const int64_t pt_cap = n + 1;
-    int64_t active_active = iv[ACTIVE_ACTIVE], ui = iv[UI], ei = iv[EI];
-    int64_t npoints = iv[NPOINTS], stage = iv[STAGE], i = iv[PENDING];
+    block_t U = {bg, random_standard_uniform_fill, u, iv[UI], block};
+    block_t E = {bg, random_standard_exponential_fill, e, iv[EI], block};
+    int64_t active_active = iv[ACTIVE_ACTIVE], npoints = iv[NPOINTS];
     double t = dv[T];
     const double max_t = dv[MAX_T];
     int rc;
     for (;;) {
-        if (stage == 0) {
-            if (terminating && s.holder >= 0) {
-                rc = DONE;
-                break;
-            }
-            if (ei == block) {
-                rc = NEED_EXPONENTIAL;
-                break;
-            }
-            double nt = t + e[ei++] / (double)s.k;
-            if (nt > max_t) {
-                t = max_t;
-                rc = MAX_TIME;
-                break;
-            }
-            t = nt;
-            stage = 1;
-        }
-        if (stage == 1) {
-            if (ui == block) {
-                rc = NEED_UNIFORM;
-                break;
-            }
-            i = active[(int64_t)(u[ui++] * (double)s.k)];
-            stage = 2;
-        }
-        if (ui == block) {
-            rc = NEED_UNIFORM;
+        if (terminating && s.holder >= 0) {
+            rc = DONE;
             break;
         }
+        const double nt = t + draw(&E) / (double)s.k;
+        if (nt > max_t) {
+            t = max_t;
+            rc = MAX_TIME;
+            break;
+        }
+        t = nt;
+        const int64_t i = active[(int64_t)(draw(&U) * (double)s.k)];
         const int64_t lo = indptr[i];
-        const int64_t j = indices[lo + (int64_t)(u[ui++] * (double)(indptr[i + 1] - lo))];
-        stage = 0;
+        const int64_t j = indices[lo + (int64_t)(draw(&U) * (double)(indptr[i + 1] - lo))];
         if (hybrid && status[j]) {
             /* active-to-active contact: both relax, both keep their permits */
             const double yi = yv[i], wi = wv[i], yj = yv[j], wj = wv[j];
@@ -227,11 +231,9 @@ int tg_walk_continuous(
     }
     pack(&s, I);
     iv[ACTIVE_ACTIVE] = active_active;
-    iv[UI] = ui;
-    iv[EI] = ei;
+    iv[UI] = U.i;
+    iv[EI] = E.i;
     iv[NPOINTS] = npoints;
-    iv[STAGE] = stage;
-    iv[PENDING] = i;
     dv[T] = t;
     return rc;
 }
@@ -239,55 +241,41 @@ int tg_walk_continuous(
 /* Rounds of synchronous_round: every token of the round's snapshot of the
  * active list holds (one uniform below the lazy probability; no draw when
  * it is 0) or is released towards a uniform neighbour, and only then are
- * the deliveries received, in order.  iv[STAGE] is 0 at the top of a round,
- * 1 before the hold draw of the snapshot's token iv[CURSOR], 2 before its
- * neighbour draw. */
+ * the deliveries received, in order. */
 int tg_walk_discrete(
     int64_t n, const int64_t *indptr, const int64_t *indices,
     int64_t fusion, int64_t terminating, uint8_t *status,
-    const double *u, int64_t block, int64_t *I, double *D)
+    bitgen_t *bg, double *u, int64_t block, int64_t *I, double *D)
 {
     walk_t s = unpack(n, fusion, status, I, D);
     int64_t *iv = I, *pt_count = s.ival + n, *pt_eta = pt_count + n + 1;
     int64_t *snap = pt_eta + n + 1, *dj = snap + n, *dval = dj + n, *dcount = dval + n;
     double *dv = D, *pt_t = s.wv + n, *dy = pt_t + n + 1, *dw = dy + n;
     const int64_t pt_cap = n + 1;
-    int64_t ui = iv[UI], npoints = iv[NPOINTS], stage = iv[STAGE], rounds = iv[ROUNDS];
-    int64_t r = iv[CURSOR], nsnap = iv[NSNAP], nd = iv[NDELIV];
+    block_t U = {bg, random_standard_uniform_fill, u, iv[UI], block};
+    int64_t npoints = iv[NPOINTS], rounds = iv[ROUNDS];
     double t = dv[T];
     const double max_t = dv[MAX_T], lazy = dv[LAZY];
     int rc;
     for (;;) {
-        if (stage == 0) {
-            if (terminating && s.holder >= 0) {
-                rc = DONE;
-                break;
-            }
-            if (t + 1.0 > max_t) {
-                rc = MAX_TIME;
-                break;
-            }
-            nsnap = s.k;
-            for (int64_t a = 0; a < nsnap; a++)
-                snap[a] = s.active[a];
-            r = nd = 0;
-            stage = 1;
+        if (terminating && s.holder >= 0) {
+            rc = DONE;
+            break;
         }
-        for (; r < nsnap; r++) {
+        if (t + 1.0 > max_t) {
+            rc = MAX_TIME;
+            break;
+        }
+        const int64_t nsnap = s.k;
+        for (int64_t a = 0; a < nsnap; a++)
+            snap[a] = s.active[a];
+        int64_t nd = 0;
+        for (int64_t r = 0; r < nsnap; r++) {
             const int64_t i = snap[r];
-            if (stage == 1 && lazy != 0.0) {
-                if (ui == block)
-                    break;
-                if (u[ui++] < lazy)
-                    continue;
-            }
-            if (ui == block) {
-                stage = 2;
-                break;
-            }
+            if (lazy != 0.0 && draw(&U) < lazy)
+                continue;
             const int64_t lo = indptr[i];
-            dj[nd] = indices[lo + (int64_t)(u[ui++] * (double)(indptr[i + 1] - lo))];
-            stage = 1;
+            dj[nd] = indices[lo + (int64_t)(draw(&U) * (double)(indptr[i + 1] - lo))];
             const payload_t p = release(&s, i);
             dval[nd] = p.v;
             dcount[nd] = p.c;
@@ -295,11 +283,6 @@ int tg_walk_discrete(
             dw[nd] = p.w;
             nd += 1;
         }
-        if (r < nsnap) {
-            rc = NEED_UNIFORM;
-            break;
-        }
-        const int64_t before = nsnap;
         int64_t d;
         for (d = 0; d < nd; d++) {
             const payload_t p = {dval[d], dcount[d], dy[d], dw[d]};
@@ -314,8 +297,7 @@ int tg_walk_discrete(
         }
         t += 1.0;
         rounds += 1;
-        stage = 0;
-        if (s.k != before) {
+        if (s.k != nsnap) {
             if (npoints == pt_cap) {
                 rc = CURVE_FULL;
                 break;
@@ -327,13 +309,9 @@ int tg_walk_discrete(
         }
     }
     pack(&s, I);
-    iv[UI] = ui;
+    iv[UI] = U.i;
     iv[NPOINTS] = npoints;
-    iv[STAGE] = stage;
     iv[ROUNDS] = rounds;
-    iv[CURSOR] = r;
-    iv[NSNAP] = nsnap;
-    iv[NDELIV] = nd;
     dv[T] = t;
     return rc;
 }

@@ -2,12 +2,18 @@
 
 ``_walk.c`` runs the loops of ``protocols._run_walk`` in C: the
 continuous-clock loop and, on the discrete clock, repeated
-``synchronous_round``, each giving the same trace draw for draw.  It is
-built on first use with the system C compiler into a per-user cache
-(``$XDG_CACHE_HOME/tokengossip``, else ``~/.cache/tokengossip``, else the
-temp directory), named by the SHA-256 of the source and the compiler flags,
-and moved into place with ``os.replace`` so that concurrent processes never
-load a half-written library.  Without a compiler or a usable cache
+``synchronous_round``, each giving the same trace draw for draw.  It
+draws from the sampler's blocks and refills them in place with numpy's C
+fill functions on the sampler's own bit generator, so the generator sees
+the same calls as on the Python path.
+
+The kernel is built on first use with the system C compiler, against
+numpy's headers and its static random library (``libnpyrandom.a``), into a
+per-user cache (``$XDG_CACHE_HOME/tokengossip``, else
+``~/.cache/tokengossip``, else the temp directory), named by the SHA-256 of
+the source, the compiler flags and the library, and moved into place with
+``os.replace`` so that concurrent processes never load a half-written
+library.  Without a compiler, numpy's random library or a usable cache
 directory, ``walk`` returns None after one logged warning, and the Python
 loop runs instead.
 """
@@ -33,12 +39,13 @@ from .fusion import INT64_MIN, MAX_IDENTITY, FusionKind
 _log = logging.getLogger(__name__)
 
 SOURCE = Path(__file__).with_name("_walk.c")
+NPYRANDOM = Path(np.random.__file__).with_name("lib") / "libnpyrandom.a"
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 # the return codes, the slots of the scalar arrays and the fusion codes of _walk.c
-_DONE, _MAX_TIME, _NEED_UNIFORM, _NEED_EXPONENTIAL, _SUM_OVERFLOW, _CURVE_FULL = range(6)
-(_NACTIVE, _ETA, _HOLDER, _ACTIVE_ACTIVE, _UI, _EI, _NPOINTS, _STAGE, _PENDING, _ERR_J, _ERR_V,
- _ROUNDS, _CURSOR, _NSNAP, _NDELIV, _NIV) = range(16)
+_DONE, _MAX_TIME, _SUM_OVERFLOW, _CURVE_FULL = range(4)
+(_NACTIVE, _ETA, _HOLDER, _ACTIVE_ACTIVE, _UI, _EI, _NPOINTS, _ERR_J, _ERR_V, _ROUNDS,
+ _NIV) = range(11)
 _T, _MAX_T, _LAZY, _NDV = range(4)
 _FUSION = {FusionKind.SUM: 0, FusionKind.MAX: 1, FusionKind.WEIGHTED_AVG: 2}
 
@@ -56,7 +63,7 @@ def _cache_dir() -> Path:
 def _build() -> Path:
     """The path of the compiled kernel, compiling it if the cache lacks it."""
     source = SOURCE.read_bytes()
-    key = hashlib.sha256(source + " ".join(FLAGS).encode()).hexdigest()
+    key = hashlib.sha256(source + " ".join(FLAGS).encode() + NPYRANDOM.read_bytes()).hexdigest()
     lib = _cache_dir() / f"_walk-{key[:32]}.so"
     if lib.parent.exists() and lib.parent.stat().st_uid != os.getuid():
         raise OSError(f"{lib.parent} belongs to another user")  # never load their code
@@ -69,8 +76,9 @@ def _build() -> Path:
     fd, tmp = tempfile.mkstemp(prefix="_walk-", suffix=".tmp", dir=lib.parent)
     os.close(fd)
     try:
-        subprocess.run([cc, *FLAGS, "-x", "c", "-o", tmp, "-"], input=source,
-                       capture_output=True, check=True, timeout=300)
+        subprocess.run([cc, *FLAGS, "-I", np.get_include(), "-o", tmp, "-x", "c", "-",
+                        "-x", "none", str(NPYRANDOM), "-lm"],
+                       input=source, capture_output=True, check=True, timeout=300)
         os.replace(tmp, lib)
     finally:
         if os.path.exists(tmp):
@@ -88,8 +96,8 @@ def load():
         _log.warning("compiled token walk unavailable, using the Python loop: %s", e)
         return None
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    lib.tg_walk_continuous.argtypes = [i64, ptr, ptr, i64, i64, i64, ptr, ptr, ptr, i64, ptr, ptr]
-    lib.tg_walk_discrete.argtypes = [i64, ptr, ptr, i64, i64, ptr, ptr, i64, ptr, ptr]
+    lib.tg_walk_continuous.argtypes = [i64, ptr, ptr, i64, i64, i64, *[ptr] * 4, i64, ptr, ptr]
+    lib.tg_walk_discrete.argtypes = [i64, ptr, ptr, i64, i64, ptr, ptr, ptr, i64, ptr, ptr]
     lib.tg_walk_continuous.restype = lib.tg_walk_discrete.restype = ctypes.c_int
     return lib
 
@@ -157,7 +165,7 @@ def walk(state, max_t: float, terminating: bool) -> Optional[bool]:
         return None
     kind = state.fusion.kind
     k = len(state.active_list)
-    # a round also keeps its snapshot of the active list and its deliveries
+    # a round also needs scratch for its snapshot of the active list and its deliveries
     ints = np.zeros(_NIV + (12 if discrete else 8) * n + 2, dtype=np.int64)
     floats = np.zeros(_NDV + (5 if discrete else 3) * n + 1)
     counts, active, active_pos, sends, receives, ival = ints[_NIV:_NIV + 6 * n].reshape(6, n)
@@ -167,8 +175,7 @@ def walk(state, max_t: float, terminating: bool) -> Optional[bool]:
     if not _encode(kind, state.values, ival, yv, wv):
         return None
     ints[:_NIV] = [k, state.eta, -1 if state.holder is None else state.holder,
-                   state.active_active, sampler._ui, sampler._ei, 0, 0, 0, 0, 0,
-                   state.rounds, 0, 0, 0]
+                   state.active_active, sampler._ui, sampler._ei, 0, 0, 0, state.rounds]
     floats[:_NDV] = [state.t, max_t, lazy]
     counts[:] = state.counts
     active[:k] = state.active_list
@@ -177,23 +184,17 @@ def walk(state, max_t: float, terminating: bool) -> Optional[bool]:
     receives[:] = state.receives
 
     status = (ctypes.c_uint8 * n).from_buffer(state.status)
-    u, e = sampler._ua, sampler._ea
     graph = (n, indptr.ctypes.data, indices.ctypes.data, _FUSION[kind])
     buffers = (sampler._block, ints.ctypes.data, floats.ctypes.data)
-    while True:
+    bits = sampler._rng.bit_generator
+    with bits.lock:  # ctypes lets go of the GIL during the call
         if discrete:
-            rc = lib.tg_walk_discrete(*graph, terminating, status, u.ctypes.data, *buffers)
+            rc = lib.tg_walk_discrete(*graph, terminating, status, bits.ctypes.bit_generator,
+                                      sampler._ua.ctypes.data, *buffers)
         else:
             rc = lib.tg_walk_continuous(*graph, state.kind == "hybrid_k", terminating, status,
-                                        u.ctypes.data, e.ctypes.data, *buffers)
-        if rc == _NEED_UNIFORM:
-            u = sampler._refill_uniform()
-            ints[_UI] = 0
-        elif rc == _NEED_EXPONENTIAL:
-            e = sampler._refill_exponential()
-            ints[_EI] = 0
-        else:
-            break
+                                        bits.ctypes.bit_generator, sampler._ua.ctypes.data,
+                                        sampler._ea.ctypes.data, *buffers)
 
     iv = ints[:_NIV].tolist()
     sampler._advance_to(iv[_UI], iv[_EI])

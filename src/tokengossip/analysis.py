@@ -347,41 +347,6 @@ def estimate_alpha(
     )
 
 
-def estimate_cover_time(
-    g: Graph,
-    start: int,
-    trials: int = 1000,
-    stream: RngStream | int = 0,
-    discrete: bool = False,
-) -> MCEstimate:
-    """Mean time for one walk from ``start`` to visit every node
-    (continuous unit-rate time, or plain steps when ``discrete``)."""
-    if isinstance(stream, int):
-        stream = RngStream(master_seed=stream, stream_id=0)
-    rng = stream.generator()
-    offsets, flat = g.csr
-    deg = np.diff(offsets)
-    n = g.n
-    out = np.zeros(trials)
-    for i in range(trials):
-        seen = bytearray(n)
-        seen[start] = 1
-        remaining = n - 1
-        pos = start
-        steps = 0
-        while remaining:
-            steps += 1
-            pos = int(flat[offsets[pos] + int(rng.random() * deg[pos])])
-            if not seen[pos]:
-                seen[pos] = 1
-                remaining -= 1
-        if discrete:
-            out[i] = steps
-        else:
-            out[i] = rng.standard_exponential(steps).sum() if steps else 0.0
-    return MCEstimate(float(out.mean()), float(out.std(ddof=1) / math.sqrt(trials)), trials)
-
-
 # ----------------------------------------------------------------------
 # Token decay
 # ----------------------------------------------------------------------

@@ -69,7 +69,8 @@ class BlockSampler:
     the previous one is used up and the next draw is asked for.
 
     Blocks are float64 arrays, which the compiled walk (``_walk``) reads
-    in place.  A block's list of Python floats, which ``uniform`` and
+    and, with numpy's fill functions on the same generator, refills in
+    place.  A block's list of Python floats, which ``uniform`` and
     ``exponential`` index, is built when Python first draws from it: until
     then ``_uend``/``_eend`` equal the cursor, so that first draw takes
     the slow path and the others cost no extra branch.
@@ -102,34 +103,22 @@ class BlockSampler:
 
     def _uniform_list(self) -> int:
         if self._ui == self._block:
-            self._refill_uniform()
+            self._ua = self._rng.random(self._block)
+            self._ui = 0
         self._u = self._ua.tolist()
         self._uend = self._block
         return self._ui
 
     def _exponential_list(self) -> int:
         if self._ei == self._block:
-            self._refill_exponential()
+            self._ea = self._rng.standard_exponential(self._block)
+            self._ei = 0
         self._e = self._ea.tolist()
         self._eend = self._block
         return self._ei
 
-    def _refill_uniform(self) -> np.ndarray:
-        self._ua = self._rng.random(self._block)
-        self._ui = self._uend = 0
-        return self._ua
-
-    def _refill_exponential(self) -> np.ndarray:
-        self._ea = self._rng.standard_exponential(self._block)
-        self._ei = self._eend = 0
-        return self._ea
-
     def _advance_to(self, ui: int, ei: int) -> None:
-        """Move the cursors to where a compiled walk stopped reading the
-        current blocks."""
-        if self._uend != self._block:
-            self._uend = ui
-        if self._eend != self._block:
-            self._eend = ei
-        self._ui = ui
-        self._ei = ei
+        """Move the cursors to where a compiled walk stopped, dropping the
+        lists, since the walk may have refilled the blocks in place."""
+        self._ui = self._uend = ui
+        self._ei = self._eend = ei

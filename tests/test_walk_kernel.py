@@ -163,6 +163,24 @@ def test_two_phase_stops_mid_block_then_floods(block):
         assert got == want
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_python_draws_after_a_walk_see_its_refills(seed):
+    # Python has listed both blocks before the walk, and the kernel then
+    # refills them in place: later Python draws must not read the old lists
+    g = generate(GraphSpec.ring(10))
+
+    def draws():
+        with small_blocks(3):
+            s = init("crw", g, values("sum", g.n, seed), sum_fusion(), seed=seed)
+        before = (s.sampler.uniform(), s.sampler.exponential())
+        trace = run(s, MaxTime(2.0))
+        after = [(s.sampler.uniform(), s.sampler.exponential()) for _ in range(5)]
+        return before, trace, after, snapshot(s)
+
+    got, want = on_both(draws)
+    assert got == want
+
+
 def test_coalescing_oracle_start_state():
     g = generate(GraphSpec.torus(6, 2))
     b = {0, 3, 7, 14, 20, 33}
@@ -319,7 +337,13 @@ def _read_only_cache(tmp_path, monkeypatch):
                         mock.Mock(side_effect=PermissionError(13, "read-only")))
 
 
-@pytest.mark.parametrize("break_build", [_no_compiler, _cache_under_a_file, _read_only_cache])
+def _no_random_library(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(_walk, "NPYRANDOM", tmp_path / "libnpyrandom.a")
+
+
+@pytest.mark.parametrize("break_build", [_no_compiler, _cache_under_a_file, _read_only_cache,
+                                         _no_random_library])
 def test_build_failure_falls_back_with_one_warning(tmp_path, monkeypatch, caplog, break_build):
     g = generate(GraphSpec.torus(5, 2))
     x = values("sum", g.n, 1)
@@ -334,6 +358,19 @@ def test_build_failure_falls_back_with_one_warning(tmp_path, monkeypatch, caplog
         _walk.load.cache_clear()
     assert got == expected
     assert len([r for r in caplog.records if r.name == "tokengossip._walk"]) == 1
+
+
+def test_a_changed_random_library_gets_its_own_build(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    original, changed = _walk.NPYRANDOM, tmp_path / "libnpyrandom.a"
+    changed.write_bytes(original.read_bytes() + b"\0")
+    compile_ = mock.Mock()  # compiles nothing: the empty temporary file takes the library's place
+    monkeypatch.setattr(_walk.subprocess, "run", compile_)
+    libraries = [_walk._build()]
+    monkeypatch.setattr(_walk, "NPYRANDOM", changed)
+    libraries.append(_walk._build())
+    assert libraries[0] != libraries[1] and libraries[0].parent == libraries[1].parent
+    assert [c.args[0][-2] for c in compile_.call_args_list] == [str(original), str(changed)]
 
 
 def test_concurrent_builds_share_one_library(tmp_path, monkeypatch):
