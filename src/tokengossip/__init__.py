@@ -16,7 +16,6 @@ from .fusion import (
 from .graph import Graph, GraphSpec, generate, load_graph, save_graph
 from .protocols import (
     GossipEps,
-    GossipMatrix,
     MaxTime,
     ProtocolKind,
     Termination,
@@ -39,7 +38,6 @@ __all__ = [
     "FusionKind",
     "FusionSpec",
     "GossipEps",
-    "GossipMatrix",
     "Graph",
     "GraphSpec",
     "MaxTime",

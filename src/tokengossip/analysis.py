@@ -1,7 +1,7 @@
 """Exact and Monte-Carlo analysis of random walks on the simulation graphs.
 
 Hitting and meeting times come from linear solves (dense fundamental
-matrix, or a sparse product-chain factorization); effective and set
+matrix, or a sparse product-chain factorization); effective
 resistances from Laplacian solves on the unit-resistor network; token
 decay curves, meeting probabilities, and the coalescence bounds from
 seeded Monte Carlo.  Discrete-step expectations equal continuous
@@ -37,6 +37,9 @@ class SolverError(RuntimeError):
     """A linear solve did not reach the required residual."""
 
 
+RESIDUAL_TOL = 1e-9  # largest relative residual a linear solve may leave
+
+
 # ----------------------------------------------------------------------
 # Hitting times
 # ----------------------------------------------------------------------
@@ -62,7 +65,7 @@ def _transition_matrix(g: Graph, lazy_prob: float = 0.0) -> np.ndarray:
     return (1 - lazy_prob) * p + lazy_prob * np.eye(g.n) if lazy_prob else p
 
 
-def mean_hitting_times(g: Graph, residual_tol: float = 1e-9) -> HittingTimeTable:
+def mean_hitting_times(g: Graph) -> HittingTimeTable:
     """All-pairs mean first-passage times of the simple random walk.
 
     Solved through the fundamental matrix Z = (I - P + 1 pi)^-1 with
@@ -84,8 +87,8 @@ def mean_hitting_times(g: Graph, residual_tol: float = 1e-9) -> HittingTimeTable
     res = h - 1.0 - p @ h
     np.fill_diagonal(res, 0.0)
     max_res = float(np.abs(res).max() / max(1.0, h.max()))
-    if max_res > residual_tol:
-        raise SolverError(f"hitting-time residual {max_res:.2e} above {residual_tol:.0e}")
+    if max_res > RESIDUAL_TOL:
+        raise SolverError(f"hitting-time residual {max_res:.2e} above {RESIDUAL_TOL:.0e}")
     return HittingTimeTable(h, max_res)
 
 
@@ -95,7 +98,7 @@ def worst_case_hitting(g: Graph) -> float:
 
 
 # ----------------------------------------------------------------------
-# Effective and set resistance
+# Effective resistance
 # ----------------------------------------------------------------------
 
 
@@ -121,7 +124,7 @@ class ResistanceReport:
         return 2.0 * self.edges * self.rho_star
 
 
-def resistance_report(g: Graph, residual_tol: float = 1e-9) -> ResistanceReport:
+def resistance_report(g: Graph) -> ResistanceReport:
     n = g.n
     if n > 4000:
         raise SolverError("dense resistance table capped at 4000 nodes")
@@ -134,13 +137,13 @@ def resistance_report(g: Graph, residual_tol: float = 1e-9) -> ResistanceReport:
     idx = int(np.argmax(rho))
     u, v = divmod(idx, n)
     # verify the extremal pair against a direct grounded solve
-    direct = effective_resistance(g, u, v, residual_tol) if u != v else 0.0
-    if abs(direct - rho[u, v]) > residual_tol * max(1.0, direct):
+    direct = effective_resistance(g, u, v) if u != v else 0.0
+    if abs(direct - rho[u, v]) > RESIDUAL_TOL * max(1.0, direct):
         raise SolverError("pseudo-inverse and grounded solves disagree")
     return ResistanceReport(rho=rho, rho_star=float(rho[u, v]), argmax=(u, v), edges=g.m)
 
 
-def effective_resistance(g: Graph, u: int, v: int, residual_tol: float = 1e-9) -> float:
+def effective_resistance(g: Graph, u: int, v: int) -> float:
     """Resistance between u and v: potential drop under a unit current
     injected at u and drawn at v (v grounded)."""
     if u == v:
@@ -153,44 +156,9 @@ def effective_resistance(g: Graph, u: int, v: int, residual_tol: float = 1e-9) -
     b[keep.index(u)] = 1.0
     x = np.linalg.solve(reduced, b)
     res = np.linalg.norm(reduced @ x - b) / np.linalg.norm(b)
-    if res > residual_tol:
+    if res > RESIDUAL_TOL:
         raise SolverError(f"resistance solve residual {res:.2e}")
     return float(x[keep.index(u)])
-
-
-def set_resistance(g: Graph, a: set, b: set) -> float:
-    """Resistance between the shorted set A and the grounded complement
-    of B: one volt on A, zero outside B, interior harmonic; returns
-    1 / (power dissipated)."""
-    a = set(a)
-    b = set(b)
-    if not a:
-        raise ValueError("A must be nonempty")
-    if not a <= b:
-        raise ValueError("need A contained in B")
-    ground = set(range(g.n)) - b
-    if not ground:
-        raise ValueError("the complement of B must be nonempty")
-    phi = np.zeros(g.n)
-    for i in a:
-        phi[i] = 1.0
-    interior = sorted(b - a)
-    if interior:
-        lap = _laplacian(g)
-        sub = lap[np.ix_(interior, interior)]
-        rhs = np.zeros(len(interior))
-        for row, i in enumerate(interior):
-            for j in g.adjacency[i]:
-                if j in a:
-                    rhs[row] += 1.0  # boundary potential 1 on A
-        phi[interior] = np.linalg.solve(sub, rhs)
-    power = 0.0
-    for x, y in g.edges:
-        d = phi[x] - phi[y]
-        power += d * d
-    if power <= 0:
-        raise SolverError("no current flows between A and the ground set")
-    return 1.0 / power
 
 
 # ----------------------------------------------------------------------
@@ -266,7 +234,6 @@ class MeetingEstimate:
     trials: int
     argmin_pair: tuple
     pairs_sampled: bool
-    exact_table: Optional[MeetingTable] = None
 
 
 def _pair_meeting_mask(g: Graph, v: int, w: int, s: float, trials: int,
@@ -301,21 +268,20 @@ def _pair_meeting_mask(g: Graph, v: int, w: int, s: float, trials: int,
     return met
 
 
+ALPHA_MAX_PAIRS = 10_000  # estimate_alpha samples this many pairs of a larger set
+
+
 def estimate_alpha(
     g: Graph,
     a: Sequence[int],
     s: float,
     trials: int = 1000,
     stream: RngStream | int = 0,
-    max_pairs: int = 10_000,
-    with_exact_table: bool = False,
 ) -> MeetingEstimate:
     """Monte-Carlo estimate of min over pairs in A of P(meet by s).
 
-    When A has more than ``max_pairs`` pairs a uniform pair sample is
-    used; the reported minimum then only upper-bounds the true minimum.
-    ``with_exact_table`` attaches the exact mean-meeting-time table when
-    the product chain is small enough to solve.
+    When A has more than ``ALPHA_MAX_PAIRS`` pairs a uniform pair sample
+    is used; the reported minimum then only upper-bounds the true minimum.
     """
     a = sorted(set(a))
     if len(a) < 2:
@@ -324,18 +290,15 @@ def estimate_alpha(
         stream = RngStream(master_seed=stream, stream_id=0)
     rng = stream.generator()
     pairs = [(v, w) for i, v in enumerate(a) for w in a[i + 1 :]]
-    sampled = len(pairs) > max_pairs
+    sampled = len(pairs) > ALPHA_MAX_PAIRS
     if sampled:
-        sel = rng.choice(len(pairs), size=max_pairs, replace=False)
+        sel = rng.choice(len(pairs), size=ALPHA_MAX_PAIRS, replace=False)
         pairs = [pairs[int(i)] for i in sel]
     best = (math.inf, (a[0], a[1]))
     for v, w in pairs:
         p_hat = float(np.mean(_pair_meeting_mask(g, v, w, s, trials, rng)))
         if p_hat < best[0]:
             best = (p_hat, (v, w))
-    exact = None
-    if with_exact_table and g.n * g.n <= 10_000:
-        exact = mean_meeting_times(g)
     return MeetingEstimate(
         alpha_hat=best[0],
         half_width=_wilson_half_width(best[0], trials),
@@ -343,7 +306,6 @@ def estimate_alpha(
         trials=trials,
         argmin_pair=best[1],
         pairs_sampled=sampled,
-        exact_table=exact,
     )
 
 
@@ -352,13 +314,17 @@ def estimate_alpha(
 # ----------------------------------------------------------------------
 
 
-def geometric_grid(t_end: float, points_per_decade: int = 64) -> np.ndarray:
-    """[0] followed by a geometric grid from min(1e-3, t_end/10) up to t_end."""
+POINTS_PER_DECADE = 64  # density of geometric_grid
+
+
+def geometric_grid(t_end: float) -> np.ndarray:
+    """[0] followed by a geometric grid from min(1e-3, t_end/10) up to t_end,
+    ``POINTS_PER_DECADE`` points per decade."""
     if t_end <= 0:
         return np.array([0.0])
     lo = min(1e-3, t_end / 10)
     decades = math.log10(t_end / lo)
-    count = max(2, int(math.ceil(decades * points_per_decade)))
+    count = max(2, int(math.ceil(decades * POINTS_PER_DECADE)))
     return np.concatenate([[0.0], np.geomspace(lo, t_end, count)])
 
 
@@ -471,7 +437,7 @@ def _step_integral(times: np.ndarray, counts: np.ndarray, grid: np.ndarray) -> n
 
 
 # ----------------------------------------------------------------------
-# Coalescing-system oracle and contraction checks
+# Coalescing-system oracle
 # ----------------------------------------------------------------------
 
 
@@ -511,66 +477,6 @@ def coalescing_oracle(
     ]
 
 
-@dataclass(frozen=True)
-class ContractionReport:
-    n_t: MCEstimate
-    n_t_plus_s: MCEstimate
-    alpha: MeetingEstimate
-    partitions: int
-    precondition_ok: bool
-    rhs: float
-    slack: float
-    holds_within_ci: bool
-
-
-def check_contraction(
-    g: Graph,
-    t: float,
-    s: float,
-    partition: Sequence[Sequence[int]],
-    trials: int = 2000,
-    stream: RngStream | int = 0,
-) -> ContractionReport:
-    """Empirically verify the one-step token contraction
-    N(t+s) <= N(t) exp(-alpha_s(partition)/2)."""
-    blocks = [sorted(set(a)) for a in partition]
-    covered = sorted(v for a in blocks for v in a)
-    if covered != list(range(g.n)):
-        raise ValueError("partition must cover all nodes disjointly")
-    if isinstance(stream, int):
-        stream = RngStream(master_seed=stream, stream_id=0)
-    n_t, n_ts = coalescing_oracle(g, range(g.n), [t, t + s], trials=trials, stream=stream)
-    alpha_best = None
-    for bi, block in enumerate(blocks):
-        if len(block) < 2:
-            continue
-        est = estimate_alpha(
-            g, block, s, trials=max(200, trials // 4),
-            stream=RngStream(stream.master_seed, stream.stream_id + 7919 + bi),
-        )
-        if alpha_best is None or est.alpha_hat < alpha_best.alpha_hat:
-            alpha_best = est
-    if alpha_best is None:
-        raise ValueError("partition has no block with two nodes")
-    m_t = len(blocks)
-    rhs = n_t.mean * math.exp(-alpha_best.alpha_hat / 2)
-    # first-order CI propagation for the right-hand side
-    rhs_se = math.exp(-alpha_best.alpha_hat / 2) * (
-        n_t.stderr + n_t.mean * alpha_best.half_width / 2
-    )
-    slack = rhs - n_ts.mean
-    return ContractionReport(
-        n_t=n_t,
-        n_t_plus_s=n_ts,
-        alpha=alpha_best,
-        partitions=m_t,
-        precondition_ok=m_t <= n_t.mean / 2,
-        rhs=rhs,
-        slack=slack,
-        holds_within_ci=n_ts.mean <= rhs + 3 * (rhs_se + n_ts.stderr),
-    )
-
-
 # ----------------------------------------------------------------------
 # Heat-kernel (Gaussian) lower bound
 # ----------------------------------------------------------------------
@@ -595,6 +501,8 @@ def check_gaussian_bound(g: Graph, t_max: int, lazy_prob: float = 0.5) -> Gaussi
     all 1 <= d(u,v) <= t <= t_max.
     """
     n = g.n
+    if n < 2:
+        raise ValueError("the Gaussian bound needs at least two nodes")
     if n > 2500:
         raise SolverError("dense matrix powers capped at 2500 nodes")
     p = _transition_matrix(g, lazy_prob)
@@ -632,54 +540,6 @@ def check_gaussian_bound(g: Graph, t_max: int, lazy_prob: float = 0.5) -> Gaussi
         else:
             c3 = min(c3, float((tq * np.exp(x_over / c4)).min()))
     return GaussianBoundReport(float(c3), float(c4), t_max, lazy_prob, c3 > 0, [])
-
-
-def collision_count(g: Graph, u: int, w: int, t_max: int, lazy_prob: float = 0.5) -> float:
-    """Expected number of co-locations of two independent lazy walks from
-    u and w over rounds 0..t_max: sum_t sum_v P_t(u,v) P_t(w,v)."""
-    n = g.n
-    p = _transition_matrix(g, lazy_prob)
-    pu = np.zeros(n)
-    pu[u] = 1.0
-    pw = np.zeros(n)
-    pw[w] = 1.0
-    total = float(pu @ pw)
-    for _ in range(t_max):
-        pu = pu @ p
-        pw = pw @ p
-        total += float(pu @ pw)
-    return total
-
-
-def mc_collision_count(
-    g: Graph,
-    u: int,
-    w: int,
-    t_max: int,
-    trials: int = 2000,
-    stream: RngStream | int = 0,
-    lazy_prob: float = 0.5,
-) -> MCEstimate:
-    """Monte-Carlo cross-check of :func:`collision_count`."""
-    if isinstance(stream, int):
-        stream = RngStream(master_seed=stream, stream_id=0)
-    rng = stream.generator()
-    offsets, flat = g.csr
-    deg = np.diff(offsets)
-    a = np.full(trials, u, dtype=np.int64)
-    b = np.full(trials, w, dtype=np.int64)
-    hits = (a == b).astype(np.int64)
-    for _ in range(t_max):
-        for pos in (a, b):
-            move = rng.random(trials) >= lazy_prob
-            nodes = np.nonzero(move)[0]
-            cur = pos[nodes]
-            step = (rng.random(len(nodes)) * deg[cur]).astype(np.int64)
-            pos[nodes] = flat[offsets[cur] + step]
-        hits += a == b
-    return MCEstimate(
-        float(hits.mean()), float(hits.std(ddof=1) / math.sqrt(trials)), trials
-    )
 
 
 # ----------------------------------------------------------------------

@@ -173,8 +173,7 @@ def _run_one(args) -> TrialSummary:
             horizon=params.get("horizon", 100.0), stream_id=trial,
         )
     elif protocol == "gossip":
-        st = init(ProtocolKind.GOSSIP, graph, x, None, params=params, seed=master_seed,
-                  stream_id=trial)
+        st = init(ProtocolKind.GOSSIP, graph, x, None, seed=master_seed, stream_id=trial)
         tr = run(st, GossipEps(params["eps"], params.get("horizon", 1_000_000_000)))
     else:
         st = init(ProtocolKind(protocol), graph, x, fusion, seed=master_seed, clock=clock,
@@ -305,19 +304,17 @@ class AggregateRecord:
     trials: int
 
 
-def aggregate(
-    summaries: Sequence[TrialSummary],
-    metric: str,
-    bootstrap: int = 1000,
-    seed: int = 0,
-) -> AggregateRecord:
+BOOTSTRAP_RESAMPLES = 1000  # resamples behind each aggregate's standard error
+
+
+def aggregate(summaries: Sequence[TrialSummary], metric: str, seed: int = 0) -> AggregateRecord:
     """Mean with a trial-level bootstrap standard error (completion-time
     distributions are skewed, so the plug-in normal error would lie)."""
     if len(summaries) < 2:
         raise ValueError("aggregation needs at least two trials")
     vals = np.array([getattr(s, metric) for s in summaries], dtype=float)
     rng = RngStream(seed, stream_id=0xB007).generator()
-    idx = rng.integers(len(vals), size=(bootstrap, len(vals)))
+    idx = rng.integers(len(vals), size=(BOOTSTRAP_RESAMPLES, len(vals)))
     means = vals[idx].mean(axis=1)
     return AggregateRecord(
         n=summaries[0].n,

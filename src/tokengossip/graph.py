@@ -62,6 +62,10 @@ class GraphSpec:
         return cls(kind="random_regular", n=n, degree=degree, seed=seed)
 
 
+RGG_MAX_ATTEMPTS = 50  # disconnected rgg draws discarded before giving up
+REGULAR_MAX_ATTEMPTS = 500  # failed random_regular pairings before giving up
+
+
 def default_rgg_radius(n: int) -> float:
     """Connectivity-threshold radius sqrt(2 ln n / n) (natural log)."""
     return math.sqrt(2.0 * math.log(n) / n)
@@ -217,12 +221,7 @@ def grid2d(side: int) -> Graph:
     return _build(n, edges, f"grid2d{{N={side}}}", 0)
 
 
-def rgg(
-    n: int,
-    seed: int,
-    radius: float = 0.0,
-    max_attempts: int = 50,
-) -> Graph:
+def rgg(n: int, seed: int, radius: float = 0.0) -> Graph:
     """Random geometric graph on the unit square.
 
     Nodes are uniform points; an edge joins pairs at Euclidean distance
@@ -232,7 +231,7 @@ def rgg(
     if n < 2:
         raise ValueError("rgg needs n >= 2")
     r = radius if radius > 0 else default_rgg_radius(n)
-    for attempt in range(max_attempts):
+    for attempt in range(RGG_MAX_ATTEMPTS):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(attempt,)))
         )
@@ -253,11 +252,11 @@ def rgg(
         if is_connected(g):
             return g
     raise GraphGenerationError(
-        f"rgg(n={n}, r={r:.4g}) not connected within {max_attempts} attempts"
+        f"rgg(n={n}, r={r:.4g}) not connected within {RGG_MAX_ATTEMPTS} attempts"
     )
 
 
-def random_regular(n: int, degree: int, seed: int, max_attempts: int = 500) -> Graph:
+def random_regular(n: int, degree: int, seed: int) -> Graph:
     """Random d-regular graph via the pairing model.
 
     Loops and multi-edges are rejected as stubs are paired; leftover
@@ -283,7 +282,7 @@ def random_regular(n: int, degree: int, seed: int, max_attempts: int = 500) -> G
                     return True
         return False
 
-    for attempt in range(max_attempts):
+    for attempt in range(REGULAR_MAX_ATTEMPTS):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(attempt,)))
         )
@@ -318,7 +317,7 @@ def random_regular(n: int, degree: int, seed: int, max_attempts: int = 500) -> G
         if is_connected(g):
             return g
     raise GraphGenerationError(
-        f"random_regular(n={n}, d={degree}) failed within {max_attempts} attempts"
+        f"random_regular(n={n}, d={degree}) failed within {REGULAR_MAX_ATTEMPTS} attempts"
     )
 
 
@@ -340,7 +339,7 @@ def generate(spec: GraphSpec) -> Graph:
 
 
 # ----------------------------------------------------------------------
-# Distances, balls, volumes
+# Distances and balls
 # ----------------------------------------------------------------------
 
 
@@ -360,17 +359,6 @@ def distances_from(g: Graph, u: int) -> np.ndarray:
     return dist
 
 
-def graph_distance(g: Graph, u: int, v: int) -> int:
-    """Minimal number of edges on any path from u to v."""
-    if u == v:
-        return 0
-    dist = distances_from(g, u)
-    d = int(dist[v])
-    if d < 0:
-        raise ValueError(f"nodes {u} and {v} are not connected")
-    return d
-
-
 def ball(g: Graph, u: int, radius: int) -> set:
     """Nodes at distance strictly less than ``radius`` from u."""
     if radius < 0:
@@ -379,12 +367,6 @@ def ball(g: Graph, u: int, radius: int) -> set:
         return set()
     dist = distances_from(g, u)
     return set(np.nonzero((dist >= 0) & (dist < radius))[0].tolist())
-
-
-def volume(g: Graph, nodes: Iterable[int]) -> int:
-    """Sum of degrees over a node set (edge-endpoint count)."""
-    deg = g.degrees
-    return sum(deg[v] for v in nodes)
 
 
 def is_connected(g: Graph) -> bool:
@@ -580,50 +562,6 @@ def check_isoperimetry(g: Graph, u: int, radius: int) -> IsoperimetryCertificate
     )
 
 
-def spectral_gap(g: Graph) -> float:
-    """1 - lambda_2 of the walk transition matrix (via the symmetric form)."""
-    if g.n > 4000:
-        raise ValueError("dense spectral gap capped at 4000 nodes")
-    dinv = 1.0 / np.sqrt(np.asarray(g.degrees, dtype=float))
-    sym = g.adjacency_matrix() * dinv[:, None] * dinv[None, :]
-    vals = np.linalg.eigvalsh(sym)
-    return float(1.0 - vals[-2])
-
-
-@dataclass(frozen=True)
-class BinOccupancyReport:
-    """Occupancy of square bins of area r^2/mu for a geometric graph."""
-
-    bins_per_side: int
-    min_count: int
-    max_count: int
-    expected: float
-
-
-def rgg_bin_occupancy(g: Graph, mu: float = 1.0) -> BinOccupancyReport:
-    if g.coords is None:
-        raise ValueError("bin occupancy needs node coordinates")
-    r = _rgg_radius_from_kind(g.kind)
-    side = max(1, int(math.floor(math.sqrt(mu) / r)))
-    counts = np.zeros((side, side), dtype=int)
-    for x, y in g.coords:
-        i = min(int(x * side), side - 1)
-        j = min(int(y * side), side - 1)
-        counts[i, j] += 1
-    return BinOccupancyReport(
-        bins_per_side=side,
-        min_count=int(counts.min()),
-        max_count=int(counts.max()),
-        expected=g.n / (side * side),
-    )
-
-
-def _rgg_radius_from_kind(kind: str) -> float:
-    if not kind.startswith("rgg{r="):
-        raise ValueError(f"not a geometric graph kind: {kind!r}")
-    return float(kind[len("rgg{r=") : -1])
-
-
 # ----------------------------------------------------------------------
 # Edge-list file format
 # ----------------------------------------------------------------------
@@ -643,38 +581,56 @@ def save_graph(g: Graph, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _line_error(lines: list, k: int, form: str) -> GraphFileError:
+    return GraphFileError(f"line {k + 1} must read '{form}', not {lines[k]!r}")
+
+
+def _fields(lines: list, k: int, form: str, *parsers) -> list:
+    """Line k (from 0) split into one field per parser, each parsed by it."""
+    parts = lines[k].split()
+    if len(parts) == len(parsers):
+        try:
+            return [parse(f) for parse, f in zip(parsers, parts)]
+        except ValueError:
+            pass
+    raise _line_error(lines, k, form)
+
+
 def load_graph(path) -> Graph:
-    """Read the :func:`save_graph` format; raises :class:`GraphFileError`
-    unless the file holds m edges between distinct nodes in [0, n), none
-    repeated, that connect all n nodes."""
-    text = Path(path).read_text().strip().splitlines()
-    header = text[0].split() if text else []
-    if len(header) != 4:
-        raise GraphFileError("the first line must read 'n m kind seed'")
-    n_s, m_s, kind, seed_s = header
-    n, m, seed = int(n_s), int(m_s), int(seed_s)
-    if len(text) - 1 < m:
-        raise GraphFileError(f"header promises {m} edges, only {len(text) - 1} lines follow it")
-    edges = []
-    for line in text[1 : 1 + m]:
-        u_s, v_s = line.split()
-        u, v = int(u_s), int(v_s)
+    """Read the :func:`save_graph` format; raises :class:`GraphFileError`,
+    naming the offending line, unless the file holds m edges between
+    distinct nodes in [0, n), none repeated, that connect all n nodes.
+    A header with n < 1 or m < n - 1 is rejected before anything is built."""
+    lines = Path(path).read_text().strip().splitlines() or [""]
+    n, m, kind, seed = _fields(lines, 0, "n m kind seed", int, int, str, int)
+    if n < 1:
+        raise GraphFileError(f"line 1: a graph needs at least one node, not {n}")
+    if m < n - 1:
+        raise GraphFileError(f"line 1: a connected graph on {n} nodes needs at least "
+                             f"{n - 1} edges, not {m}")
+    if len(lines) - 1 < m:
+        raise GraphFileError(f"header promises {m} edges, only {len(lines) - 1} lines follow it")
+    edges = set()
+    for k in range(1, 1 + m):
+        u, v = _fields(lines, k, "u v", int, int)
         if not (0 <= u < n and 0 <= v < n) or u == v:
-            raise GraphFileError(f"edge {line!r} must join two distinct nodes in [0, {n})")
-        edges.append((u, v))
-    if len({(min(e), max(e)) for e in edges}) < m:
-        raise GraphFileError("an edge is listed twice")
+            raise GraphFileError(f"line {k + 1}: edge {lines[k]!r} must join two distinct "
+                                 f"nodes in [0, {n})")
+        edge = (u, v) if u < v else (v, u)
+        if edge in edges:
+            raise GraphFileError(f"line {k + 1}: edge {lines[k]!r} is listed twice")
+        edges.add(edge)
     coords = None
-    rest = text[1 + m :]
-    if rest:
-        if len(rest) != n:
-            raise ValueError("coordinate block must have one line per node")
+    if len(lines) > 1 + m:
+        if len(lines) - 1 - m != n:
+            raise GraphFileError(f"line {m + 2}: the coordinate block has "
+                                 f"{len(lines) - 1 - m} lines, not one per node ({n})")
         coords = []
-        for line in rest:
-            tag, x_s, y_s = line.split()
+        for k in range(1 + m, len(lines)):
+            tag, x, y = _fields(lines, k, "c x y", str, float, float)
             if tag != "c":
-                raise ValueError(f"malformed coordinate line: {line!r}")
-            coords.append((float(x_s), float(y_s)))
+                raise _line_error(lines, k, "c x y")
+            coords.append((x, y))
         coords = tuple(coords)
     g = _build(n, edges, kind, seed, coords=coords)
     if not is_connected(g):

@@ -18,8 +18,6 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import _walk
 from .engine import (
     RNG_ALGORITHM,
@@ -66,38 +64,6 @@ class GossipEps:
     horizon: int = 1_000_000_000  # max exchanges before flagging incomplete
 
 
-@dataclass
-class GossipMatrix:
-    """An admissible stochastic matrix: support restricted to edges.  A
-    gossip run without one (no ``P`` in its params) picks uniform
-    neighbours."""
-
-    graph: Graph
-    rows: list  # per-node (neighbors, cumulative probs)
-
-    @classmethod
-    def from_dense(cls, graph: Graph, p: np.ndarray) -> "GossipMatrix":
-        p = np.asarray(p, dtype=float)
-        if p.shape != (graph.n, graph.n):
-            raise ValueError("matrix shape must be (n, n)")
-        rows = []
-        for i in range(graph.n):
-            nbrs = graph.adjacency[i]
-            support = set(np.nonzero(p[i])[0].tolist())
-            if not support.issubset(set(nbrs)):
-                raise ValueError(f"row {i} puts mass outside the neighborhood")
-            if not math.isclose(p[i].sum(), 1.0, rel_tol=0, abs_tol=1e-12):
-                raise ValueError(f"row {i} does not sum to 1")
-            cum = np.cumsum([p[i, j] for j in nbrs])
-            cum[-1] = 1.0  # rows sum to 1 only within 1e-12; a draw past cum[-1] overruns nbrs
-            rows.append((list(nbrs), cum))
-        return cls(graph=graph, rows=rows)
-
-    def sample(self, i: int, sampler: BlockSampler) -> int:
-        nbrs, cum = self.rows[i]
-        return nbrs[int(np.searchsorted(cum, sampler.uniform(), side="right"))]
-
-
 class SimState:
     """Mutable state of one simulation: per-node automata plus the clock,
     message ledger, and the protocol's bookkeeping.  Confined to a single
@@ -108,7 +74,6 @@ class SimState:
         "fusion",
         "kind",
         "clock",
-        "params",
         "values",
         "counts",
         "status",
@@ -128,12 +93,11 @@ class SimState:
         "active_active",
     )
 
-    def __init__(self, graph, fusion, kind, clock, params, stream):
+    def __init__(self, graph, fusion, kind, clock, stream):
         self.graph = graph
         self.fusion = fusion
         self.kind = kind
         self.clock = clock
-        self.params = params
         self.stream = stream
         n = graph.n
         self.values: list = [None] * n
@@ -207,7 +171,7 @@ def init(
     stream = RngStream(master_seed=seed, stream_id=stream_id)
     rng = stream.generator()
 
-    state = SimState(graph, fusion, kind, clock, params, stream)
+    state = SimState(graph, fusion, kind, clock, stream)
     if kind is ProtocolKind.GOSSIP:
         state.values = [float(v) for v in x]
         if not all(map(math.isfinite, state.values)):
@@ -471,7 +435,6 @@ def _run_gossip(state: SimState, stop) -> "Trace":
     else:
         raise ValueError(f"unsupported stop condition {stop!r} for gossip")
 
-    p = state.params.get("P")
     sampler = state.sampler
     n = state.graph.n
     z = state.values
@@ -503,11 +466,8 @@ def _run_gossip(state: SimState, stop) -> "Trace":
             break
         state.t += dt
         i = int(sampler.uniform() * n)
-        if p is None:
-            nbrs = nbr[i]
-            j = nbrs[int(sampler.uniform() * len(nbrs))]
-        else:
-            j = p.sample(i, sampler)
+        nbrs = nbr[i]
+        j = nbrs[int(sampler.uniform() * len(nbrs))]
         a = z[i]
         b = z[j]
         mean = (a + b) * 0.5
@@ -545,7 +505,8 @@ def _run_gossip(state: SimState, stop) -> "Trace":
 def cfld_run(state: SimState, origins: Optional[Sequence[int]] = None) -> "Trace":
     """Flood every origin's payload to all nodes, each node forwarding a
     given origin's flood at most once, to all neighbors except the
-    sender(s) of its first receipt.
+    sender(s) of its first receipt.  An origin without neighbors (the
+    one node of a 1-node graph) sends nothing and takes no time.
 
     On return every node holds the fused combination of all origin
     payloads with count n.  Transmissions are counted per link, so each
@@ -572,7 +533,8 @@ def cfld_run(state: SimState, origins: Optional[Sequence[int]] = None) -> "Trace
     pending: list = []
     for oi, o in enumerate(origins):
         received[oi][o] = 1
-        pending.append((o, oi))
+        if g.neighbor_lists[o]:
+            pending.append((o, oi))
 
     fuse = state.fusion.fuse
     values = state.values

@@ -10,11 +10,6 @@ from tokengossip.graph import Graph, GraphSpec, generate
 from tokengossip.protocols import Termination, init, run
 
 
-def path_graph(n):
-    adj = tuple(tuple(v for v in (i - 1, i + 1) if 0 <= v < n) for i in range(n))
-    return Graph(n=n, adjacency=adj, kind="path", seed=0)
-
-
 # -- hitting times ------------------------------------------------------------
 
 
@@ -158,36 +153,6 @@ def test_sigma_bounded_by_resistance():
         assert an.worst_case_hitting(g) <= an.resistance_report(g).sigma_bound + 1e-9
 
 
-def test_set_resistance_path():
-    g = path_graph(3)
-    # one volt on node 0, node 2 grounded, node 1 harmonic: two unit
-    # resistors in series dissipate 1/2 watt -> resistance 2
-    assert an.set_resistance(g, {0}, {0, 1}) == pytest.approx(2.0)
-
-
-def test_set_resistance_validation():
-    g = generate(GraphSpec.ring(4))
-    with pytest.raises(ValueError):
-        an.set_resistance(g, {0}, set(range(4)))  # B^c empty
-    with pytest.raises(ValueError):
-        an.set_resistance(g, set(), {0, 1})
-    with pytest.raises(ValueError):
-        an.set_resistance(g, {0, 2}, {0, 1})  # A not inside B
-
-
-def test_constant_resistance_annuli_on_grid():
-    # the property concerns interior annuli: 2R must stay away from the
-    # boundary, else the ground set degenerates to a few corner nodes
-    from tokengossip.graph import ball
-
-    g = generate(GraphSpec.grid2d(33))
-    center = 16 * 33 + 16
-    values = []
-    for r in (2, 4, 8):
-        values.append(an.set_resistance(g, ball(g, center, r), ball(g, center, 2 * r)))
-    assert max(values) / min(values) <= 2.0
-
-
 # -- meeting times -------------------------------------------------------------
 
 
@@ -200,6 +165,9 @@ def test_meeting_k2():
 def test_meeting_symmetric():
     m = an.mean_meeting_times(generate(GraphSpec.ring(8))).entry
     assert np.allclose(m, m.T, atol=1e-9)
+    # every pair on a clique has the same mean meeting time
+    off = an.mean_meeting_times(generate(GraphSpec.clique(5))).entry[~np.eye(5, dtype=bool)]
+    assert np.allclose(off, off[0])
 
 
 def test_meeting_bounded_by_hitting():
@@ -383,33 +351,6 @@ def test_partition_superadditivity_pathwise():
     assert whole.mean <= left.mean + right.mean + 3 * combined_se
 
 
-def test_contraction_single_partition_clique8():
-    # s = 2*sigma makes the Markov bound alpha >= 1/2 effective; t is
-    # early enough that the token count still dominates the partition
-    g = generate(GraphSpec.clique(8))
-    sigma = an.worst_case_hitting(g)
-    rep = an.check_contraction(g, t=1.0, s=2 * sigma, partition=[list(range(8))],
-                               trials=1500, stream=20)
-    assert rep.precondition_ok
-    assert rep.holds_within_ci
-    assert rep.alpha.alpha_hat >= 0.5 - 3 * rep.alpha.half_width
-
-
-def test_contraction_ring16_four_arcs():
-    g = generate(GraphSpec.ring(16))
-    arcs = [list(range(i, i + 4)) for i in range(0, 16, 4)]
-    rep = an.check_contraction(g, t=1.0, s=4.0, partition=arcs, trials=1500, stream=21)
-    assert rep.precondition_ok  # N(1) is still above twice the block count
-    assert rep.holds_within_ci
-    assert rep.partitions == 4
-
-
-def test_contraction_validates_partition():
-    g = generate(GraphSpec.ring(4))
-    with pytest.raises(ValueError):
-        an.check_contraction(g, 1.0, 1.0, [[0, 1]], trials=10, stream=0)
-
-
 # -- heat-kernel bound ----------------------------------------------------------
 
 
@@ -440,13 +381,6 @@ def test_gaussian_bound_certifies_lower_bound():
         pt = pt1
 
 
-def test_collision_count_matches_mc():
-    g = generate(GraphSpec.ring(8))
-    exact = an.collision_count(g, 0, 2, t_max=20)
-    mc = an.mc_collision_count(g, 0, 2, t_max=20, trials=4000, stream=22)
-    assert abs(exact - mc.mean) <= 3 * mc.stderr
-
-
 def test_gaussian_bound_size_cap():
     with pytest.raises(an.SolverError):
         an.check_gaussian_bound(generate(GraphSpec.ring(2600)), 5)
@@ -462,16 +396,6 @@ def test_regularity_report_grid():
     assert rep.c0 > 0 and rep.c5 > 0
     assert rep.c8 is not None and rep.c8 > 0
     assert rep.gaussian_pass
-
-
-def test_alpha_with_exact_table():
-    g = generate(GraphSpec.clique(5))
-    est = an.estimate_alpha(g, range(5), 1.0, trials=200, stream=30, with_exact_table=True)
-    assert est.exact_table is not None
-    assert est.exact_table.entry.shape == (5, 5)
-    # every pair on a clique has the same mean meeting time
-    off = est.exact_table.entry[~np.eye(5, dtype=bool)]
-    assert np.allclose(off, off[0])
 
 
 def test_regularity_flags():

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -320,6 +321,17 @@ def test_analyze_gaussian_torus(tmp_path, monkeypatch, capsys):
     assert rc == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["feasible"] is True and rep["violations"] == []
+
+
+def test_analyze_gaussian_on_one_node_exits_5_with_one_line(tmp_path, monkeypatch, capsys):
+    (tmp_path / "one.graph").write_text("1 0 single 0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way
+        rc = run_cli(["analyze", "--what", "gaussian", "--graph", str(tmp_path / "one.graph")],
+                     monkeypatch, tmp_path)
+    assert rc == 5
+    assert capsys.readouterr().err == (
+        "analysis failed: the Gaussian bound needs at least two nodes\n")
 
 
 def test_analyze_solver_failure_exit_5(tmp_path, monkeypatch):

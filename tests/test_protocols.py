@@ -15,7 +15,6 @@ from tokengossip.fusion import (
 from tokengossip.graph import GraphSpec, generate
 from tokengossip.protocols import (
     GossipEps,
-    GossipMatrix,
     MaxTime,
     ProtocolError,
     SimState,
@@ -48,7 +47,7 @@ def test_init_crw_all_active():
 def test_init_activates_every_node_as_activate_does(kind, x, fusion):
     g = generate(GraphSpec.ring(5))
     st = init(kind, g, x, fusion, seed=0)
-    ref = SimState(g, fusion, st.kind, st.clock, {}, st.stream)
+    ref = SimState(g, fusion, st.kind, st.clock, st.stream)
     for i in range(g.n):
         ref.activate(i)
     assert (st.status, st.active_list, st.active_pos) == (ref.status, ref.active_list,
@@ -323,36 +322,6 @@ def test_gossip_converges_on_ring():
     assert tr.gossip_errors[0][1] > tr.gossip_errors[-1][1]
 
 
-def test_gossip_matrix_validation():
-    g = generate(GraphSpec.ring(4))
-    p = np.zeros((4, 4))
-    p[0, 2] = 1.0  # not an edge
-    p[1, 0] = p[1, 2] = 0.5
-    p[2, 1] = p[2, 3] = 0.5
-    p[3, 0] = p[3, 2] = 0.5
-    with pytest.raises(ValueError):
-        GossipMatrix.from_dense(g, p)
-    p[0, 2] = 0.0
-    p[0, 1] = p[0, 3] = 0.5
-    gm = GossipMatrix.from_dense(g, p)
-    st = init("gossip", g, [1.0, 0.0, 0.0, 0.0], None, seed=17, params={"P": gm})
-    tr = run(st, GossipEps(0.01))
-    assert tr.completed
-
-
-def test_gossip_matrix_row_short_of_one_stays_in_range():
-    # accepted within the 1e-12 tolerance; a draw above the row sum must
-    # still pick the last neighbor instead of indexing past the list
-    g = generate(GraphSpec.clique(2))
-    gm = GossipMatrix.from_dense(g, np.array([[0.0, 1 - 1e-12], [1.0, 0.0]]))
-
-    class HighDraw:
-        def uniform(self):
-            return 1 - 1e-13
-
-    assert gm.sample(0, HighDraw()) == 1
-
-
 # -- synchronous discrete mode -------------------------------------------
 
 
@@ -470,6 +439,16 @@ def test_two_phase_degenerate_switch_is_pure_flood():
     assert tr.phase1_messages == 0
     assert tr.phase2_messages <= 9 * 2 * g.m
     assert set(tr.final_values) == {45}
+
+
+@pytest.mark.parametrize("clock", [Continuous(), SynchronousDiscrete(0.5)])
+def test_two_phase_on_one_node_sends_nothing_and_takes_no_time(clock):
+    # the lone node has nobody to flood to, like CRW and SRW on clique(1)
+    g = generate(GraphSpec.clique(1))
+    tr = two_phase_run(g, [7], SUM, estimate_switch_time(g, 1, clock=clock), clock=clock)
+    assert tr.tau == 0.0
+    assert tr.eta == 0
+    assert tr.final_values == [7]
 
 
 def test_two_phase_consensus_every_trial():
