@@ -23,11 +23,10 @@ from .engine import Continuous, RngStream
 from .fusion import sum_fusion
 from .graph import (
     Graph,
-    ball,
+    _sample_nodes,
     check_geometric_neighborhood,
     check_isoperimetry,
     check_volume_doubling,
-    diameter,
     distances_from,
 )
 from .protocols import MaxTime, ProtocolKind, SynchronousDiscrete, Termination, init, run
@@ -364,7 +363,6 @@ class DecayCurve:
 def estimate_decay(
     g: Graph,
     trials: int = 100,
-    grid: Optional[np.ndarray] = None,
     stream: RngStream | int = 0,
     lazy_prob: Optional[float] = None,
 ) -> DecayCurve:
@@ -396,13 +394,11 @@ def estimate_decay(
         tr = run(st, Termination())
         curves.append((np.asarray(tr.times), np.asarray(tr.active_counts, dtype=float)))
         t_end = max(t_end, tr.tau)
-    if grid is None:
-        grid = (
-            np.unique(np.concatenate([[0.0], np.rint(geometric_grid(t_end))]))
-            if discrete
-            else geometric_grid(t_end)
-        )
-    grid = np.asarray(grid, dtype=float)
+    grid = (
+        np.unique(np.concatenate([[0.0], np.rint(geometric_grid(t_end))]))
+        if discrete
+        else geometric_grid(t_end)
+    )
     samples = np.empty((trials, len(grid)))
     integrals = np.empty((trials, len(grid)))
     for i, (times, counts) in enumerate(curves):
@@ -482,6 +478,9 @@ def coalescing_oracle(
 # ----------------------------------------------------------------------
 
 
+GAUSSIAN_MAX_NODES = 2500  # largest graph check_gaussian_bound takes matrix powers of
+
+
 @dataclass(frozen=True)
 class GaussianBoundReport:
     c3: float
@@ -503,10 +502,10 @@ def check_gaussian_bound(g: Graph, t_max: int, lazy_prob: float = 0.5) -> Gaussi
     n = g.n
     if n < 2:
         raise ValueError("the Gaussian bound needs at least two nodes")
-    if n > 2500:
-        raise SolverError("dense matrix powers capped at 2500 nodes")
+    if n > GAUSSIAN_MAX_NODES:
+        raise SolverError(f"dense matrix powers capped at {GAUSSIAN_MAX_NODES} nodes")
     p = _transition_matrix(g, lazy_prob)
-    dist = np.vstack([distances_from(g, u) for u in range(n)])
+    dist = distances_from(g, range(n))
     xs, ys = [], []
     ratios = []  # (t*(Pt+Pt1), d^2/t) per constraint for the c3 pass
     violations = []
@@ -552,40 +551,33 @@ class RegularityReport:
     c0: float
     c1: float
     c5: float
-    c8: Optional[float]
+    c8: float
     c3: Optional[float]
     c4: Optional[float]
     growth_pass: bool
     doubling_pass: bool = True
-    isoperimetry_pass: Optional[bool] = None
+    isoperimetry_pass: bool = True
     gaussian_pass: Optional[bool] = None
 
 
-def regularity_report(
-    g: Graph,
-    t_max: Optional[int] = None,
-    lazy_prob: float = 0.5,
-) -> RegularityReport:
+def regularity_report(g: Graph, t_max: Optional[int] = None) -> RegularityReport:
     """Bundle the measured regularity constants of a graph: quadratic
     ball growth, volume doubling, a small-ball isoperimetry certificate,
-    and (for graphs small enough for matrix powers) the heat-kernel
-    bound constants."""
+    and (for graphs of at most ``GAUSSIAN_MAX_NODES`` nodes, when
+    ``t_max`` is given) the heat-kernel bound constants."""
     growth = check_geometric_neighborhood(g)
     c5 = check_volume_doubling(g)
-    c8 = None
-    diam = diameter(g)
-    for u in _regularity_centers(g):
-        radius = 2
-        while radius + 1 <= diam + 1 and len(ball(g, u, radius + 1)) <= 16:
-            radius += 1
-        if len(ball(g, u, radius)) >= 2:
-            cert = check_isoperimetry(g, u, radius)
-            if cert.connected:
-                c8 = cert.value if c8 is None else min(c8, cert.value)
+    c8 = math.inf
+    centers = _sample_nodes(g, 4, 0xC8)
+    for u, row in zip(centers, distances_from(g, centers)):
+        # sizes[r - 1] = |B(u, r)|: the radius grows from 2 while the ball
+        # holds at most 16 nodes (exact isoperimetry), up to diameter + 1
+        sizes = np.bincount(row, minlength=growth.diameter + 1).cumsum()
+        c8 = min(c8, check_isoperimetry(g, u, max(2, int((sizes <= 16).sum()))).value)
     c3 = c4 = None
     gaussian_pass = None
-    if t_max is not None:
-        rep = check_gaussian_bound(g, t_max, lazy_prob)
+    if t_max is not None and g.n <= GAUSSIAN_MAX_NODES:
+        rep = check_gaussian_bound(g, t_max)
         c3, c4, gaussian_pass = rep.c3, rep.c4, rep.feasible
     return RegularityReport(
         c0=growth.c0_best,
@@ -596,13 +588,6 @@ def regularity_report(
         c4=c4,
         growth_pass=growth.passed,
         doubling_pass=math.isfinite(c5) and c5 > 0,
-        isoperimetry_pass=None if c8 is None else c8 > 0,
+        isoperimetry_pass=c8 > 0,
         gaussian_pass=gaussian_pass,
     )
-
-
-def _regularity_centers(g: Graph, limit: int = 4) -> list:
-    if g.n <= limit:
-        return list(range(g.n))
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(g.seed, spawn_key=(0xC8,))))
-    return sorted(rng.choice(g.n, size=limit, replace=False).tolist())

@@ -210,7 +210,7 @@ def _analysis_report(g, args) -> dict:
             "violations": rep.violations,
         }
     if what == "regularity":
-        rep = an.regularity_report(g, t_max=args.tmax if g.n <= 2500 else None)
+        rep = an.regularity_report(g, t_max=args.tmax)
         return asdict(rep)
     raise ValueError(f"unknown analysis {what!r}")
 

@@ -8,13 +8,14 @@ isoperimetry constants that control how fast coalescing walks thin out.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 
 class GraphGenerationError(RuntimeError):
@@ -343,20 +344,14 @@ def generate(spec: GraphSpec) -> Graph:
 # ----------------------------------------------------------------------
 
 
-def distances_from(g: Graph, u: int) -> np.ndarray:
-    """BFS hop distances from ``u`` to every node (-1 if unreachable)."""
-    dist = np.full(g.n, -1, dtype=np.int64)
-    dist[u] = 0
-    adj = g.adjacency
-    q = deque([u])
-    while q:
-        x = q.popleft()
-        dx = dist[x] + 1
-        for y in adj[x]:
-            if dist[y] < 0:
-                dist[y] = dx
-                q.append(y)
-    return dist
+def distances_from(g: Graph, sources) -> np.ndarray:
+    """Hop distances from ``sources`` to every node, -1 where unreachable:
+    one row for one node, one row per node for a sequence of nodes."""
+    offsets, flat = g.csr
+    adj = csr_matrix((np.ones(len(flat)), flat, offsets), shape=(g.n, g.n))
+    dist = shortest_path(adj, method="D", unweighted=True, indices=sources)
+    dist[np.isinf(dist)] = -1
+    return dist.astype(np.int64)
 
 
 def ball(g: Graph, u: int, radius: int) -> set:
@@ -373,23 +368,30 @@ def is_connected(g: Graph) -> bool:
     return bool(np.all(distances_from(g, 0) >= 0))
 
 
-def eccentricity(g: Graph, u: int) -> int:
-    dist = distances_from(g, u)
+def _farthest(dist: np.ndarray) -> int:
+    """The largest entry of a :func:`distances_from` table."""
     if np.any(dist < 0):
         raise ValueError("graph is not connected")
     return int(dist.max())
 
 
+def eccentricity(g: Graph, u) -> int:
+    """Largest hop distance from u, or from any node of a sequence u."""
+    return _farthest(distances_from(g, u))
+
+
 def diameter(g: Graph) -> int:
-    """Exact diameter by all-pairs BFS up to 10^4 nodes.
+    """Exact diameter from all-pairs distances up to 10^4 nodes, taken a
+    block of sources at a time so that no block holds more than 2^20
+    distances.
 
     Above that a double-sweep lower bound is returned: the eccentricity
     of the node farthest from node 0.
     """
-    if g.n <= 10_000:
-        return max(eccentricity(g, u) for u in range(g.n))
-    far = int(np.argmax(distances_from(g, 0)))
-    return eccentricity(g, far)
+    if g.n > 10_000:
+        return eccentricity(g, int(np.argmax(distances_from(g, 0))))
+    rows = (1 << 20) // g.n
+    return max(eccentricity(g, range(s, min(s + rows, g.n))) for s in range(0, g.n, rows))
 
 
 # ----------------------------------------------------------------------
@@ -407,12 +409,15 @@ class GrowthReport:
     c1_argmax: Tuple[int, int, int]  # (u, R, delta)
     passed: bool
     sampled: bool
+    diameter: int  # sets the largest radius, (diameter + 1) // 2
 
 
-def _sample_nodes(g: Graph, limit: int) -> Sequence[int]:
+def _sample_nodes(g: Graph, limit: int, key: int) -> Sequence[int]:
+    """Every node if there are at most ``limit``, else a sorted sample of
+    ``limit`` nodes drawn from the graph's seed with spawn key ``key``."""
     if g.n <= limit:
         return range(g.n)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(g.seed, spawn_key=(0xBA11,))))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(g.seed, spawn_key=(key,))))
     return sorted(rng.choice(g.n, size=limit, replace=False).tolist())
 
 
@@ -426,9 +431,10 @@ def check_geometric_neighborhood(g: Graph) -> GrowthReport:
     """
     if g.n < 2:
         raise ValueError("growth check needs n >= 2")
-    diam = diameter(g)
     sampled = g.n > 2000
-    nodes = _sample_nodes(g, 64) if sampled else range(g.n)
+    nodes = _sample_nodes(g, 64, 0xBA11) if sampled else range(g.n)
+    dist = distances_from(g, nodes)
+    diam = diameter(g) if sampled else _farthest(dist)  # all rows: the largest is the diameter
     r_max = max(2, (diam + 1) // 2)
     radii = (
         sorted(set(np.unique(np.geomspace(2, r_max, 16).astype(int)).tolist()))
@@ -439,9 +445,8 @@ def check_geometric_neighborhood(g: Graph) -> GrowthReport:
     c0_arg = (0, 0)
     c1_best = 0.0
     c1_arg = (0, 0, 0)
-    for u in nodes:
-        dist = distances_from(g, u)
-        sizes = np.bincount(dist, minlength=2 * r_max + 2).cumsum()
+    for u, row in zip(nodes, dist):
+        sizes = np.bincount(row, minlength=2 * r_max + 2).cumsum()
         # sizes[k] = #{v : d(u,v) <= k} = |B(u, k+1)|
         for R in radii:
             if not 2 <= R <= r_max:
@@ -458,37 +463,30 @@ def check_geometric_neighborhood(g: Graph) -> GrowthReport:
                 if ratio1 > c1_best:
                     c1_best, c1_arg = float(ratio1), (int(u), int(R), int(delta))
     passed = math.isfinite(c0_best) and c0_best > 0 and math.isfinite(c1_best)
-    return GrowthReport(c0_best, c0_arg, c1_best, c1_arg, passed, sampled)
+    return GrowthReport(c0_best, c0_arg, c1_best, c1_arg, passed, sampled, diam)
 
 
 def check_volume_doubling(g: Graph) -> float:
     """Worst Vol(u,2R)/Vol(u,R) over sampled (u, R), R from 2 up."""
-    diam = diameter(g)
-    nodes = _sample_nodes(g, 64) if g.n > 2000 else range(g.n)
+    nodes = _sample_nodes(g, 64, 0xBA11) if g.n > 2000 else range(g.n)
+    dist = distances_from(g, nodes)
+    # a node's ratio is 1 once R passes its eccentricity + 1, so R need
+    # not run past the table's largest entry + 1
+    r_max = _farthest(dist) + 1
+    deg = np.asarray(g.degrees, dtype=float)
     worst = 0.0
-    r_max = diam + 1
-    for u in nodes:
-        dist = distances_from(g, u)
-        deg = np.asarray(g.degrees)
-        volumes = np.zeros(2 * r_max + 2)
-        for d, w in zip(dist, deg):
-            volumes[d + 1] += w
-        volumes = volumes.cumsum()
+    for row in dist:
         # volumes[R] = Vol(u, R) for the strict ball of radius R
-        for R in range(2, r_max + 1):
-            v1 = volumes[min(R, 2 * r_max + 1)]
-            v2 = volumes[min(2 * R, 2 * r_max + 1)]
-            if v1 > 0:
-                worst = max(worst, v2 / v1)
+        volumes = np.bincount(row + 1, weights=deg, minlength=2 * r_max + 1).cumsum()
+        ratios = volumes[4 : 2 * r_max + 1 : 2] / volumes[2 : r_max + 1]  # R = 2 .. r_max
+        worst = max(worst, ratios.max(initial=0.0))
     return float(worst)
 
 
 @dataclass(frozen=True)
 class IsoperimetryCertificate:
     value: float
-    mode: str  # "exact" | "sweep"
-    connected: bool
-    label: str
+    mode: str  # "exact" minimum | "sweep" upper bound: failure certifiable, success not
 
 
 def check_isoperimetry(g: Graph, u: int, radius: int) -> IsoperimetryCertificate:
@@ -497,7 +495,7 @@ def check_isoperimetry(g: Graph, u: int, radius: int) -> IsoperimetryCertificate
     Exact enumeration of all 2-partitions up to 16 ball nodes; above that
     a Fiedler sweep cut, which only upper-bounds the true minimum (it can
     certify failure, not success).  Volumes are taken within the induced
-    subgraph.  A disconnected induced ball is reported with constant 0.
+    subgraph.
     """
     nodes = sorted(ball(g, u, radius))
     if len(nodes) < 2:
@@ -509,17 +507,7 @@ def check_isoperimetry(g: Graph, u: int, radius: int) -> IsoperimetryCertificate
         for w in g.adjacency[v]:
             if w in index:
                 sub[index[v]].append(index[w])
-    # connectivity of the induced subgraph
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in sub[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) < k:
-        return IsoperimetryCertificate(0.0, "exact", False, "disconnected induced ball")
+    # the induced ball is connected: each member's shortest path to u stays inside it
     deg = [len(a) for a in sub]
     if k <= 16:
         best = math.inf
@@ -536,7 +524,7 @@ def check_isoperimetry(g: Graph, u: int, radius: int) -> IsoperimetryCertificate
             denom = min(vol_s, vol_c)
             if denom > 0:
                 best = min(best, radius * cut / denom)
-        return IsoperimetryCertificate(float(best), "exact", True, "exact minimum")
+        return IsoperimetryCertificate(float(best), "exact")
     # the induced adjacency, built k x k: the graph's dense n x n matrix can be large
     a = np.zeros((k, k))
     a[np.repeat(np.arange(k), deg), np.concatenate(sub)] = 1.0
@@ -557,9 +545,7 @@ def check_isoperimetry(g: Graph, u: int, radius: int) -> IsoperimetryCertificate
         denom = min(vol_s, total - vol_s)
         if denom > 0:
             best = min(best, radius * cut / denom)
-    return IsoperimetryCertificate(
-        float(best), "sweep", True, "upper bound - failure certifiable, success not"
-    )
+    return IsoperimetryCertificate(float(best), "sweep")
 
 
 # ----------------------------------------------------------------------

@@ -237,6 +237,8 @@ def handle_send(state: SimState, i: int) -> None:
     if not state.status[i]:
         raise ProtocolError(f"send from inactive node {i}")
     nbrs = state.graph.neighbor_lists[i]
+    if not nbrs:  # a lone node has no one to send to
+        return
     j = nbrs[int(state.sampler.uniform() * len(nbrs))]
     if state.kind is ProtocolKind.HYBRID_K and state.status[j]:
         values = state.values

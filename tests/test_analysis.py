@@ -389,6 +389,37 @@ def test_gaussian_bound_size_cap():
 # -- regularity bundle -----------------------------------------------------------
 
 
+def test_regularity_report_skips_the_gaussian_constants_above_the_cap():
+    rep = an.regularity_report(generate(GraphSpec.ring(an.GAUSSIAN_MAX_NODES + 1)), t_max=5)
+    assert rep.c3 is None and rep.c4 is None and rep.gaussian_pass is None
+    assert rep.c0 > 0 and rep.c8 > 0
+
+
+def test_distance_calls_do_not_grow_with_the_graph(monkeypatch):
+    import tokengossip.graph as graph_module
+
+    real = graph_module.distances_from
+    calls = []
+
+    def counted(g, sources):
+        calls.append(sources)
+        return real(g, sources)
+
+    monkeypatch.setattr(graph_module, "distances_from", counted)
+    monkeypatch.setattr(an, "distances_from", counted)
+    per_side = []
+    for side in (8, 12):
+        g = generate(GraphSpec.grid2d(side))
+        calls.clear()
+        an.regularity_report(g, t_max=8)
+        report_calls = len(calls)
+        calls.clear()
+        an.check_gaussian_bound(g, t_max=8)
+        per_side.append((report_calls, len(calls)))
+    (report8, gauss8), (report12, gauss12) = per_side
+    assert report12 <= report8 and gauss12 <= gauss8
+
+
 def test_regularity_report_grid():
     g = generate(GraphSpec.grid2d(8))
     rep = an.regularity_report(g, t_max=10)

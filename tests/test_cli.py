@@ -334,6 +334,15 @@ def test_analyze_gaussian_on_one_node_exits_5_with_one_line(tmp_path, monkeypatc
         "analysis failed: the Gaussian bound needs at least two nodes\n")
 
 
+def test_hybrid_on_one_node_runs_to_its_horizon(tmp_path, monkeypatch, capsys):
+    # the lone node has no one to send to, like CRW and SRW on that file
+    (tmp_path / "one.graph").write_text("1 0 single 0\n")
+    rc = run_cli(["run", "--proto", "hybrid_k", "--fusion", "wavg", "--k", "1",
+                  "--graph", str(tmp_path / "one.graph")], monkeypatch, tmp_path)
+    assert rc == 0
+    assert capsys.readouterr().out == "100.0 0.0 0.0\n"
+
+
 def test_analyze_solver_failure_exit_5(tmp_path, monkeypatch):
     run_cli(["gen", "--kind", "ring", "--n", "120",
              "--out", str(tmp_path / "big.graph")], monkeypatch, tmp_path)

@@ -21,6 +21,7 @@ from tokengossip.graph import (
     load_graph,
     save_graph,
 )
+from tokengossip.graph import _build
 
 
 def path_graph(n: int) -> Graph:
@@ -127,6 +128,34 @@ def test_graph_distance():
         dist = distances_from(t, u)
         for v in range(t.n):
             assert dist[v] == torus_distance_oracle(5, u, v)
+
+
+def test_distances_closed_forms():
+    n = 11
+    i, j = np.indices((n, n))
+    ring_dist = np.minimum(abs(i - j), n - abs(i - j))
+    assert np.array_equal(distances_from(generate(GraphSpec.ring(n)), range(n)), ring_dist)
+    side = 5
+    u, v = np.indices((side * side, side * side))
+    manhattan = abs(u % side - v % side) + abs(u // side - v // side)
+    assert np.array_equal(distances_from(generate(GraphSpec.grid2d(side)), range(side * side)),
+                          manhattan)
+    assert np.array_equal(distances_from(generate(GraphSpec.clique(6)), range(6)),
+                          1 - np.eye(6, dtype=np.int64))
+
+
+def test_distances_unreachable_is_minus_one():
+    g = _build(5, [(0, 1), (2, 3)], "pairs", 0)
+    assert distances_from(g, 0).tolist() == [0, 1, -1, -1, -1]
+    assert distances_from(g, [3, 4]).tolist() == [[-1, -1, 1, 0, -1], [-1, -1, -1, -1, 0]]
+
+
+def test_distances_many_sources_stack_single_rows():
+    g = generate(GraphSpec.rgg(60, seed=13))
+    sources = [5, 0, 17, 5]
+    table = distances_from(g, sources)
+    assert table.dtype == np.int64 and distances_from(g, 5).dtype == np.int64
+    assert np.array_equal(table, np.vstack([distances_from(g, u) for u in sources]))
 
 
 def test_ball_examples():
