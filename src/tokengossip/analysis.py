@@ -1,7 +1,7 @@
 """Exact and Monte-Carlo analysis of random walks on the simulation graphs.
 
 Hitting and meeting times come from linear solves (dense fundamental
-matrix, or a sparse product-chain factorization); effective
+matrix, or a sparse factorization over unordered pairs); effective
 resistances from Laplacian solves on the unit-resistor network; token
 decay curves, meeting probabilities, and the coalescence bounds from
 seeded Monte Carlo.  Discrete-step expectations equal continuous
@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags, identity, kron
+from scipy.sparse import csc_matrix, csr_matrix, identity, kron
 from scipy.sparse.linalg import splu
 
 from .engine import Continuous, RngStream
@@ -171,33 +171,55 @@ class MeetingTable:
     from v and w to first share a node."""
 
     entry: np.ndarray
+    max_residual: float
 
     @property
     def worst_case(self) -> float:
         return float(self.entry.max())
 
 
+MEETING_MAX_NODES = 100  # largest graph mean_meeting_times solves exactly
+
+
 def mean_meeting_times(g: Graph) -> MeetingTable:
-    """Exact product-chain solve of pairwise meeting times.
+    """Exact sparse solve of pairwise meeting times.
 
     The product chain jumps at total rate 2; each jump moves one of the
-    two walks, chosen fairly; the diagonal absorbs.  With state (x, y) at
-    x * n + y the system is I - diag(x != y) (P kron I + I kron P) / 2, with
-    the mean holding time 1/2 on the right off the diagonal.  Capped at 10^4
-    product states (n = 100); use :func:`estimate_alpha` beyond.
+    two walks, chosen fairly; the diagonal absorbs, and M(x, y) = M(y, x).
+    So the unknowns are the n(n-1)/2 pairs x < y: row x * n + y of
+    S = (P kron I + I kron P) / 2, its columns (a, b) folded onto the pair
+    {a, b} and the diagonal ones dropped, gives M = 1/2 + S M.  Capped at
+    ``MEETING_MAX_NODES`` nodes; use :func:`estimate_alpha` beyond.
     """
     n = g.n
-    if n * n > 10_000:
-        raise SolverError("product-chain solve capped at 10^4 states; use the MC estimator")
+    if n > MEETING_MAX_NODES:
+        raise SolverError(f"meeting-time solve capped at {MEETING_MAX_NODES} nodes; "
+                          "use the MC estimator")
+    if n == 1:
+        return MeetingTable(np.zeros((1, 1)), 0.0)
+    x, y = np.triu_indices(n, 1)
+    k = len(x)
+    pair = np.full((n, n), -1)
+    pair[x, y] = pair[y, x] = np.arange(k)
     p = csr_matrix(_transition_matrix(g))
     eye = identity(n, format="csr")
-    off = 1.0 - np.eye(n).ravel()
-    mat = (identity(n * n) - diags(off) @ (0.5 * (kron(p, eye) + kron(eye, p)))).tocsc()
-    mat.eliminate_zeros()
-    sol = splu(mat).solve(0.5 * off)
-    entry = sol.reshape(n, n)
-    entry = np.maximum(entry, 0.0)
-    return MeetingTable(entry)
+    step = (0.5 * (kron(p, eye) + kron(eye, p))).tocsr()[x * n + y].tocoo()
+    col = pair.ravel()[step.col]
+    off = col >= 0
+    mat = (identity(k, format="csc")
+           - csc_matrix((step.data[off], (step.row[off], col[off])), shape=(k, k)))
+    rhs = np.full(k, 0.5)
+    # I - S is a diagonally dominant M-matrix, so its pivots may stay on the
+    # diagonal; a minimum-degree order of its symmetric pattern has the least
+    # fill of SuperLU's orderings on tori, grids, rings, rgg and regular graphs
+    sol = splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+               options={"SymmetricMode": True}).solve(rhs)
+    max_res = float(np.abs(mat @ sol - rhs).max() / max(1.0, sol.max()))
+    if max_res > RESIDUAL_TOL:
+        raise SolverError(f"meeting-time residual {max_res:.2e} above {RESIDUAL_TOL:.0e}")
+    entry = np.zeros((n, n))
+    entry[x, y] = entry[y, x] = sol
+    return MeetingTable(entry, max_res)
 
 
 def worst_case_meeting(g: Graph) -> float:
@@ -502,42 +524,51 @@ def check_gaussian_bound(g: Graph, t_max: int, lazy_prob: float = 0.5) -> Gaussi
     n = g.n
     if n < 2:
         raise ValueError("the Gaussian bound needs at least two nodes")
+    if t_max < 1:
+        raise ValueError(f"the Gaussian bound needs t_max >= 1, not {t_max}")
     if n > GAUSSIAN_MAX_NODES:
         raise SolverError(f"dense matrix powers capped at {GAUSSIAN_MAX_NODES} nodes")
     p = _transition_matrix(g, lazy_prob)
     dist = distances_from(g, range(n))
-    xs, ys = [], []
-    ratios = []  # (t*(Pt+Pt1), d^2/t) per constraint for the c3 pass
+
+    def steps():
+        """(t, mask, P_t + P_{t+1}, d^2) on the constraints mask = 1 <= d <= t,
+        for t = 1 .. t_max.  Each pass recomputes the powers, so memory does
+        not grow with t_max."""
+        pt = p.copy()  # P^1
+        for t in range(1, t_max + 1):
+            pt1 = pt @ p
+            mask = (dist >= 1) & (dist <= t)
+            yield t, mask, (pt + pt1)[mask], dist[mask].astype(float) ** 2
+            pt = pt1
+
+    # pass 1: violations, and the least-squares sums of log(t q) on d^2/t
     violations = []
-    pt = p.copy()  # P^1
-    for t in range(1, t_max + 1):
-        pt1 = pt @ p
-        q = pt + pt1
-        mask = (dist >= 1) & (dist <= t)
-        qv = q[mask]
-        dv = dist[mask].astype(float)
-        zero = qv <= 0
+    count = sx = sy = sxx = sxy = 0.0
+    for t, mask, q, d2 in steps():
+        zero = q <= 0
         if np.any(zero):
-            for (u, v), val in zip(np.argwhere(mask)[zero], qv[zero]):
+            for (u, v), val in zip(np.argwhere(mask)[zero], q[zero]):
                 violations.append((int(u), int(v), t, float(val)))
-        good = ~zero
-        xs.append((dv[good] ** 2) / t)
-        ys.append(np.log(t * qv[good]))
-        ratios.append((t * qv[good], (dv[good] ** 2) / t))
-        pt = pt1
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
+        x = d2[~zero] / t
+        y = np.log(t * q[~zero])
+        count += len(x)
+        sx += x.sum()
+        sy += y.sum()
+        sxx += x @ x
+        sxy += x @ y
     if violations:
         return GaussianBoundReport(0.0, 0.0, t_max, lazy_prob, False, violations)
-    a = np.vstack([x, np.ones_like(x)]).T
-    (slope, _), *_ = np.linalg.lstsq(a, y, rcond=None)
+    # the normal equations of the fit; lstsq keeps the minimum-norm answer
+    # when every constraint has the same d^2/t (t_max = 1)
+    (slope, _), *_ = np.linalg.lstsq(np.array([[sxx, sx], [sx, count]]),
+                                     np.array([sxy, sy]), rcond=None)
     c4 = -1.0 / slope if slope < 0 else math.inf
+    # pass 2: c3, the largest constant with zero violations
     c3 = math.inf
-    for tq, x_over in ratios:
-        if math.isinf(c4):
-            c3 = min(c3, float(tq.min()))
-        else:
-            c3 = min(c3, float((tq * np.exp(x_over / c4)).min()))
+    for t, _, q, d2 in steps():
+        tq = t * q
+        c3 = min(c3, float((tq if math.isinf(c4) else tq * np.exp(d2 / t / c4)).min()))
     return GaussianBoundReport(float(c3), float(c4), t_max, lazy_prob, c3 > 0, [])
 
 

@@ -180,7 +180,7 @@ def _analysis_report(g, args) -> dict:
         }
     if what == "meeting":
         table = an.mean_meeting_times(g)
-        out = {"worst_case": table.worst_case}
+        out = {"worst_case": table.worst_case, "max_residual": table.max_residual}
         if g.n <= 32:
             out["table"] = table.entry.tolist()
         return out

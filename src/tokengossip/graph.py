@@ -510,20 +510,19 @@ def check_isoperimetry(g: Graph, u: int, radius: int) -> IsoperimetryCertificate
     # the induced ball is connected: each member's shortest path to u stays inside it
     deg = [len(a) for a in sub]
     if k <= 16:
-        best = math.inf
-        for mask in range(1, (1 << (k - 1))):  # fix node k-1 out of S: halves the count
-            vol_s = 0
-            cut = 0
-            for i in range(k):
-                if mask >> i & 1:
-                    vol_s += deg[i]
-                    for j in sub[i]:
-                        if not (mask >> j & 1):
-                            cut += 1
-            vol_c = sum(deg) - vol_s
-            denom = min(vol_s, vol_c)
-            if denom > 0:
-                best = min(best, radius * cut / denom)
+        # bit i of a mask puts node i in S; node k-1 stays out, which halves the count.
+        # Cuts and volumes are small integers, so each ratio rounds as int / int does.
+        masks = np.arange(1, 1 << (k - 1), dtype=np.int32)
+        vol_s = np.zeros_like(masks)
+        cut = np.zeros_like(masks)
+        for i in range(k):
+            vol_s += ((masks >> i) & 1) * deg[i]
+            for j in sub[i]:
+                if i < j:
+                    cut += ((masks >> i) ^ (masks >> j)) & 1
+        denom = np.minimum(vol_s, sum(deg) - vol_s)
+        good = denom > 0
+        best = (radius * cut[good] / denom[good]).min(initial=math.inf)
         return IsoperimetryCertificate(float(best), "exact")
     # the induced adjacency, built k x k: the graph's dense n x n matrix can be large
     a = np.zeros((k, k))

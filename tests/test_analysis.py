@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import diags, identity, kron
+from scipy.sparse.linalg import splu
 
 from tokengossip import analysis as an
 from tokengossip.engine import Continuous, RngStream, SynchronousDiscrete
@@ -185,6 +187,56 @@ def test_meeting_bounded_by_hitting():
 def test_meeting_cap():
     with pytest.raises(an.SolverError):
         an.mean_meeting_times(generate(GraphSpec.ring(101)))
+
+
+def product_chain_meeting_times(g):
+    # independent oracle: the full n^2-state product chain, diagonal absorbing
+    n = g.n
+    p = an._transition_matrix(g)
+    eye = identity(n)
+    off = 1.0 - np.eye(n).ravel()
+    mat = (identity(n * n) - diags(off) @ (0.5 * (kron(p, eye) + kron(eye, p)))).tocsc()
+    return splu(mat).solve(0.5 * off).reshape(n, n)
+
+
+@pytest.mark.parametrize("spec", [
+    GraphSpec.ring(8),
+    GraphSpec.torus(4, 2),
+    GraphSpec.grid2d(4),
+    GraphSpec.rgg(25, seed=4),
+    GraphSpec.random_regular(20, 4, seed=1),
+], ids=lambda s: s.kind)
+def test_meeting_matches_the_product_chain(spec):
+    g = generate(spec)
+    table = an.mean_meeting_times(g)
+    oracle = product_chain_meeting_times(g)
+    assert np.abs(table.entry - oracle).max() <= 1e-10 * oracle.max()
+    assert np.all(np.diag(table.entry) == 0.0)
+    assert 0.0 <= table.max_residual <= an.RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_meeting_clique_closed_form(n):
+    # each jump moves one walk onto the other's node with probability 1/(n-1),
+    # at total rate 2: the meeting time is exponential with mean (n-1)/2
+    m = an.mean_meeting_times(generate(GraphSpec.clique(n))).entry
+    assert np.allclose(m[~np.eye(n, dtype=bool)], (n - 1) / 2, rtol=1e-12)
+
+
+def test_meeting_on_one_node_is_zero():
+    table = an.mean_meeting_times(generate(GraphSpec.clique(1)))
+    assert table.entry.tolist() == [[0.0]] and table.max_residual == 0.0
+
+
+def test_meeting_cap_names_the_node_count():
+    with pytest.raises(an.SolverError, match="100 nodes"):
+        an.mean_meeting_times(generate(GraphSpec.ring(101)))
+
+
+def test_meeting_residual_above_tolerance_raises(monkeypatch):
+    monkeypatch.setattr(an, "RESIDUAL_TOL", 0.0)
+    with pytest.raises(an.SolverError, match="meeting-time residual"):
+        an.mean_meeting_times(generate(GraphSpec.rgg(25, seed=4)))
 
 
 # -- alpha estimates -------------------------------------------------------------
@@ -384,6 +436,24 @@ def test_gaussian_bound_certifies_lower_bound():
 def test_gaussian_bound_size_cap():
     with pytest.raises(an.SolverError):
         an.check_gaussian_bound(generate(GraphSpec.ring(2600)), 5)
+
+
+def test_gaussian_bound_needs_a_step():
+    with pytest.raises(ValueError, match="t_max >= 1"):
+        an.check_gaussian_bound(generate(GraphSpec.ring(6)), 0)
+
+
+def test_gaussian_bound_memory_does_not_grow_with_t_max():
+    import tracemalloc
+
+    g = generate(GraphSpec.torus(16, 2))
+    peaks = []
+    for t_max in (10, 40):
+        tracemalloc.start()
+        an.check_gaussian_bound(g, t_max=t_max)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 # -- regularity bundle -----------------------------------------------------------

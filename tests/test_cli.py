@@ -343,6 +343,19 @@ def test_hybrid_on_one_node_runs_to_its_horizon(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == "100.0 0.0 0.0\n"
 
 
+def test_analyze_meeting_clique4_reports_its_residual(tmp_path, monkeypatch, capsys):
+    run_cli(["gen", "--kind", "clique", "--n", "4",
+             "--out", str(tmp_path / "k4.graph")], monkeypatch, tmp_path)
+    capsys.readouterr()
+    rc = run_cli(["analyze", "--what", "meeting", "--graph", str(tmp_path / "k4.graph")],
+                 monkeypatch, tmp_path)
+    assert rc == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["worst_case"] == pytest.approx(1.5)
+    assert 0.0 <= rep["max_residual"] <= 1e-9
+    assert len(rep["table"]) == 4
+
+
 def test_analyze_solver_failure_exit_5(tmp_path, monkeypatch):
     run_cli(["gen", "--kind", "ring", "--n", "120",
              "--out", str(tmp_path / "big.graph")], monkeypatch, tmp_path)

@@ -260,6 +260,29 @@ def test_isoperimetry_clique():
     assert cert.value == pytest.approx(oracle)
 
 
+@pytest.mark.parametrize("spec", [
+    GraphSpec.ring(12),
+    GraphSpec.grid2d(5),
+    GraphSpec.torus(4, 2),
+    # at the default radius (0.43) rgg 40 has degrees 19 to 28, so no ball
+    # past the singleton holds 12 nodes; at 0.22 the degrees stay <= 10
+    GraphSpec.rgg(40, radius=0.22, seed=3),
+    GraphSpec.random_regular(30, 4, seed=2),
+], ids=lambda s: s.kind)
+def test_isoperimetry_is_exact_on_every_small_ball(spec):
+    g = generate(spec)
+    for u, row in enumerate(distances_from(g, range(g.n))):
+        # the largest radius whose ball (d < radius) holds at most 12 nodes
+        radius = int((np.bincount(row).cumsum() <= 12).sum())
+        assert radius >= 2
+        nodes = sorted(ball(g, u, radius))
+        index = {v: i for i, v in enumerate(nodes)}
+        adj = [[index[w] for w in g.adjacency[v] if w in index] for v in nodes]
+        cert = check_isoperimetry(g, u, radius)
+        assert cert.mode == "exact"
+        assert cert.value == brute_force_isoperimetry(adj, radius)
+
+
 def test_isoperimetry_degenerate_ball():
     g = generate(GraphSpec.ring(6))
     with pytest.raises(ValueError):
