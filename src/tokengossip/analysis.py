@@ -1,10 +1,11 @@
 """Exact and Monte-Carlo analysis of random walks on the simulation graphs.
 
 Hitting and meeting times come from linear solves (dense fundamental
-matrix, or a sparse factorization over unordered pairs); effective
-resistances from Laplacian solves on the unit-resistor network; token
-decay curves, meeting probabilities, and the coalescence bounds from
-seeded Monte Carlo.  Discrete-step expectations equal continuous
+matrix, or a sparse factorization over unordered pairs); meeting
+probabilities from the same chain over unordered pairs, uniformized
+exactly; effective resistances from Laplacian solves on the
+unit-resistor network; token decay curves and the coalescing-walk counts
+from seeded Monte Carlo.  Discrete-step expectations equal continuous
 unit-rate expectations via the jump-and-hold construction, so one table
 serves both clocks.
 """
@@ -178,36 +179,48 @@ class MeetingTable:
         return float(self.entry.max())
 
 
-MEETING_MAX_NODES = 100  # largest graph mean_meeting_times solves exactly
+MEETING_MAX_NODES = 100  # largest graph whose pair chain is built
+
+
+def _pair_chain(g: Graph) -> tuple:
+    """The two-walk chain on unordered pairs: (x, y, S) with the k =
+    n(n-1)/2 pairs x < y and the k x k substochastic step matrix S.
+
+    The product chain jumps at total rate 2; each jump moves one of the
+    two walks, chosen fairly, and the diagonal absorbs.  Row x * n + y of
+    (P kron I + I kron P) / 2, its columns (a, b) folded onto the pair
+    {a, b} and the diagonal ones dropped, is row (x, y) of S.
+    """
+    n = g.n
+    if n > MEETING_MAX_NODES:
+        raise SolverError(f"meeting times and probabilities capped at {MEETING_MAX_NODES} nodes")
+    x, y = np.triu_indices(n, 1)
+    k = len(x)
+    pair = np.full((n, n), -1)
+    pair[x, y] = pair[y, x] = np.arange(k)
+    offsets, flat = g.csr
+    deg = np.diff(offsets)
+    p = csr_matrix((np.repeat(1.0 / deg, deg), flat, offsets), shape=(n, n))
+    eye = identity(n, format="csr")
+    step = (0.5 * (kron(p, eye) + kron(eye, p))).tocsr()[x * n + y].tocoo()
+    col = pair.ravel()[step.col]
+    off = col >= 0
+    return x, y, csc_matrix((step.data[off], (step.row[off], col[off])), shape=(k, k))
 
 
 def mean_meeting_times(g: Graph) -> MeetingTable:
     """Exact sparse solve of pairwise meeting times.
 
-    The product chain jumps at total rate 2; each jump moves one of the
-    two walks, chosen fairly; the diagonal absorbs, and M(x, y) = M(y, x).
-    So the unknowns are the n(n-1)/2 pairs x < y: row x * n + y of
-    S = (P kron I + I kron P) / 2, its columns (a, b) folded onto the pair
-    {a, b} and the diagonal ones dropped, gives M = 1/2 + S M.  Capped at
-    ``MEETING_MAX_NODES`` nodes; use :func:`estimate_alpha` beyond.
+    M(x, y) = M(y, x) and the diagonal is 0, so the unknowns are the
+    pairs x < y of :func:`_pair_chain`, and M = 1/2 + S M: the pair
+    chain holds for 1/2 on average before each jump.  Capped at
+    ``MEETING_MAX_NODES`` nodes.
     """
-    n = g.n
-    if n > MEETING_MAX_NODES:
-        raise SolverError(f"meeting-time solve capped at {MEETING_MAX_NODES} nodes; "
-                          "use the MC estimator")
-    if n == 1:
+    if g.n == 1:
         return MeetingTable(np.zeros((1, 1)), 0.0)
-    x, y = np.triu_indices(n, 1)
+    x, y, step = _pair_chain(g)
     k = len(x)
-    pair = np.full((n, n), -1)
-    pair[x, y] = pair[y, x] = np.arange(k)
-    p = csr_matrix(_transition_matrix(g))
-    eye = identity(n, format="csr")
-    step = (0.5 * (kron(p, eye) + kron(eye, p))).tocsr()[x * n + y].tocoo()
-    col = pair.ravel()[step.col]
-    off = col >= 0
-    mat = (identity(k, format="csc")
-           - csc_matrix((step.data[off], (step.row[off], col[off])), shape=(k, k)))
+    mat = identity(k, format="csc") - step
     rhs = np.full(k, 0.5)
     # I - S is a diagonally dominant M-matrix, so its pivots may stay on the
     # diagonal; a minimum-degree order of its symmetric pattern has the least
@@ -217,7 +230,7 @@ def mean_meeting_times(g: Graph) -> MeetingTable:
     max_res = float(np.abs(mat @ sol - rhs).max() / max(1.0, sol.max()))
     if max_res > RESIDUAL_TOL:
         raise SolverError(f"meeting-time residual {max_res:.2e} above {RESIDUAL_TOL:.0e}")
-    entry = np.zeros((n, n))
+    entry = np.zeros((g.n, g.n))
     entry[x, y] = entry[y, x] = sol
     return MeetingTable(entry, max_res)
 
@@ -226,108 +239,49 @@ def worst_case_meeting(g: Graph) -> float:
     return mean_meeting_times(g).worst_case
 
 
-# ----------------------------------------------------------------------
-# Monte-Carlo estimators
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MCEstimate:
-    mean: float
-    stderr: float
-    trials: int
-
-
-def _wilson_half_width(p_hat: float, trials: int, z: float = 1.96) -> float:
-    denom = 1 + z * z / trials
-    return (z / denom) * math.sqrt(
-        p_hat * (1 - p_hat) / trials + z * z / (4 * trials * trials)
-    )
-
-
 @dataclass(frozen=True)
 class MeetingEstimate:
     """Worst-case (minimum over pairs) meeting probability by time s."""
 
     alpha_hat: float
-    half_width: float
     s: float
-    trials: int
     argmin_pair: tuple
-    pairs_sampled: bool
 
 
-def _pair_meeting_mask(g: Graph, v: int, w: int, s: float, trials: int,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Vectorized two-walk simulation: True where the walks met by s."""
-    offsets, flat = g.csr
-    deg = np.diff(offsets)
-    a = np.full(trials, v, dtype=np.int64)
-    b = np.full(trials, w, dtype=np.int64)
-    t = np.zeros(trials)
-    met = np.zeros(trials, dtype=bool)
-    alive = np.ones(trials, dtype=bool)
-    while alive.any():
-        idx = np.nonzero(alive)[0]
-        t[idx] += rng.exponential(0.5, size=len(idx))
-        over = t[idx] > s
-        alive[idx[over]] = False
-        idx = idx[~over]
-        if len(idx) == 0:
-            break
-        which = rng.random(len(idx)) < 0.5
-        for sel, pos in ((which, a), (~which, b)):
-            nodes = idx[sel]
-            if len(nodes) == 0:
-                continue
-            cur = pos[nodes]
-            step = (rng.random(len(nodes)) * deg[cur]).astype(np.int64)
-            pos[nodes] = flat[offsets[cur] + step]
-        meet_now = a[idx] == b[idx]
-        met[idx[meet_now]] = True
-        alive[idx[meet_now]] = False
-    return met
+def estimate_alpha(g: Graph, a: Sequence[int], s: float) -> MeetingEstimate:
+    """alpha_s(A): the least probability, over pairs of nodes of A, that
+    two unit-rate walks started there meet by time s.
 
-
-ALPHA_MAX_PAIRS = 10_000  # estimate_alpha samples this many pairs of a larger set
-
-
-def estimate_alpha(
-    g: Graph,
-    a: Sequence[int],
-    s: float,
-    trials: int = 1000,
-    stream: RngStream | int = 0,
-) -> MeetingEstimate:
-    """Monte-Carlo estimate of min over pairs in A of P(meet by s).
-
-    When A has more than ``ALPHA_MAX_PAIRS`` pairs a uniform pair sample
-    is used; the reported minimum then only upper-bounds the true minimum.
+    Exact by jump-and-hold: the pair chain jumps at total rate 2, so the
+    pairs' survival is sum_j Pois(j; 2s) S^j 1, truncated at
+    J = ceil(2s + 10 sqrt(2s) + 40), where the Poisson tail is below
+    e^-50.  It costs J sparse products, and is capped at
+    ``MEETING_MAX_NODES`` nodes.
     """
     a = sorted(set(a))
     if len(a) < 2:
         raise ValueError("alpha needs at least two start nodes")
-    if isinstance(stream, int):
-        stream = RngStream(master_seed=stream, stream_id=0)
-    rng = stream.generator()
-    pairs = [(v, w) for i, v in enumerate(a) for w in a[i + 1 :]]
-    sampled = len(pairs) > ALPHA_MAX_PAIRS
-    if sampled:
-        sel = rng.choice(len(pairs), size=ALPHA_MAX_PAIRS, replace=False)
-        pairs = [pairs[int(i)] for i in sel]
-    best = (math.inf, (a[0], a[1]))
-    for v, w in pairs:
-        p_hat = float(np.mean(_pair_meeting_mask(g, v, w, s, trials, rng)))
-        if p_hat < best[0]:
-            best = (p_hat, (v, w))
-    return MeetingEstimate(
-        alpha_hat=best[0],
-        half_width=_wilson_half_width(best[0], trials),
-        s=s,
-        trials=trials,
-        argmin_pair=best[1],
-        pairs_sampled=sampled,
-    )
+    if a[0] < 0 or a[-1] >= g.n:
+        raise ValueError(f"start nodes must lie in 0..{g.n - 1}")
+    if not 0 <= s < math.inf:
+        raise ValueError(f"alpha needs a finite horizon s >= 0, not {s}")
+    x, y, step = _pair_chain(g)
+    j = np.arange(math.ceil(2 * s + 10 * math.sqrt(2 * s) + 40) + 1)
+    if s > 0:
+        log_fact = np.concatenate([[0.0], np.cumsum(np.log(j[1:]))])
+        weights = np.exp(j * math.log(2 * s) - 2 * s - log_fact)
+    else:
+        weights = (j == 0).astype(float)
+    alive = np.ones(len(x))  # S^j 1: no meeting within j jumps
+    survival = weights[0] * alive
+    for w in weights[1:]:
+        alive = step @ alive
+        survival += w * alive
+    inside = np.isin(x, a) & np.isin(y, a)
+    i = np.flatnonzero(inside)[np.argmax(survival[inside])]
+    # rounding can leave a survival an ulp above 1
+    return MeetingEstimate(alpha_hat=max(0.0, float(1.0 - survival[i])), s=s,
+                           argmin_pair=(int(x[i]), int(y[i])))
 
 
 # ----------------------------------------------------------------------
@@ -457,6 +411,13 @@ def _step_integral(times: np.ndarray, counts: np.ndarray, grid: np.ndarray) -> n
 # ----------------------------------------------------------------------
 # Coalescing-system oracle
 # ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MCEstimate:
+    mean: float
+    stderr: float
+    trials: int
 
 
 def coalescing_oracle(

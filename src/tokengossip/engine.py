@@ -9,6 +9,7 @@ lazy-hold probability.  Every run is a pure function of its seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -19,7 +20,7 @@ RNG_ALGORITHM = "PCG64"
 class Continuous:
     """Asynchronous unit-rate Poisson clocks, simulated by thinning."""
 
-    name: str = "continuous"
+    name: ClassVar[str] = "continuous"
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,7 @@ class SynchronousDiscrete:
     """
 
     lazy_prob: float = 0.5
-    name: str = "discrete"
+    name: ClassVar[str] = "discrete"
 
     def __post_init__(self):
         if not 0.0 <= self.lazy_prob < 1.0:

@@ -495,7 +495,17 @@ def _enabled_rows(config: dict) -> list:
                     raise ValueError(f"sweep entry {item} needs a kind and only the fields "
                                      f"{', '.join(sorted(_SPEC_FIELDS))}")
             predictor_fn(row["predictor"])
-            if row["protocol"] != "gossip_K":
+            gossip = row["protocol"] == "gossip_K"
+            unread = set(row) & ({"params", "fusion", "values"} if gossip else {"eps", "z0"})
+            if unread:
+                raise ValueError(f"a {row['protocol']} row reads no {', '.join(sorted(unread))}")
+            if gossip:
+                if row.get("metric") != "eta_per_node":
+                    raise ValueError("a gossip_K row measures eta_per_node, not "
+                                     f"{row.get('metric', 'tau')!r}")
+                if row.get("z0", "spike") not in ("slow_mode", "spike"):
+                    raise ValueError(f"z0 must be slow_mode or spike, not {row['z0']!r}")
+            else:
                 _check_params(row["protocol"], row.get("params", {}))
         except ValueError as e:
             raise ValueError(f"suite row {row.get('label', i)!r}: {e}") from None
@@ -507,10 +517,11 @@ def run_suite(config: dict, out_dir: Optional[Path] = None) -> SuiteReport:
 
     Row schema (``ROW_KEYS``): label, protocol, metric (tau |
     eta_per_node | eta), predictor, sweep (list of GraphSpec kwargs),
-    trials, slope_band, r2_min, params, enabled, fusion, values, and for
-    gossip_K rows eps and z0.  Every enabled row is checked before any
-    runs.  Writes summary.csv, fits.json, and one per-point trial table
-    when an output directory is given.
+    trials, slope_band, r2_min, enabled, and params, fusion and values,
+    or for gossip_K rows (metric eta_per_node) eps and z0 (slow_mode or
+    spike).  Every enabled row is checked before any runs.  Writes
+    summary.csv, fits.json, and one per-point trial table when an output
+    directory is given.
     """
     rows = []
     master_seed = int(config.get("master_seed", 0))

@@ -226,11 +226,14 @@ def rgg(n: int, seed: int, radius: float = 0.0) -> Graph:
     """Random geometric graph on the unit square.
 
     Nodes are uniform points; an edge joins pairs at Euclidean distance
-    <= radius.  Disconnected draws are discarded and retried with fresh
-    derived seeds; the number of attempts used is recorded on the graph.
+    <= radius, a finite number where 0 means ``default_rgg_radius(n)``.
+    Disconnected draws are discarded and retried with fresh derived
+    seeds; the number of attempts used is recorded on the graph.
     """
     if n < 2:
         raise ValueError("rgg needs n >= 2")
+    if not 0 <= radius < math.inf:
+        raise ValueError(f"rgg radius must be finite and nonnegative, not {radius}")
     r = radius if radius > 0 else default_rgg_radius(n)
     for attempt in range(RGG_MAX_ATTEMPTS):
         rng = np.random.Generator(

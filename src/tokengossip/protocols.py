@@ -504,11 +504,12 @@ def _run_gossip(state: SimState, stop) -> "Trace":
 # -- controlled flooding --------------------------------------------------
 
 
-def cfld_run(state: SimState, origins: Optional[Sequence[int]] = None) -> "Trace":
-    """Flood every origin's payload to all nodes, each node forwarding a
-    given origin's flood at most once, to all neighbors except the
-    sender(s) of its first receipt.  An origin without neighbors (the
-    one node of a 1-node graph) sends nothing and takes no time.
+def cfld_run(state: SimState) -> "Trace":
+    """Flood the payload of every active node (an origin) to all nodes,
+    each node forwarding a given origin's flood at most once, to all
+    neighbors except the sender(s) of its first receipt.  An origin
+    without neighbors (the one node of a 1-node graph) sends nothing and
+    takes no time.
 
     On return every node holds the fused combination of all origin
     payloads with count n.  Transmissions are counted per link, so each
@@ -516,9 +517,7 @@ def cfld_run(state: SimState, origins: Optional[Sequence[int]] = None) -> "Trace
     """
     g = state.graph
     n = g.n
-    if origins is None:
-        origins = sorted(state.active_list)
-    origins = list(origins)
+    origins = sorted(state.active_list)
     if not origins:
         raise ProtocolError("flood needs at least one origin")
     total = sum(state.counts[o] for o in origins)
@@ -692,6 +691,8 @@ def hybrid_k_run(
     goes to the horizon and reports approximation error against the true
     weighted mean.
     """
+    if not math.isfinite(horizon):
+        raise ValueError(f"stop time {horizon!r} must be finite")
     state = init(
         ProtocolKind.HYBRID_K, graph, x, weighted_avg_fusion(), params={"k": k},
         seed=seed, stream_id=stream_id,

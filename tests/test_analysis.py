@@ -244,21 +244,68 @@ def test_meeting_residual_above_tolerance_raises(monkeypatch):
 
 def test_alpha_zero_horizon():
     g = generate(GraphSpec.ring(6))
-    est = an.estimate_alpha(g, range(6), 0.0, trials=200, stream=5)
+    est = an.estimate_alpha(g, range(6), 0.0)
     assert est.alpha_hat == 0.0
 
 
 def test_alpha_k2_exponential():
-    est = an.estimate_alpha(generate(GraphSpec.clique(2)), [0, 1], 0.5, trials=6000, stream=6)
-    assert abs(est.alpha_hat - (1 - math.exp(-1))) <= max(3 * est.half_width, 0.02)
+    est = an.estimate_alpha(generate(GraphSpec.clique(2)), [0, 1], 0.5)
+    assert est.alpha_hat == pytest.approx(1 - math.exp(-1), rel=1e-12)
 
 
 def test_alpha_markov_lower_bound():
     # alpha_s(V) >= 1 - sigma/s at s = 2*sigma
     g = generate(GraphSpec.ring(8))
     sigma = an.worst_case_hitting(g)
-    est = an.estimate_alpha(g, range(8), 2 * sigma, trials=1500, stream=7)
-    assert est.alpha_hat >= 0.5 - 3 * est.half_width
+    est = an.estimate_alpha(g, range(8), 2 * sigma)
+    assert est.alpha_hat >= 0.5
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_alpha_clique_closed_form(n):
+    # two walks on a clique meet at rate 2/(n-1)
+    g = generate(GraphSpec.clique(n))
+    for s in (0.1, 1.0, 5.0):
+        est = an.estimate_alpha(g, range(n), s)
+        assert est.alpha_hat == pytest.approx(1 - math.exp(-2 * s / (n - 1)), rel=1e-12)
+
+
+@pytest.mark.parametrize("spec, pair, s, stream", [
+    (GraphSpec.ring(20), (0, 3), 4.0, 20),
+    (GraphSpec.torus(5, 2), (0, 6), 3.0, 21),
+    (GraphSpec.rgg(25, seed=3), (0, 7), 2.0, 22),
+])
+def test_alpha_matches_the_coalescing_walk(spec, pair, s, stream):
+    # two tokens started on a pair survive as 2 - 1{met by s}
+    g = generate(spec)
+    alpha = an.estimate_alpha(g, pair, s)
+    lam = an.coalescing_oracle(g, pair, [s], trials=4000, stream=stream)[0]
+    assert 0.1 < alpha.alpha_hat < 0.9
+    assert abs(alpha.alpha_hat - (2 - lam.mean)) <= 4 * lam.stderr
+    assert alpha.argmin_pair == pair
+
+
+def test_alpha_is_deterministic_and_leaves_the_global_rng_alone():
+    g = generate(GraphSpec.torus(4, 2))
+    state = np.random.get_state()
+    first, second = (an.estimate_alpha(g, range(16), 7.0) for _ in range(2))
+    assert first == second
+    after = np.random.get_state()
+    assert after[0] == state[0] and np.array_equal(after[1], state[1]) and after[2:] == state[2:]
+
+
+@pytest.mark.parametrize("a, s", [
+    ([0, 1], -1.0), ([0, 1], math.nan), ([0, 1], math.inf),
+    ([0, 8], 1.0), ([-1, 0], 1.0), ([3, 3], 1.0),
+])
+def test_alpha_rejects_bad_input(a, s):
+    with pytest.raises(ValueError):
+        an.estimate_alpha(generate(GraphSpec.ring(8)), a, s)
+
+
+def test_alpha_cap_names_the_node_count():
+    with pytest.raises(an.SolverError, match="100 nodes"):
+        an.estimate_alpha(generate(GraphSpec.ring(101)), [0, 1], 1.0)
 
 
 # -- cover times -------------------------------------------------------------
@@ -384,13 +431,13 @@ def test_coalescing_oracle_time_zero_and_monotone():
 
 
 def test_car_bound_k5():
-    # E|Lambda_B(s)| <= |B| - (|B|-1) alpha_s(B) within combined MC error
+    # E|Lambda_B(s)| <= |B| - (|B|-1) alpha_s(B) within the oracle's MC error
     g = generate(GraphSpec.clique(5))
     for s in (0.5, 1.0, 2.0):
         lam = an.coalescing_oracle(g, range(5), [s], trials=3000, stream=17)[0]
-        alpha = an.estimate_alpha(g, range(5), s, trials=3000, stream=18)
+        alpha = an.estimate_alpha(g, range(5), s)
         rhs = 5 - 4 * alpha.alpha_hat
-        assert lam.mean <= rhs + 3 * (lam.stderr + 4 * alpha.half_width)
+        assert lam.mean <= rhs + 3 * lam.stderr
 
 
 def test_partition_superadditivity_pathwise():

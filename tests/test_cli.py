@@ -506,6 +506,24 @@ BAD_INPUTS = {
     "scale_sweep_of_numbers": _suite_scale(sweep=[4, 5, 6, 7]),
     "scale_sweep_is_a_number": _suite_scale(sweep=5),
     "scale_params_is_a_number": _suite_scale(params=5),
+    "scale_gossip_z0_typo": _suite_scale(protocol="gossip_K", metric="eta_per_node",
+                                         z0="slowmode"),
+    "scale_gossip_with_params": _suite_scale(protocol="gossip_K", metric="eta_per_node",
+                                             params={}),
+    "scale_gossip_with_fusion": _suite_scale(protocol="gossip_K", metric="eta_per_node",
+                                             fusion="sum"),
+    "scale_gossip_with_values": _suite_scale(protocol="gossip_K", metric="eta_per_node",
+                                             values="uniform"),
+    "scale_gossip_metric_tau": _suite_scale(protocol="gossip_K"),
+    "scale_crw_with_eps": _suite_scale(eps=0.01),
+    "scale_crw_with_z0": _suite_scale(z0="spike"),
+    "run_hybrid_k_infinite_horizon": lambda tmp_path: [
+        "run", "--proto", "hybrid_k", "--kind", "ring", "--n", "8", "--fusion", "wavg",
+        "--horizon", "inf", "--trials", "1"],
+    "gen_rgg_negative_radius": lambda tmp_path: [
+        "gen", "--kind", "rgg", "--n", "30", "--radius", "-1", "--out", "x.graph"],
+    "gen_rgg_nan_radius": lambda tmp_path: [
+        "gen", "--kind", "rgg", "--n", "30", "--radius", "nan", "--out", "x.graph"],
     "gen_out_missing_dir": _out_under_missing_dir("gen"),
     "run_out_missing_dir": _out_under_missing_dir("run"),
     "analyze_out_missing_dir": _out_under_missing_dir("analyze"),
