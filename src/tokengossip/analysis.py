@@ -46,9 +46,10 @@ RESIDUAL_TOL = 1e-9  # largest relative residual a linear solve may leave
 
 
 @dataclass(frozen=True)
-class HittingTimeTable:
+class PairTimeTable:
     """entry[v, w] = expected first-passage time from v to w, in steps
-    (equal to the continuous unit-rate expectation)."""
+    (equal to the continuous unit-rate expectation), or expected time for
+    two unit-rate walks from v and w to first share a node."""
 
     entry: np.ndarray
     max_residual: float
@@ -65,7 +66,7 @@ def _transition_matrix(g: Graph, lazy_prob: float = 0.0) -> np.ndarray:
     return (1 - lazy_prob) * p + lazy_prob * np.eye(g.n) if lazy_prob else p
 
 
-def mean_hitting_times(g: Graph) -> HittingTimeTable:
+def mean_hitting_times(g: Graph) -> PairTimeTable:
     """All-pairs mean first-passage times of the simple random walk.
 
     Solved through the fundamental matrix Z = (I - P + 1 pi)^-1 with
@@ -74,7 +75,7 @@ def mean_hitting_times(g: Graph) -> HittingTimeTable:
     """
     n = g.n
     if n == 1:
-        return HittingTimeTable(np.zeros((1, 1)), 0.0)
+        return PairTimeTable(np.zeros((1, 1)), 0.0)
     if n > 5000:
         raise SolverError("dense hitting-time solve capped at 5000 nodes")
     p = _transition_matrix(g)
@@ -89,7 +90,7 @@ def mean_hitting_times(g: Graph) -> HittingTimeTable:
     max_res = float(np.abs(res).max() / max(1.0, h.max()))
     if max_res > RESIDUAL_TOL:
         raise SolverError(f"hitting-time residual {max_res:.2e} above {RESIDUAL_TOL:.0e}")
-    return HittingTimeTable(h, max_res)
+    return PairTimeTable(h, max_res)
 
 
 def worst_case_hitting(g: Graph) -> float:
@@ -166,19 +167,6 @@ def effective_resistance(g: Graph, u: int, v: int) -> float:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MeetingTable:
-    """entry[v, w] = expected time for two independent unit-rate walks
-    from v and w to first share a node."""
-
-    entry: np.ndarray
-    max_residual: float
-
-    @property
-    def worst_case(self) -> float:
-        return float(self.entry.max())
-
-
 MEETING_MAX_NODES = 100  # largest graph whose pair chain is built
 
 
@@ -208,7 +196,7 @@ def _pair_chain(g: Graph) -> tuple:
     return x, y, csc_matrix((step.data[off], (step.row[off], col[off])), shape=(k, k))
 
 
-def mean_meeting_times(g: Graph) -> MeetingTable:
+def mean_meeting_times(g: Graph) -> PairTimeTable:
     """Exact sparse solve of pairwise meeting times.
 
     M(x, y) = M(y, x) and the diagonal is 0, so the unknowns are the
@@ -217,7 +205,7 @@ def mean_meeting_times(g: Graph) -> MeetingTable:
     ``MEETING_MAX_NODES`` nodes.
     """
     if g.n == 1:
-        return MeetingTable(np.zeros((1, 1)), 0.0)
+        return PairTimeTable(np.zeros((1, 1)), 0.0)
     x, y, step = _pair_chain(g)
     k = len(x)
     mat = identity(k, format="csc") - step
@@ -232,7 +220,7 @@ def mean_meeting_times(g: Graph) -> MeetingTable:
         raise SolverError(f"meeting-time residual {max_res:.2e} above {RESIDUAL_TOL:.0e}")
     entry = np.zeros((g.n, g.n))
     entry[x, y] = entry[y, x] = sol
-    return MeetingTable(entry, max_res)
+    return PairTimeTable(entry, max_res)
 
 
 def worst_case_meeting(g: Graph) -> float:

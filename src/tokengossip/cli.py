@@ -25,6 +25,7 @@ from . import __version__
 from . import analysis as an
 from . import experiments as ex
 from .graph import (
+    GRAPH_KINDS,
     GraphGenerationError,
     GraphSpec,
     diameter,
@@ -72,20 +73,8 @@ def _write_manifest(out_dir: Path, config: dict, master_seed: int, started: floa
 
 
 def _spec_from_args(args) -> GraphSpec:
-    kind = args.kind
-    if kind == "clique":
-        return GraphSpec.clique(args.n)
-    if kind == "ring":
-        return GraphSpec.ring(args.n)
-    if kind == "torus":
-        return GraphSpec.torus(args.side, args.dim)
-    if kind == "grid2d":
-        return GraphSpec.grid2d(args.side)
-    if kind == "rgg":
-        return GraphSpec.rgg(args.n, seed=args.seed, radius=args.radius or 0.0)
-    if kind == "random_regular":
-        return GraphSpec.random_regular(args.n, args.degree, seed=args.seed)
-    raise ValueError(f"unknown kind {kind!r}")
+    return GraphSpec(kind=args.kind, n=args.n, side=args.side, dim=args.dim,
+                     radius=args.radius, degree=args.degree, seed=args.seed)
 
 
 def cmd_gen(args) -> int:
@@ -117,7 +106,7 @@ def cmd_run(args) -> int:
     values = f"file:{args.values}" if args.values else args.values_kind
     out_dir = _out_root() / args.out if args.out else None
     fusion_kind = "gossip" if args.proto == "gossip" else args.fusion
-    x = ex.initial_values(values, g.n, fusion_kind, args.values_seed)
+    x = ex.initial_values(values, g, fusion_kind, args.values_seed)
     if args.proto == "two_phase":
         params = ex.resolve_two_phase(g, {**params, "gamma": args.gamma}, args.seed)
     summaries = ex.run_point(
@@ -259,35 +248,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", help="generate a graph file")
-    p_gen.add_argument("--kind", required=True,
-                       choices=["clique", "ring", "torus", "grid2d", "rgg", "random_regular"])
-    p_gen.add_argument("--n", type=int, default=0)
-    p_gen.add_argument("--side", type=int, default=0)
-    p_gen.add_argument("--dim", type=int, default=2)
-    p_gen.add_argument("--radius", type=float, default=0.0)
-    p_gen.add_argument("--degree", type=int, default=6)
-    p_gen.add_argument("--seed", type=int, default=0)
+    graph_flags = argparse.ArgumentParser(add_help=False)  # the GraphSpec fields
+    graph_flags.add_argument("--kind", choices=GRAPH_KINDS)
+    graph_flags.add_argument("--n", type=int, default=0)
+    graph_flags.add_argument("--side", type=int, default=0)
+    graph_flags.add_argument("--dim", type=int, default=2)
+    graph_flags.add_argument("--radius", type=float, default=0.0)
+    graph_flags.add_argument("--degree", type=int, default=6)
+    graph_flags.add_argument("--seed", type=int, default=0)
+
+    p_gen = sub.add_parser("gen", parents=[graph_flags], help="generate a graph file")
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=cmd_gen)
 
-    p_run = sub.add_parser("run", help="run protocol trials")
+    p_run = sub.add_parser("run", parents=[graph_flags], help="run protocol trials")
     p_run.add_argument("--proto", required=True,
                        choices=["srw", "crw", "gossip", "two_phase", "hybrid_k"])
     p_run.add_argument("--graph")
-    p_run.add_argument("--kind",
-                       choices=["clique", "ring", "torus", "grid2d", "rgg", "random_regular"])
-    p_run.add_argument("--n", type=int, default=0)
-    p_run.add_argument("--side", type=int, default=0)
-    p_run.add_argument("--dim", type=int, default=2)
-    p_run.add_argument("--radius", type=float, default=0.0)
-    p_run.add_argument("--degree", type=int, default=6)
     p_run.add_argument("--fusion", default="sum", choices=["sum", "max", "wavg"])
     p_run.add_argument("--values", help="values file, one per line")
     p_run.add_argument("--values-kind", default="uniform", choices=["spike", "uniform"])
     p_run.add_argument("--values-seed", type=int, default=1)
     p_run.add_argument("--trials", type=int, default=100)
-    p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--gamma", help="two-phase target token count, or log_n")
     p_run.add_argument("--eps", type=float, default=0.01)
     p_run.add_argument("--k", type=int, default=2)

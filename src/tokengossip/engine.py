@@ -35,8 +35,8 @@ class SynchronousDiscrete:
     name: ClassVar[str] = "discrete"
 
     def __post_init__(self):
-        if not 0.0 <= self.lazy_prob < 1.0:
-            raise ValueError("lazy_prob must lie in [0, 1)")
+        if not (isinstance(self.lazy_prob, (int, float)) and 0.0 <= self.lazy_prob < 1.0):
+            raise ValueError(f"lazy_prob must lie in [0, 1), not {self.lazy_prob!r}")
 
 
 ClockMode = Continuous | SynchronousDiscrete

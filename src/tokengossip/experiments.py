@@ -64,7 +64,7 @@ class ExperimentConfig:
     graphs: Sequence[GraphSpec]
     protocol: str
     fusion: str = "sum"
-    values: str = "uniform"  # "spike" | "uniform" | "file:<path>"
+    values: str = "uniform"  # "spike" | "uniform" | "slow_mode" | "file:<path>"
     values_seed: int = 1
     trials: int = 100
     master_seed: int = 0
@@ -76,16 +76,42 @@ class ExperimentConfig:
             raise ValueError("need at least one trial")
         if not self.graphs:
             raise ValueError("sweep needs at least one graph spec")
+        _check_params(self.protocol, self.params)
+        fusion_from_name(self.fusion)
+        if not (self.values in ("spike", "uniform", "slow_mode")
+                or isinstance(self.values, str) and self.values.startswith("file:")):
+            raise ValueError(f"unknown value source {self.values!r}")
 
 
-def initial_values(source: str, n: int, fusion_kind: str, seed: int) -> list:
+def slow_mode_start(g: Graph) -> list:
+    """Start vector on the slowest non-constant averaging mode.
+
+    The stopping index is defined as a supremum over start vectors, and
+    the slow eigenvector is its near-maximizer: spike or random starts
+    load that mode with relatively vanishing weight as n grows, which
+    systematically shortens the threshold crossing at a fixed eps.
+    """
+    if g.n > 4000:
+        raise ValueError("dense eigensolve capped at 4000 nodes")
+    p = _transition_matrix(g)
+    _, vecs = np.linalg.eigh((p + p.T) / 2)
+    mode = vecs[:, -2]
+    mode = mode - mode.mean()  # exact zero-mean, so the target is 0
+    return [float(v) for v in g.n * mode / np.abs(mode).max()]
+
+
+def initial_values(source: str, graph: Graph, fusion_kind: str, seed: int) -> list:
     """Materialize node values: a single spike of mass n at node 0, a
-    seeded uniform draw, or one value per line from a file."""
+    seeded uniform draw, the graph's slowest averaging mode
+    (``slow_mode_start``), or one value per line from a file."""
+    n = graph.n
     if source == "spike":
         base = [n] + [0] * (n - 1)
     elif source == "uniform":
         rng = RngStream(seed, stream_id=0x7A1).generator()
         base = [int(v) for v in rng.integers(-(2**20), 2**20, size=n)]
+    elif source == "slow_mode":
+        base = slow_mode_start(graph)
     elif source.startswith("file:"):
         lines = Path(source[5:]).read_text().split()
         if len(lines) < n:
@@ -120,13 +146,22 @@ PROTOCOL_PARAMS = {
 
 
 def _check_params(protocol: str, params: dict) -> None:
-    """Raise ``ValueError`` for an unknown protocol or a key it does not read."""
+    """Raise ``ValueError`` for an unknown protocol, a key it does not read,
+    a missing eps or k, a bad clock, gossip stop rule or gamma."""
     if protocol not in PROTOCOL_PARAMS:
         raise ValueError(f"unknown protocol {protocol!r}")
     unknown = sorted(set(params) - PROTOCOL_PARAMS[protocol])
     if unknown:
         raise ValueError(f"{protocol} takes no parameter {', '.join(unknown)} "
                          f"(it reads {', '.join(sorted(PROTOCOL_PARAMS[protocol]))})")
+    needed = {"gossip": "eps", "hybrid_k": "k"}.get(protocol)
+    if needed is not None and needed not in params:
+        raise ValueError(f"{protocol} needs parameter {needed}")
+    _clock(params)
+    if protocol == "gossip":
+        GossipEps(**params)
+    if params.get("gamma") not in (None, "log_n") and not float(params["gamma"]) >= 1:
+        raise ValueError("gamma must be >= 1")
 
 
 def _clock(params: dict):
@@ -174,7 +209,7 @@ def _run_one(args) -> TrialSummary:
         )
     elif protocol == "gossip":
         st = init(ProtocolKind.GOSSIP, graph, x, None, seed=master_seed, stream_id=trial)
-        tr = run(st, GossipEps(params["eps"], params.get("horizon", 1_000_000_000)))
+        tr = run(st, GossipEps(**params))
     else:
         st = init(ProtocolKind(protocol), graph, x, fusion, seed=master_seed, clock=clock,
                   stream_id=trial)
@@ -229,9 +264,8 @@ def run_point(
     if trials < 1:
         raise ValueError("need at least one trial")
     _check_params(protocol, params)
-    needed = {"two_phase": "switch_time", "gossip": "eps", "hybrid_k": "k"}.get(protocol)
-    if needed is not None and needed not in params:
-        raise ValueError(f"{protocol} needs parameter {needed}")
+    if protocol == "two_phase" and "switch_time" not in params:
+        raise ValueError("two_phase needs parameter switch_time")
     expected = None  # the aggregate every SUM/MAX walk trial must return exactly
     if protocol in ("srw", "crw", "two_phase") and fusion_name in ("sum", "max"):
         expected = fold(fusion_from_name(fusion_name), x)
@@ -268,7 +302,7 @@ def run_trials(config: ExperimentConfig) -> dict:
     for idx, spec in enumerate(config.graphs):
         graph = generate(spec)
         fusion_kind = "gossip" if config.protocol == "gossip" else config.fusion
-        x = initial_values(config.values, graph.n, fusion_kind, config.values_seed)
+        x = initial_values(config.values, graph, fusion_kind, config.values_seed)
         params = dict(config.params)
         if config.protocol == "two_phase":
             params = resolve_two_phase(graph, params, config.master_seed)
@@ -354,7 +388,7 @@ def predictor_fn(name: str) -> Callable[[int], float]:
     }
     if name in table:
         return table[name]
-    if name.startswith("n_pow:"):
+    if isinstance(name, str) and name.startswith("n_pow:"):
         p = float(name.split(":", 1)[1])
         return lambda n: float(n) ** p
     raise ValueError(f"unknown predictor {name!r}")
@@ -390,33 +424,13 @@ class GossipKEstimate:
     first_passages: tuple
 
 
-GOSSIP_K_HORIZON = 200_000_000  # exchanges per trial before a gossip_K trial fails
-
-
-def slow_mode_start(g: Graph) -> list:
-    """Start vector on the slowest non-constant averaging mode.
-
-    The stopping index is defined as a supremum over start vectors, and
-    the slow eigenvector is its near-maximizer: spike or random starts
-    load that mode with relatively vanishing weight as n grows, which
-    systematically shortens the threshold crossing at a fixed eps.
-    """
-    if g.n > 4000:
-        raise ValueError("dense eigensolve capped at 4000 nodes")
-    p = _transition_matrix(g)
-    _, vecs = np.linalg.eigh((p + p.T) / 2)
-    mode = vecs[:, -2]
-    mode = mode - mode.mean()  # exact zero-mean, so the target is 0
-    return [float(v) for v in g.n * mode / np.abs(mode).max()]
-
-
 def measure_gossip_K(
     g: Graph,
     eps: float,
     z0: Optional[Sequence[float]] = None,
     trials: int = 40,
     master_seed: int = 0,
-    horizon: int = GOSSIP_K_HORIZON,
+    horizon: int = GossipEps.horizon,
 ) -> GossipKEstimate:
     """Empirical stopping index: the smallest exchange count k such that
     the fraction of trials still above the error threshold at k is at
@@ -424,7 +438,7 @@ def measure_gossip_K(
     supremum over start vectors is not searched, so this lower-bounds
     the worst case.  ``first_passages`` are sorted."""
     if z0 is None:
-        z0 = initial_values("spike", g.n, "gossip", 0)
+        z0 = initial_values("spike", g, "gossip", 0)
     summaries = run_point(g, "gossip", "gossip", z0, {"eps": eps, "horizon": horizon},
                           trials, master_seed)
     passages = sorted(s.gossip_first_passage for s in summaries)
@@ -464,13 +478,15 @@ class SuiteReport:
 
 
 ROW_KEYS = frozenset("label protocol metric predictor sweep trials slope_band r2_min params "
-                     "enabled fusion values eps z0".split())
+                     "enabled fusion values".split())
 _SPEC_FIELDS = frozenset(f.name for f in fields(GraphSpec))
 
 
 def _enabled_rows(config: dict) -> list:
-    """The enabled rows of a suite config, every one checked before any
-    runs; a bad row raises ``ValueError`` naming its label."""
+    """The enabled rows of a suite config, each as ``(ExperimentConfig,
+    label, metric, predictor, slope_band, r2_min)``, every one built and
+    checked before any runs; a bad row raises ``ValueError`` naming its
+    label."""
     if not isinstance(config, dict):
         raise ValueError("a suite config must be a JSON object")
     rows = config.get("rows", [])
@@ -479,13 +495,19 @@ def _enabled_rows(config: dict) -> list:
     rows = [r for r in rows if r.get("enabled", True)]
     if not rows:
         raise ValueError("config has no enabled rows")
+    try:
+        master_seed, jobs = int(config.get("master_seed", 0)), int(config.get("jobs", 1))
+    except (ValueError, TypeError) as e:
+        raise ValueError(f"suite master_seed and jobs must be integers: {e}") from None
+    out = []
     for i, row in enumerate(rows):
         try:
             missing, unknown = {"protocol", "predictor", "sweep"} - set(row), set(row) - ROW_KEYS
             if missing or unknown:
                 raise ValueError(f"missing keys {sorted(missing)}, unknown keys {sorted(unknown)}")
-            if row.get("metric", "tau") not in ("tau", "eta_per_node", "eta"):
-                raise ValueError(f"metric must be tau, eta_per_node or eta, not {row['metric']!r}")
+            metric = row.get("metric", "tau")
+            if metric not in ("tau", "eta_per_node", "eta"):
+                raise ValueError(f"metric must be tau, eta_per_node or eta, not {metric!r}")
             if not isinstance(row["sweep"], list):
                 raise ValueError(f"sweep must be a list of graph specs, not {row['sweep']!r}")
             if not isinstance(row.get("params", {}), dict):
@@ -494,22 +516,30 @@ def _enabled_rows(config: dict) -> list:
                 if not (isinstance(item, dict) and "kind" in item and set(item) <= _SPEC_FIELDS):
                     raise ValueError(f"sweep entry {item} needs a kind and only the fields "
                                      f"{', '.join(sorted(_SPEC_FIELDS))}")
+            if row["protocol"] == "gossip" and "fusion" in row:
+                raise ValueError("a gossip row reads no fusion")
             predictor_fn(row["predictor"])
-            gossip = row["protocol"] == "gossip_K"
-            unread = set(row) & ({"params", "fusion", "values"} if gossip else {"eps", "z0"})
-            if unread:
-                raise ValueError(f"a {row['protocol']} row reads no {', '.join(sorted(unread))}")
-            if gossip:
-                if row.get("metric") != "eta_per_node":
-                    raise ValueError("a gossip_K row measures eta_per_node, not "
-                                     f"{row.get('metric', 'tau')!r}")
-                if row.get("z0", "spike") not in ("slow_mode", "spike"):
-                    raise ValueError(f"z0 must be slow_mode or spike, not {row['z0']!r}")
-            else:
-                _check_params(row["protocol"], row.get("params", {}))
-        except ValueError as e:
+            band = row.get("slope_band", [0.85, 1.15])
+            if not (isinstance(band, (list, tuple)) and len(band) == 2
+                    and all(isinstance(b, (int, float)) for b in band)):
+                raise ValueError(f"slope_band must be a [low, high] pair of numbers, not {band!r}")
+            cfg = ExperimentConfig(
+                graphs=[GraphSpec(**item) for item in row["sweep"]],
+                protocol=row["protocol"],
+                fusion=row.get("fusion", "sum"),
+                values=row.get("values", "uniform"),
+                trials=int(row.get("trials", 100)),
+                master_seed=master_seed,
+                params=dict(row.get("params", {})),
+                jobs=jobs,
+            )
+            if cfg.trials < 2 or len(cfg.graphs) < 4:
+                raise ValueError("a suite row needs at least two trials and four sweep points")
+            out.append((cfg, str(row.get("label", f"{cfg.protocol}/{metric}")), metric,
+                        row["predictor"], tuple(band), float(row.get("r2_min", 0.9))))
+        except (ValueError, TypeError) as e:
             raise ValueError(f"suite row {row.get('label', i)!r}: {e}") from None
-    return rows
+    return out
 
 
 def run_suite(config: dict, out_dir: Optional[Path] = None) -> SuiteReport:
@@ -517,60 +547,29 @@ def run_suite(config: dict, out_dir: Optional[Path] = None) -> SuiteReport:
 
     Row schema (``ROW_KEYS``): label, protocol, metric (tau |
     eta_per_node | eta), predictor, sweep (list of GraphSpec kwargs),
-    trials, slope_band, r2_min, enabled, and params, fusion and values,
-    or for gossip_K rows (metric eta_per_node) eps and z0 (slow_mode or
-    spike).  Every enabled row is checked before any runs.  Writes
-    summary.csv, fits.json, and one per-point trial table when an output
-    directory is given.
+    trials, slope_band, r2_min, enabled, params, fusion (not on gossip
+    rows) and values.  Every enabled row becomes one ``ExperimentConfig``,
+    built and checked before any row runs.  Writes summary.csv, fits.json,
+    and one per-point trial table when an output directory is given.
     """
     rows = []
-    master_seed = int(config.get("master_seed", 0))
     summary_lines = ["n,protocol,metric,mean,stderr,trials"]
     fits = []
     trial_tables = {}
-    jobs = int(config.get("jobs", 1))
-    for row in _enabled_rows(config):
-        protocol = row["protocol"]
-        metric = row.get("metric", "tau")
-        label = row.get("label", f"{protocol}/{metric}")
+    for cfg, label, metric, predictor, band, r2_min in _enabled_rows(config):
         records = []
-        for item in row["sweep"]:
-            spec = GraphSpec(**item)
-            if protocol == "gossip_K":
-                graph = generate(spec)
-                spike = initial_values("spike", graph.n, "gossip", 0)
-                z0 = slow_mode_start(graph) if row.get("z0") == "slow_mode" else spike
-                summaries = run_point(
-                    graph, "gossip", "gossip", z0,
-                    {"eps": float(row.get("eps", 0.01)), "horizon": GOSSIP_K_HORIZON},
-                    int(row.get("trials", 40)), master_seed, jobs=jobs,
-                )
-                rec = aggregate(summaries, "eta_per_node", seed=master_seed)
-            else:
-                cfg = ExperimentConfig(
-                    graphs=[spec],
-                    protocol=protocol,
-                    fusion=row.get("fusion", "sum"),
-                    values=row.get("values", "uniform"),
-                    trials=int(row.get("trials", 100)),
-                    master_seed=master_seed,
-                    params=dict(row.get("params", {})),
-                    jobs=jobs,
-                )
-                graph, summaries = run_trials(cfg)[0]
-                rec = aggregate(summaries, metric, seed=master_seed)
+        for graph, summaries in run_trials(cfg).values():
+            rec = aggregate(summaries, metric, seed=cfg.master_seed)
             records.append(rec)
             summary_lines.append(
-                f"{rec.n},{protocol},{rec.metric},{rec.mean!r},{rec.stderr!r},{rec.trials}"
+                f"{rec.n},{cfg.protocol},{rec.metric},{rec.mean!r},{rec.stderr!r},{rec.trials}"
             )
             name = f"trials_{label.replace('/', '_')}_{graph.n}.csv"
             trial_tables[name] = "\n".join(
                 ["trial,tau,eta,eta_per_node"]
                 + [f"{s.trial},{s.tau!r},{s.eta},{s.eta_per_node!r}" for s in summaries]
             )
-        fit = fit_scaling(records, row["predictor"])
-        band = tuple(row.get("slope_band", (0.85, 1.15)))
-        r2_min = float(row.get("r2_min", 0.9))
+        fit = fit_scaling(records, predictor)
         passed = band[0] <= fit.slope <= band[1] and fit.r2 >= r2_min
         rows.append(RowResult(label, metric, fit, band, r2_min, passed, tuple(records)))
         fits.append(

@@ -26,6 +26,9 @@ class GraphFileError(ValueError):
     """A graph file is malformed or does not hold a simple connected graph."""
 
 
+GRAPH_KINDS = ("clique", "ring", "torus", "grid2d", "rgg", "random_regular")
+
+
 @dataclass(frozen=True)
 class GraphSpec:
     """Parameters of one topology: kind plus its size/shape knobs and seed."""
@@ -37,6 +40,10 @@ class GraphSpec:
     radius: float = 0.0  # rgg connection radius (0 -> default)
     degree: int = 0  # random_regular degree
     seed: int = 0
+
+    def __post_init__(self):
+        if self.kind not in GRAPH_KINDS:
+            raise ValueError(f"unknown graph kind {self.kind!r}")
 
     @classmethod
     def clique(cls, n: int) -> "GraphSpec":
@@ -337,9 +344,7 @@ def generate(spec: GraphSpec) -> Graph:
         return grid2d(spec.side)
     if spec.kind == "rgg":
         return rgg(spec.n, spec.seed, spec.radius)
-    if spec.kind == "random_regular":
-        return random_regular(spec.n, spec.degree, spec.seed)
-    raise ValueError(f"unknown graph kind {spec.kind!r}")
+    return random_regular(spec.n, spec.degree, spec.seed)
 
 
 # ----------------------------------------------------------------------

@@ -63,6 +63,10 @@ class GossipEps:
     eps: float
     horizon: int = 1_000_000_000  # max exchanges before flagging incomplete
 
+    def __post_init__(self):
+        if not (isinstance(self.eps, (int, float)) and 0 < self.eps < 1):
+            raise ValueError(f"gossip eps must lie in (0, 1), not {self.eps!r}")
+
 
 class SimState:
     """Mutable state of one simulation: per-node automata plus the clock,
@@ -430,8 +434,6 @@ def _trace(state, completed, **fields) -> "Trace":
 def _run_gossip(state: SimState, stop) -> "Trace":
     if isinstance(stop, GossipEps):
         eps, horizon, max_t = stop.eps, stop.horizon, math.inf
-        if not 0 < eps < 1:
-            raise ValueError("gossip eps must lie in (0, 1)")
     elif isinstance(stop, MaxTime):
         eps, horizon, max_t = 0.0, 1_000_000_000, float(stop.t)
     else:

@@ -503,18 +503,17 @@ BAD_INPUTS = {
     "scale_config_is_a_list": _suite_file([1, 2]),
     "scale_config_is_a_list_with_jobs": _suite_file([1, 2], "--jobs", "2"),
     "scale_row_is_not_an_object": _suite_file({"rows": [1]}),
+    "scale_master_seed_is_a_list": _suite_file({"master_seed": [1], "rows": SMALL_SUITE["rows"]}),
     "scale_sweep_of_numbers": _suite_scale(sweep=[4, 5, 6, 7]),
     "scale_sweep_is_a_number": _suite_scale(sweep=5),
     "scale_params_is_a_number": _suite_scale(params=5),
-    "scale_gossip_z0_typo": _suite_scale(protocol="gossip_K", metric="eta_per_node",
-                                         z0="slowmode"),
-    "scale_gossip_with_params": _suite_scale(protocol="gossip_K", metric="eta_per_node",
-                                             params={}),
-    "scale_gossip_with_fusion": _suite_scale(protocol="gossip_K", metric="eta_per_node",
-                                             fusion="sum"),
-    "scale_gossip_with_values": _suite_scale(protocol="gossip_K", metric="eta_per_node",
-                                             values="uniform"),
-    "scale_gossip_metric_tau": _suite_scale(protocol="gossip_K"),
+    "scale_gossip_z0_typo": _suite_scale(protocol="gossip", metric="eta_per_node",
+                                         params={"eps": 0.01}, values="slowmode"),
+    "scale_gossip_with_fusion": _suite_scale(protocol="gossip", metric="eta_per_node",
+                                             params={"eps": 0.01}, fusion="sum"),
+    "scale_lazy_prob_is_a_string": _suite_scale(params={"lazy_prob": "x"}),
+    "scale_slope_band_is_a_number": _suite_scale(slope_band=5),
+    "scale_slope_band_of_one": _suite_scale(slope_band=[1]),
     "scale_crw_with_eps": _suite_scale(eps=0.01),
     "scale_crw_with_z0": _suite_scale(z0="spike"),
     "run_hybrid_k_infinite_horizon": lambda tmp_path: [

@@ -53,6 +53,8 @@ def test_lazy_prob_validated():
         SynchronousDiscrete(lazy_prob=1.0)
     with pytest.raises(ValueError):
         SynchronousDiscrete(lazy_prob=-0.1)
+    with pytest.raises(ValueError, match="'x'"):
+        SynchronousDiscrete("x")
     assert SynchronousDiscrete(0.5).lazy_prob == 0.5
 
 

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -183,8 +185,8 @@ def test_gossip_k_trial_table_is_run_point_for_any_jobs(tmp_path):
            "r2_min": 0.0}
     config = {"master_seed": 9, "rows": [
         {**row, "label": "ring/crw", "protocol": "crw"},
-        {**row, "label": "ring/gossip", "protocol": "gossip_K", "metric": "eta_per_node",
-         "eps": 0.05},
+        {**row, "label": "ring/gossip", "protocol": "gossip", "metric": "eta_per_node",
+         "values": "spike", "params": {"eps": 0.05}},
     ]}
     ex.run_suite(config, out_dir=tmp_path / "j1")
     ex.run_suite({**config, "jobs": 2}, out_dir=tmp_path / "j2")
@@ -192,9 +194,9 @@ def test_gossip_k_trial_table_is_run_point_for_any_jobs(tmp_path):
     assert names == sorted(f.name for f in (tmp_path / "j2").iterdir())
     for name in names:
         assert (tmp_path / "j1" / name).read_bytes() == (tmp_path / "j2" / name).read_bytes()
-    x = ex.initial_values("spike", 12, "gossip", 0)
-    summaries = ex.run_point(generate(GraphSpec.ring(12)), "gossip", "gossip", x,
-                             {"eps": 0.05}, 6, 9)
+    ring12 = generate(GraphSpec.ring(12))
+    x = ex.initial_values("spike", ring12, "gossip", 0)
+    summaries = ex.run_point(ring12, "gossip", "gossip", x, {"eps": 0.05}, 6, 9)
     lines = (tmp_path / "j1" / "trials_ring_gossip_12.csv").read_text().splitlines()
     assert lines[1:] == [f"{s.trial},{s.tau!r},{s.eta},{s.eta_per_node!r}" for s in summaries]
     for name in names:
@@ -238,15 +240,22 @@ def test_run_suite_respects_enabled_flag(tmp_path):
 
 
 def test_run_trials_rejects_params_the_protocol_does_not_read():
-    cfg = ex.ExperimentConfig(graphs=[GraphSpec.ring(8)], protocol="crw", trials=2,
-                              master_seed=1, params={"lazy": 0.5})
     with pytest.raises(ValueError, match="lazy"):
-        ex.run_trials(cfg)
+        ex.ExperimentConfig(graphs=[GraphSpec.ring(8)], protocol="crw", trials=2,
+                            master_seed=1, params={"lazy": 0.5})
 
 
 @pytest.mark.parametrize("bad", [{"predictor": None}, {"protocol": None}, {"colour": "red"},
                                  {"sweep": [{"kind": "ring", "nodes": 8}] * 4},
-                                 {"metric": "taus"}, {"params": {"lazy": 0.5}}])
+                                 {"metric": "taus"}, {"params": {"lazy": 0.5}},
+                                 {"protocol": "gossip", "params": {"eps": 2}},
+                                 {"params": {"lazy_prob": "x"}},
+                                 {"slope_band": 5}, {"slope_band": [1]}, {"trials": 1},
+                                 {"values": "uniformm"},
+                                 {"sweep": [{"kind": "rign", "n": n} for n in (4, 6, 8, 10)]},
+                                 {"r2_min": "high"}, {"protocol": "gossip"},
+                                 {"protocol": "hybrid_k"},
+                                 {"protocol": "two_phase", "params": {"gamma": 0.5}}])
 def test_run_suite_checks_every_row_before_running_any(monkeypatch, bad):
     calls = []
     monkeypatch.setattr(ex, "run_point", lambda *a, **kw: calls.append(a))
@@ -258,6 +267,19 @@ def test_run_suite_checks_every_row_before_running_any(monkeypatch, bad):
     assert calls == []
 
 
+def test_bundled_suites_build_every_row(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("building a suite row ran trials")
+
+    monkeypatch.setattr(ex, "run_point", fail)
+    paths = sorted((Path(ex.__file__).parent / "data").glob("*.json"))
+    assert paths
+    for path in paths:
+        config = json.loads(path.read_text())
+        rows = ex._enabled_rows(config)
+        assert [label for _, label, *_ in rows] == [r["label"] for r in config["rows"]]
+
+
 def test_config_hash_stable():
     c = {"rows": [], "master_seed": 5}
     assert ex.config_hash(c) == ex.config_hash(dict(c))
@@ -265,27 +287,30 @@ def test_config_hash_stable():
 
 
 def test_initial_values_sources(tmp_path):
-    vals = ex.initial_values("spike", 5, "sum", seed=1)
+    ring3, ring5, ring6 = (generate(GraphSpec.ring(n)) for n in (3, 5, 6))
+    vals = ex.initial_values("spike", ring5, "sum", seed=1)
     assert vals == [5, 0, 0, 0, 0]
-    u1 = ex.initial_values("uniform", 6, "sum", seed=9)
-    u2 = ex.initial_values("uniform", 6, "sum", seed=9)
+    u1 = ex.initial_values("uniform", ring6, "sum", seed=9)
+    u2 = ex.initial_values("uniform", ring6, "sum", seed=9)
     assert u1 == u2
     f = tmp_path / "vals.txt"
     f.write_text("3\n1\n4\n1\n5\n")
-    assert ex.initial_values(f"file:{f}", 5, "sum", seed=0) == [3, 1, 4, 1, 5]
-    w = ex.initial_values("spike", 3, "wavg", seed=0)
+    assert ex.initial_values(f"file:{f}", ring5, "sum", seed=0) == [3, 1, 4, 1, 5]
+    w = ex.initial_values("spike", ring3, "wavg", seed=0)
     assert w == [(3.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
+    assert ex.initial_values("slow_mode", ring6, "gossip", seed=0) == ex.slow_mode_start(ring6)
     with pytest.raises(ValueError):
-        ex.initial_values("nope", 3, "sum", seed=0)
+        ex.initial_values("nope", ring3, "sum", seed=0)
 
 
 def test_value_file_keeps_integers_above_2_53(tmp_path):
     big = 2**53 + 1  # float(big) rounds to 2**53
     f = tmp_path / "big.txt"
     f.write_text(f"{big}\n-3\n2.5e1\n0\n")
-    x = ex.initial_values(f"file:{f}", 4, "sum", seed=0)
+    ring4 = generate(GraphSpec.ring(4))
+    x = ex.initial_values(f"file:{f}", ring4, "sum", seed=0)
     assert x == [big, -3, 25, 0]
-    summaries = ex.run_point(generate(GraphSpec.ring(4)), "crw", "sum", x, {}, 3, 1)
+    summaries = ex.run_point(ring4, "crw", "sum", x, {}, 3, 1)
     assert all(s.exact for s in summaries)
 
 
@@ -300,12 +325,11 @@ def test_two_phase_through_harness():
 
 
 def test_two_phase_gamma_below_one_is_rejected():
-    cfg = ex.ExperimentConfig(
-        graphs=[GraphSpec.grid2d(5)], protocol="two_phase", trials=2,
-        master_seed=8, params={"gamma": 0.5},
-    )
     with pytest.raises(ValueError, match="gamma must be >= 1"):
-        ex.run_trials(cfg)
+        ex.ExperimentConfig(
+            graphs=[GraphSpec.grid2d(5)], protocol="two_phase", trials=2,
+            master_seed=8, params={"gamma": 0.5},
+        )
 
 
 def test_two_phase_pilot_follows_lazy_clock(monkeypatch):
