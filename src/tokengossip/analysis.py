@@ -17,7 +17,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix, identity, kron
+from scipy.sparse import csc_matrix, identity, kron
+from scipy.sparse.csgraph import laplacian
 from scipy.sparse.linalg import splu
 
 from .engine import Continuous, RngStream
@@ -60,9 +61,9 @@ class PairTimeTable:
 
 
 def _transition_matrix(g: Graph, lazy_prob: float = 0.0) -> np.ndarray:
-    """The walk's transition matrix P, or (1 - lazy_prob) P + lazy_prob I
-    for the lazy walk."""
-    p = g.adjacency_matrix() / np.asarray(g.degrees, dtype=float)[:, None]
+    """The walk's transition matrix P, dense, or (1 - lazy_prob) P +
+    lazy_prob I for the lazy walk."""
+    p = g.transition_matrix.toarray()
     return (1 - lazy_prob) * p + lazy_prob * np.eye(g.n) if lazy_prob else p
 
 
@@ -103,10 +104,6 @@ def worst_case_hitting(g: Graph) -> float:
 # ----------------------------------------------------------------------
 
 
-def _laplacian(g: Graph) -> np.ndarray:
-    return np.diag(np.asarray(g.degrees, dtype=float)) - g.adjacency_matrix()
-
-
 @dataclass(frozen=True)
 class ResistanceReport:
     """Pairwise effective resistances of the unit-resistor network.
@@ -129,8 +126,7 @@ def resistance_report(g: Graph) -> ResistanceReport:
     n = g.n
     if n > 4000:
         raise SolverError("dense resistance table capped at 4000 nodes")
-    lap = _laplacian(g)
-    lplus = np.linalg.pinv(lap, hermitian=True)
+    lplus = np.linalg.pinv(laplacian(g.adjacency_matrix).toarray(), hermitian=True)
     d = np.diag(lplus)
     rho = d[:, None] + d[None, :] - 2 * lplus
     np.fill_diagonal(rho, 0.0)
@@ -150,9 +146,8 @@ def effective_resistance(g: Graph, u: int, v: int) -> float:
     if u == v:
         return 0.0
     n = g.n
-    lap = _laplacian(g)
     keep = [i for i in range(n) if i != v]
-    reduced = lap[np.ix_(keep, keep)]
+    reduced = laplacian(g.adjacency_matrix).toarray()[np.ix_(keep, keep)]
     b = np.zeros(n - 1)
     b[keep.index(u)] = 1.0
     x = np.linalg.solve(reduced, b)
@@ -186,9 +181,7 @@ def _pair_chain(g: Graph) -> tuple:
     k = len(x)
     pair = np.full((n, n), -1)
     pair[x, y] = pair[y, x] = np.arange(k)
-    offsets, flat = g.csr
-    deg = np.diff(offsets)
-    p = csr_matrix((np.repeat(1.0 / deg, deg), flat, offsets), shape=(n, n))
+    p = g.transition_matrix
     eye = identity(n, format="csr")
     step = (0.5 * (kron(p, eye) + kron(eye, p))).tocsr()[x * n + y].tocoo()
     col = pair.ravel()[step.col]

@@ -105,8 +105,7 @@ def cmd_run(args) -> int:
         params["horizon"] = args.horizon
     values = f"file:{args.values}" if args.values else args.values_kind
     out_dir = _out_root() / args.out if args.out else None
-    fusion_kind = "gossip" if args.proto == "gossip" else args.fusion
-    x = ex.initial_values(values, g, fusion_kind, args.values_seed)
+    x = ex.initial_values(values, g, args.fusion, args.values_seed)
     if args.proto == "two_phase":
         params = ex.resolve_two_phase(g, {**params, "gamma": args.gamma}, args.seed)
     summaries = ex.run_point(

@@ -18,7 +18,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .analysis import _transition_matrix
 from .engine import Continuous, RngStream, SynchronousDiscrete
 from .fusion import fold, fusion_from_name
 from .graph import Graph, GraphSpec, generate
@@ -76,8 +75,7 @@ class ExperimentConfig:
             raise ValueError("need at least one trial")
         if not self.graphs:
             raise ValueError("sweep needs at least one graph spec")
-        _check_params(self.protocol, self.params)
-        fusion_from_name(self.fusion)
+        _check_params(self.protocol, self.params, self.fusion)
         if not (self.values in ("spike", "uniform", "slow_mode")
                 or isinstance(self.values, str) and self.values.startswith("file:")):
             raise ValueError(f"unknown value source {self.values!r}")
@@ -93,7 +91,7 @@ def slow_mode_start(g: Graph) -> list:
     """
     if g.n > 4000:
         raise ValueError("dense eigensolve capped at 4000 nodes")
-    p = _transition_matrix(g)
+    p = g.transition_matrix.toarray()
     _, vecs = np.linalg.eigh((p + p.T) / 2)
     mode = vecs[:, -2]
     mode = mode - mode.mean()  # exact zero-mean, so the target is 0
@@ -121,8 +119,6 @@ def initial_values(source: str, graph: Graph, fusion_kind: str, seed: int) -> li
         raise ValueError(f"unknown value source {source!r}")
     if fusion_kind == "wavg":
         return [(float(v), 1.0) for v in base]
-    if fusion_kind == "gossip":
-        return [float(v) for v in base]
     return base
 
 
@@ -145,11 +141,18 @@ PROTOCOL_PARAMS = {
 }
 
 
-def _check_params(protocol: str, params: dict) -> None:
-    """Raise ``ValueError`` for an unknown protocol, a key it does not read,
-    a missing eps or k, a bad clock, gossip stop rule or gamma."""
+def _check_params(protocol: str, params: dict, fusion: str) -> None:
+    """Raise ``ValueError`` for an unknown protocol or fusion, hybrid_k
+    without wavg or gossip with it, a key the protocol does not read, a
+    missing eps or k, a bad clock, gossip stop rule or gamma."""
     if protocol not in PROTOCOL_PARAMS:
         raise ValueError(f"unknown protocol {protocol!r}")
+    fusion_from_name(fusion)
+    if protocol == "hybrid_k" and fusion != "wavg":
+        raise ValueError(f"hybrid_k averages (value, weight) pairs: it needs fusion wavg, "
+                         f"not {fusion}")
+    if protocol == "gossip" and fusion == "wavg":
+        raise ValueError("gossip averages plain values: it takes no fusion wavg")
     unknown = sorted(set(params) - PROTOCOL_PARAMS[protocol])
     if unknown:
         raise ValueError(f"{protocol} takes no parameter {', '.join(unknown)} "
@@ -195,7 +198,7 @@ def trial_files(out_dir: Path, trial: int) -> list:
 
 def _run_one(args) -> TrialSummary:
     (graph, protocol, fusion_name, x, params, master_seed, trial, out_dir, expected) = args
-    fusion = fusion_from_name(fusion_name) if fusion_name != "gossip" else None
+    fusion = fusion_from_name(fusion_name)
     clock = _clock(params)
     if protocol == "two_phase":
         tr = two_phase_run(
@@ -263,7 +266,7 @@ def run_point(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    _check_params(protocol, params)
+    _check_params(protocol, params, fusion_name)
     if protocol == "two_phase" and "switch_time" not in params:
         raise ValueError("two_phase needs parameter switch_time")
     expected = None  # the aggregate every SUM/MAX walk trial must return exactly
@@ -301,8 +304,7 @@ def run_trials(config: ExperimentConfig) -> dict:
     results = {}
     for idx, spec in enumerate(config.graphs):
         graph = generate(spec)
-        fusion_kind = "gossip" if config.protocol == "gossip" else config.fusion
-        x = initial_values(config.values, graph, fusion_kind, config.values_seed)
+        x = initial_values(config.values, graph, config.fusion, config.values_seed)
         params = dict(config.params)
         if config.protocol == "two_phase":
             params = resolve_two_phase(graph, params, config.master_seed)
@@ -438,8 +440,8 @@ def measure_gossip_K(
     supremum over start vectors is not searched, so this lower-bounds
     the worst case.  ``first_passages`` are sorted."""
     if z0 is None:
-        z0 = initial_values("spike", g, "gossip", 0)
-    summaries = run_point(g, "gossip", "gossip", z0, {"eps": eps, "horizon": horizon},
+        z0 = initial_values("spike", g, "sum", 0)
+    summaries = run_point(g, "gossip", "sum", z0, {"eps": eps, "horizon": horizon},
                           trials, master_seed)
     passages = sorted(s.gossip_first_passage for s in summaries)
     k_hat = passages[trials - math.floor(eps * trials) - 1]

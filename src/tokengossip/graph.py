@@ -14,8 +14,8 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse import csr_matrix, triu
+from scipy.sparse.csgraph import laplacian, shortest_path
 
 
 class GraphGenerationError(RuntimeError):
@@ -42,8 +42,27 @@ class GraphSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in GRAPH_KINDS:
-            raise ValueError(f"unknown graph kind {self.kind!r}")
+        """Check the size fields the kind reads, so that a bad spec fails
+        when it is made rather than when its graph is generated."""
+        kind = self.kind
+        if kind not in GRAPH_KINDS:
+            raise ValueError(f"unknown graph kind {kind!r}")
+        if kind == "clique" and self.n < 1:
+            raise ValueError("clique needs n >= 1")
+        if kind in ("ring", "rgg") and self.n < 2:
+            raise ValueError(f"{kind} needs n >= 2")
+        if kind == "torus" and self.side < 3:
+            raise ValueError("torus needs side >= 3 (smaller sides duplicate edges)")
+        if kind == "torus" and self.dim < 0:
+            raise ValueError("torus needs dim >= 1, or 0 for the default 2")
+        if kind == "grid2d" and self.side < 2:
+            raise ValueError("grid2d needs side >= 2")
+        if kind == "rgg" and not 0 <= self.radius < math.inf:
+            raise ValueError(f"rgg radius must be finite and nonnegative, not {self.radius}")
+        if kind == "random_regular" and not 0 < self.degree < self.n:
+            raise ValueError("random_regular needs 0 < degree < n")
+        if kind == "random_regular" and self.n * self.degree % 2:
+            raise ValueError("n * degree must be even")
 
     @classmethod
     def clique(cls, n: int) -> "GraphSpec":
@@ -85,7 +104,9 @@ class Graph:
 
     ``adjacency`` holds per-node sorted neighbor tuples; ``coords`` is
     only set for geometric graphs.  Instances are safe to share across
-    concurrent trial executors.
+    concurrent trial executors.  The sparse ``adjacency_matrix`` and
+    ``transition_matrix`` are built once, on first use, and shared by
+    every caller: treat them as read-only.
     """
 
     n: int
@@ -123,7 +144,8 @@ class Graph:
 
     @cached_property
     def csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(offsets, flat neighbor array) in CSR layout."""
+        """(offsets, flat neighbor array) in CSR layout, as int64 arrays for
+        the walk kernel (scipy keeps ``adjacency_matrix``'s as int32)."""
         offsets = np.zeros(self.n + 1, dtype=np.int64)
         offsets[1:] = np.cumsum([len(a) for a in self.adjacency])
         flat = np.fromiter(
@@ -131,12 +153,18 @@ class Graph:
         )
         return offsets, flat
 
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense 0/1 adjacency matrix, indexed from ``csr``."""
+    @cached_property
+    def adjacency_matrix(self) -> csr_matrix:
+        """Sparse 0/1 adjacency matrix A, laid out as ``csr``."""
         offsets, flat = self.csr
-        a = np.zeros((self.n, self.n))
-        a[np.repeat(np.arange(self.n), np.diff(offsets)), flat] = 1.0
-        return a
+        return csr_matrix((np.ones(len(flat)), flat, offsets), shape=(self.n, self.n))
+
+    @cached_property
+    def transition_matrix(self) -> csr_matrix:
+        """The simple random walk's sparse transition matrix D^-1 A."""
+        offsets, flat = self.csr
+        deg = np.diff(offsets)
+        return csr_matrix((1.0 / np.repeat(deg, deg), flat, offsets), shape=(self.n, self.n))
 
 
 def _build(
@@ -174,15 +202,11 @@ def _build(
 
 
 def clique(n: int) -> Graph:
-    if n < 1:
-        raise ValueError("clique needs n >= 1")
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
     return _build(n, edges, "clique", 0)
 
 
 def ring(n: int) -> Graph:
-    if n < 2:
-        raise ValueError("ring needs n >= 2")
     if n == 2:
         edges = [(0, 1)]
     else:
@@ -192,10 +216,6 @@ def ring(n: int) -> Graph:
 
 def torus(side: int, dim: int = 2) -> Graph:
     """d-dimensional lattice torus: every node has exactly 2*dim neighbors."""
-    if side < 3:
-        raise ValueError("torus needs side >= 3 (smaller sides duplicate edges)")
-    if dim < 1:
-        raise ValueError("torus needs dim >= 1")
     n = side**dim
     strides = [side**k for k in range(dim)]
 
@@ -215,8 +235,6 @@ def torus(side: int, dim: int = 2) -> Graph:
 
 def grid2d(side: int) -> Graph:
     """N x N grid without wraparound (the 2-d mesh)."""
-    if side < 2:
-        raise ValueError("grid2d needs side >= 2")
     n = side * side
     edges = []
     for y in range(side):
@@ -237,10 +255,6 @@ def rgg(n: int, seed: int, radius: float = 0.0) -> Graph:
     Disconnected draws are discarded and retried with fresh derived
     seeds; the number of attempts used is recorded on the graph.
     """
-    if n < 2:
-        raise ValueError("rgg needs n >= 2")
-    if not 0 <= radius < math.inf:
-        raise ValueError(f"rgg radius must be finite and nonnegative, not {radius}")
     r = radius if radius > 0 else default_rgg_radius(n)
     for attempt in range(RGG_MAX_ATTEMPTS):
         rng = np.random.Generator(
@@ -276,10 +290,6 @@ def random_regular(n: int, degree: int, seed: int) -> Graph:
     wholesale rejection has vanishing acceptance already at d=6).
     Disconnected results are also rejected.
     """
-    if not 0 < degree < n:
-        raise ValueError("random_regular needs 0 < degree < n")
-    if (n * degree) % 2 != 0:
-        raise ValueError("n * degree must be even")
 
     def completion_possible(edges, leftover):
         if not leftover:
@@ -333,7 +343,8 @@ def random_regular(n: int, degree: int, seed: int) -> Graph:
 
 
 def generate(spec: GraphSpec) -> Graph:
-    """Build the graph described by ``spec``; always connected or raises."""
+    """Build the graph described by ``spec``; always connected or raises.
+    The generators take sizes that ``GraphSpec`` has already checked."""
     if spec.kind == "clique":
         return clique(spec.n)
     if spec.kind == "ring":
@@ -355,9 +366,7 @@ def generate(spec: GraphSpec) -> Graph:
 def distances_from(g: Graph, sources) -> np.ndarray:
     """Hop distances from ``sources`` to every node, -1 where unreachable:
     one row for one node, one row per node for a sequence of nodes."""
-    offsets, flat = g.csr
-    adj = csr_matrix((np.ones(len(flat)), flat, offsets), shape=(g.n, g.n))
-    dist = shortest_path(adj, method="D", unweighted=True, indices=sources)
+    dist = shortest_path(g.adjacency_matrix, method="D", unweighted=True, indices=sources)
     dist[np.isinf(dist)] = -1
     return dist.astype(np.int64)
 
@@ -508,51 +517,32 @@ def check_isoperimetry(g: Graph, u: int, radius: int) -> IsoperimetryCertificate
     nodes = sorted(ball(g, u, radius))
     if len(nodes) < 2:
         raise ValueError("isoperimetry needs a ball with at least 2 nodes")
-    index = {v: i for i, v in enumerate(nodes)}
     k = len(nodes)
-    sub = [[] for _ in range(k)]
-    for v in nodes:
-        for w in g.adjacency[v]:
-            if w in index:
-                sub[index[v]].append(index[w])
+    sub = g.adjacency_matrix[nodes][:, nodes]
     # the induced ball is connected: each member's shortest path to u stays inside it
-    deg = [len(a) for a in sub]
+    deg = np.diff(sub.indptr)
+    i, j = triu(sub, 1).nonzero()  # its edges, i < j
     if k <= 16:
-        # bit i of a mask puts node i in S; node k-1 stays out, which halves the count.
-        # Cuts and volumes are small integers, so each ratio rounds as int / int does.
+        mode = "exact"
+        # bit b of a mask puts node b in S; node k-1 stays out, which halves the count
         masks = np.arange(1, 1 << (k - 1), dtype=np.int32)
-        vol_s = np.zeros_like(masks)
-        cut = np.zeros_like(masks)
-        for i in range(k):
-            vol_s += ((masks >> i) & 1) * deg[i]
-            for j in sub[i]:
-                if i < j:
-                    cut += ((masks >> i) ^ (masks >> j)) & 1
-        denom = np.minimum(vol_s, sum(deg) - vol_s)
-        good = denom > 0
-        best = (radius * cut[good] / denom[good]).min(initial=math.inf)
-        return IsoperimetryCertificate(float(best), "exact")
-    # the induced adjacency, built k x k: the graph's dense n x n matrix can be large
-    a = np.zeros((k, k))
-    a[np.repeat(np.arange(k), deg), np.concatenate(sub)] = 1.0
-    lap = np.diag(deg).astype(float) - a
-    vals, vecs = np.linalg.eigh(lap)
-    fiedler = vecs[:, 1]
-    order = np.argsort(fiedler)
-    best = math.inf
-    in_s = np.zeros(k, dtype=bool)
-    vol_s = 0
-    cut = 0
-    total = sum(deg)
-    for idx in order[:-1]:
-        in_s[idx] = True
-        vol_s += deg[idx]
-        for j in sub[idx]:
-            cut += -1 if in_s[j] else 1
-        denom = min(vol_s, total - vol_s)
-        if denom > 0:
-            best = min(best, radius * cut / denom)
-    return IsoperimetryCertificate(float(best), "sweep")
+        bits = [(masks >> b) & 1 for b in range(k)]
+        vol_s = sum(d * b for d, b in zip(deg, bits))
+        cut = sum(bits[a] ^ bits[b] for a, b in zip(i, j))
+    else:
+        mode = "sweep"
+        # S grows along the Fiedler vector; the prefix of t + 1 nodes cuts the
+        # edges with one end at a position <= t and the other after it
+        order = np.argsort(np.linalg.eigh(laplacian(sub).toarray())[1][:, 1])
+        pos = np.argsort(order)
+        lo, hi = np.minimum(pos[i], pos[j]), np.maximum(pos[i], pos[j])
+        cut = (np.bincount(lo, minlength=k) - np.bincount(hi, minlength=k)).cumsum()[:-1]
+        vol_s = deg[order].cumsum()[:-1]
+    # cuts and volumes are small integers, so each ratio rounds as int / int does
+    denom = np.minimum(vol_s, deg.sum() - vol_s)
+    good = denom > 0
+    best = (radius * cut[good] / denom[good]).min(initial=math.inf)
+    return IsoperimetryCertificate(float(best), mode)
 
 
 # ----------------------------------------------------------------------

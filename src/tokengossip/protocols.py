@@ -319,15 +319,17 @@ def _check_event_invariants(state: SimState, expected_fold) -> None:
 
 
 def run(state: SimState, stop, check_invariants: bool = False) -> "Trace":
-    """Drive the event loop until the stop condition and build the Trace.
+    """Drive the event loop of an SRW, CRW or gossip state until the stop
+    condition and build the Trace; the two-phase scheme and the fixed-k
+    hybrid have runners of their own.
 
     Hitting a MaxTime bound before natural termination flags the trace
     incomplete rather than silently truncating.
     """
     if state.kind is ProtocolKind.GOSSIP:
         return _run_gossip(state, stop)
-    if state.kind is ProtocolKind.HYBRID_K:
-        raise ProtocolError("use hybrid_k_run for the fixed-k hybrid")
+    if state.kind in (ProtocolKind.HYBRID_K, ProtocolKind.TWO_PHASE):
+        raise ProtocolError(f"run does not drive {state.kind.value}: use {state.kind.value}_run")
     if isinstance(stop, Termination):
         max_t = math.inf
         if isinstance(state.clock, SynchronousDiscrete) and state.clock.lazy_prob == 0:

@@ -465,6 +465,16 @@ def _suite_scale(**changes):
     return argv
 
 
+def _suite_second_row(**changes):
+    """A two-row suite: a good first row, then a second one with ``changes``."""
+    def argv(tmp_path):
+        good = {**SMALL_SUITE["rows"][0], "trials": 4}
+        (tmp_path / "suite.json").write_text(json.dumps(
+            {"master_seed": 77, "rows": [good, {**good, "label": "second", **changes}]}))
+        return ["scale", "--config", str(tmp_path / "suite.json"), "--out", "s"]
+    return argv
+
+
 def _suite_file(config, *flags):
     def argv(tmp_path):
         (tmp_path / "suite.json").write_text(json.dumps(config))
@@ -516,6 +526,15 @@ BAD_INPUTS = {
     "scale_slope_band_of_one": _suite_scale(slope_band=[1]),
     "scale_crw_with_eps": _suite_scale(eps=0.01),
     "scale_crw_with_z0": _suite_scale(z0="spike"),
+    "scale_second_row_ring_of_one": _suite_second_row(
+        sweep=[{"kind": "ring", "n": n} for n in (1, 6, 8, 10)]),
+    "scale_second_row_hybrid_k_without_wavg": _suite_second_row(
+        protocol="hybrid_k", params={"k": 2}),
+    "run_hybrid_k_without_wavg": lambda tmp_path: [
+        "run", "--proto", "hybrid_k", "--kind", "ring", "--n", "8", "--k", "2", "--trials", "1"],
+    "run_gossip_with_wavg": lambda tmp_path: [
+        "run", "--proto", "gossip", "--kind", "ring", "--n", "8", "--fusion", "wavg",
+        "--trials", "1"],
     "run_hybrid_k_infinite_horizon": lambda tmp_path: [
         "run", "--proto", "hybrid_k", "--kind", "ring", "--n", "8", "--fusion", "wavg",
         "--horizon", "inf", "--trials", "1"],
@@ -536,3 +555,10 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
     assert rc == 2
     assert len(err.splitlines()) == 1 and err.startswith("invalid input: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["run_hybrid_k_without_wavg",
+                                  "scale_second_row_hybrid_k_without_wavg"])
+def test_hybrid_k_without_wavg_says_it_needs_wavg(name, tmp_path, monkeypatch, capsys):
+    assert run_cli(BAD_INPUTS[name](tmp_path), monkeypatch, tmp_path) == 2
+    assert "fusion wavg" in capsys.readouterr().err

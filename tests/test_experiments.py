@@ -195,8 +195,8 @@ def test_gossip_k_trial_table_is_run_point_for_any_jobs(tmp_path):
     for name in names:
         assert (tmp_path / "j1" / name).read_bytes() == (tmp_path / "j2" / name).read_bytes()
     ring12 = generate(GraphSpec.ring(12))
-    x = ex.initial_values("spike", ring12, "gossip", 0)
-    summaries = ex.run_point(ring12, "gossip", "gossip", x, {"eps": 0.05}, 6, 9)
+    x = ex.initial_values("spike", ring12, "sum", 0)
+    summaries = ex.run_point(ring12, "gossip", "sum", x, {"eps": 0.05}, 6, 9)
     lines = (tmp_path / "j1" / "trials_ring_gossip_12.csv").read_text().splitlines()
     assert lines[1:] == [f"{s.trial},{s.tau!r},{s.eta},{s.eta_per_node!r}" for s in summaries]
     for name in names:
@@ -255,6 +255,8 @@ def test_run_trials_rejects_params_the_protocol_does_not_read():
                                  {"sweep": [{"kind": "rign", "n": n} for n in (4, 6, 8, 10)]},
                                  {"r2_min": "high"}, {"protocol": "gossip"},
                                  {"protocol": "hybrid_k"},
+                                 {"protocol": "hybrid_k", "params": {"k": 2}},
+                                 {"sweep": [{"kind": "ring", "n": n} for n in (1, 6, 8, 10)]},
                                  {"protocol": "two_phase", "params": {"gamma": 0.5}}])
 def test_run_suite_checks_every_row_before_running_any(monkeypatch, bad):
     calls = []
@@ -298,7 +300,7 @@ def test_initial_values_sources(tmp_path):
     assert ex.initial_values(f"file:{f}", ring5, "sum", seed=0) == [3, 1, 4, 1, 5]
     w = ex.initial_values("spike", ring3, "wavg", seed=0)
     assert w == [(3.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
-    assert ex.initial_values("slow_mode", ring6, "gossip", seed=0) == ex.slow_mode_start(ring6)
+    assert ex.initial_values("slow_mode", ring6, "sum", seed=0) == ex.slow_mode_start(ring6)
     with pytest.raises(ValueError):
         ex.initial_values("nope", ring3, "sum", seed=0)
 

@@ -101,6 +101,24 @@ def test_generators_reject_bad_params():
         generate(GraphSpec.rgg(100, seed=1, radius=0.01))
 
 
+@pytest.mark.parametrize("fields", [
+    {"kind": "clique", "n": 0},
+    {"kind": "ring", "n": 1},
+    {"kind": "torus", "side": 2},
+    {"kind": "torus", "side": 4, "dim": -1},
+    {"kind": "grid2d", "side": 1},
+    {"kind": "rgg", "n": 1},
+    {"kind": "rgg", "n": 30, "radius": -1.0},
+    {"kind": "rgg", "n": 30, "radius": math.inf},
+    {"kind": "random_regular", "n": 8, "degree": 8},
+    {"kind": "random_regular", "n": 8, "degree": 0},
+    {"kind": "random_regular", "n": 9, "degree": 3},
+], ids=str)
+def test_graph_spec_checks_sizes_when_made(fields):
+    with pytest.raises(ValueError):
+        GraphSpec(**fields)
+
+
 def test_identical_spec_identical_graph():
     a = generate(GraphSpec.rgg(80, seed=21))
     b = generate(GraphSpec.rgg(80, seed=21))

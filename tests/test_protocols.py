@@ -432,6 +432,14 @@ def test_cfld_rejects_broken_handoff():
 # -- two-phase ---------------------------------------------------------------
 
 
+def test_run_refuses_a_two_phase_state():
+    # run would walk it as plain CRW and return a trace with no flood in it
+    g = generate(GraphSpec.torus(4, 2))
+    st = init("two_phase", g, [1] * 16, SUM, seed=0)
+    with pytest.raises(ProtocolError, match="two_phase_run"):
+        run(st, Termination())
+
+
 def test_two_phase_degenerate_switch_is_pure_flood():
     g = generate(GraphSpec.torus(3, 2))
     x = list(range(1, 10))
