@@ -22,8 +22,6 @@ from .protocols import (
     Trace,
     cfld_run,
     estimate_switch_time,
-    handle_receive,
-    handle_send,
     hybrid_k_run,
     init,
     run,
@@ -54,8 +52,6 @@ __all__ = [
     "fuse_payload",
     "fusion_from_name",
     "generate",
-    "handle_receive",
-    "handle_send",
     "hybrid_k_run",
     "init",
     "load_graph",

@@ -1,9 +1,10 @@
-/* Token walks: the loops of protocols._run_walk, draw for draw and bit for
- * bit.  tg_walk_continuous is the continuous-clock loop (an exponential
- * wait, a uniform pick of the firing token, then handle_send);
- * tg_walk_discrete repeats synchronous_round.  Both release and receive
- * tokens through release() and receive(), the C twins of
- * protocols._release and protocols.handle_receive.
+/* Token walks that match the tests' reference loop
+ * (tests/reference_loops.py) draw for draw and bit for bit.
+ * tg_walk_continuous is the continuous-clock loop: an exponential wait, a
+ * uniform pick of the firing token, then a send to a uniform neighbour.
+ * tg_walk_discrete runs synchronized rounds.  Both release and receive
+ * tokens through release() and receive().  A token on a node without
+ * neighbours sends nothing and draws no neighbour.
  *
  * The caller passes the sampler's current uniform (and exponential) blocks
  * with their cursors and the sampler's numpy bit generator.  A used-up
@@ -11,6 +12,11 @@
  * Generator.random and Generator.standard_exponential, when a draw from it
  * is needed, as the Python sampler does, so the generator sees the same
  * calls on both paths.
+ *
+ * With CHECK bits set in iv, the walk checks after every event (every
+ * round, on the discrete clock) that the counts sum to n, that the SUM or
+ * MAX values still sum or max to iv[EXPECTED], and that one token is
+ * active, and stops with BROKEN when one fails.
  *
  * State crosses in two buffers, laid out as below (n nodes): I holds the
  * scalars iv, then counts, the active list, active positions, sends,
@@ -33,10 +39,12 @@
 typedef void fill_t(bitgen_t *, intptr_t, double *);
 fill_t random_standard_uniform_fill, random_standard_exponential_fill;
 
-enum { DONE, MAX_TIME, SUM_OVERFLOW, CURVE_FULL };
+enum { DONE, MAX_TIME, SUM_OVERFLOW, CURVE_FULL, BROKEN };
 enum { SUM, MAX, WAVG };
+enum { CHECK_COUNTS = 1, CHECK_VALUES = 2, CHECK_ONE_TOKEN = 4 };
 /* slots of iv */
-enum { NACTIVE, ETA, HOLDER, ACTIVE_ACTIVE, UI, EI, NPOINTS, ERR_J, ERR_V, ROUNDS, NIV };
+enum { NACTIVE, ETA, HOLDER, ACTIVE_ACTIVE, UI, EI, NPOINTS, ERR_J, ERR_V, ROUNDS, CHECK, EXPECTED,
+       NIV };
 /* slots of dv */
 enum { T, MAX_T, LAZY, NDV };
 
@@ -92,7 +100,7 @@ static walk_t unpack(int64_t n, int64_t fusion, uint8_t *status, int64_t *I, dou
     return s;
 }
 
-/* node i gives up its payload and permit (protocols._release) */
+/* node i gives up its payload and permit */
 static inline payload_t release(walk_t *s, int64_t i)
 {
     payload_t p = {0, 0, 0.0, 0.0};
@@ -118,8 +126,8 @@ static inline payload_t release(walk_t *s, int64_t i)
     return p;
 }
 
-/* node j fuses payload p and gains the permit (protocols.handle_receive);
- * returns 1, leaving j untouched, when a SUM overflows */
+/* node j fuses payload p and gains the permit; returns 1, leaving j
+ * untouched, when a SUM overflows */
 static inline int receive(walk_t *s, int64_t j, payload_t p)
 {
     if (s->fusion == SUM) {
@@ -157,11 +165,47 @@ static inline int receive(walk_t *s, int64_t j, payload_t p)
     return 0;
 }
 
+/* whether a check of the CHECK bits fails; sums wrap, so a SUM that
+ * overflowed int64 on the way still compares exactly */
+static int broken(const walk_t *s, int64_t check, int64_t expected)
+{
+    uint64_t count = 0, sum = 0;
+    int64_t max = INT64_MIN;
+    for (int64_t i = 0; i < s->n; i++) {
+        count += (uint64_t)s->counts[i];
+        sum += (uint64_t)s->ival[i];
+        if (s->ival[i] > max)
+            max = s->ival[i];
+    }
+    if ((check & CHECK_COUNTS) && count != (uint64_t)s->n)
+        return 1;
+    if ((check & CHECK_VALUES) && (s->fusion == SUM ? sum != (uint64_t)expected : max != expected))
+        return 1;
+    return (check & CHECK_ONE_TOKEN) && s->k != 1;
+}
+
 static void pack(const walk_t *s, int64_t *I)
 {
     I[NACTIVE] = s->k;
     I[ETA] = s->eta;
     I[HOLDER] = s->holder;
+}
+
+/* an active-to-active contact of the fixed-k hybrid: both weighted
+ * averages relax, and both nodes keep their permits */
+static inline void relax(walk_t *s, int64_t i, int64_t j)
+{
+    double *yv = s->yv, *wv = s->wv;
+    const double yi = yv[i], wi = wv[i], yj = yv[j], wj = wv[j];
+    const double w = wi + wj;
+    const double ym = w > 0 ? (wi * yi + wj * yj) / w : 0.0;
+    yv[i] = yv[j] = ym;
+    wv[i] = wv[j] = w * 0.5;
+    s->eta += 2;
+    s->sends[i] += 1;
+    s->sends[j] += 1;
+    s->receives[i] += 1;
+    s->receives[j] += 1;
 }
 
 int tg_walk_continuous(
@@ -170,10 +214,10 @@ int tg_walk_continuous(
     bitgen_t *bg, double *u, double *e, int64_t block, int64_t *I, double *D)
 {
     walk_t s = unpack(n, fusion, status, I, D);
-    int64_t *iv = I, *sends = s.sends, *receives = s.receives, *active = s.active;
+    int64_t *iv = I, *active = s.active;
     int64_t *pt_count = s.ival + n, *pt_eta = pt_count + n + 1;
-    double *dv = D, *yv = s.yv, *wv = s.wv, *pt_t = wv + n;
-    const int64_t pt_cap = n + 1;
+    double *dv = D, *pt_t = s.wv + n;
+    const int64_t pt_cap = n + 1, check = iv[CHECK], expected = iv[EXPECTED];
     block_t U = {bg, random_standard_uniform_fill, u, iv[UI], block};
     block_t E = {bg, random_standard_exponential_fill, e, iv[EI], block};
     int64_t active_active = iv[ACTIVE_ACTIVE], npoints = iv[NPOINTS];
@@ -193,29 +237,24 @@ int tg_walk_continuous(
         }
         t = nt;
         const int64_t i = active[(int64_t)(draw(&U) * (double)s.k)];
-        const int64_t lo = indptr[i];
-        const int64_t j = indices[lo + (int64_t)(draw(&U) * (double)(indptr[i + 1] - lo))];
-        if (hybrid && status[j]) {
-            /* active-to-active contact: both relax, both keep their permits */
-            const double yi = yv[i], wi = wv[i], yj = yv[j], wj = wv[j];
-            const double w = wi + wj;
-            const double ym = w > 0 ? (wi * yi + wj * yj) / w : 0.0;
-            yv[i] = yv[j] = ym;
-            wv[i] = wv[j] = w * 0.5;
-            s.eta += 2;
-            sends[i] += 1;
-            sends[j] += 1;
-            receives[i] += 1;
-            receives[j] += 1;
-            active_active += 1;
-            continue;
+        const int64_t lo = indptr[i], deg = indptr[i + 1] - lo, before = s.k;
+        if (deg > 0) {
+            const int64_t j = indices[lo + (int64_t)(draw(&U) * (double)deg)];
+            if (hybrid && status[j]) {
+                relax(&s, i, j);
+                active_active += 1;
+            } else {
+                const payload_t p = release(&s, i);
+                if (receive(&s, j, p)) {
+                    iv[ERR_J] = j;
+                    iv[ERR_V] = p.v;
+                    rc = SUM_OVERFLOW;
+                    break;
+                }
+            }
         }
-        const int64_t before = s.k;
-        const payload_t p = release(&s, i);
-        if (receive(&s, j, p)) {
-            iv[ERR_J] = j;
-            iv[ERR_V] = p.v;
-            rc = SUM_OVERFLOW;
+        if (check && broken(&s, check, expected)) {
+            rc = BROKEN;
             break;
         }
         if (s.k != before) {
@@ -238,10 +277,10 @@ int tg_walk_continuous(
     return rc;
 }
 
-/* Rounds of synchronous_round: every token of the round's snapshot of the
- * active list holds (one uniform below the lazy probability; no draw when
- * it is 0) or is released towards a uniform neighbour, and only then are
- * the deliveries received, in order. */
+/* Synchronized rounds: every token of the round's snapshot of the active
+ * list holds (one uniform below the lazy probability; no draw when it is
+ * 0) or is released towards a uniform neighbour, and only then are the
+ * deliveries received, in order. */
 int tg_walk_discrete(
     int64_t n, const int64_t *indptr, const int64_t *indices,
     int64_t fusion, int64_t terminating, uint8_t *status,
@@ -251,7 +290,7 @@ int tg_walk_discrete(
     int64_t *iv = I, *pt_count = s.ival + n, *pt_eta = pt_count + n + 1;
     int64_t *snap = pt_eta + n + 1, *dj = snap + n, *dval = dj + n, *dcount = dval + n;
     double *dv = D, *pt_t = s.wv + n, *dy = pt_t + n + 1, *dw = dy + n;
-    const int64_t pt_cap = n + 1;
+    const int64_t pt_cap = n + 1, check = iv[CHECK], expected = iv[EXPECTED];
     block_t U = {bg, random_standard_uniform_fill, u, iv[UI], block};
     int64_t npoints = iv[NPOINTS], rounds = iv[ROUNDS];
     double t = dv[T];
@@ -274,8 +313,10 @@ int tg_walk_discrete(
             const int64_t i = snap[r];
             if (lazy != 0.0 && draw(&U) < lazy)
                 continue;
-            const int64_t lo = indptr[i];
-            dj[nd] = indices[lo + (int64_t)(draw(&U) * (double)(indptr[i + 1] - lo))];
+            const int64_t lo = indptr[i], deg = indptr[i + 1] - lo;
+            if (deg == 0)
+                continue;
+            dj[nd] = indices[lo + (int64_t)(draw(&U) * (double)deg)];
             const payload_t p = release(&s, i);
             dval[nd] = p.v;
             dcount[nd] = p.c;
@@ -297,6 +338,10 @@ int tg_walk_discrete(
         }
         t += 1.0;
         rounds += 1;
+        if (check && broken(&s, check, expected)) {
+            rc = BROKEN;
+            break;
+        }
         if (s.k != nsnap) {
             if (npoints == pt_cap) {
                 rc = CURVE_FULL;

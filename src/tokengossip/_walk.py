@@ -1,11 +1,13 @@
-"""The compiled token walks.
+"""The compiled token walk: the one loop that runs SRW, CRW, two-phase
+phase 1 and the fixed-k hybrid, on either clock.
 
-``_walk.c`` runs the loops of ``protocols._run_walk`` in C: the
-continuous-clock loop and, on the discrete clock, repeated
-``synchronous_round``, each giving the same trace draw for draw.  It
-draws from the sampler's blocks and refills them in place with numpy's C
-fill functions on the sampler's own bit generator, so the generator sees
-the same calls as on the Python path.
+``_walk.c`` runs the continuous-clock loop (an exponential wait, a uniform
+pick of the firing token, a send to a uniform neighbour) and synchronized
+rounds.  It draws from the sampler's blocks and refills them in place with
+numpy's C fill functions on the sampler's own bit generator, so the
+generator sees the calls that the sampler's own methods would make.  Given
+the expected fold of the values, it checks conservation after every event
+(``walk``).
 
 The kernel is built on first use with the system C compiler, against
 numpy's headers and its static random library (``libnpyrandom.a``), into a
@@ -13,41 +15,38 @@ per-user cache (``$XDG_CACHE_HOME/tokengossip``, else
 ``~/.cache/tokengossip``, else the temp directory), named by the SHA-256 of
 the source, the compiler flags and the library, and moved into place with
 ``os.replace`` so that concurrent processes never load a half-written
-library.  Without a compiler, numpy's random library or a usable cache
-directory, ``walk`` returns None after one logged warning, and the Python
-loop runs instead.
+library.  Without a compiler, numpy's random library or a writable cache,
+``load`` raises an ``OSError`` of one line that names the cause.
 """
 from __future__ import annotations
 
 import ctypes
 import functools
 import hashlib
-import logging
 import os
 import shutil
 import subprocess
 import tempfile
 from itertools import chain
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
-from .engine import BlockSampler, SynchronousDiscrete
-from .fusion import INT64_MIN, MAX_IDENTITY, FusionKind
-
-_log = logging.getLogger(__name__)
+from .engine import SynchronousDiscrete
+from .fusion import INT64_MAX, INT64_MIN, MAX_IDENTITY, FusionError, FusionKind
 
 SOURCE = Path(__file__).with_name("_walk.c")
 NPYRANDOM = Path(np.random.__file__).with_name("lib") / "libnpyrandom.a"
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
-# the return codes, the slots of the scalar arrays and the fusion codes of _walk.c
-_DONE, _MAX_TIME, _SUM_OVERFLOW, _CURVE_FULL = range(4)
-(_NACTIVE, _ETA, _HOLDER, _ACTIVE_ACTIVE, _UI, _EI, _NPOINTS, _ERR_J, _ERR_V, _ROUNDS,
- _NIV) = range(11)
+# the return codes, the slots of the scalar arrays, the fusion codes and
+# the check bits of _walk.c
+_DONE, _MAX_TIME, _SUM_OVERFLOW, _CURVE_FULL, _BROKEN = range(5)
+(_NACTIVE, _ETA, _HOLDER, _ACTIVE_ACTIVE, _UI, _EI, _NPOINTS, _ERR_J, _ERR_V, _ROUNDS, _CHECK,
+ _EXPECTED, _NIV) = range(13)
 _T, _MAX_T, _LAZY, _NDV = range(4)
 _FUSION = {FusionKind.SUM: 0, FusionKind.MAX: 1, FusionKind.WEIGHTED_AVG: 2}
+_CHECK_COUNTS, _CHECK_VALUES, _CHECK_ONE_TOKEN = 1, 2, 4
 
 
 def _cache_dir() -> Path:
@@ -62,6 +61,8 @@ def _cache_dir() -> Path:
 
 def _build() -> Path:
     """The path of the compiled kernel, compiling it if the cache lacks it."""
+    if not NPYRANDOM.is_file():
+        raise OSError(f"numpy's random library {NPYRANDOM} is missing")
     source = SOURCE.read_bytes()
     key = hashlib.sha256(source + " ".join(FLAGS).encode() + NPYRANDOM.read_bytes()).hexdigest()
     lib = _cache_dir() / f"_walk-{key[:32]}.so"
@@ -72,14 +73,22 @@ def _build() -> Path:
     cc = shutil.which("cc")
     if cc is None:
         raise OSError("no C compiler (cc) on PATH")
-    lib.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix="_walk-", suffix=".tmp", dir=lib.parent)
+    try:
+        lib.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix="_walk-", suffix=".tmp", dir=lib.parent)
+    except OSError as e:
+        raise OSError(f"cache directory {lib.parent} is not writable: {e}") from None
     os.close(fd)
     try:
         subprocess.run([cc, *FLAGS, "-I", np.get_include(), "-o", tmp, "-x", "c", "-",
                         "-x", "none", str(NPYRANDOM), "-lm"],
                        input=source, capture_output=True, check=True, timeout=300)
         os.replace(tmp, lib)
+    except subprocess.CalledProcessError as e:
+        lines = e.stderr.decode(errors="replace").splitlines() or [f"exit status {e.returncode}"]
+        raise OSError(f"cc could not build the token walk: {lines[0]}") from None
+    except subprocess.TimeoutExpired as e:
+        raise OSError(str(e)) from None
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -88,13 +97,9 @@ def _build() -> Path:
 
 @functools.lru_cache(maxsize=None)
 def load():
-    """The compiled library with its entry points declared, or None (after
-    one warning) when it cannot be built or loaded."""
-    try:
-        lib = ctypes.CDLL(str(_build()))
-    except (OSError, subprocess.SubprocessError) as e:
-        _log.warning("compiled token walk unavailable, using the Python loop: %s", e)
-        return None
+    """The compiled library with its entry points declared; raises a
+    one-line OSError when it cannot be built or loaded."""
+    lib = ctypes.CDLL(str(_build()))
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     lib.tg_walk_continuous.argtypes = [i64, ptr, ptr, i64, i64, i64, *[ptr] * 4, i64, ptr, ptr]
     lib.tg_walk_discrete.argtypes = [i64, ptr, ptr, i64, i64, ptr, ptr, ptr, i64, ptr, ptr]
@@ -103,30 +108,26 @@ def load():
 
 
 def _encode(kind: FusionKind, values: list, ival: np.ndarray, yv: np.ndarray,
-            wv: np.ndarray) -> bool:
-    """Write the node values into the kernel's arrays; False when they
-    cannot be held there exactly."""
+            wv: np.ndarray) -> None:
+    """Write the node values into the kernel's arrays; raises FusionError
+    for a SUM or MAX value that is no int, and for a MAX value outside
+    (INT64_MIN, INT64_MAX], since INT64_MIN stands for -inf."""
     if kind is FusionKind.WEIGHTED_AVG:
-        if set(map(type, values)) != {tuple} or set(map(len, values)) != {2}:
-            return False
         flat = list(chain.from_iterable(values))
-        if set(map(type, flat)) != {float}:
-            return False
         yv[:] = flat[0::2]
         wv[:] = flat[1::2]
-        return True
-    neg_inf = 0
+        return
     if kind is FusionKind.MAX:
-        neg_inf = values.count(MAX_IDENTITY)
+        finite = [v for v in values if v != MAX_IDENTITY]
+        if finite and not INT64_MIN < min(finite) <= max(finite) <= INT64_MAX:
+            bad = min(finite) if min(finite) <= INT64_MIN else max(finite)
+            raise FusionError(f"max fusion values must be -inf or ints in (-2**63, 2**63), "
+                              f"not {bad!r}")
         values = [INT64_MIN if v == MAX_IDENTITY else v for v in values]
     if set(map(type, values)) != {int}:
-        return False
-    try:
-        ival[:] = values
-    except OverflowError:
-        return False
-    # INT64_MIN stands for MAX's -inf, so no MAX value may be INT64_MIN itself
-    return kind is FusionKind.SUM or np.count_nonzero(ival == INT64_MIN) == neg_inf
+        bad = next(v for v in values if type(v) is not int)
+        raise FusionError(f"{kind.value} fusion values must be ints, not {bad!r}")
+    ival[:] = values
 
 
 def _decode(kind: FusionKind, ival: np.ndarray, yv: np.ndarray, wv: np.ndarray) -> list:
@@ -137,32 +138,31 @@ def _decode(kind: FusionKind, ival: np.ndarray, yv: np.ndarray, wv: np.ndarray) 
     return ival.tolist()
 
 
-def walk(state, max_t: float, terminating: bool) -> Optional[bool]:
-    """Run ``state``'s token walk on its clock to ``max_t`` in the kernel,
-    or until some node's count reaches n when ``terminating``; returns
-    whether it completed.  Returns None, leaving ``state`` untouched, when
-    the kernel is unavailable or cannot hold the state exactly.  A SUM
-    overflow raises the Python loop's OverflowError at the same event, with
-    ``state`` as that loop leaves it."""
+def walk(state, max_t: float, terminating: bool, expected=None) -> bool:
+    """Run ``state``'s token walk on its clock to ``max_t``, or until some
+    node's count reaches n when ``terminating``; returns whether it
+    completed.
+
+    Given ``expected``, the fold of the values at the start, the kernel
+    checks after every event (every round, on the discrete clock) that the
+    counts sum to n, that SUM and MAX values still fold to ``expected``
+    (weighted averages round differently in every order, so theirs are not
+    compared), and that SRW keeps one token.  A failed check raises
+    ProtocolError, and a SUM overflow the fusion's OverflowError, each with
+    ``state`` as the event left it.  A stop time before the state's, or a
+    walk with no active token, raises ValueError.
+    """
+    if not max_t >= state.t:
+        raise ValueError(f"stop time {max_t!r} must be a number no earlier than {state.t!r}")
+    if not state.active_list:
+        raise ValueError("a token walk needs at least one active token")
+    lib = load()
     sampler = state.sampler
-    if (type(sampler).uniform is not BlockSampler.uniform
-            or type(sampler).exponential is not BlockSampler.exponential):
-        return None  # a sampler that watches its draws sees every one in Python
     discrete = isinstance(state.clock, SynchronousDiscrete)
     lazy = state.clock.lazy_prob if discrete else 0.0
-    if float(lazy) != lazy:
-        return None  # the hold test compares draws with a double
     g = state.graph
     n = g.n
     indptr, indices = g.csr
-    if (not state.active_list or 0 in g.degrees
-            or (len(indices) and (indices.min() < 0 or indices.max() >= n))):
-        # no token, an isolated node or a neighbour outside the graph:
-        # the Python loop raises its own error there
-        return None
-    lib = load()
-    if lib is None:
-        return None
     kind = state.fusion.kind
     k = len(state.active_list)
     # a round also needs scratch for its snapshot of the active list and its deliveries
@@ -172,10 +172,16 @@ def walk(state, max_t: float, terminating: bool) -> Optional[bool]:
     pt_count, pt_eta = ints[_NIV + 6 * n:_NIV + 8 * n + 2].reshape(2, n + 1)
     yv, wv = floats[_NDV:_NDV + 2 * n].reshape(2, n)
     pt_t = floats[_NDV + 2 * n:_NDV + 3 * n + 1]
-    if not _encode(kind, state.values, ival, yv, wv):
-        return None
+    _encode(kind, state.values, ival, yv, wv)
+    check = folded = 0
+    if expected is not None:
+        check = _CHECK_COUNTS | (_CHECK_ONE_TOKEN if state.kind == "srw" else 0)
+        if kind is not FusionKind.WEIGHTED_AVG:
+            check |= _CHECK_VALUES
+            folded = INT64_MIN if expected == MAX_IDENTITY else expected
     ints[:_NIV] = [k, state.eta, -1 if state.holder is None else state.holder,
-                   state.active_active, sampler._ui, sampler._ei, 0, 0, 0, state.rounds]
+                   state.active_active, sampler._ui, sampler._ei, 0, 0, 0, state.rounds, check,
+                   folded]
     floats[:_NDV] = [state.t, max_t, lazy]
     counts[:] = state.counts
     active[:k] = state.active_list
@@ -214,7 +220,17 @@ def walk(state, max_t: float, terminating: bool) -> Optional[bool]:
     state.active_counts.extend(pt_count[:points].tolist())
     state.message_counts.extend(pt_eta[:points].tolist())
     if rc == _SUM_OVERFLOW:
-        state.fusion.fuse(state.values[iv[_ERR_J]], iv[_ERR_V])  # raises the loop's error
+        state.fusion.fuse(state.values[iv[_ERR_J]], iv[_ERR_V])  # raises the fusion's error
+    if rc == _BROKEN:  # say which check failed first, in the kernel's order
+        from .protocols import ProtocolError  # call-time: protocols imports this module
+
+        if sum(state.counts) != n:
+            raise ProtocolError(f"count conservation broken: sum={sum(state.counts)} != {n}")
+        if check & _CHECK_VALUES:
+            got = sum(state.values) if kind is FusionKind.SUM else max(state.values)
+            if got != expected:
+                raise ProtocolError(f"value conservation broken: {got!r} != {expected!r}")
+        raise ProtocolError(f"SRW must keep exactly one active node, has {iv[_NACTIVE]}")
     if rc not in (_DONE, _MAX_TIME):
         raise RuntimeError(f"compiled token walk stopped with code {rc}")
     return rc == _DONE

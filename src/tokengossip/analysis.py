@@ -126,35 +126,28 @@ def resistance_report(g: Graph) -> ResistanceReport:
     n = g.n
     if n > 4000:
         raise SolverError("dense resistance table capped at 4000 nodes")
-    lplus = np.linalg.pinv(laplacian(g.adjacency_matrix).toarray(), hermitian=True)
+    lap = laplacian(g.adjacency_matrix).toarray()
+    lplus = np.linalg.pinv(lap, hermitian=True)
     d = np.diag(lplus)
     rho = d[:, None] + d[None, :] - 2 * lplus
     np.fill_diagonal(rho, 0.0)
     rho = np.maximum(rho, 0.0)
     idx = int(np.argmax(rho))
     u, v = divmod(idx, n)
-    # verify the extremal pair against a direct grounded solve
-    direct = effective_resistance(g, u, v) if u != v else 0.0
-    if abs(direct - rho[u, v]) > RESIDUAL_TOL * max(1.0, direct):
-        raise SolverError("pseudo-inverse and grounded solves disagree")
+    if u != v:
+        # verify the extremal pair by a grounded solve: the potential at u
+        # under a unit current injected at u and drawn at v, with v grounded
+        keep = np.arange(n) != v
+        reduced = lap[np.ix_(keep, keep)]
+        b = (np.arange(n) == u)[keep].astype(float)
+        x = np.linalg.solve(reduced, b)
+        res = np.linalg.norm(reduced @ x - b)
+        if res > RESIDUAL_TOL:
+            raise SolverError(f"resistance solve residual {res:.2e}")
+        direct = x[u - (u > v)]
+        if abs(direct - rho[u, v]) > RESIDUAL_TOL * max(1.0, direct):
+            raise SolverError("pseudo-inverse and grounded solves disagree")
     return ResistanceReport(rho=rho, rho_star=float(rho[u, v]), argmax=(u, v), edges=g.m)
-
-
-def effective_resistance(g: Graph, u: int, v: int) -> float:
-    """Resistance between u and v: potential drop under a unit current
-    injected at u and drawn at v (v grounded)."""
-    if u == v:
-        return 0.0
-    n = g.n
-    keep = [i for i in range(n) if i != v]
-    reduced = laplacian(g.adjacency_matrix).toarray()[np.ix_(keep, keep)]
-    b = np.zeros(n - 1)
-    b[keep.index(u)] = 1.0
-    x = np.linalg.solve(reduced, b)
-    res = np.linalg.norm(reduced @ x - b) / np.linalg.norm(b)
-    if res > RESIDUAL_TOL:
-        raise SolverError(f"resistance solve residual {res:.2e}")
-    return float(x[keep.index(u)])
 
 
 # ----------------------------------------------------------------------

@@ -93,6 +93,9 @@ def _load_or_generate(args) -> object:
 
 
 def cmd_run(args) -> int:
+    if args.proto == "gossip" and args.fusion is not None:
+        raise ValueError("gossip averages plain values: it takes no --fusion")
+    fusion = args.fusion or "sum"
     g = _load_or_generate(args)
     started = time.time()
     params: dict = {}
@@ -105,11 +108,11 @@ def cmd_run(args) -> int:
         params["horizon"] = args.horizon
     values = f"file:{args.values}" if args.values else args.values_kind
     out_dir = _out_root() / args.out if args.out else None
-    x = ex.initial_values(values, g, args.fusion, args.values_seed)
+    x = ex.initial_values(values, g, fusion, args.values_seed)
     if args.proto == "two_phase":
         params = ex.resolve_two_phase(g, {**params, "gamma": args.gamma}, args.seed)
     summaries = ex.run_point(
-        g, args.proto, args.fusion, x, params, args.trials, args.seed,
+        g, args.proto, fusion, x, params, args.trials, args.seed,
         jobs=args.jobs, out_dir=out_dir,
     )
     tau = float(np.mean([s.tau for s in summaries]))
@@ -119,7 +122,7 @@ def cmd_run(args) -> int:
         outputs = [p for t in range(args.trials) for p in ex.trial_files(out_dir, t)]
         cfg_json = {
             "protocol": args.proto,
-            "fusion": args.fusion,
+            "fusion": fusion,
             "values": values,
             "values_seed": args.values_seed,
             "trials": args.trials,
@@ -264,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--proto", required=True,
                        choices=["srw", "crw", "gossip", "two_phase", "hybrid_k"])
     p_run.add_argument("--graph")
-    p_run.add_argument("--fusion", default="sum", choices=["sum", "max", "wavg"])
+    p_run.add_argument("--fusion", choices=["sum", "max", "wavg"],
+                       help="token protocols only (default sum)")
     p_run.add_argument("--values", help="values file, one per line")
     p_run.add_argument("--values-kind", default="uniform", choices=["spike", "uniform"])
     p_run.add_argument("--values-seed", type=int, default=1)

@@ -537,9 +537,12 @@ def _enabled_rows(config: dict) -> list:
             )
             if cfg.trials < 2 or len(cfg.graphs) < 4:
                 raise ValueError("a suite row needs at least two trials and four sweep points")
+            if cfg.values.startswith("file:"):  # each graph checks the entry count
+                for entry in Path(cfg.values[5:]).read_text().split():
+                    _parse_value(entry)
             out.append((cfg, str(row.get("label", f"{cfg.protocol}/{metric}")), metric,
                         row["predictor"], tuple(band), float(row.get("r2_min", 0.9))))
-        except (ValueError, TypeError) as e:
+        except (ValueError, TypeError, OSError) as e:
             raise ValueError(f"suite row {row.get('label', i)!r}: {e}") from None
     return out
 

@@ -145,12 +145,17 @@ class Graph:
     @cached_property
     def csr(self) -> Tuple[np.ndarray, np.ndarray]:
         """(offsets, flat neighbor array) in CSR layout, as int64 arrays for
-        the walk kernel (scipy keeps ``adjacency_matrix``'s as int32)."""
+        the walk kernel (scipy keeps ``adjacency_matrix``'s as int32); raises
+        ValueError for a neighbour outside [0, n), which the kernel would
+        read past its arrays for."""
         offsets = np.zeros(self.n + 1, dtype=np.int64)
-        offsets[1:] = np.cumsum([len(a) for a in self.adjacency])
+        offsets[1:] = np.cumsum(self.degrees)
         flat = np.fromiter(
-            (v for a in self.adjacency for v in a), dtype=np.int64, count=2 * self.m
+            (v for a in self.adjacency for v in a), dtype=np.int64, count=offsets[-1]
         )
+        if len(flat) and not 0 <= flat.min() <= flat.max() < self.n:
+            bad = flat.min() if flat.min() < 0 else flat.max()
+            raise ValueError(f"neighbour {bad} lies outside the graph's nodes [0, {self.n})")
         return offsets, flat
 
     @cached_property

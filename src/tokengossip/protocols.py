@@ -8,6 +8,10 @@ permit.  SRW starts with one permit, CRW with all of them (permits then
 coalesce), GOSSIP-AVE keeps every node permitted forever, CFLD floods
 surviving payloads, and the two-phase scheme chains CRW into CFLD to
 reach exact consensus at every node.
+
+The token walks (SRW, CRW, two-phase phase 1 and the fixed-k hybrid) run
+in the compiled kernel, ``_walk.walk``, on either clock; gossip and CFLD
+run here.
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ from .engine import (
     RngStream,
     SynchronousDiscrete,
 )
-from .fusion import FusionSpec, TokenPayload, fold, weighted_avg_fusion
+from .fusion import FusionKind, FusionSpec, TokenPayload, fold, weighted_avg_fusion
 from .graph import Graph, distances_from
 
 
@@ -185,6 +189,8 @@ def init(
             raise ValueError("token protocols need a fusion spec")
         state.values = list(x)
         fusion.validate_values(state.values)
+        if fusion.kind is FusionKind.WEIGHTED_AVG:
+            state.values = [(float(y), float(w)) for y, w in state.values]
     state.counts = [1] * n
 
     if kind is ProtocolKind.SRW:
@@ -215,106 +221,6 @@ def init(
     return state
 
 
-# -- the Figure-level primitives ---------------------------------------
-
-
-def _release(state: SimState, i: int) -> tuple:
-    """Sender side of a send: node i gives up its (value, count) payload
-    and its permit, and is left holding the identity with count zero."""
-    v = state.values[i]
-    c = state.counts[i]
-    state.values[i] = state.fusion.identity
-    state.counts[i] = 0
-    state.deactivate(i)
-    state.sends[i] += 1
-    state.eta += 1
-    return v, c
-
-
-def handle_send(state: SimState, i: int) -> None:
-    """Active node i sends its payload to a uniformly chosen neighbor.
-
-    In the fixed-k hybrid, a contact with an active neighbor instead
-    relaxes both (estimate, weight) pairs as in pairwise gossip, and both
-    nodes keep their permits.
-    """
-    if not state.status[i]:
-        raise ProtocolError(f"send from inactive node {i}")
-    nbrs = state.graph.neighbor_lists[i]
-    if not nbrs:  # a lone node has no one to send to
-        return
-    j = nbrs[int(state.sampler.uniform() * len(nbrs))]
-    if state.kind is ProtocolKind.HYBRID_K and state.status[j]:
-        values = state.values
-        yi, wi = values[i]
-        yj, wj = values[j]
-        w = wi + wj
-        ym = (wi * yi + wj * yj) / w if w > 0 else 0.0
-        values[i] = values[j] = (ym, w * 0.5)
-        state.eta += 2
-        state.sends[i] += 1
-        state.sends[j] += 1
-        state.receives[i] += 1
-        state.receives[j] += 1
-        state.active_active += 1
-        return
-    handle_receive(state, j, _release(state, i))
-
-
-def handle_receive(state: SimState, j: int, payload) -> None:
-    """Node j fuses an incoming payload and (re)gains its permit."""
-    if isinstance(payload, TokenPayload):
-        v, c = payload.value, payload.count
-    else:
-        v, c = payload
-    state.values[j] = state.fusion.fuse(state.values[j], v)
-    state.counts[j] += c
-    state.receives[j] += 1
-    if not state.status[j]:
-        state.activate(j)
-    if state.counts[j] == state.graph.n:
-        state.holder = j
-
-
-def synchronous_round(state: SimState) -> None:
-    """One synchronized discrete step: every active token independently
-    holds (with the lazy probability) or moves to a uniform neighbor;
-    all moves land simultaneously, then co-located tokens have fused.
-
-    Two tokens swapping across an edge do not meet: coalescence needs
-    co-location after the round.
-    """
-    lazy = state.clock.lazy_prob if isinstance(state.clock, SynchronousDiscrete) else 0.0
-    sampler = state.sampler
-    nbr = state.graph.neighbor_lists
-    deliveries = []
-    for i in list(state.active_list):
-        if lazy and sampler.uniform() < lazy:
-            continue
-        nbrs = nbr[i]
-        j = nbrs[int(sampler.uniform() * len(nbrs))]
-        deliveries.append((j, _release(state, i)))
-    for j, payload in deliveries:
-        handle_receive(state, j, payload)
-    state.t += 1.0
-    state.rounds += 1
-
-
-# -- invariant instrumentation ------------------------------------------
-
-
-def _check_event_invariants(state: SimState, expected_fold) -> None:
-    n = state.graph.n
-    if sum(state.counts) != n:
-        raise ProtocolError(f"count conservation broken: sum={sum(state.counts)} != {n}")
-    if state.kind in (ProtocolKind.SRW, ProtocolKind.CRW, ProtocolKind.TWO_PHASE):
-        got = fold(state.fusion, state.values)
-        if got != expected_fold:
-            raise ProtocolError(f"value conservation broken: {got!r} != {expected_fold!r}")
-    if state.kind is ProtocolKind.SRW and state.active_count != 1:
-        raise ProtocolError(f"SRW must keep exactly one active node, has {state.active_count}")
-
-
 # -- the event loops -----------------------------------------------------
 
 
@@ -324,7 +230,9 @@ def run(state: SimState, stop, check_invariants: bool = False) -> "Trace":
     hybrid have runners of their own.
 
     Hitting a MaxTime bound before natural termination flags the trace
-    incomplete rather than silently truncating.
+    incomplete rather than silently truncating.  With ``check_invariants``
+    the walk kernel checks conservation after every event and raises
+    ProtocolError on a violation (``_walk.walk``).
     """
     if state.kind is ProtocolKind.GOSSIP:
         return _run_gossip(state, stop)
@@ -345,7 +253,7 @@ def run(state: SimState, stop, check_invariants: bool = False) -> "Trace":
     else:
         raise ValueError(f"unsupported stop condition {stop!r} for a token walk")
     expected = fold(state.fusion, state.values) if check_invariants else None
-    completed = _run_walk(state, max_t, check_invariants, expected)
+    completed = _walk.walk(state, max_t, True, expected)
     holder = state.holder
     payload = None
     if holder is not None and state.counts[holder] == state.graph.n:
@@ -360,51 +268,8 @@ def _walk_until(state, t) -> None:
     """Walk to time t, ending with a curve point there, and never halt:
     tokens keep walking after some node's count has reached n, since no
     node can observe that globally."""
-    _run_walk(state, float(t), False, None, terminating=False)
+    _walk.walk(state, float(t), False)
     state.record_curve_point()
-
-
-def _run_walk(state, max_t, check_invariants, expected, terminating=True):
-    """Walk to time ``max_t``, or until some node's count reaches n when
-    ``terminating``; returns whether the run completed.
-
-    The compiled kernel (``_walk``) runs the walk, on either clock, when it
-    is available and can hold the state exactly.  Otherwise, and to check
-    invariants after every event, this loop steps the walk through the
-    primitives: ``synchronous_round`` on the discrete clock, and on the
-    continuous clock an exponential wait at the active count, a uniform
-    pick of the firing token and ``handle_send``.  Both give the same trace.
-    """
-    if not max_t >= state.t:
-        raise ValueError(f"stop time {max_t!r} must be a number no earlier than {state.t!r}")
-    if not check_invariants:
-        completed = _walk.walk(state, max_t, terminating)
-        if completed is not None:
-            return completed
-    continuous = not isinstance(state.clock, SynchronousDiscrete)
-    sampler = state.sampler
-    active = state.active_list
-    last_count = len(active)
-    while True:
-        if terminating and state.holder is not None:
-            return True
-        if continuous:
-            k = len(active)
-            t = state.t + sampler.exponential() / k
-            if t > max_t:
-                state.t = max_t
-                return False
-            state.t = t
-            handle_send(state, active[int(sampler.uniform() * k)])
-        else:
-            if state.t + 1.0 > max_t:
-                return False
-            synchronous_round(state)
-        if check_invariants:
-            _check_event_invariants(state, expected)
-        if len(active) != last_count:
-            last_count = len(active)
-            state.record_curve_point()
 
 
 def _trace(state, completed, **fields) -> "Trace":

@@ -1,0 +1,140 @@
+"""The token walk stepped in Python: the reference that the compiled walk
+(``tokengossip._walk``) is tested against, draw for draw.
+
+``walk`` takes the place of ``_walk.walk`` (patch it in, as
+``test_walk_kernel.on_both`` does): on the continuous clock an
+exponential wait at the active count, a uniform pick of the firing token
+and ``handle_send``; in rounds ``synchronous_round``.  Given ``expected``,
+it checks the state after every event with ``_check_event_invariants``.
+A test that watches its sampler's draws (a sampler subclass) must run
+this loop: the kernel reads the sampler's blocks directly.
+"""
+from tokengossip.engine import SynchronousDiscrete
+from tokengossip.fusion import TokenPayload, fold
+from tokengossip.protocols import ProtocolError, ProtocolKind, SimState
+
+
+def _release(state: SimState, i: int) -> tuple:
+    """Sender side of a send: node i gives up its (value, count) payload
+    and its permit, and is left holding the identity with count zero."""
+    v = state.values[i]
+    c = state.counts[i]
+    state.values[i] = state.fusion.identity
+    state.counts[i] = 0
+    state.deactivate(i)
+    state.sends[i] += 1
+    state.eta += 1
+    return v, c
+
+
+def handle_send(state: SimState, i: int) -> None:
+    """Active node i sends its payload to a uniformly chosen neighbor.
+
+    In the fixed-k hybrid, a contact with an active neighbor instead
+    relaxes both (estimate, weight) pairs as in pairwise gossip, and both
+    nodes keep their permits.
+    """
+    if not state.status[i]:
+        raise ProtocolError(f"send from inactive node {i}")
+    nbrs = state.graph.neighbor_lists[i]
+    if not nbrs:  # a lone node has no one to send to
+        return
+    j = nbrs[int(state.sampler.uniform() * len(nbrs))]
+    if state.kind is ProtocolKind.HYBRID_K and state.status[j]:
+        values = state.values
+        yi, wi = values[i]
+        yj, wj = values[j]
+        w = wi + wj
+        ym = (wi * yi + wj * yj) / w if w > 0 else 0.0
+        values[i] = values[j] = (ym, w * 0.5)
+        state.eta += 2
+        state.sends[i] += 1
+        state.sends[j] += 1
+        state.receives[i] += 1
+        state.receives[j] += 1
+        state.active_active += 1
+        return
+    handle_receive(state, j, _release(state, i))
+
+
+def handle_receive(state: SimState, j: int, payload) -> None:
+    """Node j fuses an incoming payload and (re)gains its permit."""
+    if isinstance(payload, TokenPayload):
+        v, c = payload.value, payload.count
+    else:
+        v, c = payload
+    state.values[j] = state.fusion.fuse(state.values[j], v)
+    state.counts[j] += c
+    state.receives[j] += 1
+    if not state.status[j]:
+        state.activate(j)
+    if state.counts[j] == state.graph.n:
+        state.holder = j
+
+
+def synchronous_round(state: SimState) -> None:
+    """One synchronized discrete step: every active token independently
+    holds (with the lazy probability) or moves to a uniform neighbor;
+    all moves land simultaneously, then co-located tokens have fused.
+
+    Two tokens swapping across an edge do not meet: coalescence needs
+    co-location after the round.
+    """
+    lazy = state.clock.lazy_prob if isinstance(state.clock, SynchronousDiscrete) else 0.0
+    sampler = state.sampler
+    nbr = state.graph.neighbor_lists
+    deliveries = []
+    for i in list(state.active_list):
+        if lazy and sampler.uniform() < lazy:
+            continue
+        nbrs = nbr[i]
+        if not nbrs:  # a lone node has no one to send to
+            continue
+        j = nbrs[int(sampler.uniform() * len(nbrs))]
+        deliveries.append((j, _release(state, i)))
+    for j, payload in deliveries:
+        handle_receive(state, j, payload)
+    state.t += 1.0
+    state.rounds += 1
+
+
+def _check_event_invariants(state: SimState, expected_fold) -> None:
+    n = state.graph.n
+    if sum(state.counts) != n:
+        raise ProtocolError(f"count conservation broken: sum={sum(state.counts)} != {n}")
+    if state.kind in (ProtocolKind.SRW, ProtocolKind.CRW, ProtocolKind.TWO_PHASE):
+        got = fold(state.fusion, state.values)
+        if got != expected_fold:
+            raise ProtocolError(f"value conservation broken: {got!r} != {expected_fold!r}")
+    if state.kind is ProtocolKind.SRW and state.active_count != 1:
+        raise ProtocolError(f"SRW must keep exactly one active node, has {state.active_count}")
+
+
+def walk(state, max_t, terminating, expected=None):
+    """``_walk.walk`` in Python: walk to time ``max_t``, or until some
+    node's count reaches n when ``terminating``; returns whether the run
+    completed."""
+    continuous = not isinstance(state.clock, SynchronousDiscrete)
+    sampler = state.sampler
+    active = state.active_list
+    last_count = len(active)
+    while True:
+        if terminating and state.holder is not None:
+            return True
+        if continuous:
+            k = len(active)
+            t = state.t + sampler.exponential() / k
+            if t > max_t:
+                state.t = max_t
+                return False
+            state.t = t
+            handle_send(state, active[int(sampler.uniform() * k)])
+        else:
+            if state.t + 1.0 > max_t:
+                return False
+            synchronous_round(state)
+        if expected is not None:
+            _check_event_invariants(state, expected)
+        if len(active) != last_count:
+            last_count = len(active)
+            state.record_curve_point()

@@ -108,9 +108,9 @@ def test_resistance_ring4():
 
 
 def test_resistance_clique4():
-    g = generate(GraphSpec.clique(4))
-    assert an.effective_resistance(g, 0, 1) == pytest.approx(0.5)
-    assert an.effective_resistance(g, 2, 2) == 0.0
+    rho = an.resistance_report(generate(GraphSpec.clique(4))).rho
+    assert rho[0, 1] == pytest.approx(0.5)
+    assert np.all(np.diag(rho) == 0.0)
 
 
 def test_resistance_symmetry_and_triangle():

@@ -535,6 +535,9 @@ BAD_INPUTS = {
     "run_gossip_with_wavg": lambda tmp_path: [
         "run", "--proto", "gossip", "--kind", "ring", "--n", "8", "--fusion", "wavg",
         "--trials", "1"],
+    "run_gossip_with_max": lambda tmp_path: [
+        "run", "--proto", "gossip", "--kind", "ring", "--n", "8", "--fusion", "max",
+        "--trials", "1"],
     "run_hybrid_k_infinite_horizon": lambda tmp_path: [
         "run", "--proto", "hybrid_k", "--kind", "ring", "--n", "8", "--fusion", "wavg",
         "--horizon", "inf", "--trials", "1"],

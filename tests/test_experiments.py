@@ -257,8 +257,11 @@ def test_run_trials_rejects_params_the_protocol_does_not_read():
                                  {"protocol": "hybrid_k"},
                                  {"protocol": "hybrid_k", "params": {"k": 2}},
                                  {"sweep": [{"kind": "ring", "n": n} for n in (1, 6, 8, 10)]},
-                                 {"protocol": "two_phase", "params": {"gamma": 0.5}}])
-def test_run_suite_checks_every_row_before_running_any(monkeypatch, bad):
+                                 {"protocol": "two_phase", "params": {"gamma": 0.5}},
+                                 {"values": "file:missing.txt"}, {"values": "file:words.txt"}])
+def test_run_suite_checks_every_row_before_running_any(monkeypatch, tmp_path, bad):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "words.txt").write_text("1\n2\nthree\n" + "4\n" * 20)
     calls = []
     monkeypatch.setattr(ex, "run_point", lambda *a, **kw: calls.append(a))
     good = {"label": "ok", "protocol": "crw", "predictor": "n",

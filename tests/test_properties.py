@@ -2,10 +2,11 @@
 import math
 from unittest import mock
 
+import reference_loops
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokengossip import protocols
+from tokengossip import _walk, protocols
 from tokengossip.engine import BlockSampler
 from tokengossip.fusion import fold, max_fusion, sum_fusion
 from tokengossip.graph import GraphSpec, generate
@@ -26,7 +27,9 @@ seeds = st.integers(0, 2**32 - 1)
 
 class CountingSampler(BlockSampler):
     """A BlockSampler that counts its exponential draws: one per event,
-    plus the one that overshoots the horizon."""
+    plus the one that overshoots the horizon.  The walk kernel reads the
+    blocks directly, so the reference loop, equal to it draw for draw,
+    runs the walk."""
 
     last = None  # the most recently created instance
 
@@ -46,7 +49,8 @@ def test_hybrid_keeps_k_tokens_and_conserves_weight(spec, seed, k_frac):
     g = generate(spec)
     k = 1 + int(k_frac * (g.n - 1))
     x = [(float((seed >> (i % 32)) % 7), 0.5 + i % 3) for i in range(g.n)]
-    with mock.patch.object(protocols, "BlockSampler", CountingSampler):
+    with (mock.patch.object(protocols, "BlockSampler", CountingSampler),
+          mock.patch.object(_walk, "walk", reference_loops.walk)):
         tr = hybrid_k_run(g, x, k=k, seed=seed, horizon=10.0)
     events = CountingSampler.last.exponentials - 1
     assert set(tr.active_counts) == {k}

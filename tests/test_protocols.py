@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from reference_loops import handle_receive, handle_send, synchronous_round
 
 from tokengossip.engine import Continuous, SynchronousDiscrete
 from tokengossip.fusion import (
@@ -21,12 +22,9 @@ from tokengossip.protocols import (
     Termination,
     cfld_run,
     estimate_switch_time,
-    handle_receive,
-    handle_send,
     hybrid_k_run,
     init,
     run,
-    synchronous_round,
     two_phase_run,
 )
 
@@ -173,7 +171,7 @@ def test_trace_is_frozen():
 
 
 def _replay_with_handle_send(st):
-    """run(st, Termination()) rebuilt from the public primitives: one
+    """run(st, Termination()) rebuilt from the reference primitives: one
     exponential at the active count, a uniform pick of the firing token,
     then handle_send.  Returns (tau, times, active counts, messages)."""
     sampler = st.sampler
@@ -200,7 +198,7 @@ def _replay_with_handle_send(st):
                                   GraphSpec.clique(6), GraphSpec.rgg(30, seed=3)])
 def test_loop_replays_handle_send(spec, kind, fusion):
     # run() goes to the compiled kernel; the kernel must step the same
-    # automaton as the public primitives, draw for draw
+    # automaton as the reference primitives, draw for draw
     g = generate(spec)
     x = [(7 * i) % 11 - 5 for i in range(g.n)]
     for seed in (0, 1, 2):

@@ -1,13 +1,13 @@
-"""The compiled token walk (``_walk``) against the Python loop it replaces.
+"""The compiled token walk (``_walk``) against the Python reference loop.
 
-Every case runs twice: once with each walk on the kernel (asserting that
-the kernel took it), once with the dispatch patched to the Python loop.
+Every case runs twice: once with each walk on the kernel, once with
+``_walk.walk`` patched to the reference loop (``reference_loops.walk``).
 Both must give equal traces and leave the state and its sampler equal.
 """
 import ctypes
 import dataclasses
 import functools
-import logging
+import math
 import random
 import shutil
 from concurrent.futures import ProcessPoolExecutor
@@ -18,11 +18,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import reference_loops
 from tokengossip import _walk, analysis, protocols
-from tokengossip.engine import BlockSampler, SynchronousDiscrete
+from tokengossip.cli import main
+from tokengossip.engine import BlockSampler, Continuous, SynchronousDiscrete
 from tokengossip.fusion import (
     INT64_MAX,
     MAX_IDENTITY,
+    FusionError,
     max_fusion,
     sum_fusion,
     weighted_avg_fusion,
@@ -30,6 +33,7 @@ from tokengossip.fusion import (
 from tokengossip.graph import Graph, GraphSpec, distances_from, generate
 from tokengossip.protocols import (
     MaxTime,
+    ProtocolError,
     Termination,
     hybrid_k_run,
     init,
@@ -73,17 +77,9 @@ def snapshot(s) -> tuple:
 
 
 def on_both(fn):
-    """``fn()`` with every walk on the kernel, then on the Python loop."""
-    real = _walk.walk
-
-    def kernel_only(*args):
-        completed = real(*args)
-        assert completed is not None, "the kernel declined a walk it can hold"
-        return completed
-
-    with mock.patch.object(_walk, "walk", kernel_only):
-        got = fn()
-    with mock.patch.object(_walk, "walk", return_value=None):
+    """``fn()`` with every walk on the kernel, then on the reference loop."""
+    got = fn()
+    with mock.patch.object(_walk, "walk", reference_loops.walk):
         want = fn()
     return got, want
 
@@ -216,23 +212,94 @@ def test_sum_overflow_raises_at_the_same_event():
 
 
 @pytest.mark.parametrize("x", [[2**63, 1, 2], [-(2**63), 1, 2], [1, 2.5, 3]])
-def test_values_the_kernel_cannot_hold_run_in_python(x):
+def test_values_the_kernel_cannot_hold_raise(x):
     # MAX ints outside (INT64_MIN, INT64_MAX] and floats have no exact
     # place in the kernel's arrays
     g = generate(GraphSpec.ring(3))
     s = init("srw", g, [1, 2, 3], max_fusion(), seed=1)
     s.values[:] = x
-    assert _walk.walk(s, float("inf"), True) is None
+    with pytest.raises(FusionError):
+        _walk.walk(s, float("inf"), True)
     assert s.values == x and s.eta == 0
 
 
 def test_neighbour_outside_the_graph_raises_in_python():
-    # the kernel would index past its arrays; the Python loop raises
+    # the kernel would index past its arrays: the graph's CSR arrays refuse it
     g = Graph(n=3, adjacency=((1,), (0, 5), (1,)), kind="bad", seed=0)
     s = init("srw", g, [1, 2, 3], sum_fusion(), seed=1, params={"origin": 1})
-    assert _walk.walk(s, float("inf"), True) is None
-    with pytest.raises(IndexError):  # node 2 is unreachable, so node 1 picks 5 in the end
+    with pytest.raises(ValueError, match="neighbour 5 lies outside"):
         run(s, Termination())
+    assert s.eta == 0
+
+
+CLOCKS = [Continuous(), SynchronousDiscrete(0.5)]
+
+
+@pytest.mark.parametrize("clock", CLOCKS, ids=["continuous", "rounds"])
+@pytest.mark.parametrize("kind,tamper,message", [
+    ("crw", lambda s: s.counts.__setitem__(3, 2), "count conservation broken: sum=13 != 12"),
+    ("srw", lambda s: s.activate((s.active_list[0] + 6) % 12),
+     "SRW must keep exactly one active node, has 2"),
+])
+def test_kernel_checks_catch_a_broken_state(clock, kind, tamper, message):
+    g = generate(GraphSpec.ring(12))
+    s = init(kind, g, list(range(12)), sum_fusion(), seed=3, clock=clock)
+    tamper(s)
+    with pytest.raises(ProtocolError, match=message):
+        run(s, Termination(), check_invariants=True)
+    assert s.eta > 0  # raised after an event, not before the walk
+
+
+@pytest.mark.parametrize("clock", CLOCKS, ids=["continuous", "rounds"])
+@pytest.mark.parametrize("fusion,x,wrong", [
+    (sum_fusion(), list(range(12)), 67),
+    (max_fusion(), [MAX_IDENTITY] * 6 + list(range(6)), 4),
+    (max_fusion(), [MAX_IDENTITY] * 12, 0),
+])
+def test_kernel_checks_values_against_expected(clock, fusion, x, wrong):
+    g = generate(GraphSpec.ring(12))
+    s = init("crw", g, x, fusion, seed=3, clock=clock)
+    got = repr(sum(x) if fusion == sum_fusion() else max(x))
+    with pytest.raises(ProtocolError, match=f"value conservation broken: {got} != {wrong}"):
+        _walk.walk(s, math.inf, True, wrong)
+    assert s.eta > 0
+
+
+@pytest.mark.parametrize("clock", CLOCKS, ids=["continuous", "rounds"])
+def test_weighted_averages_pass_the_checks_in_any_fusion_order(clock):
+    # folds of weighted averages round differently in different orders, so
+    # only their counts are checked
+    g = generate(GraphSpec.ring(12))
+    x = values("wavg", g.n, 0)
+    for seed in range(30):
+        s = init("crw", g, x, weighted_avg_fusion(), seed=seed, clock=clock)
+        assert run(s, Termination(), check_invariants=True).completed
+
+
+@pytest.mark.parametrize("clock", CLOCKS, ids=["continuous", "rounds"])
+def test_walk_without_a_token_raises(clock):
+    g = generate(GraphSpec.ring(6))
+    s = init("srw", g, [1] * 6, sum_fusion(), seed=1, clock=clock)
+    s.deactivate(s.active_list[0])
+    with pytest.raises(ValueError, match="at least one active token"):
+        run(s, MaxTime(5.0))
+
+
+@pytest.mark.parametrize("clock", CLOCKS, ids=["continuous", "rounds"])
+def test_a_lone_token_sends_nothing_and_draws_no_neighbour(clock):
+    g = generate(GraphSpec.clique(1))
+
+    def walk():
+        s = init("crw", g, [7], sum_fusion(), seed=4, clock=clock)
+        protocols._walk_until(s, 30.0)
+        return snapshot(s)
+
+    got, want = on_both(walk)
+    assert got == want
+    t, eta, uniforms, exponentials = got[0], got[1], got[15], got[16]
+    assert (t, eta) == (30.0, 0)
+    # one uniform per event: the pick of the firing token, or the lazy hold
+    assert uniforms == (exponentials - 1 if clock == Continuous() else 30)
 
 
 def bipartite(g) -> bool:
@@ -344,20 +411,18 @@ def _no_random_library(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("break_build", [_no_compiler, _cache_under_a_file, _read_only_cache,
                                          _no_random_library])
-def test_build_failure_falls_back_with_one_warning(tmp_path, monkeypatch, caplog, break_build):
-    g = generate(GraphSpec.torus(5, 2))
-    x = values("sum", g.n, 1)
-    expected = [run(init("crw", g, x, sum_fusion(), seed=s), Termination()) for s in (1, 2)]
+def test_build_failure_exits_2_with_one_line(tmp_path, monkeypatch, capsys, break_build):
     break_build(tmp_path, monkeypatch)
+    monkeypatch.setenv("TOKENGOSSIP_OUT", str(tmp_path))
     _walk.load.cache_clear()
     try:
-        with caplog.at_level(logging.WARNING, logger="tokengossip._walk"):
-            got = [run(init("crw", g, x, sum_fusion(), seed=s), Termination()) for s in (1, 2)]
-        assert _walk.load() is None
+        rc = main(["run", "--proto", "crw", "--kind", "torus", "--side", "5", "--trials", "2"])
     finally:
         _walk.load.cache_clear()
-    assert got == expected
-    assert len([r for r in caplog.records if r.name == "tokengossip._walk"]) == 1
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("invalid input: ")
+    assert "Traceback" not in err
 
 
 def test_a_changed_random_library_gets_its_own_build(tmp_path, monkeypatch):
