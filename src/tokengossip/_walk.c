@@ -1,10 +1,15 @@
-/* Token walks that match the tests' reference loop
+/* Token walks that match the tests' reference loops
  * (tests/reference_loops.py) draw for draw and bit for bit.
  * tg_walk_continuous is the continuous-clock loop: an exponential wait, a
  * uniform pick of the firing token, then a send to a uniform neighbour.
  * tg_walk_discrete runs synchronized rounds.  Both release and receive
  * tokens through release() and receive().  A token on a node without
  * neighbours sends nothing and draws no neighbour.
+ *
+ * Gossip is the fixed-k hybrid with every node active and weight 1, where
+ * relax() gives (1*yi + 1*yj)/2, bit for bit (yi + yj)*0.5.  It pauses
+ * after the relax that brings iv[ACTIVE_ACTIVE] to iv[PAUSE] or its running
+ * q -= 0.5*(yi - yj)^2 to dv[THRESHOLD]; the hybrid passes -1 and NaN.
  *
  * The caller passes the sampler's current uniform (and exponential) blocks
  * with their cursors and the sampler's numpy bit generator.  A used-up
@@ -39,14 +44,14 @@
 typedef void fill_t(bitgen_t *, intptr_t, double *);
 fill_t random_standard_uniform_fill, random_standard_exponential_fill;
 
-enum { DONE, MAX_TIME, SUM_OVERFLOW, CURVE_FULL, BROKEN };
+enum { DONE, MAX_TIME, SUM_OVERFLOW, CURVE_FULL, BROKEN, PAUSED };
 enum { SUM, MAX, WAVG };
 enum { CHECK_COUNTS = 1, CHECK_VALUES = 2, CHECK_ONE_TOKEN = 4 };
 /* slots of iv */
 enum { NACTIVE, ETA, HOLDER, ACTIVE_ACTIVE, UI, EI, NPOINTS, ERR_J, ERR_V, ROUNDS, CHECK, EXPECTED,
-       NIV };
+       PAUSE, NIV };
 /* slots of dv */
-enum { T, MAX_T, LAZY, NDV };
+enum { T, MAX_T, LAZY, Q, THRESHOLD, NDV };
 
 /* a draw block of the sampler, its cursor and how to refill it */
 typedef struct {
@@ -217,12 +222,12 @@ int tg_walk_continuous(
     int64_t *iv = I, *active = s.active;
     int64_t *pt_count = s.ival + n, *pt_eta = pt_count + n + 1;
     double *dv = D, *pt_t = s.wv + n;
-    const int64_t pt_cap = n + 1, check = iv[CHECK], expected = iv[EXPECTED];
+    const int64_t pt_cap = n + 1, check = iv[CHECK], expected = iv[EXPECTED], pause = iv[PAUSE];
     block_t U = {bg, random_standard_uniform_fill, u, iv[UI], block};
     block_t E = {bg, random_standard_exponential_fill, e, iv[EI], block};
     int64_t active_active = iv[ACTIVE_ACTIVE], npoints = iv[NPOINTS];
-    double t = dv[T];
-    const double max_t = dv[MAX_T];
+    double t = dv[T], q = dv[Q];
+    const double max_t = dv[MAX_T], threshold = dv[THRESHOLD];
     int rc;
     for (;;) {
         if (terminating && s.holder >= 0) {
@@ -241,8 +246,13 @@ int tg_walk_continuous(
         if (deg > 0) {
             const int64_t j = indices[lo + (int64_t)(draw(&U) * (double)deg)];
             if (hybrid && status[j]) {
+                const double d = s.yv[i] - s.yv[j];
                 relax(&s, i, j);
-                active_active += 1;
+                q -= 0.5 * d * d;
+                if (++active_active == pause || q <= threshold) {
+                    rc = PAUSED;
+                    break;
+                }
             } else {
                 const payload_t p = release(&s, i);
                 if (receive(&s, j, p)) {
@@ -274,6 +284,7 @@ int tg_walk_continuous(
     iv[EI] = E.i;
     iv[NPOINTS] = npoints;
     dv[T] = t;
+    dv[Q] = q;
     return rc;
 }
 

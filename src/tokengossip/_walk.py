@@ -1,5 +1,6 @@
 """The compiled token walk: the one loop that runs SRW, CRW, two-phase
-phase 1 and the fixed-k hybrid, on either clock.
+phase 1 and the fixed-k hybrid, on either clock, and gossip's pairwise
+averaging, which is the hybrid with every node active (``exchange``).
 
 ``_walk.c`` runs the continuous-clock loop (an exponential wait, a uniform
 pick of the firing token, a send to a uniform neighbour) and synchronized
@@ -41,10 +42,10 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 # the return codes, the slots of the scalar arrays, the fusion codes and
 # the check bits of _walk.c
-_DONE, _MAX_TIME, _SUM_OVERFLOW, _CURVE_FULL, _BROKEN = range(5)
+_DONE, _MAX_TIME, _SUM_OVERFLOW, _CURVE_FULL, _BROKEN, _PAUSED = range(6)
 (_NACTIVE, _ETA, _HOLDER, _ACTIVE_ACTIVE, _UI, _EI, _NPOINTS, _ERR_J, _ERR_V, _ROUNDS, _CHECK,
- _EXPECTED, _NIV) = range(13)
-_T, _MAX_T, _LAZY, _NDV = range(4)
+ _EXPECTED, _PAUSE, _NIV) = range(14)
+_T, _MAX_T, _LAZY, _Q, _THRESHOLD, _NDV = range(6)
 _FUSION = {FusionKind.SUM: 0, FusionKind.MAX: 1, FusionKind.WEIGHTED_AVG: 2}
 _CHECK_COUNTS, _CHECK_VALUES, _CHECK_ONE_TOKEN = 1, 2, 4
 
@@ -138,20 +139,10 @@ def _decode(kind: FusionKind, ival: np.ndarray, yv: np.ndarray, wv: np.ndarray) 
     return ival.tolist()
 
 
-def walk(state, max_t: float, terminating: bool, expected=None) -> bool:
-    """Run ``state``'s token walk on its clock to ``max_t``, or until some
-    node's count reaches n when ``terminating``; returns whether it
-    completed.
-
-    Given ``expected``, the fold of the values at the start, the kernel
-    checks after every event (every round, on the discrete clock) that the
-    counts sum to n, that SUM and MAX values still fold to ``expected``
-    (weighted averages round differently in every order, so theirs are not
-    compared), and that SRW keeps one token.  A failed check raises
-    ProtocolError, and a SUM overflow the fusion's OverflowError, each with
-    ``state`` as the event left it.  A stop time before the state's, or a
-    walk with no active token, raises ValueError.
-    """
+def _run(state, max_t, terminating, active_active, check=0, folded=0, pause=-1, q=0.0,
+         threshold=float("nan")):
+    """Run the kernel on ``state``, writing back all but ``active_active``,
+    which comes out in ``iv``; returns (return code, ``iv``, running q)."""
     if not max_t >= state.t:
         raise ValueError(f"stop time {max_t!r} must be a number no earlier than {state.t!r}")
     if not state.active_list:
@@ -163,7 +154,8 @@ def walk(state, max_t: float, terminating: bool, expected=None) -> bool:
     g = state.graph
     n = g.n
     indptr, indices = g.csr
-    kind = state.fusion.kind
+    gossip = state.kind == "gossip"
+    kind = FusionKind.WEIGHTED_AVG if gossip else state.fusion.kind
     k = len(state.active_list)
     # a round also needs scratch for its snapshot of the active list and its deliveries
     ints = np.zeros(_NIV + (12 if discrete else 8) * n + 2, dtype=np.int64)
@@ -172,17 +164,14 @@ def walk(state, max_t: float, terminating: bool, expected=None) -> bool:
     pt_count, pt_eta = ints[_NIV + 6 * n:_NIV + 8 * n + 2].reshape(2, n + 1)
     yv, wv = floats[_NDV:_NDV + 2 * n].reshape(2, n)
     pt_t = floats[_NDV + 2 * n:_NDV + 3 * n + 1]
-    _encode(kind, state.values, ival, yv, wv)
-    check = folded = 0
-    if expected is not None:
-        check = _CHECK_COUNTS | (_CHECK_ONE_TOKEN if state.kind == "srw" else 0)
-        if kind is not FusionKind.WEIGHTED_AVG:
-            check |= _CHECK_VALUES
-            folded = INT64_MIN if expected == MAX_IDENTITY else expected
-    ints[:_NIV] = [k, state.eta, -1 if state.holder is None else state.holder,
-                   state.active_active, sampler._ui, sampler._ei, 0, 0, 0, state.rounds, check,
-                   folded]
-    floats[:_NDV] = [state.t, max_t, lazy]
+    if gossip:  # plain values, each a weighted average of weight 1
+        yv[:] = state.values
+        wv[:] = 1.0
+    else:
+        _encode(kind, state.values, ival, yv, wv)
+    ints[:_NIV] = [k, state.eta, -1 if state.holder is None else state.holder, active_active,
+                   sampler._ui, sampler._ei, 0, 0, 0, state.rounds, check, folded, pause]
+    floats[:_NDV] = [state.t, max_t, lazy, q, threshold]
     counts[:] = state.counts
     active[:k] = state.active_list
     active_pos[:] = state.active_pos
@@ -198,13 +187,14 @@ def walk(state, max_t: float, terminating: bool, expected=None) -> bool:
             rc = lib.tg_walk_discrete(*graph, terminating, status, bits.ctypes.bit_generator,
                                       sampler._ua.ctypes.data, *buffers)
         else:
-            rc = lib.tg_walk_continuous(*graph, state.kind == "hybrid_k", terminating, status,
-                                        bits.ctypes.bit_generator, sampler._ua.ctypes.data,
-                                        sampler._ea.ctypes.data, *buffers)
+            rc = lib.tg_walk_continuous(*graph, gossip or state.kind == "hybrid_k", terminating,
+                                        status, bits.ctypes.bit_generator,
+                                        sampler._ua.ctypes.data, sampler._ea.ctypes.data,
+                                        *buffers)
 
     iv = ints[:_NIV].tolist()
     sampler._advance_to(iv[_UI], iv[_EI])
-    state.values[:] = _decode(kind, ival, yv, wv)
+    state.values[:] = yv.tolist() if gossip else _decode(kind, ival, yv, wv)
     state.counts[:] = counts.tolist()
     state.active_list[:] = active[:iv[_NACTIVE]].tolist()
     state.active_pos[:] = active_pos.tolist()
@@ -212,18 +202,46 @@ def walk(state, max_t: float, terminating: bool, expected=None) -> bool:
     state.receives[:] = receives.tolist()
     state.eta = iv[_ETA]
     state.holder = None if iv[_HOLDER] < 0 else iv[_HOLDER]
-    state.active_active = iv[_ACTIVE_ACTIVE]
     state.rounds = iv[_ROUNDS]
     state.t = floats[_T].item()
     points = iv[_NPOINTS]
     state.times.extend(pt_t[:points].tolist())
     state.active_counts.extend(pt_count[:points].tolist())
     state.message_counts.extend(pt_eta[:points].tolist())
+    if rc == _CURVE_FULL:
+        raise RuntimeError("compiled token walk ran out of curve points")
+    return rc, iv, floats[_Q].item()
+
+
+def walk(state, max_t: float, terminating: bool, expected=None) -> bool:
+    """Run ``state``'s token walk on its clock to ``max_t``, or until some
+    node's count reaches n when ``terminating``; returns whether it
+    completed.
+
+    Given ``expected``, the fold of the values at the start, the kernel
+    checks after every event (every round, on the discrete clock) that the
+    counts sum to n, that SUM and MAX values still fold to ``expected``
+    (weighted averages round differently in every order, so theirs are not
+    compared), and that SRW keeps one token.  A failed check raises
+    ProtocolError, and a SUM overflow the fusion's OverflowError, each with
+    ``state`` as the event left it.  A stop time before the state's, or a
+    walk with no active token, raises ValueError.
+    """
+    kind = state.fusion.kind
+    check = folded = 0
+    if expected is not None:
+        check = _CHECK_COUNTS | (_CHECK_ONE_TOKEN if state.kind == "srw" else 0)
+        if kind is not FusionKind.WEIGHTED_AVG:
+            check |= _CHECK_VALUES
+            folded = INT64_MIN if expected == MAX_IDENTITY else expected
+    rc, iv, _ = _run(state, max_t, terminating, state.active_active, check, folded)
+    state.active_active = iv[_ACTIVE_ACTIVE]
     if rc == _SUM_OVERFLOW:
         state.fusion.fuse(state.values[iv[_ERR_J]], iv[_ERR_V])  # raises the fusion's error
     if rc == _BROKEN:  # say which check failed first, in the kernel's order
         from .protocols import ProtocolError  # call-time: protocols imports this module
 
+        n = state.graph.n
         if sum(state.counts) != n:
             raise ProtocolError(f"count conservation broken: sum={sum(state.counts)} != {n}")
         if check & _CHECK_VALUES:
@@ -231,6 +249,13 @@ def walk(state, max_t: float, terminating: bool, expected=None) -> bool:
             if got != expected:
                 raise ProtocolError(f"value conservation broken: {got!r} != {expected!r}")
         raise ProtocolError(f"SRW must keep exactly one active node, has {iv[_NACTIVE]}")
-    if rc not in (_DONE, _MAX_TIME):
-        raise RuntimeError(f"compiled token walk stopped with code {rc}")
     return rc == _DONE
+
+
+def exchange(state, max_t: float, exchanges: int, pause: int, q: float, threshold: float):
+    """Run a gossip state's pairwise averaging to ``max_t``, taking
+    ``q -= 0.5 * (a - b) ** 2`` at each exchange of a and b, with a pause
+    after the one that brings ``exchanges`` to ``pause`` or q to
+    ``threshold``; returns (whether it paused, exchanges, q)."""
+    rc, iv, q = _run(state, max_t, False, exchanges, pause=pause, q=q, threshold=threshold)
+    return rc == _PAUSED, iv[_ACTIVE_ACTIVE], q

@@ -76,6 +76,8 @@ class ExperimentConfig:
         if not self.graphs:
             raise ValueError("sweep needs at least one graph spec")
         _check_params(self.protocol, self.params, self.fusion)
+        if "switch_time" in self.params:
+            raise ValueError("two_phase estimates its switch_time in a pilot: params cannot set it")
         if not (self.values in ("spike", "uniform", "slow_mode")
                 or isinstance(self.values, str) and self.values.startswith("file:")):
             raise ValueError(f"unknown value source {self.values!r}")
@@ -144,7 +146,8 @@ PROTOCOL_PARAMS = {
 def _check_params(protocol: str, params: dict, fusion: str) -> None:
     """Raise ``ValueError`` for an unknown protocol or fusion, hybrid_k
     without wavg or gossip with it, a key the protocol does not read, a
-    missing eps or k, a bad clock, gossip stop rule or gamma."""
+    missing eps or k, a bad clock, gossip stop rule, hybrid_k k or
+    horizon, gamma or pilot trial count."""
     if protocol not in PROTOCOL_PARAMS:
         raise ValueError(f"unknown protocol {protocol!r}")
     fusion_from_name(fusion)
@@ -163,6 +166,12 @@ def _check_params(protocol: str, params: dict, fusion: str) -> None:
     _clock(params)
     if protocol == "gossip":
         GossipEps(**params)
+    for key in ("k", "pilot_trials"):
+        if key in params and (type(params[key]) is not int or params[key] < 1):
+            raise ValueError(f"{protocol} {key} must be an int >= 1, not {params[key]!r}")
+    horizon = params.get("horizon", 0.0)
+    if protocol == "hybrid_k" and not (type(horizon) in (int, float) and 0 <= horizon < math.inf):
+        raise ValueError(f"hybrid_k stop time (horizon) must be finite and >= 0, not {horizon!r}")
     if params.get("gamma") not in (None, "log_n") and not float(params["gamma"]) >= 1:
         raise ValueError("gamma must be >= 1")
 
@@ -183,7 +192,7 @@ def resolve_two_phase(graph: Graph, params: dict, master_seed: int) -> dict:
     params["switch_time"] = estimate_switch_time(
         graph,
         params["gamma"],
-        trials=int(params.get("pilot_trials", 32)),
+        trials=params.get("pilot_trials", 32),
         seed=master_seed + 0x517,
         clock=_clock(params),
     )

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix, triu
-from scipy.sparse.csgraph import laplacian, shortest_path
+from scipy.sparse.csgraph import connected_components, laplacian, shortest_path
 
 
 class GraphGenerationError(RuntimeError):
@@ -138,9 +138,9 @@ class Graph:
         )
 
     @cached_property
-    def neighbor_lists(self) -> list:
-        """Plain list-of-lists view for hot simulation loops."""
-        return [list(a) for a in self.adjacency]
+    def _components(self) -> Tuple[int, np.ndarray]:
+        """The number of connected components and each node's component."""
+        return connected_components(self.adjacency_matrix, directed=False)
 
     @cached_property
     def csr(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -349,18 +349,22 @@ def random_regular(n: int, degree: int, seed: int) -> Graph:
 
 def generate(spec: GraphSpec) -> Graph:
     """Build the graph described by ``spec``; always connected or raises.
-    The generators take sizes that ``GraphSpec`` has already checked."""
+    The generators take sizes that ``GraphSpec`` has already checked.  The
+    graph's one component is recorded, so no run has to find it."""
     if spec.kind == "clique":
-        return clique(spec.n)
-    if spec.kind == "ring":
-        return ring(spec.n)
-    if spec.kind == "torus":
-        return torus(spec.side, spec.dim or 2)
-    if spec.kind == "grid2d":
-        return grid2d(spec.side)
-    if spec.kind == "rgg":
-        return rgg(spec.n, spec.seed, spec.radius)
-    return random_regular(spec.n, spec.degree, spec.seed)
+        g = clique(spec.n)
+    elif spec.kind == "ring":
+        g = ring(spec.n)
+    elif spec.kind == "torus":
+        g = torus(spec.side, spec.dim or 2)
+    elif spec.kind == "grid2d":
+        g = grid2d(spec.side)
+    elif spec.kind == "rgg":
+        g = rgg(spec.n, spec.seed, spec.radius)
+    else:
+        g = random_regular(spec.n, spec.degree, spec.seed)
+    object.__setattr__(g, "_components", (1, np.zeros(g.n, dtype=np.int32)))
+    return g
 
 
 # ----------------------------------------------------------------------
@@ -387,7 +391,7 @@ def ball(g: Graph, u: int, radius: int) -> set:
 
 
 def is_connected(g: Graph) -> bool:
-    return bool(np.all(distances_from(g, 0) >= 0))
+    return g._components[0] == 1
 
 
 def _farthest(dist: np.ndarray) -> int:

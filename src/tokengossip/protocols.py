@@ -10,8 +10,8 @@ surviving payloads, and the two-phase scheme chains CRW into CFLD to
 reach exact consensus at every node.
 
 The token walks (SRW, CRW, two-phase phase 1 and the fixed-k hybrid) run
-in the compiled kernel, ``_walk.walk``, on either clock; gossip and CFLD
-run here.
+in the compiled kernel, ``_walk.walk``, on either clock, and so does
+gossip's pairwise averaging (``_walk.exchange``); CFLD runs here.
 """
 from __future__ import annotations
 
@@ -70,6 +70,8 @@ class GossipEps:
     def __post_init__(self):
         if not (isinstance(self.eps, (int, float)) and 0 < self.eps < 1):
             raise ValueError(f"gossip eps must lie in (0, 1), not {self.eps!r}")
+        if type(self.horizon) is not int or self.horizon < 1:
+            raise ValueError(f"gossip horizon must be an int >= 1, not {self.horizon!r}")
 
 
 class SimState:
@@ -181,6 +183,8 @@ def init(
 
     state = SimState(graph, fusion, kind, clock, stream)
     if kind is ProtocolKind.GOSSIP:
+        if isinstance(clock, SynchronousDiscrete):
+            raise ValueError("gossip runs on the continuous clock only")
         state.values = [float(v) for v in x]
         if not all(map(math.isfinite, state.values)):
             raise ValueError("gossip values must be finite")
@@ -232,8 +236,16 @@ def run(state: SimState, stop, check_invariants: bool = False) -> "Trace":
     Hitting a MaxTime bound before natural termination flags the trace
     incomplete rather than silently truncating.  With ``check_invariants``
     the walk kernel checks conservation after every event and raises
-    ProtocolError on a violation (``_walk.walk``).
+    ProtocolError on a violation (``_walk.walk``).  A Termination or
+    GossipEps run raises ValueError when its tokens and counts lie in more
+    than one component of the graph, since it could never end.
     """
+    ncomp, label = state.graph._components
+    if ncomp > 1 and not isinstance(stop, MaxTime):
+        held = {label[i] for i, c in enumerate(state.counts) if c}
+        if len(held | {label[i] for i in state.active_list}) > 1:
+            raise ValueError("the tokens and counts lie in more than one component of the "
+                             "graph, so the run could never end; stop it with MaxTime")
     if state.kind is ProtocolKind.GOSSIP:
         return _run_gossip(state, stop)
     if state.kind in (ProtocolKind.HYBRID_K, ProtocolKind.TWO_PHASE):
@@ -299,6 +311,11 @@ def _trace(state, completed, **fields) -> "Trace":
 
 
 def _run_gossip(state: SimState, stop) -> "Trace":
+    """Pairwise averaging on the walk kernel (``_walk.exchange``), which
+    pauses where the stop rule needs Python: at powers of two of the
+    exchange count (the error log), at its multiples of 4096 and when the
+    running squared error q falls to the threshold (an exact ``fsum``
+    refresh of q, against float drift), and at the horizon."""
     if isinstance(stop, GossipEps):
         eps, horizon, max_t = stop.eps, stop.horizon, math.inf
     elif isinstance(stop, MaxTime):
@@ -306,7 +323,6 @@ def _run_gossip(state: SimState, stop) -> "Trace":
     else:
         raise ValueError(f"unsupported stop condition {stop!r} for gossip")
 
-    sampler = state.sampler
     n = state.graph.n
     z = state.values
     zbar = math.fsum(z) / n
@@ -323,42 +339,17 @@ def _run_gossip(state: SimState, stop) -> "Trace":
     if q <= threshold and isinstance(stop, GossipEps):
         first_passage = 0
     exchanges = 0
-    sends = state.sends
-    receives = state.receives
-    nbr = state.graph.neighbor_lists
     completed = first_passage is not None
-    while not completed:
-        if exchanges >= horizon:
-            break
-        dt = sampler.exponential() / n
-        if state.t + dt > max_t:
-            state.t = max_t
+    while not completed and exchanges < horizon:
+        pause = min(next_log, exchanges - exchanges % 4096 + 4096, horizon)
+        paused, exchanges, q = _walk.exchange(state, max_t, exchanges, pause, q, threshold)
+        if not paused:
             completed = not isinstance(stop, GossipEps)
             break
-        state.t += dt
-        i = int(sampler.uniform() * n)
-        nbrs = nbr[i]
-        j = nbrs[int(sampler.uniform() * len(nbrs))]
-        a = z[i]
-        b = z[j]
-        mean = (a + b) * 0.5
-        z[i] = mean
-        z[j] = mean
-        d = a - b
-        q -= 0.5 * d * d
-        exchanges += 1
-        state.eta += 2
-        sends[i] += 1
-        sends[j] += 1
-        receives[i] += 1
-        receives[j] += 1
         if exchanges == next_log:
             errors.append((exchanges, rel_error()))
             next_log *= 2
-        if exchanges % 4096 == 0:
-            # refresh the incrementally tracked error to kill float drift
-            q = math.fsum((v - zbar) ** 2 for v in z)
-        if q <= threshold:
+        if exchanges % 4096 == 0 or q <= threshold:
             q = math.fsum((v - zbar) ** 2 for v in z)
             if q <= threshold:
                 first_passage = exchanges
@@ -403,7 +394,7 @@ def cfld_run(state: SimState) -> "Trace":
     pending: list = []
     for oi, o in enumerate(origins):
         received[oi][o] = 1
-        if g.neighbor_lists[o]:
+        if g.adjacency[o]:
             pending.append((o, oi))
 
     fuse = state.fusion.fuse
@@ -411,7 +402,7 @@ def cfld_run(state: SimState) -> "Trace":
     counts = state.counts
     sends = state.sends
     receives = state.receives
-    nbr = g.neighbor_lists
+    nbr = g.adjacency
     phase_start_eta = state.eta
     sampler = state.sampler
 

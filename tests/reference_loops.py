@@ -1,5 +1,5 @@
-"""The token walk stepped in Python: the reference that the compiled walk
-(``tokengossip._walk``) is tested against, draw for draw.
+"""The token walk and gossip stepped in Python: the references that the
+compiled walk (``tokengossip._walk``) is tested against, draw for draw.
 
 ``walk`` takes the place of ``_walk.walk`` (patch it in, as
 ``test_walk_kernel.on_both`` does): on the continuous clock an
@@ -8,10 +8,22 @@ and ``handle_send``; in rounds ``synchronous_round``.  Given ``expected``,
 it checks the state after every event with ``_check_event_invariants``.
 A test that watches its sampler's draws (a sampler subclass) must run
 this loop: the kernel reads the sampler's blocks directly.
+
+``run_gossip`` takes the place of ``protocols._run_gossip``: it runs every
+pairwise exchange and the stop rule in one Python loop.
 """
+import math
+
 from tokengossip.engine import SynchronousDiscrete
 from tokengossip.fusion import TokenPayload, fold
-from tokengossip.protocols import ProtocolError, ProtocolKind, SimState
+from tokengossip.protocols import (
+    GossipEps,
+    MaxTime,
+    ProtocolError,
+    ProtocolKind,
+    SimState,
+    _trace,
+)
 
 
 def _release(state: SimState, i: int) -> tuple:
@@ -36,7 +48,7 @@ def handle_send(state: SimState, i: int) -> None:
     """
     if not state.status[i]:
         raise ProtocolError(f"send from inactive node {i}")
-    nbrs = state.graph.neighbor_lists[i]
+    nbrs = state.graph.adjacency[i]
     if not nbrs:  # a lone node has no one to send to
         return
     j = nbrs[int(state.sampler.uniform() * len(nbrs))]
@@ -82,7 +94,7 @@ def synchronous_round(state: SimState) -> None:
     """
     lazy = state.clock.lazy_prob if isinstance(state.clock, SynchronousDiscrete) else 0.0
     sampler = state.sampler
-    nbr = state.graph.neighbor_lists
+    nbr = state.graph.adjacency
     deliveries = []
     for i in list(state.active_list):
         if lazy and sampler.uniform() < lazy:
@@ -138,3 +150,75 @@ def walk(state, max_t, terminating, expected=None):
         if len(active) != last_count:
             last_count = len(active)
             state.record_curve_point()
+
+
+def run_gossip(state: SimState, stop):
+    if isinstance(stop, GossipEps):
+        eps, horizon, max_t = stop.eps, stop.horizon, math.inf
+    elif isinstance(stop, MaxTime):
+        eps, horizon, max_t = 0.0, 1_000_000_000, float(stop.t)
+    else:
+        raise ValueError(f"unsupported stop condition {stop!r} for gossip")
+
+    sampler = state.sampler
+    n = state.graph.n
+    z = state.values
+    zbar = math.fsum(z) / n
+    norm0 = math.sqrt(math.fsum(v * v for v in z))
+    q = math.fsum((v - zbar) ** 2 for v in z)
+    threshold = (eps * norm0) ** 2
+
+    def rel_error():
+        return math.sqrt(max(q, 0.0)) / norm0 if norm0 > 0 else 0.0
+
+    errors = [(0, rel_error())]
+    next_log = 1
+    first_passage = None
+    if q <= threshold and isinstance(stop, GossipEps):
+        first_passage = 0
+    exchanges = 0
+    sends = state.sends
+    receives = state.receives
+    nbr = state.graph.adjacency
+    completed = first_passage is not None
+    while not completed:
+        if exchanges >= horizon:
+            break
+        dt = sampler.exponential() / n
+        if state.t + dt > max_t:
+            state.t = max_t
+            completed = not isinstance(stop, GossipEps)
+            break
+        state.t += dt
+        i = int(sampler.uniform() * n)
+        nbrs = nbr[i]
+        j = nbrs[int(sampler.uniform() * len(nbrs))]
+        a = z[i]
+        b = z[j]
+        mean = (a + b) * 0.5
+        z[i] = mean
+        z[j] = mean
+        d = a - b
+        q -= 0.5 * d * d
+        exchanges += 1
+        state.eta += 2
+        sends[i] += 1
+        sends[j] += 1
+        receives[i] += 1
+        receives[j] += 1
+        if exchanges == next_log:
+            errors.append((exchanges, rel_error()))
+            next_log *= 2
+        if exchanges % 4096 == 0:
+            # refresh the incrementally tracked error to kill float drift
+            q = math.fsum((v - zbar) ** 2 for v in z)
+        if q <= threshold:
+            q = math.fsum((v - zbar) ** 2 for v in z)
+            if q <= threshold:
+                first_passage = exchanges
+                completed = True
+    errors.append((exchanges, rel_error()))
+    return _trace(
+        state, completed, final_values=list(z), gossip_errors=errors,
+        gossip_first_passage=first_passage, gossip_exchanges=exchanges,
+    )

@@ -465,6 +465,10 @@ def _suite_scale(**changes):
     return argv
 
 
+def _suite_gossip(**params):
+    return _suite_scale(protocol="gossip", metric="eta_per_node", params={"eps": 0.01, **params})
+
+
 def _suite_second_row(**changes):
     """A two-row suite: a good first row, then a second one with ``changes``."""
     def argv(tmp_path):
@@ -530,6 +534,18 @@ BAD_INPUTS = {
         sweep=[{"kind": "ring", "n": n} for n in (1, 6, 8, 10)]),
     "scale_second_row_hybrid_k_without_wavg": _suite_second_row(
         protocol="hybrid_k", params={"k": 2}),
+    "scale_gossip_horizon_is_a_string": _suite_gossip(horizon="abc"),
+    "scale_gossip_horizon_is_a_float": _suite_gossip(horizon=10.5),
+    "scale_gossip_horizon_is_a_bool": _suite_gossip(horizon=True),
+    "scale_gossip_horizon_zero": _suite_gossip(horizon=0),
+    "scale_hybrid_k_horizon_is_a_string": _suite_scale(protocol="hybrid_k", fusion="wavg",
+                                                       params={"k": 2, "horizon": "abc"}),
+    "scale_hybrid_k_k_is_a_string": _suite_scale(protocol="hybrid_k", fusion="wavg",
+                                                 params={"k": "2"}),
+    "scale_two_phase_no_pilot_trials": _suite_scale(protocol="two_phase",
+                                                    params={"pilot_trials": 0}),
+    "scale_two_phase_sets_switch_time": _suite_scale(protocol="two_phase",
+                                                     params={"switch_time": 123.0}),
     "run_hybrid_k_without_wavg": lambda tmp_path: [
         "run", "--proto", "hybrid_k", "--kind", "ring", "--n", "8", "--k", "2", "--trials", "1"],
     "run_gossip_with_wavg": lambda tmp_path: [

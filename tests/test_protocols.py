@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from reference_loops import handle_receive, handle_send, synchronous_round
 
+from tokengossip import graph as graph_module
 from tokengossip.engine import Continuous, SynchronousDiscrete
 from tokengossip.fusion import (
     TokenPayload,
@@ -13,7 +14,7 @@ from tokengossip.fusion import (
     sum_fusion,
     weighted_avg_fusion,
 )
-from tokengossip.graph import GraphSpec, generate
+from tokengossip.graph import Graph, GraphSpec, generate
 from tokengossip.protocols import (
     GossipEps,
     MaxTime,
@@ -74,6 +75,12 @@ def test_init_gossip_rejects_non_finite_values(bad):
     g = generate(GraphSpec.ring(4))
     with pytest.raises(ValueError, match="finite"):
         init("gossip", g, [bad, 1.0, 2.0, 3.0], None, seed=0)
+
+
+def test_init_gossip_rejects_rounds():
+    # the kernel's rounds have no pairwise exchange: they would move tokens
+    with pytest.raises(ValueError, match="continuous clock"):
+        init("gossip", generate(GraphSpec.ring(4)), [1.0] * 4, None, clock=SynchronousDiscrete())
 
 
 def test_init_validates():
@@ -307,6 +314,46 @@ def test_gossip_step_preserves_sum():
         run(st, MaxTime(0.25 * t))
         assert math.isclose(sum(st.values), 4.0, rel_tol=0, abs_tol=1e-12)
     assert st.eta > 0
+
+
+def test_gossip_on_one_node():
+    g = generate(GraphSpec.clique(1))
+    tr = run(init("gossip", g, [2.5], None, seed=1), MaxTime(5.0))
+    assert (tr.tau, tr.eta, tr.completed, tr.gossip_exchanges) == (5.0, 0, True, 0)
+    tr = run(init("gossip", g, [2.5], None, seed=1), GossipEps(0.01))
+    assert (tr.tau, tr.completed, tr.gossip_first_passage, tr.gossip_exchanges) == (0.0, True, 0, 0)
+
+
+def test_gossip_to_max_time_from_equal_values_stops_at_the_first_exchange():
+    g = generate(GraphSpec.torus(3, 2))
+    tr = run(init("gossip", g, [1.5] * 9, None, seed=2), MaxTime(50.0))
+    assert tr.completed and tr.gossip_first_passage == tr.gossip_exchanges == 1
+    assert tr.eta == 2 and tr.tau < 50.0
+
+
+@pytest.mark.parametrize("kind,stop", [("crw", Termination()), ("srw", Termination()),
+                                       ("gossip", GossipEps(0.01))])
+def test_run_that_could_never_end_on_a_disconnected_graph_raises(kind, stop):
+    g = Graph(n=3, adjacency=((1,), (0,), ()), kind="hand-built", seed=0)
+    st = init(kind, g, [1, 2, 3], None if kind == "gossip" else SUM, seed=1,
+              params={"origin": 0} if kind == "srw" else None)
+    with pytest.raises(ValueError, match="more than one component"):
+        run(st, stop)
+    assert st.eta == 0 and st.t == 0.0
+    assert run(st, MaxTime(3.0)).tau == 3.0  # a bounded run still runs
+
+
+def test_components_are_found_once_per_graph(monkeypatch):
+    calls = []
+    real = graph_module.connected_components
+    monkeypatch.setattr(graph_module, "connected_components",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    ring = generate(GraphSpec.ring(6))  # generate records its graphs' one component
+    hand_built = Graph(n=6, adjacency=ring.adjacency, kind="hand-built", seed=0)
+    for g in (ring, hand_built):
+        for seed in range(5):
+            assert run(init("crw", g, [1] * 6, SUM, seed=seed), Termination()).completed
+    assert len(calls) == 1
 
 
 def test_gossip_converges_on_ring():

@@ -1,7 +1,8 @@
-"""The compiled token walk (``_walk``) against the Python reference loop.
+"""The compiled token walk (``_walk``) against the Python reference loops.
 
 Every case runs twice: once with each walk on the kernel, once with
-``_walk.walk`` patched to the reference loop (``reference_loops.walk``).
+``_walk.walk`` patched to the reference loop (``reference_loops.walk``),
+or gossip's ``protocols._run_gossip`` to ``reference_loops.run_gossip``.
 Both must give equal traces and leave the state and its sampler equal.
 """
 import ctypes
@@ -9,6 +10,7 @@ import dataclasses
 import functools
 import math
 import random
+import re
 import shutil
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
@@ -22,6 +24,7 @@ import reference_loops
 from tokengossip import _walk, analysis, protocols
 from tokengossip.cli import main
 from tokengossip.engine import BlockSampler, Continuous, SynchronousDiscrete
+from tokengossip.experiments import initial_values, slow_mode_start
 from tokengossip.fusion import (
     INT64_MAX,
     MAX_IDENTITY,
@@ -32,6 +35,7 @@ from tokengossip.fusion import (
 )
 from tokengossip.graph import Graph, GraphSpec, distances_from, generate
 from tokengossip.protocols import (
+    GossipEps,
     MaxTime,
     ProtocolError,
     Termination,
@@ -95,6 +99,22 @@ def test_kernel_loads_here():
     assert _walk.load() is not None
 
 
+def test_python_mirrors_every_kernel_constant():
+    # the return codes, iv and dv slots, fusion codes and check bits, by name and value
+    in_c = {}
+    for body in re.findall(r"enum \{([^}]*)\}", _walk.SOURCE.read_text()):
+        value = 0
+        for item in body.split(","):
+            name, _, given = item.partition("=")
+            value = int(given) if given else value
+            in_c[name.strip()] = value
+            value += 1
+    in_python = {name[1:]: v for name, v in vars(_walk).items()
+                 if re.fullmatch(r"_[A-Z_]+", name) and type(v) is int}
+    in_python.update((kind.value.upper(), code) for kind, code in _walk._FUSION.items())
+    assert in_python == in_c
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(spec=specs, seed=seeds, kind=st.sampled_from(["crw", "srw"]),
        fusion=st.sampled_from(sorted(FUSIONS)), block=st.sampled_from([1, 3, 4096]))
@@ -124,6 +144,54 @@ def test_hybrid_matches_python_loop(spec, seed, k_frac, block):
 
     got, want = on_both(hybrid)
     assert got == want
+
+
+def gossip_start(start: str, g, seed: int) -> list:
+    if start == "equal":
+        return [3.0] * g.n
+    if start == "two_level":  # dyadic, so exchanges can reach exactly equal values
+        return [2.0 * (i % 2) for i in range(g.n)]
+    if start == "slow_mode":
+        return slow_mode_start(g)
+    return initial_values(start, g, "sum", seed)
+
+
+def gossip_on_both(g, x, seed, stop, block=4096):
+    """A gossip run's trace and end state on the kernel, then on the reference loop."""
+    def gossip():
+        with small_blocks(block):
+            s = init("gossip", g, x, None, seed=seed)
+        return run(s, stop), snapshot(s)
+
+    got = gossip()
+    with mock.patch.object(protocols, "_run_gossip", reference_loops.run_gossip):
+        want = gossip()
+    return got, want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(spec=st.one_of(st.just(GraphSpec.ring(2)), st.builds(GraphSpec.torus, st.integers(3, 6)),
+                      st.builds(GraphSpec.rgg, st.integers(8, 30), seed=st.integers(0, 1000)),
+                      st.builds(GraphSpec.clique, st.integers(2, 12))),
+       seed=seeds, start=st.sampled_from(["spike", "uniform", "slow_mode", "equal", "two_level"]),
+       stop=st.one_of(st.builds(GossipEps, st.sampled_from([0.5, 0.1, 0.01, 1e-6]),
+                                st.one_of(st.integers(1, 70), st.sampled_from([4096, 8193]))),
+                      st.builds(GossipEps, st.sampled_from([0.3, 0.01, 1e-6])),
+                      st.builds(MaxTime, st.floats(0.0, 400.0))),
+       block=st.sampled_from([1, 3, 4096]))
+def test_gossip_matches_python_loop(spec, seed, start, stop, block):
+    g = generate(spec)
+    got, want = gossip_on_both(g, gossip_start(start, g, seed), seed, stop, block)
+    assert got == want
+
+
+def test_gossip_stops_where_values_become_exactly_equal():
+    # q reaches the threshold 0 exactly at exchange 3, which is no log or
+    # refresh point: only the kernel's q <= threshold pause can stop there
+    got, want = gossip_on_both(generate(GraphSpec.ring(4)), [0.0, 2.0, 0.0, 2.0], 1,
+                               MaxTime(100.0))
+    assert got == want
+    assert got[0].gossip_first_passage == 3 and got[0].final_values == [1.0] * 4
 
 
 @pytest.mark.parametrize("spec,kind,fusion", [
