@@ -506,10 +506,10 @@ def _enabled_rows(config: dict) -> list:
     rows = [r for r in rows if r.get("enabled", True)]
     if not rows:
         raise ValueError("config has no enabled rows")
-    try:
-        master_seed, jobs = int(config.get("master_seed", 0)), int(config.get("jobs", 1))
-    except (ValueError, TypeError) as e:
-        raise ValueError(f"suite master_seed and jobs must be integers: {e}") from None
+    master_seed, jobs = config.get("master_seed", 0), config.get("jobs", 1)
+    if type(master_seed) is not int or type(jobs) is not int:
+        raise ValueError(f"suite master_seed and jobs must be ints, not {master_seed!r} "
+                         f"and {jobs!r}")
     out = []
     for i, row in enumerate(rows):
         try:
@@ -530,6 +530,8 @@ def _enabled_rows(config: dict) -> list:
             if row["protocol"] == "gossip" and "fusion" in row:
                 raise ValueError("a gossip row reads no fusion")
             predictor_fn(row["predictor"])
+            if type(row.get("trials", 100)) is not int:
+                raise ValueError(f"trials must be an int, not {row['trials']!r}")
             band = row.get("slope_band", [0.85, 1.15])
             if not (isinstance(band, (list, tuple)) and len(band) == 2
                     and all(isinstance(b, (int, float)) for b in band)):
@@ -539,7 +541,7 @@ def _enabled_rows(config: dict) -> list:
                 protocol=row["protocol"],
                 fusion=row.get("fusion", "sum"),
                 values=row.get("values", "uniform"),
-                trials=int(row.get("trials", 100)),
+                trials=row.get("trials", 100),
                 master_seed=master_seed,
                 params=dict(row.get("params", {})),
                 jobs=jobs,

@@ -47,6 +47,9 @@ class GraphSpec:
         kind = self.kind
         if kind not in GRAPH_KINDS:
             raise ValueError(f"unknown graph kind {kind!r}")
+        for name in ("n", "side", "dim", "degree", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{kind} {name} must be an int, not {getattr(self, name)!r}")
         if kind == "clique" and self.n < 1:
             raise ValueError("clique needs n >= 1")
         if kind in ("ring", "rgg") and self.n < 2:
@@ -141,6 +144,13 @@ class Graph:
     def _components(self) -> Tuple[int, np.ndarray]:
         """The number of connected components and each node's component."""
         return connected_components(self.adjacency_matrix, directed=False)
+
+    @cached_property
+    def _two_colouring(self) -> Optional[np.ndarray]:
+        """Hop distances from node 0, mod 2, if they 2-colour the graph."""
+        side = distances_from(self, 0) % 2
+        offsets, flat = self.csr
+        return None if np.any(np.repeat(side, np.diff(offsets)) == side[flat]) else side
 
     @cached_property
     def csr(self) -> Tuple[np.ndarray, np.ndarray]:

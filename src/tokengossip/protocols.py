@@ -11,7 +11,8 @@ reach exact consensus at every node.
 
 The token walks (SRW, CRW, two-phase phase 1 and the fixed-k hybrid) run
 in the compiled kernel, ``_walk.walk``, on either clock, and so does
-gossip's pairwise averaging (``_walk.exchange``); CFLD runs here.
+gossip's pairwise averaging (``_walk.exchange``).  CFLD runs here: on
+rounds it is read off hop distances, on the continuous clock an event loop.
 """
 from __future__ import annotations
 
@@ -21,6 +22,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import _walk
 from .engine import (
@@ -255,9 +258,8 @@ def run(state: SimState, stop, check_invariants: bool = False) -> "Trace":
         if isinstance(state.clock, SynchronousDiscrete) and state.clock.lazy_prob == 0:
             # every token crosses an edge each round, so on a bipartite graph
             # tokens on opposite sides never share a node
-            side = distances_from(state.graph, 0) % 2
-            bipartite = all(side[u] != side[v] for u, v in state.graph.edges)
-            if bipartite and len({side[i] for i in state.active_list}) > 1:
+            side = state.graph._two_colouring
+            if side is not None and len(set(side[state.active_list].tolist())) > 1:
                 raise ValueError("lazy_prob 0 on a bipartite graph: tokens on opposite "
                                  "sides never meet; use lazy_prob > 0")
     elif isinstance(stop, MaxTime):
@@ -365,11 +367,14 @@ def _run_gossip(state: SimState, stop) -> "Trace":
 
 
 def cfld_run(state: SimState) -> "Trace":
-    """Flood the payload of every active node (an origin) to all nodes,
-    each node forwarding a given origin's flood at most once, to all
-    neighbors except the sender(s) of its first receipt.  An origin
-    without neighbors (the one node of a 1-node graph) sends nothing and
-    takes no time.
+    """Flood the payload of every active node (an origin) to all nodes: a
+    node forwards an origin's flood once, when it first hears it, to every
+    neighbor but the sender(s) of that first receipt.  On rounds the flood
+    is a breadth-first search, read off ``distances_from`` with no draws:
+    v hears o in round d(o, v) and sends to each neighbor w with
+    d(o, w) >= d(o, v), and each node fuses the other origins' payloads in
+    order of (distance, origin).  On the continuous clock each pending
+    forward draws an exponential wait and is picked uniformly.
 
     On return every node holds the fused combination of all origin
     payloads with count n.  Transmissions are counted per link, so each
@@ -387,88 +392,71 @@ def cfld_run(state: SimState) -> "Trace":
             "broken two-phase handoff"
         )
     payloads = [(state.values[o], state.counts[o]) for o in origins]
-    k = len(origins)
-    received = [bytearray(n) for _ in range(k)]
-    per_origin_messages = [0] * k
-    first_senders: dict = {}
-    pending: list = []
-    for oi, o in enumerate(origins):
-        received[oi][o] = 1
-        if g.adjacency[o]:
-            pending.append((o, oi))
-
     fuse = state.fusion.fuse
     values = state.values
     counts = state.counts
-    sends = state.sends
-    receives = state.receives
-    nbr = g.adjacency
     phase_start_eta = state.eta
-    sampler = state.sampler
 
     if isinstance(state.clock, SynchronousDiscrete):
-        rounds_to_complete = 0
-        round_no = 0
-        while pending:
-            round_no += 1
-            arrivals: dict = {}
-            for v, oi in pending:
-                excl = first_senders.get((oi, v), ())
-                cnt = 0
-                rec = received[oi]
-                for w in nbr[v]:
-                    if w in excl:
-                        continue
-                    cnt += 1
-                    receives[w] += 1
-                    if not rec[w]:
-                        arrivals.setdefault((oi, w), []).append(v)
-                sends[v] += cnt
-                state.eta += cnt
-                per_origin_messages[oi] += cnt
-            pending = []
-            for (oi, w), senders in arrivals.items():
-                received[oi][w] = 1
-                first_senders[(oi, w)] = tuple(senders)
-                pv, pc = payloads[oi]
-                values[w] = fuse(values[w], pv)
-                counts[w] += pc
-                rounds_to_complete = round_no
-                if len(nbr[w]) > len(senders):
-                    pending.append((w, oi))
-            state.t += 1.0
-        state.rounds += rounds_to_complete
+        dist = distances_from(g, origins)
+        offsets, flat = g.csr
+        src = np.repeat(np.arange(n), np.diff(offsets))
+        near = dist[:, src]
+        link = (near >= 0) & (dist[:, flat] >= near)  # per origin: v sends to w
+        per_origin_messages = link.sum(axis=1).tolist()
+        oi, e = np.nonzero(link)
+        state.sends = (np.bincount(src[e], minlength=n) + state.sends).tolist()
+        state.receives = (np.bincount(flat[e], minlength=n) + state.receives).tolist()
+        state.eta += len(e)
+        if len(e):
+            state.t += 1.0 + float(near[oi, e].max())  # distance d sends in round d + 1
+        state.rounds += int(dist.max())
+        order = np.argsort(dist, axis=0, kind="stable").T.tolist()
+        for w, (heard, d) in enumerate(zip(order, dist.T.tolist())):
+            for o in heard:
+                if d[o] > 0:
+                    pv, pc = payloads[o]
+                    values[w] = fuse(values[w], pv)
+                    counts[w] += pc
+        received = dist >= 0
     else:
+        nbr = g.adjacency
+        sampler = state.sampler
+        sends, receives = state.sends, state.receives
+        received = [bytearray(n) for _ in origins]
+        for oi, o in enumerate(origins):
+            received[oi][o] = 1
+        per_origin_messages = [0] * len(origins)
+        # (node, origin index, its first sender or -1 at the origin)
+        pending = [(o, oi, -1) for oi, o in enumerate(origins) if nbr[o]]
         while pending:
             m = len(pending)
             state.t += sampler.exponential() / m
             idx = int(sampler.uniform() * m)
-            v, oi = pending[idx]
+            v, oi, sender = pending[idx]
             pending[idx] = pending[-1]
             pending.pop()
-            excl = first_senders.get((oi, v), ())
             rec = received[oi]
             cnt = 0
             pv, pc = payloads[oi]
             for w in nbr[v]:
-                if w in excl:
+                if w == sender:
                     continue
                 cnt += 1
                 receives[w] += 1
                 if not rec[w]:
                     rec[w] = 1
-                    first_senders[(oi, w)] = (v,)
                     values[w] = fuse(values[w], pv)
                     counts[w] += pc
                     if len(nbr[w]) > 1:
-                        pending.append((w, oi))
+                        pending.append((w, oi, v))
             sends[v] += cnt
             state.eta += cnt
             per_origin_messages[oi] += cnt
 
-    for oi in range(k):
-        if not all(received[oi]):
-            raise ProtocolError(f"flood from origin {origins[oi]} did not reach all nodes")
+    for o, rec in zip(origins, received):
+        if not all(rec):
+            raise ProtocolError(f"flood from origin {o} did not reach all nodes")
     if any(c != n for c in counts):
         raise ProtocolError("flood completed but some node's count is not n")
     return _trace(

@@ -11,6 +11,10 @@ this loop: the kernel reads the sampler's blocks directly.
 
 ``run_gossip`` takes the place of ``protocols._run_gossip``: it runs every
 pairwise exchange and the stop rule in one Python loop.
+
+``cfld_run`` takes the place of ``protocols.cfld_run``: it floods round by
+round on the discrete clock, keeping each node's first senders, rather
+than reading the flood off hop distances.
 """
 import math
 
@@ -221,4 +225,119 @@ def run_gossip(state: SimState, stop):
     return _trace(
         state, completed, final_values=list(z), gossip_errors=errors,
         gossip_first_passage=first_passage, gossip_exchanges=exchanges,
+    )
+
+
+def cfld_run(state: SimState) -> "Trace":
+    """Flood the payload of every active node (an origin) to all nodes,
+    each node forwarding a given origin's flood at most once, to all
+    neighbors except the sender(s) of its first receipt.  An origin
+    without neighbors (the one node of a 1-node graph) sends nothing and
+    takes no time.
+
+    On return every node holds the fused combination of all origin
+    payloads with count n.  Transmissions are counted per link, so each
+    origin's flood uses at most 2|E| messages.
+    """
+    g = state.graph
+    n = g.n
+    origins = sorted(state.active_list)
+    if not origins:
+        raise ProtocolError("flood needs at least one origin")
+    total = sum(state.counts[o] for o in origins)
+    if total != n or sum(state.counts) != n:
+        raise ProtocolError(
+            f"origin counts sum to {total} (of total {sum(state.counts)}), expected {n}: "
+            "broken two-phase handoff"
+        )
+    payloads = [(state.values[o], state.counts[o]) for o in origins]
+    k = len(origins)
+    received = [bytearray(n) for _ in range(k)]
+    per_origin_messages = [0] * k
+    first_senders: dict = {}
+    pending: list = []
+    for oi, o in enumerate(origins):
+        received[oi][o] = 1
+        if g.adjacency[o]:
+            pending.append((o, oi))
+
+    fuse = state.fusion.fuse
+    values = state.values
+    counts = state.counts
+    sends = state.sends
+    receives = state.receives
+    nbr = g.adjacency
+    phase_start_eta = state.eta
+    sampler = state.sampler
+
+    if isinstance(state.clock, SynchronousDiscrete):
+        rounds_to_complete = 0
+        round_no = 0
+        while pending:
+            round_no += 1
+            arrivals: dict = {}
+            for v, oi in pending:
+                excl = first_senders.get((oi, v), ())
+                cnt = 0
+                rec = received[oi]
+                for w in nbr[v]:
+                    if w in excl:
+                        continue
+                    cnt += 1
+                    receives[w] += 1
+                    if not rec[w]:
+                        arrivals.setdefault((oi, w), []).append(v)
+                sends[v] += cnt
+                state.eta += cnt
+                per_origin_messages[oi] += cnt
+            pending = []
+            for (oi, w), senders in arrivals.items():
+                received[oi][w] = 1
+                first_senders[(oi, w)] = tuple(senders)
+                pv, pc = payloads[oi]
+                values[w] = fuse(values[w], pv)
+                counts[w] += pc
+                rounds_to_complete = round_no
+                if len(nbr[w]) > len(senders):
+                    pending.append((w, oi))
+            state.t += 1.0
+        state.rounds += rounds_to_complete
+    else:
+        while pending:
+            m = len(pending)
+            state.t += sampler.exponential() / m
+            idx = int(sampler.uniform() * m)
+            v, oi = pending[idx]
+            pending[idx] = pending[-1]
+            pending.pop()
+            excl = first_senders.get((oi, v), ())
+            rec = received[oi]
+            cnt = 0
+            pv, pc = payloads[oi]
+            for w in nbr[v]:
+                if w in excl:
+                    continue
+                cnt += 1
+                receives[w] += 1
+                if not rec[w]:
+                    rec[w] = 1
+                    first_senders[(oi, w)] = (v,)
+                    values[w] = fuse(values[w], pv)
+                    counts[w] += pc
+                    if len(nbr[w]) > 1:
+                        pending.append((w, oi))
+            sends[v] += cnt
+            state.eta += cnt
+            per_origin_messages[oi] += cnt
+
+    for oi in range(k):
+        if not all(received[oi]):
+            raise ProtocolError(f"flood from origin {origins[oi]} did not reach all nodes")
+    if any(c != n for c in counts):
+        raise ProtocolError("flood completed but some node's count is not n")
+    return _trace(
+        state, True, final_payload=TokenPayload(values[0], counts[0]),
+        final_values=list(values), flood_messages=state.eta - phase_start_eta,
+        flood_messages_per_origin=per_origin_messages, flood_origins=len(origins),
+        rounds=state.rounds,
     )

@@ -448,11 +448,11 @@ def test_bundled_config_resolution(tmp_path):
         resolve_config_path("no_such_suite")
 
 
-def _values_run(values):
+def _values_run(values, proto="crw", *flags):
     def argv(tmp_path):
         (tmp_path / "v.txt").write_text("\n".join(map(str, values)) + "\n")
-        return ["run", "--proto", "crw", "--kind", "ring", "--n", "4",
-                "--values", str(tmp_path / "v.txt"), "--trials", "20"]
+        return ["run", "--proto", proto, "--kind", "ring", "--n", "4",
+                "--values", str(tmp_path / "v.txt"), "--trials", "20", *flags]
     return argv
 
 
@@ -503,10 +503,16 @@ def _out_under_missing_dir(cmd):
     return argv
 
 
+FLOOD_OVERFLOW = [2**62, 2**62, -(2**62), -(2**62) + 1]
+
 BAD_INPUTS = {
     "sum_total_overflows": _values_run([2**62, 2**62, 1, 1]),
     "sum_partial_overflows": _values_run([2**62, 2**62, -(2**62), -(2**62) + 1]),
     "sum_value_outside_int64": _values_run([2**64, 1, 1, 1]),
+    # gamma n floods from every node at once, whose partial sums overflow
+    "flood_sum_partial_overflows": _values_run(FLOOD_OVERFLOW, "two_phase", "--gamma", "4"),
+    "flood_sum_partial_overflows_in_rounds": _values_run(FLOOD_OVERFLOW, "two_phase",
+                                                         "--gamma", "4", "--lazy", "0.5"),
     "scale_three_points": _suite_scale(sweep=[{"kind": "clique", "n": n} for n in (8, 16, 24)]),
     "scale_lazy_zero_ring": _suite_scale(sweep=[{"kind": "ring", "n": n} for n in (8, 12, 16, 20)],
                                          params={"lazy_prob": 0}),
@@ -521,6 +527,28 @@ BAD_INPUTS = {
     "scale_sweep_of_numbers": _suite_scale(sweep=[4, 5, 6, 7]),
     "scale_sweep_is_a_number": _suite_scale(sweep=5),
     "scale_params_is_a_number": _suite_scale(params=5),
+    "scale_sweep_n_is_a_float": _suite_scale(
+        sweep=[{"kind": "ring", "n": n} for n in (8, 10, 12, 14.5)]),
+    "scale_sweep_n_is_a_whole_float": _suite_scale(
+        sweep=[{"kind": "clique", "n": n} for n in (8, 16, 24.0, 32)]),
+    "scale_sweep_n_is_a_string": _suite_scale(
+        sweep=[{"kind": "clique", "n": n} for n in (8, "8", 16, 24)]),
+    "scale_sweep_n_is_a_bool": _suite_scale(
+        sweep=[{"kind": "clique", "n": n} for n in (True, 8, 16, 24)]),
+    "scale_sweep_side_is_a_float": _suite_scale(
+        sweep=[{"kind": "torus", "side": s} for s in (3, 4, 5, 6.0)]),
+    "scale_sweep_dim_is_a_float": _suite_scale(
+        sweep=[{"kind": "torus", "side": s, "dim": 2.0} for s in (3, 4, 5, 6)]),
+    "scale_sweep_degree_is_a_float": _suite_scale(
+        sweep=[{"kind": "random_regular", "n": n, "degree": d, "seed": 1}
+               for n, d in ((8, 3), (10, 3), (12, 3), (14, 3.0))]),
+    "scale_sweep_rgg_seed_is_a_float": _suite_scale(
+        sweep=[{"kind": "rgg", "n": n, "seed": s} for n, s in ((20, 1), (24, 1), (28, 1), (32, 1.5))]),
+    "scale_trials_is_a_float": _suite_scale(trials=3.9),
+    "scale_trials_is_a_string": _suite_scale(trials="4"),
+    "scale_master_seed_is_a_float": _suite_file({"master_seed": 1.5, "rows": SMALL_SUITE["rows"]}),
+    "scale_master_seed_is_a_string": _suite_file({"master_seed": "7", "rows": SMALL_SUITE["rows"]}),
+    "scale_jobs_is_a_float": _suite_file({"jobs": 2.5, "rows": SMALL_SUITE["rows"]}),
     "scale_gossip_z0_typo": _suite_scale(protocol="gossip", metric="eta_per_node",
                                          params={"eps": 0.01}, values="slowmode"),
     "scale_gossip_with_fusion": _suite_scale(protocol="gossip", metric="eta_per_node",

@@ -113,6 +113,14 @@ def test_generators_reject_bad_params():
     {"kind": "random_regular", "n": 8, "degree": 8},
     {"kind": "random_regular", "n": 8, "degree": 0},
     {"kind": "random_regular", "n": 9, "degree": 3},
+    {"kind": "ring", "n": 14.5},
+    {"kind": "clique", "n": 8.0},
+    {"kind": "clique", "n": "8"},
+    {"kind": "clique", "n": True},
+    {"kind": "torus", "side": 4.0},
+    {"kind": "torus", "side": 4, "dim": 2.0},
+    {"kind": "rgg", "n": 30, "seed": 1.5},
+    {"kind": "random_regular", "n": 8, "degree": 3.0},
 ], ids=str)
 def test_graph_spec_checks_sizes_when_made(fields):
     with pytest.raises(ValueError):

@@ -356,6 +356,18 @@ def test_components_are_found_once_per_graph(monkeypatch):
     assert len(calls) == 1
 
 
+def test_bipartiteness_is_found_once_per_graph(monkeypatch):
+    calls = []
+    real = graph_module.distances_from
+    monkeypatch.setattr(graph_module, "distances_from",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    for kind, g in (("crw", generate(GraphSpec.ring(7))), ("srw", generate(GraphSpec.ring(8)))):
+        for seed in range(2):
+            st = init(kind, g, [1] * g.n, SUM, seed=seed, clock=SynchronousDiscrete(0.0))
+            assert run(st, Termination()).completed
+    assert len(calls) == 2
+
+
 def test_gossip_converges_on_ring():
     g = generate(GraphSpec.ring(4))
     st = init("gossip", g, [4.0, 0.0, 0.0, 0.0], None, seed=15)
@@ -449,6 +461,20 @@ def test_cfld_transmission_bound_continuous():
         tr = cfld_run(st)
         assert tr.flood_messages <= 2 * g.m
         assert set(tr.final_counts) == {g.n}
+
+
+@pytest.mark.parametrize("spec", [
+    GraphSpec.clique(1), GraphSpec.clique(2), GraphSpec.clique(7), GraphSpec.ring(9),
+    GraphSpec.torus(4, 2), GraphSpec.grid2d(5), GraphSpec.rgg(40, seed=3),
+    GraphSpec.random_regular(20, 3, seed=2),
+], ids=str)
+def test_continuous_flood_sends_2m_minus_n_plus_1_per_origin(spec):
+    # the origin sends to all its neighbours, every other node to all but its
+    # one first sender
+    g = generate(spec)
+    for seed, switch in ((1, 0.0), (2, 1.0), (3, 4.0)):
+        tr = two_phase_run(g, [1] * g.n, SUM, switch, seed=seed)
+        assert tr.flood_messages_per_origin == [2 * g.m - g.n + 1] * tr.flood_origins
 
 
 def test_cfld_two_origins_counts_add():

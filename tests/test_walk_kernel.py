@@ -2,7 +2,8 @@
 
 Every case runs twice: once with each walk on the kernel, once with
 ``_walk.walk`` patched to the reference loop (``reference_loops.walk``),
-or gossip's ``protocols._run_gossip`` to ``reference_loops.run_gossip``.
+gossip's ``protocols._run_gossip`` to ``reference_loops.run_gossip``, or
+the flood's ``protocols.cfld_run`` to ``reference_loops.cfld_run``.
 Both must give equal traces and leave the state and its sampler equal.
 """
 import ctypes
@@ -33,7 +34,7 @@ from tokengossip.fusion import (
     sum_fusion,
     weighted_avg_fusion,
 )
-from tokengossip.graph import Graph, GraphSpec, distances_from, generate
+from tokengossip.graph import Graph, GraphSpec, generate
 from tokengossip.protocols import (
     GossipEps,
     MaxTime,
@@ -370,18 +371,13 @@ def test_a_lone_token_sends_nothing_and_draws_no_neighbour(clock):
     assert uniforms == (exponentials - 1 if clock == Continuous() else 30)
 
 
-def bipartite(g) -> bool:
-    side = distances_from(g, 0) % 2
-    return all(side[u] != side[v] for u, v in g.edges)
-
-
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(spec=specs, seed=seeds, kind=st.sampled_from(["crw", "srw"]),
        fusion=st.sampled_from(sorted(FUSIONS)), block=st.sampled_from([1, 3, 4096]),
        lazy=st.sampled_from([0.0, 0.25, 0.5]))
 def test_rounds_match_python_loop(spec, seed, kind, fusion, block, lazy):
     g = generate(spec)
-    assume(lazy or not bipartite(g))  # lazy 0 never ends with tokens on both sides
+    assume(lazy or g._two_colouring is None)  # lazy 0 never ends with tokens on both sides
     x = values(fusion, g.n, seed)
 
     def rounds():
@@ -436,6 +432,57 @@ def test_discrete_decay_matches_python_loop():
     got, want = on_both(decay)
     assert [a.tolist() for a in got[:5]] == [a.tolist() for a in want[:5]]
     assert got[5:] == want[5:]
+
+
+def big_sums(n: int, seed: int) -> list:
+    """SUM values near +-2^62 whose total fits in int64 but whose partial
+    sums often do not."""
+    r = random.Random(seed)
+    x = [(-1) ** i * 2**62 + r.randint(-9, 9) for i in range(n - n % 2)] + [0] * (n % 2)
+    r.shuffle(x)
+    return x
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(spec=specs, seed=seeds, fusion=st.sampled_from(["sum", "max", "wavg", "big_sum"]),
+       clock=st.sampled_from([Continuous()] + [SynchronousDiscrete(p) for p in (0.0, 0.25, 0.5)]),
+       switch=st.sampled_from([0.0, 0.5, 2.0, 7.25, 40.0]), block=st.sampled_from([1, 3, 4096]))
+def test_flood_matches_python_loop(spec, seed, fusion, clock, switch, block):
+    # a run that raises OverflowError must raise it with both floods
+    g = generate(spec)
+    if fusion == "big_sum":
+        fusion, x = "sum", big_sums(g.n, seed)
+    else:
+        x = values(fusion, g.n, seed)
+
+    def flood():
+        with small_blocks(block):
+            s = init("two_phase", g, x, FUSIONS[fusion], seed=seed, clock=clock, stream_id=2)
+        try:
+            if switch > 0:  # as two_phase_run
+                protocols._walk_until(s, switch)
+            return protocols.cfld_run(s), snapshot(s)
+        except OverflowError:
+            return "overflow"
+
+    got = flood()
+    with mock.patch.object(protocols, "cfld_run", reference_loops.cfld_run):
+        want = flood()
+    assert got == want
+
+
+@pytest.mark.parametrize("clock", CLOCKS, ids=["continuous", "rounds"])
+def test_flood_that_cannot_reach_every_node_raises_as_the_python_loop(clock):
+    two_pairs = Graph(n=4, adjacency=((1,), (0,), (3,), (2,)), kind="hand-built", seed=0)
+
+    def unreached(cfld):
+        s = init("two_phase", two_pairs, [1, 2, 3, 4], sum_fusion(), seed=1, clock=clock)
+        with pytest.raises(ProtocolError) as err:
+            cfld(s)
+        return str(err.value)
+
+    assert unreached(protocols.cfld_run) == unreached(reference_loops.cfld_run) == (
+        "flood from origin 0 did not reach all nodes")
 
 
 @pytest.mark.parametrize("lazy", [0.0, 0.5])
