@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Real
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -60,8 +61,10 @@ class GraphSpec:
             raise ValueError("torus needs dim >= 1, or 0 for the default 2")
         if kind == "grid2d" and self.side < 2:
             raise ValueError("grid2d needs side >= 2")
-        if kind == "rgg" and not 0 <= self.radius < math.inf:
-            raise ValueError(f"rgg radius must be finite and nonnegative, not {self.radius}")
+        radius = self.radius
+        if kind == "rgg" and not (isinstance(radius, Real) and type(radius) is not bool
+                                  and 0 <= radius < math.inf):
+            raise ValueError(f"rgg radius must be a finite nonnegative number, not {radius!r}")
         if kind == "random_regular" and not 0 < self.degree < self.n:
             raise ValueError("random_regular needs 0 < degree < n")
         if kind == "random_regular" and self.n * self.degree % 2:

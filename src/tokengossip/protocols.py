@@ -11,8 +11,8 @@ reach exact consensus at every node.
 
 The token walks (SRW, CRW, two-phase phase 1 and the fixed-k hybrid) run
 in the compiled kernel, ``_walk.walk``, on either clock, and so does
-gossip's pairwise averaging (``_walk.exchange``).  CFLD runs here: on
-rounds it is read off hop distances, on the continuous clock an event loop.
+gossip's pairwise averaging (``_walk.exchange``).  CFLD has no event loop:
+both clocks read it off one table of arrival times (``cfld_run``).
 """
 from __future__ import annotations
 
@@ -24,6 +24,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from . import _walk
 from .engine import (
@@ -34,8 +36,8 @@ from .engine import (
     RngStream,
     SynchronousDiscrete,
 )
-from .fusion import FusionKind, FusionSpec, TokenPayload, fold, weighted_avg_fusion
-from .graph import Graph, distances_from
+from .fusion import INT64_MIN, FusionKind, FusionSpec, TokenPayload, fold, weighted_avg_fusion
+from .graph import Graph
 
 
 class ProtocolError(RuntimeError):
@@ -369,12 +371,20 @@ def _run_gossip(state: SimState, stop) -> "Trace":
 def cfld_run(state: SimState) -> "Trace":
     """Flood the payload of every active node (an origin) to all nodes: a
     node forwards an origin's flood once, when it first hears it, to every
-    neighbor but the sender(s) of that first receipt.  On rounds the flood
-    is a breadth-first search, read off ``distances_from`` with no draws:
-    v hears o in round d(o, v) and sends to each neighbor w with
-    d(o, w) >= d(o, v), and each node fuses the other origins' payloads in
-    order of (distance, origin).  On the continuous clock each pending
-    forward draws an exponential wait and is picked uniformly.
+    neighbor but the sender(s) of that first receipt.
+
+    Both clocks read the flood off (k x n) tables for the k origins in
+    increasing order: node v first hears origin o at a[o, v] and forwards
+    it X[o, v] later.  On rounds X = 1 and a is the hop distance.  On the
+    continuous clock each forward waits an independent Exp(1) time, which
+    is the law of an event loop over the pending forwards (by
+    memorylessness): X is one ``standard_exponential((k, n))`` draw from
+    the sampler's generator, row o over nodes 0..n-1, and a is
+    first-passage percolation, one ``dijkstra`` solve on k copies of the
+    graph whose edges out of v weigh X[o, v] in copy o.  v's first senders
+    are the neighbors w with a[o, w] + X[o, w] == a[o, v] (bit for bit, as
+    the solve forms a), and v sends to every other neighbor.  Each node
+    fuses the other origins' payloads in order of (a, origin index).
 
     On return every node holds the fused combination of all origin
     payloads with count n.  Transmissions are counted per link, so each
@@ -391,80 +401,87 @@ def cfld_run(state: SimState) -> "Trace":
             f"origin counts sum to {total} (of total {sum(state.counts)}), expected {n}: "
             "broken two-phase handoff"
         )
-    payloads = [(state.values[o], state.counts[o]) for o in origins]
-    fuse = state.fusion.fuse
-    values = state.values
-    counts = state.counts
-    phase_start_eta = state.eta
-
-    if isinstance(state.clock, SynchronousDiscrete):
-        dist = distances_from(g, origins)
-        offsets, flat = g.csr
-        src = np.repeat(np.arange(n), np.diff(offsets))
-        near = dist[:, src]
-        link = (near >= 0) & (dist[:, flat] >= near)  # per origin: v sends to w
-        per_origin_messages = link.sum(axis=1).tolist()
-        oi, e = np.nonzero(link)
-        state.sends = (np.bincount(src[e], minlength=n) + state.sends).tolist()
-        state.receives = (np.bincount(flat[e], minlength=n) + state.receives).tolist()
-        state.eta += len(e)
-        if len(e):
-            state.t += 1.0 + float(near[oi, e].max())  # distance d sends in round d + 1
-        state.rounds += int(dist.max())
-        order = np.argsort(dist, axis=0, kind="stable").T.tolist()
-        for w, (heard, d) in enumerate(zip(order, dist.T.tolist())):
-            for o in heard:
-                if d[o] > 0:
-                    pv, pc = payloads[o]
-                    values[w] = fuse(values[w], pv)
-                    counts[w] += pc
-        received = dist >= 0
+    k = len(origins)
+    offsets, flat = g.csr
+    src = np.repeat(np.arange(n), np.diff(offsets))
+    rounds = isinstance(state.clock, SynchronousDiscrete)
+    if rounds:
+        x = 1.0
+        a = dijkstra(g.adjacency_matrix, indices=origins, unweighted=True)  # hop distances
     else:
-        nbr = g.adjacency
-        sampler = state.sampler
-        sends, receives = state.sends, state.receives
-        received = [bytearray(n) for _ in origins]
-        for oi, o in enumerate(origins):
-            received[oi][o] = 1
-        per_origin_messages = [0] * len(origins)
-        # (node, origin index, its first sender or -1 at the origin)
-        pending = [(o, oi, -1) for oi, o in enumerate(origins) if nbr[o]]
-        while pending:
-            m = len(pending)
-            state.t += sampler.exponential() / m
-            idx = int(sampler.uniform() * m)
-            v, oi, sender = pending[idx]
-            pending[idx] = pending[-1]
-            pending.pop()
-            rec = received[oi]
-            cnt = 0
-            pv, pc = payloads[oi]
-            for w in nbr[v]:
-                if w == sender:
-                    continue
-                cnt += 1
-                receives[w] += 1
-                if not rec[w]:
-                    rec[w] = 1
-                    values[w] = fuse(values[w], pv)
-                    counts[w] += pc
-                    if len(nbr[w]) > 1:
-                        pending.append((w, oi, v))
-            sends[v] += cnt
-            state.eta += cnt
-            per_origin_messages[oi] += cnt
+        x = state.sampler._rng.standard_exponential((k, n))
+        copy, m = np.arange(k)[:, None], len(flat)
+        blocks = csr_matrix((x[:, src].ravel(), (flat + n * copy).ravel(),
+                             np.append((offsets[:-1] + m * copy).ravel(), k * m)),
+                            shape=(k * n, k * n))
+        a = dijkstra(blocks, indices=n * copy.ravel() + origins, min_only=True).reshape(k, n)
+    unreached = np.isinf(a).any(axis=1)
+    if unreached.any():
+        raise ProtocolError(f"flood from origin {origins[unreached.argmax()]} did not reach "
+                            "all nodes")
 
-    for o, rec in zip(origins, received):
-        if not all(rec):
-            raise ProtocolError(f"flood from origin {o} did not reach all nodes")
-    if any(c != n for c in counts):
+    forward = a + x
+    link = forward[:, flat] != a[:, src]  # per origin: v sends to w unless w is a first sender
+    per_edge = link.sum(axis=0)
+    state.sends = (np.bincount(src, per_edge, n).astype(np.int64) + state.sends).tolist()
+    state.receives = (np.bincount(flat, per_edge, n).astype(np.int64) + state.receives).tolist()
+    flood_messages = int(per_edge.sum())
+    state.eta += flood_messages
+    state.t += float(forward[:, src][link].max(initial=0.0))  # the last forward
+    if rounds:
+        state.rounds += int(a.max())
+    state.values[:] = _fuse_ranks(state.fusion, state.values, origins,
+                                  np.argsort(a, axis=0, kind="stable"))
+    counts = np.add(state.counts, n)
+    counts[origins] -= [state.counts[o] for o in origins]
+    state.counts = counts.tolist()
+    if np.any(counts != n):
         raise ProtocolError("flood completed but some node's count is not n")
     return _trace(
-        state, True, final_payload=TokenPayload(values[0], counts[0]),
-        final_values=list(values), flood_messages=state.eta - phase_start_eta,
-        flood_messages_per_origin=per_origin_messages, flood_origins=len(origins),
+        state, True, final_payload=TokenPayload(state.values[0], state.counts[0]),
+        final_values=list(state.values), flood_messages=flood_messages,
+        flood_messages_per_origin=link.sum(axis=1).tolist(), flood_origins=k,
         rounds=state.rounds,
     )
+
+
+def _fuse_ranks(fusion: FusionSpec, values: list, origins: list, order: np.ndarray) -> list:
+    """``values`` after each node w has fused in the origins' payloads
+    (their entries of ``values``) rank by rank: at rank r that of origin
+    ``origins[order[r, w]]``, unless it is w.  All nodes move together, on
+    the walk kernel's encoding, and every node's result is its fold of
+    ``fusion.fuse`` bit for bit: SUM raises the fusion's OverflowError at
+    the first rank where a partial sum leaves int64, and WAVG keeps
+    ``_fuse_wavg``'s zero-weight identities and operation order.
+    """
+    n = len(values)
+    ival, yv, wv = np.zeros(n, np.int64), np.zeros(n), np.zeros(n)
+    _walk._encode(fusion.kind, values, ival, yv, wv)
+    own = np.full(n, -1)
+    own[origins] = np.arange(len(origins))
+    skip = order == own
+    if fusion.kind is FusionKind.SUM:
+        b = np.where(skip, 0, ival[origins][order])
+        s = np.cumsum(np.vstack([ival, b]), axis=0)  # the partial sums, wrapping on overflow
+        over = ((s[:-1] ^ s[1:]) & (b ^ s[1:])) < 0
+        if over.any():
+            r, w = divmod(int(over.argmax()), n)
+            fusion.fuse(int(s[r, w]), int(b[r, w]))  # raises with the exact sum
+        return s[-1].tolist()
+    if fusion.kind is FusionKind.MAX:
+        ival = np.maximum(ival, np.where(skip, INT64_MIN, ival[origins][order]).max(axis=0))
+        return _walk._decode(fusion.kind, ival, yv, wv)
+    zero = wv[origins] == 0.0  # fuses as (0.0, 0.0), which _fuse_wavg returns for two zeros
+    py, pw = np.where(zero, 0.0, yv[origins])[order], np.where(zero, 0.0, wv[origins])[order]
+    for yb, wb, own_b in zip(py, pw, skip):
+        with np.errstate(all="ignore"):  # 0/0 where the formula is not taken
+            w = wv + wb
+            y = (wv * yv + wb * yb) / w
+        take_b = (wv == 0.0) & ~own_b
+        keep = own_b | (wb == 0.0)
+        yv = np.where(take_b, yb, np.where(keep, yv, y))
+        wv = np.where(take_b, wb, np.where(keep, wv, w))
+    return _walk._decode(fusion.kind, ival, yv, wv)
 
 
 def two_phase_run(

@@ -12,9 +12,14 @@ this loop: the kernel reads the sampler's blocks directly.
 ``run_gossip`` takes the place of ``protocols._run_gossip``: it runs every
 pairwise exchange and the stop rule in one Python loop.
 
-``cfld_run`` takes the place of ``protocols.cfld_run``: it floods round by
-round on the discrete clock, keeping each node's first senders, rather
-than reading the flood off hop distances.
+``cfld_run`` takes the place of ``protocols.cfld_run``, which reads the
+flood off a table of arrival times.  It floods round by round on the
+discrete clock, keeping each node's first senders, and must agree with
+``protocols.cfld_run`` exactly.  On the continuous clock it is an event
+loop over the pending forwards (an exponential wait at their count and a
+uniform pick), whose law ``protocols.cfld_run`` keeps without its draws:
+the two agree exactly on messages, sends, counts and SUM/MAX results, and
+in law on the flood's duration and the per-node receives.
 """
 import math
 

@@ -542,6 +542,8 @@ BAD_INPUTS = {
     "scale_sweep_degree_is_a_float": _suite_scale(
         sweep=[{"kind": "random_regular", "n": n, "degree": d, "seed": 1}
                for n, d in ((8, 3), (10, 3), (12, 3), (14, 3.0))]),
+    "scale_sweep_rgg_radius_is_a_bool": _suite_scale(
+        sweep=[{"kind": "rgg", "n": n, "radius": True} for n in (20, 24, 28, 32)]),
     "scale_sweep_rgg_seed_is_a_float": _suite_scale(
         sweep=[{"kind": "rgg", "n": n, "seed": s} for n, s in ((20, 1), (24, 1), (28, 1), (32, 1.5))]),
     "scale_trials_is_a_float": _suite_scale(trials=3.9),

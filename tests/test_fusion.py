@@ -18,6 +18,7 @@ from tokengossip.fusion import (
     sum_fusion,
     weighted_avg_fusion,
 )
+from tokengossip.protocols import _fuse_ranks
 
 SUM = sum_fusion()
 MAX = max_fusion()
@@ -172,3 +173,43 @@ def test_validate_values_raises_what_the_value_loop_raises(values, spec):
     except (FusionError, OverflowError) as e:
         got = type(e), str(e)
     assert got == want
+
+
+RANK_VALUES = {
+    # near +-2^62, where partial sums leave int64 in some orders and not others
+    SUM: st.one_of(st.integers(-9, 9), st.integers(2**62 - 9, 2**62 + 9),
+                   st.integers(-(2**62) - 9, -(2**62) + 9)),
+    MAX: st.one_of(st.just(MAX_IDENTITY), st.integers(INT64_MIN + 1, INT64_MAX)),
+    # zero weights of both signs take _fuse_wavg's identity branches
+    WAVG: st.tuples(st.floats(-1e6, 1e6),
+                    st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0, 1e6))),
+}
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), spec=st.sampled_from([SUM, MAX, WAVG]))
+def test_rank_fusion_folds_fuse_in_the_same_order(data, spec):
+    # the flood's fusion, one rank at a time across all nodes, against each
+    # node folding spec.fuse over the ranks: the same values bit for bit
+    # (repr tells -0.0 from 0.0), or an OverflowError on the same inputs
+    n = data.draw(st.integers(1, 8))
+    origins = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    order = np.array([data.draw(st.permutations(range(len(origins)))) for _ in range(n)]).T
+    values = data.draw(st.lists(RANK_VALUES[spec], min_size=n, max_size=n))
+
+    def folded():
+        out = []
+        for w, v in enumerate(values):
+            for oi in order[:, w].tolist():
+                if origins[oi] != w:
+                    v = spec.fuse(v, values[origins[oi]])
+            out.append(v)
+        return out
+
+    try:
+        want = folded()
+    except OverflowError:
+        with pytest.raises(OverflowError, match="sum fusion overflowed 64-bit range"):
+            _fuse_ranks(spec, values, origins, order)
+        return
+    assert repr(_fuse_ranks(spec, values, origins, order)) == repr(want)

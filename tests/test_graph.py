@@ -110,6 +110,8 @@ def test_generators_reject_bad_params():
     {"kind": "rgg", "n": 1},
     {"kind": "rgg", "n": 30, "radius": -1.0},
     {"kind": "rgg", "n": 30, "radius": math.inf},
+    {"kind": "rgg", "n": 30, "radius": True},
+    {"kind": "rgg", "n": 30, "radius": "0.5"},
     {"kind": "random_regular", "n": 8, "degree": 8},
     {"kind": "random_regular", "n": 8, "degree": 0},
     {"kind": "random_regular", "n": 9, "degree": 3},

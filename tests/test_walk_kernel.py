@@ -4,7 +4,9 @@ Every case runs twice: once with each walk on the kernel, once with
 ``_walk.walk`` patched to the reference loop (``reference_loops.walk``),
 gossip's ``protocols._run_gossip`` to ``reference_loops.run_gossip``, or
 the flood's ``protocols.cfld_run`` to ``reference_loops.cfld_run``.
-Both must give equal traces and leave the state and its sampler equal.
+Both must give equal traces and leave the state and its sampler equal,
+except for the continuous flood, which draws its delays in one block and
+so matches the reference loop in law and where no draw decides.
 """
 import ctypes
 import dataclasses
@@ -445,7 +447,7 @@ def big_sums(n: int, seed: int) -> list:
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(spec=specs, seed=seeds, fusion=st.sampled_from(["sum", "max", "wavg", "big_sum"]),
-       clock=st.sampled_from([Continuous()] + [SynchronousDiscrete(p) for p in (0.0, 0.25, 0.5)]),
+       clock=st.sampled_from([SynchronousDiscrete(p) for p in (0.0, 0.25, 0.5)]),
        switch=st.sampled_from([0.0, 0.5, 2.0, 7.25, 40.0]), block=st.sampled_from([1, 3, 4096]))
 def test_flood_matches_python_loop(spec, seed, fusion, clock, switch, block):
     # a run that raises OverflowError must raise it with both floods
@@ -469,6 +471,107 @@ def test_flood_matches_python_loop(spec, seed, fusion, clock, switch, block):
     with mock.patch.object(protocols, "cfld_run", reference_loops.cfld_run):
         want = flood()
     assert got == want
+
+
+def total_overflows(n: int, seed: int) -> list:
+    """SUM values whose total leaves int64, so that every order of fusing
+    them overflows: two of 2^62, the rest 0."""
+    x = [2**62, 2**62] + [0] * (n - 2)
+    random.Random(seed).shuffle(x)
+    return x
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(spec=specs, seed=seeds, fusion=st.sampled_from(["sum", "max", "wavg", "total_overflows"]),
+       switch=st.sampled_from([0.0, 0.5, 2.0, 7.25, 40.0]))
+def test_continuous_flood_matches_python_loop_where_draws_do_not_matter(spec, seed, fusion,
+                                                                       switch):
+    # The continuous flood draws each forward's delay in one block, where the
+    # Python loop draws an exponential and a uniform per forward, so the two
+    # agree in law (test_continuous_flood_has_the_python_loops_law) and not
+    # draw for draw.  What no draw decides must agree exactly: the messages
+    # per origin, the sends, the counts, the SUM and MAX finals (weighted
+    # averages up to the rounding of another fusion order) and whether the
+    # SUM overflows, on inputs that overflow in every fusion order or in none.
+    g = generate(spec)
+    if fusion == "total_overflows":
+        fusion, x = "sum", total_overflows(g.n, seed)
+    else:
+        x = values(fusion, g.n, seed)
+
+    def flood():
+        s = init("two_phase", g, x, FUSIONS[fusion], seed=seed, stream_id=2)
+        try:
+            if switch > 0:
+                protocols._walk_until(s, switch)
+            tr = protocols.cfld_run(s)
+        except OverflowError:
+            return "overflow", None
+        fixed = (tr.eta, tr.flood_messages, tr.flood_messages_per_origin, tr.per_node_sends,
+                 tr.final_counts)
+        return fixed, tr.final_values
+
+    got, got_values = flood()
+    with mock.patch.object(protocols, "cfld_run", reference_loops.cfld_run):
+        want, want_values = flood()
+    assert got == want
+    if fusion == "wavg" and got != "overflow":
+        assert [a for pair in got_values for a in pair] == pytest.approx(
+            [a for pair in want_values for a in pair], rel=1e-9, abs=1e-12)
+    else:
+        assert got_values == want_values
+
+
+LAW_LEVEL = 0.001  # each two-sample KS test's level, fixed before any run
+
+
+@pytest.mark.parametrize("spec", [GraphSpec.torus(4), GraphSpec.grid2d(6), GraphSpec.ring(9),
+                                  GraphSpec.rgg(30, seed=4)],
+                         ids=["torus4x4", "grid6x6", "ring9", "rgg30"])
+def test_continuous_flood_has_the_python_loops_law(spec):
+    # 1000 floods after a CRW walk to t = 1 with each flood, on disjoint
+    # seeds: the flood's duration and node 0's receives must pass a
+    # two-sample KS test at LAW_LEVEL
+    from scipy.stats import ks_2samp
+
+    g = generate(spec)
+    x = values("sum", g.n, 0)
+
+    def floods(cfld, seeds):
+        taus, receives = [], []
+        for seed in seeds:
+            s = init("two_phase", g, x, sum_fusion(), seed=seed)
+            protocols._walk_until(s, 1.0)
+            t, r = s.t, s.receives[0]
+            tr = cfld(s)
+            taus.append(tr.tau - t)
+            receives.append(tr.per_node_receives[0] - r)
+        return taus, receives
+
+    got = floods(protocols.cfld_run, range(1000))
+    want = floods(reference_loops.cfld_run, range(1000, 2000))
+    for a, b in zip(got, want):
+        assert ks_2samp(a, b).pvalue > LAW_LEVEL
+
+
+@pytest.mark.parametrize("clock", CLOCKS, ids=["continuous", "rounds"])
+def test_flood_whose_second_origin_cannot_reach_every_node_names_it(clock):
+    # a hand-built directed path 0 - 1 - 2 -> 3, where node 3 sends to no
+    # one, after nodes 0 and 2 have handed their tokens to 1 and 3: the
+    # flood from origin 1 reaches every node, the one from origin 3 only 3
+    one_way = Graph(n=4, adjacency=((1,), (0, 2), (1, 3), ()), kind="hand-built", seed=0)
+
+    def unreached(cfld):
+        s = init("two_phase", one_way, [1, 2, 3, 4], sum_fusion(), seed=1, clock=clock)
+        s.values[:], s.counts[:] = [0, 3, 0, 7], [0, 2, 0, 2]
+        s.deactivate(0)
+        s.deactivate(2)
+        with pytest.raises(ProtocolError) as err:
+            cfld(s)
+        return str(err.value)
+
+    assert unreached(protocols.cfld_run) == unreached(reference_loops.cfld_run) == (
+        "flood from origin 3 did not reach all nodes")
 
 
 @pytest.mark.parametrize("clock", CLOCKS, ids=["continuous", "rounds"])
