@@ -403,7 +403,8 @@ def cfld_run(state: SimState) -> "Trace":
         )
     k = len(origins)
     offsets, flat = g.csr
-    src = np.repeat(np.arange(n), np.diff(offsets))
+    deg = np.diff(offsets)
+    src = np.repeat(np.arange(n), deg)
     rounds = isinstance(state.clock, SynchronousDiscrete)
     if rounds:
         x = 1.0
@@ -411,7 +412,7 @@ def cfld_run(state: SimState) -> "Trace":
     else:
         x = state.sampler._rng.standard_exponential((k, n))
         copy, m = np.arange(k)[:, None], len(flat)
-        blocks = csr_matrix((x[:, src].ravel(), (flat + n * copy).ravel(),
+        blocks = csr_matrix((np.repeat(x, deg, axis=1).ravel(), (flat + n * copy).ravel(),
                              np.append((offsets[:-1] + m * copy).ravel(), k * m)),
                             shape=(k * n, k * n))
         a = dijkstra(blocks, indices=n * copy.ravel() + origins, min_only=True).reshape(k, n)
@@ -421,13 +422,14 @@ def cfld_run(state: SimState) -> "Trace":
                             "all nodes")
 
     forward = a + x
-    link = forward[:, flat] != a[:, src]  # per origin: v sends to w unless w is a first sender
+    # per origin, v sends to each neighbour w that is not one of its first senders
+    link = forward[:, flat] != np.repeat(a, deg, axis=1)
     per_edge = link.sum(axis=0)
     state.sends = (np.bincount(src, per_edge, n).astype(np.int64) + state.sends).tolist()
     state.receives = (np.bincount(flat, per_edge, n).astype(np.int64) + state.receives).tolist()
     flood_messages = int(per_edge.sum())
     state.eta += flood_messages
-    state.t += float(forward[:, src][link].max(initial=0.0))  # the last forward
+    state.t += float(np.repeat(forward, deg, axis=1)[link].max(initial=0.0))  # the last forward
     if rounds:
         state.rounds += int(a.max())
     state.values[:] = _fuse_ranks(state.fusion, state.values, origins,

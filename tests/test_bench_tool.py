@@ -22,14 +22,14 @@ print(json.dumps({"correct": True, "attempted": 10, "failed": 0, "metrics": {}})
 def test_bench_writes_medians_quartiles_digests_and_layers(tmp_path):
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "run.py").write_text(FAKE_RUN)
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"workloads": [{"name": "run_out"}]}))
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 40,
+                                                         "workloads": [{"name": "run_out"}]}))
     out = tmp_path / "BENCH.json"
-    subprocess.run([sys.executable, str(TOOL), "--root", str(tmp_path), "--out", str(out),
-                    "--seeds", "1", "2", "3", "4", "5", "--seconds", "1"], check=True,
-                   capture_output=True)
+    subprocess.run([sys.executable, str(TOOL), "--root", str(tmp_path), "--out", str(out)],
+                   check=True, capture_output=True)
     bench = json.loads(out.read_text())
     run_out = bench["workloads"]["run_out"]
-    assert bench["env"] == {"python": "3"}
+    assert (bench["env"], bench["seconds"]) == ({"python": "3"}, 40)
     assert run_out["end_to_end"]["wall_s"] == {"median": 0.30000000000000004, "q1": 0.2,
                                                "q3": 0.4}
     assert run_out["digests"] == {str(s): f"d{s}" for s in range(1, 6)}

@@ -217,8 +217,8 @@ def test_walk_crosses_blocks(spec, kind, fusion):
 
 @pytest.mark.parametrize("block", [1, 2, 4096])
 def test_two_phase_stops_mid_block_then_floods(block):
-    # the walk ends on a MaxTime draw; the Python flood then draws from the
-    # same generator, so the kernel must not have refilled a block early
+    # the walk ends on a MaxTime draw; the flood then draws its delays from
+    # the same generator, so the kernel must not have refilled a block early
     g = generate(GraphSpec.grid2d(10))
     x = values("sum", g.n, 3)
     for switch in (0.5, 7.25, 40.0):

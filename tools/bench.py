@@ -1,11 +1,12 @@
 """Write a BENCH file: perfbench's end-to-end and per-layer metrics for
 every workload, on fixed seeds.
 
-    python3 tools/bench.py --out BENCH_21.json [--root .] [--seeds 1 2 3 4 5] [--seconds 10]
+    python3 tools/bench.py --out BENCH_21.json [--root .]
 
 Runs ``perfbench/run.py`` of the checkout at ``--root`` as a subprocess,
-one run at a time: each workload untraced (``--trace 0``) on every seed,
-then traced (``--trace 1``) on the first seed.  The file holds the
+one run at a time and each for the ``run_seconds`` of its
+``BENCHMARK.json``: each workload untraced (``--trace 0``) on seeds 1 to
+5, then traced (``--trace 1``) on seed 1.  The file holds the
 environment stamp that the harness prints, the median and quartiles of
 each end-to-end metric over the seeds, each run's digest, the per-layer
 metrics of the traced run, and notes on known faults of the harness,
@@ -19,6 +20,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+SEEDS = (1, 2, 3, 4, 5)
 
 NOTES = [
     "perfbench/README.md lines 107-108 say that the CLI pilot ignores --lazy and that "
@@ -60,40 +63,36 @@ def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) 
 
 
 def spread(values: list) -> dict:
-    """Median and quartiles; with one value, all three are that value."""
-    if len(values) == 1:
-        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    """Median and quartiles."""
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def main(argv=None) -> int:
+def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", type=Path, required=True, help="the BENCH file to write")
     p.add_argument("--root", type=Path, default=Path("."), help="checkout to benchmark")
-    p.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
-    p.add_argument("--seconds", type=float, default=10.0, help="timed seconds per run")
-    argv = sys.argv[1:] if argv is None else argv
-    args = p.parse_args(argv)
+    args = p.parse_args()
     spec = json.loads((args.root / "BENCHMARK.json").read_text())
-    bench = {"command": " ".join(["python3", "tools/bench.py", *argv]),
-             "seeds": args.seeds, "seconds": args.seconds, "workloads": {}}
+    seconds = spec["run_seconds"]
+    bench = {"command": " ".join(["python3", "tools/bench.py", *sys.argv[1:]]), "seeds": SEEDS,
+             "seconds": seconds, "workloads": {}}
     for workload in (w["name"] for w in spec["workloads"]):
         runs = []
-        for seed in args.seeds:
+        for seed in SEEDS:
             print(f"bench: {workload} seed {seed}", file=sys.stderr, flush=True)
-            runs.append(perfbench(args.root, workload, seed, args.seconds, 0))
+            runs.append(perfbench(args.root, workload, seed, seconds, 0))
         bench.setdefault("env", runs[0]["env"])
         bench["workloads"][workload] = {
             "end_to_end": {name: spread([r["metrics"][name] for r in runs])
                            for name in runs[0]["metrics"]},
-            "digests": {str(s): r["digest"] for s, r in zip(args.seeds, runs)},
+            "digests": {str(s): r["digest"] for s, r in zip(SEEDS, runs)},
             "correct": all(r["correct"] for r in runs),
             "failed": sum(r["failed"] for r in runs),
             "attempted": sum(r["attempted"] for r in runs),
         }
-        print(f"bench: {workload} traced, seed {args.seeds[0]}", file=sys.stderr, flush=True)
-        traced = perfbench(args.root, workload, args.seeds[0], args.seconds, 1)
+        print(f"bench: {workload} traced, seed {SEEDS[0]}", file=sys.stderr, flush=True)
+        traced = perfbench(args.root, workload, SEEDS[0], seconds, 1)
         bench["workloads"][workload]["per_layer"] = traced["metrics"]
     bench["notes"] = NOTES
     args.out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
