@@ -28,7 +28,6 @@ import os
 import shutil
 import subprocess
 import tempfile
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -108,15 +107,31 @@ def load():
     return lib
 
 
-def _encode(kind: FusionKind, values: list, ival: np.ndarray, yv: np.ndarray,
-            wv: np.ndarray) -> None:
-    """Write the node values into the kernel's arrays; raises FusionError
-    for a SUM or MAX value that is no int, and for a MAX value outside
-    (INT64_MIN, INT64_MAX], since INT64_MIN stands for -inf."""
+def _buffers(n: int, discrete: bool) -> tuple:
+    """The kernel's int64 and float64 buffers for n nodes, laid out as
+    ``_walk.c`` reads them (a round needs more scratch), then views on their
+    node arrays: counts, active list, active positions, sends, receives,
+    SUM/MAX values, and weighted averages' estimates and weights."""
+    ints = np.zeros(_NIV + (12 if discrete else 8) * n + 2, dtype=np.int64)
+    floats = np.zeros(_NDV + (5 if discrete else 3) * n + 1)
+    return (ints, floats, *ints[_NIV:_NIV + 6 * n].reshape(6, n),
+            *floats[_NDV:_NDV + 2 * n].reshape(2, n))
+
+
+def _encode(state, values: list) -> None:
+    """Write the node values into ``state``'s arrays: gossip's plain values
+    as weighted averages of weight 1, weighted averages as estimates and
+    weights, SUM and MAX values as ints (MAX's -inf as INT64_MIN).  Raises
+    FusionError for a SUM or MAX value that is no int, and for a MAX value
+    outside (INT64_MIN, INT64_MAX]."""
+    if state.kind == "gossip":
+        state.yv[:] = values
+        state.wv[:] = 1.0
+        return
+    kind = state.fusion.kind
     if kind is FusionKind.WEIGHTED_AVG:
-        flat = list(chain.from_iterable(values))
-        yv[:] = flat[0::2]
-        wv[:] = flat[1::2]
+        state.yv[:] = [float(y) for y, _ in values]
+        state.wv[:] = [float(w) for _, w in values]
         return
     if kind is FusionKind.MAX:
         finite = [v for v in values if v != MAX_IDENTITY]
@@ -128,57 +143,42 @@ def _encode(kind: FusionKind, values: list, ival: np.ndarray, yv: np.ndarray,
     if set(map(type, values)) != {int}:
         bad = next(v for v in values if type(v) is not int)
         raise FusionError(f"{kind.value} fusion values must be ints, not {bad!r}")
-    ival[:] = values
+    state.ival[:] = values
 
 
-def _decode(kind: FusionKind, ival: np.ndarray, yv: np.ndarray, wv: np.ndarray) -> list:
+def _decode(state) -> list:
+    """``state``'s node values as Python values, as ``_encode`` took them."""
+    if state.kind == "gossip":
+        return state.yv.tolist()
+    kind = state.fusion.kind
     if kind is FusionKind.WEIGHTED_AVG:
-        return list(zip(yv.tolist(), wv.tolist()))
+        return list(zip(state.yv.tolist(), state.wv.tolist()))
     if kind is FusionKind.MAX:
-        return [MAX_IDENTITY if v == INT64_MIN else v for v in ival.tolist()]
-    return ival.tolist()
+        return [MAX_IDENTITY if v == INT64_MIN else v for v in state.ival.tolist()]
+    return state.ival.tolist()
 
 
 def _run(state, max_t, terminating, active_active, check=0, folded=0, pause=-1, q=0.0,
          threshold=float("nan")):
-    """Run the kernel on ``state``, writing back all but ``active_active``,
-    which comes out in ``iv``; returns (return code, ``iv``, running q)."""
+    """Run the kernel on ``state``'s arrays, writing back its scalars but
+    ``active_active``, which comes out in ``iv``; returns (code, ``iv``, running q)."""
     if not max_t >= state.t:
         raise ValueError(f"stop time {max_t!r} must be a number no earlier than {state.t!r}")
-    if not state.active_list:
+    if not state.active_count:
         raise ValueError("a token walk needs at least one active token")
     lib = load()
     sampler = state.sampler
     discrete = isinstance(state.clock, SynchronousDiscrete)
-    lazy = state.clock.lazy_prob if discrete else 0.0
-    g = state.graph
-    n = g.n
-    indptr, indices = g.csr
+    n, (indptr, indices) = state.graph.n, state.graph.csr
     gossip = state.kind == "gossip"
-    kind = FusionKind.WEIGHTED_AVG if gossip else state.fusion.kind
-    k = len(state.active_list)
-    # a round also needs scratch for its snapshot of the active list and its deliveries
-    ints = np.zeros(_NIV + (12 if discrete else 8) * n + 2, dtype=np.int64)
-    floats = np.zeros(_NDV + (5 if discrete else 3) * n + 1)
-    counts, active, active_pos, sends, receives, ival = ints[_NIV:_NIV + 6 * n].reshape(6, n)
-    pt_count, pt_eta = ints[_NIV + 6 * n:_NIV + 8 * n + 2].reshape(2, n + 1)
-    yv, wv = floats[_NDV:_NDV + 2 * n].reshape(2, n)
-    pt_t = floats[_NDV + 2 * n:_NDV + 3 * n + 1]
-    if gossip:  # plain values, each a weighted average of weight 1
-        yv[:] = state.values
-        wv[:] = 1.0
-    else:
-        _encode(kind, state.values, ival, yv, wv)
-    ints[:_NIV] = [k, state.eta, -1 if state.holder is None else state.holder, active_active,
-                   sampler._ui, sampler._ei, 0, 0, 0, state.rounds, check, folded, pause]
-    floats[:_NDV] = [state.t, max_t, lazy, q, threshold]
-    counts[:] = state.counts
-    active[:k] = state.active_list
-    active_pos[:] = state.active_pos
-    sends[:] = state.sends
-    receives[:] = state.receives
+    ints, floats = state._ints, state._floats
+    ints[:_NIV] = [state.active_count, state.eta, -1 if state.holder is None else state.holder,
+                   active_active, sampler._ui, sampler._ei, 0, 0, 0, state.rounds, check, folded,
+                   pause]
+    floats[:_NDV] = [state.t, max_t, state.clock.lazy_prob if discrete else 0.0, q, threshold]
 
     status = (ctypes.c_uint8 * n).from_buffer(state.status)
+    kind = FusionKind.WEIGHTED_AVG if gossip else state.fusion.kind
     graph = (n, indptr.ctypes.data, indices.ctypes.data, _FUSION[kind])
     buffers = (sampler._block, ints.ctypes.data, floats.ctypes.data)
     bits = sampler._rng.bit_generator
@@ -194,18 +194,14 @@ def _run(state, max_t, terminating, active_active, check=0, folded=0, pause=-1, 
 
     iv = ints[:_NIV].tolist()
     sampler._advance_to(iv[_UI], iv[_EI])
-    state.values[:] = yv.tolist() if gossip else _decode(kind, ival, yv, wv)
-    state.counts[:] = counts.tolist()
-    state.active_list[:] = active[:iv[_NACTIVE]].tolist()
-    state.active_pos[:] = active_pos.tolist()
-    state.sends[:] = sends.tolist()
-    state.receives[:] = receives.tolist()
+    state.active_count = iv[_NACTIVE]
     state.eta = iv[_ETA]
     state.holder = None if iv[_HOLDER] < 0 else iv[_HOLDER]
     state.rounds = iv[_ROUNDS]
     state.t = floats[_T].item()
     points = iv[_NPOINTS]
-    state.times.extend(pt_t[:points].tolist())
+    pt_count, pt_eta = ints[_NIV + 6 * n:_NIV + 8 * n + 2].reshape(2, n + 1)
+    state.times.extend(floats[_NDV + 2 * n:_NDV + 2 * n + points].tolist())
     state.active_counts.extend(pt_count[:points].tolist())
     state.message_counts.extend(pt_eta[:points].tolist())
     if rc == _CURVE_FULL:
@@ -237,15 +233,15 @@ def walk(state, max_t: float, terminating: bool, expected=None) -> bool:
     rc, iv, _ = _run(state, max_t, terminating, state.active_active, check, folded)
     state.active_active = iv[_ACTIVE_ACTIVE]
     if rc == _SUM_OVERFLOW:
-        state.fusion.fuse(state.values[iv[_ERR_J]], iv[_ERR_V])  # raises the fusion's error
+        state.fusion.fuse(int(state.ival[iv[_ERR_J]]), iv[_ERR_V])  # raises the fusion's error
     if rc == _BROKEN:  # say which check failed first, in the kernel's order
         from .protocols import ProtocolError  # call-time: protocols imports this module
 
         n = state.graph.n
-        if sum(state.counts) != n:
-            raise ProtocolError(f"count conservation broken: sum={sum(state.counts)} != {n}")
+        if state.counts.sum() != n:
+            raise ProtocolError(f"count conservation broken: sum={state.counts.sum()} != {n}")
         if check & _CHECK_VALUES:
-            got = sum(state.values) if kind is FusionKind.SUM else max(state.values)
+            got = (sum if kind is FusionKind.SUM else max)(_decode(state))
             if got != expected:
                 raise ProtocolError(f"value conservation broken: {got!r} != {expected!r}")
         raise ProtocolError(f"SRW must keep exactly one active node, has {iv[_NACTIVE]}")

@@ -229,7 +229,9 @@ def estimate_alpha(g: Graph, a: Sequence[int], s: float) -> MeetingEstimate:
     Exact by jump-and-hold: the pair chain jumps at total rate 2, so the
     pairs' survival is sum_j Pois(j; 2s) S^j 1, truncated at
     J = ceil(2s + 10 sqrt(2s) + 40), where the Poisson tail is below
-    e^-50.  It costs J sparse products, and is capped at
+    e^-50.  It costs at most J sparse products: the sum stops once every
+    entry of S^j 1 is at most e^-50, since S is substochastic and the
+    skipped terms then add at most e^-50.  It is capped at
     ``MEETING_MAX_NODES`` nodes.
     """
     a = sorted(set(a))
@@ -249,6 +251,8 @@ def estimate_alpha(g: Graph, a: Sequence[int], s: float) -> MeetingEstimate:
     alive = np.ones(len(x))  # S^j 1: no meeting within j jumps
     survival = weights[0] * alive
     for w in weights[1:]:
+        if alive.max() <= math.exp(-50):
+            break
         alive = step @ alive
         survival += w * alive
     inside = np.isin(x, a) & np.isin(y, a)

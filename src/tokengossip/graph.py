@@ -604,8 +604,9 @@ def _fields(lines: list, k: int, form: str, *parsers) -> list:
 def load_graph(path) -> Graph:
     """Read the :func:`save_graph` format; raises :class:`GraphFileError`,
     naming the offending line, unless the file holds m edges between
-    distinct nodes in [0, n), none repeated, that connect all n nodes.
-    A header with n < 1 or m < n - 1 is rejected before anything is built."""
+    distinct nodes in [0, n), none repeated, that connect all n nodes,
+    and finite coordinates if any.  A header with n < 1 or m < n - 1 is
+    rejected before anything is built."""
     lines = Path(path).read_text().strip().splitlines() or [""]
     n, m, kind, seed = _fields(lines, 0, "n m kind seed", int, int, str, int)
     if n < 1:
@@ -635,6 +636,8 @@ def load_graph(path) -> Graph:
             tag, x, y = _fields(lines, k, "c x y", str, float, float)
             if tag != "c":
                 raise _line_error(lines, k, "c x y")
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise GraphFileError(f"line {k + 1}: coordinates {lines[k]!r} must be finite")
             coords.append((x, y))
         coords = tuple(coords)
     g = _build(n, edges, kind, seed, coords=coords)

@@ -82,17 +82,24 @@ class GossipEps:
 class SimState:
     """Mutable state of one simulation: per-node automata plus the clock,
     message ledger, and the protocol's bookkeeping.  Confined to a single
-    thread; the resulting Trace is immutable."""
+    thread; the resulting Trace is immutable.  The node arrays are views on
+    the walk kernel's buffers (``_walk._buffers``), values as ``_walk._encode``
+    writes them; ``active_list`` holds the active nodes in its first ``active_count``."""
 
     __slots__ = (
         "graph",
         "fusion",
         "kind",
         "clock",
-        "values",
+        "_ints",
+        "_floats",
+        "ival",
+        "yv",
+        "wv",
         "counts",
         "status",
         "active_list",
+        "active_count",
         "active_pos",
         "t",
         "eta",
@@ -115,15 +122,14 @@ class SimState:
         self.clock = clock
         self.stream = stream
         n = graph.n
-        self.values: list = [None] * n
-        self.counts = [0] * n
+        (self._ints, self._floats, self.counts, self.active_list, self.active_pos, self.sends,
+         self.receives, self.ival, self.yv, self.wv) = _walk._buffers(
+            n, isinstance(clock, SynchronousDiscrete))
         self.status = bytearray(n)
-        self.active_list: list = []
-        self.active_pos = [-1] * n
+        self.active_count = 0
+        self.active_pos[:] = -1
         self.t = 0.0
         self.eta = 0
-        self.sends = [0] * n
-        self.receives = [0] * n
         self.sampler: BlockSampler = None  # set by init() after setup draws
         self.holder: Optional[int] = None
         self.times = [0.0]
@@ -137,21 +143,18 @@ class SimState:
     def activate(self, i: int) -> None:
         if not self.status[i]:
             self.status[i] = 1
-            self.active_pos[i] = len(self.active_list)
-            self.active_list.append(i)
+            self.active_pos[i] = self.active_count
+            self.active_list[self.active_count] = i
+            self.active_count += 1
 
     def deactivate(self, i: int) -> None:
         pos = self.active_pos[i]
-        last = self.active_list[-1]
+        self.active_count -= 1
+        last = self.active_list[self.active_count]
         self.active_list[pos] = last
         self.active_pos[last] = pos
-        self.active_list.pop()
         self.active_pos[i] = -1
         self.status[i] = 0
-
-    @property
-    def active_count(self) -> int:
-        return len(self.active_list)
 
     def record_curve_point(self) -> None:
         """Append (t, active count, messages) unless it repeats the last point."""
@@ -190,17 +193,16 @@ def init(
     if kind is ProtocolKind.GOSSIP:
         if isinstance(clock, SynchronousDiscrete):
             raise ValueError("gossip runs on the continuous clock only")
-        state.values = [float(v) for v in x]
-        if not all(map(math.isfinite, state.values)):
+        values = [float(v) for v in x]
+        if not all(map(math.isfinite, values)):
             raise ValueError("gossip values must be finite")
     else:
         if fusion is None:
             raise ValueError("token protocols need a fusion spec")
-        state.values = list(x)
-        fusion.validate_values(state.values)
-        if fusion.kind is FusionKind.WEIGHTED_AVG:
-            state.values = [(float(y), float(w)) for y, w in state.values]
-    state.counts = [1] * n
+        values = list(x)
+        fusion.validate_values(values)
+    _walk._encode(state, values)
+    state.counts[:] = 1
 
     if kind is ProtocolKind.SRW:
         origin = params.get("origin")
@@ -212,8 +214,8 @@ def init(
         state.activate(origin)
     elif kind in (ProtocolKind.CRW, ProtocolKind.TWO_PHASE, ProtocolKind.GOSSIP):
         state.status[:] = b"\x01" * n
-        state.active_list = list(range(n))
-        state.active_pos = list(range(n))
+        state.active_list[:] = state.active_pos[:] = np.arange(n)
+        state.active_count = n
     elif kind is ProtocolKind.HYBRID_K:
         k = params.get("k")
         if k is None or not 1 <= k <= n:
@@ -246,9 +248,9 @@ def run(state: SimState, stop, check_invariants: bool = False) -> "Trace":
     than one component of the graph, since it could never end.
     """
     ncomp, label = state.graph._components
+    active = state.active_list[:state.active_count]
     if ncomp > 1 and not isinstance(stop, MaxTime):
-        held = {label[i] for i, c in enumerate(state.counts) if c}
-        if len(held | {label[i] for i in state.active_list}) > 1:
+        if len(set(label[state.counts != 0].tolist()) | set(label[active].tolist())) > 1:
             raise ValueError("the tokens and counts lie in more than one component of the "
                              "graph, so the run could never end; stop it with MaxTime")
     if state.kind is ProtocolKind.GOSSIP:
@@ -261,21 +263,17 @@ def run(state: SimState, stop, check_invariants: bool = False) -> "Trace":
             # every token crosses an edge each round, so on a bipartite graph
             # tokens on opposite sides never share a node
             side = state.graph._two_colouring
-            if side is not None and len(set(side[state.active_list].tolist())) > 1:
+            if side is not None and len(set(side[active].tolist())) > 1:
                 raise ValueError("lazy_prob 0 on a bipartite graph: tokens on opposite "
                                  "sides never meet; use lazy_prob > 0")
     elif isinstance(stop, MaxTime):
         max_t = float(stop.t)
     else:
         raise ValueError(f"unsupported stop condition {stop!r} for a token walk")
-    expected = fold(state.fusion, state.values) if check_invariants else None
+    expected = fold(state.fusion, _walk._decode(state)) if check_invariants else None
     completed = _walk.walk(state, max_t, True, expected)
-    holder = state.holder
-    payload = None
-    if holder is not None and state.counts[holder] == state.graph.n:
-        payload = TokenPayload(state.values[holder], state.counts[holder])
     return _trace(
-        state, completed, holder=holder, final_payload=payload,
+        state, completed, payload_at=state.holder, holder=state.holder,
         rounds=state.rounds if state.rounds else None,
     )
 
@@ -288,14 +286,21 @@ def _walk_until(state, t) -> None:
     state.record_curve_point()
 
 
-def _trace(state, completed, **fields) -> "Trace":
+def _trace(state, completed, payload_at=None, final_values=False, **fields) -> "Trace":
     """The Trace of a finished run, after recording its final curve point:
     the fields every protocol shares, read from ``state``, plus the
-    protocol-specific ``fields``."""
+    protocol-specific ``fields``.  The values are decoded here, once: the
+    final payload is node ``payload_at``'s if its count is n, and
+    ``final_values`` are every node's."""
     state.record_curve_point()
+    n, values = state.graph.n, _walk._decode(state)
+    if payload_at is not None and state.counts[payload_at] == n:
+        fields["final_payload"] = TokenPayload(values[payload_at], n)
+    if final_values:
+        fields["final_values"] = values
     return Trace(
         protocol=state.kind.value,
-        n=state.graph.n,
+        n=n,
         master_seed=state.stream.master_seed,
         stream_id=state.stream.stream_id,
         rng_algorithm=RNG_ALGORITHM,
@@ -307,9 +312,9 @@ def _trace(state, completed, **fields) -> "Trace":
         times=list(state.times),
         active_counts=list(state.active_counts),
         message_counts=list(state.message_counts),
-        per_node_sends=list(state.sends),
-        per_node_receives=list(state.receives),
-        final_counts=list(state.counts),
+        per_node_sends=state.sends.tolist(),
+        per_node_receives=state.receives.tolist(),
+        final_counts=state.counts.tolist(),
         **fields,
     )
 
@@ -327,9 +332,8 @@ def _run_gossip(state: SimState, stop) -> "Trace":
     else:
         raise ValueError(f"unsupported stop condition {stop!r} for gossip")
 
-    n = state.graph.n
-    z = state.values
-    zbar = math.fsum(z) / n
+    z = state.yv.tolist()
+    zbar = math.fsum(z) / len(z)
     norm0 = math.sqrt(math.fsum(v * v for v in z))
     q = math.fsum((v - zbar) ** 2 for v in z)
     threshold = (eps * norm0) ** 2
@@ -354,13 +358,13 @@ def _run_gossip(state: SimState, stop) -> "Trace":
             errors.append((exchanges, rel_error()))
             next_log *= 2
         if exchanges % 4096 == 0 or q <= threshold:
-            q = math.fsum((v - zbar) ** 2 for v in z)
+            q = math.fsum((v - zbar) ** 2 for v in state.yv.tolist())
             if q <= threshold:
                 first_passage = exchanges
                 completed = True
     errors.append((exchanges, rel_error()))
     return _trace(
-        state, completed, final_values=list(z), gossip_errors=errors,
+        state, completed, final_values=True, gossip_errors=errors,
         gossip_first_passage=first_passage, gossip_exchanges=exchanges,
     )
 
@@ -392,13 +396,14 @@ def cfld_run(state: SimState) -> "Trace":
     """
     g = state.graph
     n = g.n
-    origins = sorted(state.active_list)
+    origins = sorted(state.active_list[:state.active_count].tolist())
     if not origins:
         raise ProtocolError("flood needs at least one origin")
-    total = sum(state.counts[o] for o in origins)
-    if total != n or sum(state.counts) != n:
+    own = state.counts[origins]
+    total = int(own.sum())
+    if total != n or state.counts.sum() != n:
         raise ProtocolError(
-            f"origin counts sum to {total} (of total {sum(state.counts)}), expected {n}: "
+            f"origin counts sum to {total} (of total {state.counts.sum()}), expected {n}: "
             "broken two-phase handoff"
         )
     k = len(origins)
@@ -425,40 +430,36 @@ def cfld_run(state: SimState) -> "Trace":
     # per origin, v sends to each neighbour w that is not one of its first senders
     link = forward[:, flat] != np.repeat(a, deg, axis=1)
     per_edge = link.sum(axis=0)
-    state.sends = (np.bincount(src, per_edge, n).astype(np.int64) + state.sends).tolist()
-    state.receives = (np.bincount(flat, per_edge, n).astype(np.int64) + state.receives).tolist()
+    state.sends += np.bincount(src, per_edge, n).astype(np.int64)
+    state.receives += np.bincount(flat, per_edge, n).astype(np.int64)
     flood_messages = int(per_edge.sum())
     state.eta += flood_messages
     state.t += float(np.repeat(forward, deg, axis=1)[link].max(initial=0.0))  # the last forward
     if rounds:
         state.rounds += int(a.max())
-    state.values[:] = _fuse_ranks(state.fusion, state.values, origins,
-                                  np.argsort(a, axis=0, kind="stable"))
-    counts = np.add(state.counts, n)
-    counts[origins] -= [state.counts[o] for o in origins]
-    state.counts = counts.tolist()
-    if np.any(counts != n):
+    _fuse_ranks(state, origins, np.argsort(a, axis=0, kind="stable"))
+    state.counts += n
+    state.counts[origins] -= own
+    if np.any(state.counts != n):
         raise ProtocolError("flood completed but some node's count is not n")
     return _trace(
-        state, True, final_payload=TokenPayload(state.values[0], state.counts[0]),
-        final_values=list(state.values), flood_messages=flood_messages,
+        state, True, payload_at=0, final_values=True, flood_messages=flood_messages,
         flood_messages_per_origin=link.sum(axis=1).tolist(), flood_origins=k,
         rounds=state.rounds,
     )
 
 
-def _fuse_ranks(fusion: FusionSpec, values: list, origins: list, order: np.ndarray) -> list:
-    """``values`` after each node w has fused in the origins' payloads
-    (their entries of ``values``) rank by rank: at rank r that of origin
-    ``origins[order[r, w]]``, unless it is w.  All nodes move together, on
-    the walk kernel's encoding, and every node's result is its fold of
-    ``fusion.fuse`` bit for bit: SUM raises the fusion's OverflowError at
+def _fuse_ranks(state: SimState, origins: list, order: np.ndarray) -> None:
+    """Fuse into each node w of ``state`` the origins' payloads (their
+    values) rank by rank: at rank r that of origin ``origins[order[r, w]]``,
+    unless it is w.  All nodes move together, in the state's arrays, and
+    every node's result is its fold of ``fusion.fuse`` bit for bit: SUM
+    raises the fusion's OverflowError, leaving the values as they were, at
     the first rank where a partial sum leaves int64, and WAVG keeps
     ``_fuse_wavg``'s zero-weight identities and operation order.
     """
-    n = len(values)
-    ival, yv, wv = np.zeros(n, np.int64), np.zeros(n), np.zeros(n)
-    _walk._encode(fusion.kind, values, ival, yv, wv)
+    fusion, ival, yv, wv = state.fusion, state.ival, state.yv, state.wv
+    n = len(ival)
     own = np.full(n, -1)
     own[origins] = np.arange(len(origins))
     skip = order == own
@@ -469,21 +470,21 @@ def _fuse_ranks(fusion: FusionSpec, values: list, origins: list, order: np.ndarr
         if over.any():
             r, w = divmod(int(over.argmax()), n)
             fusion.fuse(int(s[r, w]), int(b[r, w]))  # raises with the exact sum
-        return s[-1].tolist()
-    if fusion.kind is FusionKind.MAX:
-        ival = np.maximum(ival, np.where(skip, INT64_MIN, ival[origins][order]).max(axis=0))
-        return _walk._decode(fusion.kind, ival, yv, wv)
-    zero = wv[origins] == 0.0  # fuses as (0.0, 0.0), which _fuse_wavg returns for two zeros
-    py, pw = np.where(zero, 0.0, yv[origins])[order], np.where(zero, 0.0, wv[origins])[order]
-    for yb, wb, own_b in zip(py, pw, skip):
-        with np.errstate(all="ignore"):  # 0/0 where the formula is not taken
-            w = wv + wb
-            y = (wv * yv + wb * yb) / w
-        take_b = (wv == 0.0) & ~own_b
-        keep = own_b | (wb == 0.0)
-        yv = np.where(take_b, yb, np.where(keep, yv, y))
-        wv = np.where(take_b, wb, np.where(keep, wv, w))
-    return _walk._decode(fusion.kind, ival, yv, wv)
+        ival[:] = s[-1]
+    elif fusion.kind is FusionKind.MAX:
+        np.maximum(ival, np.where(skip, INT64_MIN, ival[origins][order]).max(axis=0), out=ival)
+    else:
+        zero = wv[origins] == 0.0  # fuses as (0.0, 0.0), which _fuse_wavg returns for two zeros
+        py, pw = np.where(zero, 0.0, yv[origins])[order], np.where(zero, 0.0, wv[origins])[order]
+        for yb, wb, own_b in zip(py, pw, skip):
+            with np.errstate(all="ignore"):  # 0/0 where the formula is not taken
+                w = wv + wb
+                y = (wv * yv + wb * yb) / w
+            take_b = (wv == 0.0) & ~own_b
+            keep = own_b | (wb == 0.0)
+            yv = np.where(take_b, yb, np.where(keep, yv, y))
+            wv = np.where(take_b, wb, np.where(keep, wv, w))
+        state.yv[:], state.wv[:] = yv, wv
 
 
 def two_phase_run(
@@ -570,10 +571,10 @@ def hybrid_k_run(
     # every change of the active count records a curve point
     if set(state.active_counts) != {k}:
         raise ProtocolError(f"hybrid active count drifted: {sorted(set(state.active_counts))}")
-    values = state.values
-    errs = [abs(values[i][0] - true_mean) for i in state.active_list]
+    active = state.active_list[:state.active_count]
+    errs = [abs(y - true_mean) for y in state.yv[active].tolist()]
     return _trace(
-        state, True, final_values=list(values), value_error_max=max(errs),
+        state, True, final_values=True, value_error_max=max(errs),
         value_error_mean=sum(errs) / len(errs), active_active_events=state.active_active,
     )
 

@@ -20,9 +20,13 @@ loop over the pending forwards (an exponential wait at their count and a
 uniform pick), whose law ``protocols.cfld_run`` keeps without its draws:
 the two agree exactly on messages, sends, counts and SUM/MAX results, and
 in law on the flood's duration and the per-node receives.
+
+The loops step a ``Lists`` copy of the state, whose node arrays are
+Python lists and whose values are decoded, and write it back at exit.
 """
 import math
 
+from tokengossip import _walk
 from tokengossip.engine import SynchronousDiscrete
 from tokengossip.fusion import TokenPayload, fold
 from tokengossip.protocols import (
@@ -34,8 +38,60 @@ from tokengossip.protocols import (
     _trace,
 )
 
+SHARED = ("graph", "fusion", "kind", "clock", "sampler", "status", "times", "active_counts",
+          "message_counts")
+SCALARS = ("t", "eta", "holder", "rounds", "active_active")
+LISTS = ("counts", "active_pos", "sends", "receives")
 
-def _release(state: SimState, i: int) -> tuple:
+
+class Lists:
+    """A SimState as the reference loops step it: its values (decoded),
+    counts, active list, active positions, sends and receives as Python
+    lists, and its scalars, sharing its graph, clock, sampler, status and
+    curve.  ``store`` writes them back."""
+
+    def __init__(self, state: SimState):
+        self.state = state
+        for name in SHARED + SCALARS:
+            setattr(self, name, getattr(state, name))
+        for name in LISTS:
+            setattr(self, name, getattr(state, name).tolist())
+        self.values = _walk._decode(state)
+        self.active_list = state.active_list[:state.active_count].tolist()
+
+    def store(self) -> None:
+        state = self.state
+        for name in SCALARS:
+            setattr(state, name, getattr(self, name))
+        for name in LISTS:
+            getattr(state, name)[:] = getattr(self, name)
+        _walk._encode(state, self.values)
+        state.active_count = len(self.active_list)
+        state.active_list[:state.active_count] = self.active_list
+
+    def activate(self, i: int) -> None:
+        if not self.status[i]:
+            self.status[i] = 1
+            self.active_pos[i] = len(self.active_list)
+            self.active_list.append(i)
+
+    def deactivate(self, i: int) -> None:
+        pos = self.active_pos[i]
+        last = self.active_list[-1]
+        self.active_list[pos] = last
+        self.active_pos[last] = pos
+        self.active_list.pop()
+        self.active_pos[i] = -1
+        self.status[i] = 0
+
+    @property
+    def active_count(self) -> int:
+        return len(self.active_list)
+
+    record_curve_point = SimState.record_curve_point
+
+
+def _release(state: Lists, i: int) -> tuple:
     """Sender side of a send: node i gives up its (value, count) payload
     and its permit, and is left holding the identity with count zero."""
     v = state.values[i]
@@ -48,7 +104,7 @@ def _release(state: SimState, i: int) -> tuple:
     return v, c
 
 
-def handle_send(state: SimState, i: int) -> None:
+def handle_send(state: Lists, i: int) -> None:
     """Active node i sends its payload to a uniformly chosen neighbor.
 
     In the fixed-k hybrid, a contact with an active neighbor instead
@@ -78,7 +134,7 @@ def handle_send(state: SimState, i: int) -> None:
     handle_receive(state, j, _release(state, i))
 
 
-def handle_receive(state: SimState, j: int, payload) -> None:
+def handle_receive(state: Lists, j: int, payload) -> None:
     """Node j fuses an incoming payload and (re)gains its permit."""
     if isinstance(payload, TokenPayload):
         v, c = payload.value, payload.count
@@ -93,7 +149,7 @@ def handle_receive(state: SimState, j: int, payload) -> None:
         state.holder = j
 
 
-def synchronous_round(state: SimState) -> None:
+def synchronous_round(state: Lists) -> None:
     """One synchronized discrete step: every active token independently
     holds (with the lazy probability) or moves to a uniform neighbor;
     all moves land simultaneously, then co-located tokens have fused.
@@ -119,7 +175,7 @@ def synchronous_round(state: SimState) -> None:
     state.rounds += 1
 
 
-def _check_event_invariants(state: SimState, expected_fold) -> None:
+def _check_event_invariants(state: Lists, expected_fold) -> None:
     n = state.graph.n
     if sum(state.counts) != n:
         raise ProtocolError(f"count conservation broken: sum={sum(state.counts)} != {n}")
@@ -131,37 +187,41 @@ def _check_event_invariants(state: SimState, expected_fold) -> None:
         raise ProtocolError(f"SRW must keep exactly one active node, has {state.active_count}")
 
 
-def walk(state, max_t, terminating, expected=None):
+def walk(sim, max_t, terminating, expected=None):
     """``_walk.walk`` in Python: walk to time ``max_t``, or until some
     node's count reaches n when ``terminating``; returns whether the run
     completed."""
-    continuous = not isinstance(state.clock, SynchronousDiscrete)
-    sampler = state.sampler
-    active = state.active_list
-    last_count = len(active)
-    while True:
-        if terminating and state.holder is not None:
-            return True
-        if continuous:
-            k = len(active)
-            t = state.t + sampler.exponential() / k
-            if t > max_t:
-                state.t = max_t
-                return False
-            state.t = t
-            handle_send(state, active[int(sampler.uniform() * k)])
-        else:
-            if state.t + 1.0 > max_t:
-                return False
-            synchronous_round(state)
-        if expected is not None:
-            _check_event_invariants(state, expected)
-        if len(active) != last_count:
-            last_count = len(active)
-            state.record_curve_point()
+    state = Lists(sim)
+    try:
+        continuous = not isinstance(state.clock, SynchronousDiscrete)
+        sampler = state.sampler
+        active = state.active_list
+        last_count = len(active)
+        while True:
+            if terminating and state.holder is not None:
+                return True
+            if continuous:
+                k = len(active)
+                t = state.t + sampler.exponential() / k
+                if t > max_t:
+                    state.t = max_t
+                    return False
+                state.t = t
+                handle_send(state, active[int(sampler.uniform() * k)])
+            else:
+                if state.t + 1.0 > max_t:
+                    return False
+                synchronous_round(state)
+            if expected is not None:
+                _check_event_invariants(state, expected)
+            if len(active) != last_count:
+                last_count = len(active)
+                state.record_curve_point()
+    finally:
+        state.store()
 
 
-def run_gossip(state: SimState, stop):
+def run_gossip(sim: SimState, stop):
     if isinstance(stop, GossipEps):
         eps, horizon, max_t = stop.eps, stop.horizon, math.inf
     elif isinstance(stop, MaxTime):
@@ -169,6 +229,7 @@ def run_gossip(state: SimState, stop):
     else:
         raise ValueError(f"unsupported stop condition {stop!r} for gossip")
 
+    state = Lists(sim)
     sampler = state.sampler
     n = state.graph.n
     z = state.values
@@ -227,13 +288,14 @@ def run_gossip(state: SimState, stop):
                 first_passage = exchanges
                 completed = True
     errors.append((exchanges, rel_error()))
+    state.store()
     return _trace(
-        state, completed, final_values=list(z), gossip_errors=errors,
+        sim, completed, final_values=True, gossip_errors=errors,
         gossip_first_passage=first_passage, gossip_exchanges=exchanges,
     )
 
 
-def cfld_run(state: SimState) -> "Trace":
+def cfld_run(sim: SimState) -> "Trace":
     """Flood the payload of every active node (an origin) to all nodes,
     each node forwarding a given origin's flood at most once, to all
     neighbors except the sender(s) of its first receipt.  An origin
@@ -244,6 +306,7 @@ def cfld_run(state: SimState) -> "Trace":
     payloads with count n.  Transmissions are counted per link, so each
     origin's flood uses at most 2|E| messages.
     """
+    state = Lists(sim)
     g = state.graph
     n = g.n
     origins = sorted(state.active_list)
@@ -335,14 +398,14 @@ def cfld_run(state: SimState) -> "Trace":
             state.eta += cnt
             per_origin_messages[oi] += cnt
 
+    state.store()
     for oi in range(k):
         if not all(received[oi]):
             raise ProtocolError(f"flood from origin {origins[oi]} did not reach all nodes")
     if any(c != n for c in counts):
         raise ProtocolError("flood completed but some node's count is not n")
     return _trace(
-        state, True, final_payload=TokenPayload(values[0], counts[0]),
-        final_values=list(values), flood_messages=state.eta - phase_start_eta,
+        sim, True, payload_at=0, final_values=True, flood_messages=state.eta - phase_start_eta,
         flood_messages_per_origin=per_origin_messages, flood_origins=len(origins),
         rounds=state.rounds,
     )

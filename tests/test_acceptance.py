@@ -223,10 +223,10 @@ def _single_origin_state(g, origin, clock):
     st = init("crw", g, [0] * g.n, tg.sum_fusion(), seed=80, clock=clock)
     for i in range(g.n):
         if i != origin:
-            st.values[i] = st.fusion.identity
+            st.ival[i] = st.fusion.identity
             st.counts[i] = 0
             st.deactivate(i)
-    st.values[origin] = 7
+    st.ival[origin] = 7
     st.counts[origin] = g.n
     return st
 

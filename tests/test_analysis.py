@@ -233,6 +233,30 @@ def test_meeting_cap_names_the_node_count():
         an.mean_meeting_times(generate(GraphSpec.ring(101)))
 
 
+def test_alpha_stops_its_poisson_sum_once_every_survival_is_below_the_tail(monkeypatch):
+    # S is substochastic, so once every entry of S^j 1 is at most e^-50 the
+    # rest of the sum adds at most that: the sum stops at the first such j
+    # instead of running all J = ceil(2s + 10 sqrt(2s) + 40) products
+    g = generate(GraphSpec.ring(8))
+    x, y, step = an._pair_chain(g)
+    maxima = []
+
+    class CountingStep:
+        def __matmul__(self, v):
+            out = step @ v
+            maxima.append(out.max())
+            return out
+
+    monkeypatch.setattr(an, "_pair_chain", lambda g: (x, y, CountingStep()))
+    for s, products, stopped in ((60.0, 270, False), (300.0, 634, True)):
+        maxima.clear()
+        est = an.estimate_alpha(g, range(8), s)
+        assert len(maxima) == products
+        assert all(m > math.exp(-50) for m in maxima[:-1])
+        assert bool(maxima[-1] <= math.exp(-50)) is stopped
+    assert est.alpha_hat == 1.0  # at s = 300, 885 products would give the same
+
+
 def test_meeting_residual_above_tolerance_raises(monkeypatch):
     monkeypatch.setattr(an, "RESIDUAL_TOL", 0.0)
     with pytest.raises(an.SolverError, match="meeting-time residual"):

@@ -503,6 +503,13 @@ def _out_under_missing_dir(cmd):
     return argv
 
 
+def _graph_file(text):
+    def argv(tmp_path):
+        (tmp_path / "g.graph").write_text(text)
+        return ["run", "--proto", "crw", "--graph", str(tmp_path / "g.graph"), "--trials", "1"]
+    return argv
+
+
 FLOOD_OVERFLOW = [2**62, 2**62, -(2**62), -(2**62) + 1]
 
 BAD_INPUTS = {
@@ -591,6 +598,7 @@ BAD_INPUTS = {
         "gen", "--kind", "rgg", "--n", "30", "--radius", "-1", "--out", "x.graph"],
     "gen_rgg_nan_radius": lambda tmp_path: [
         "gen", "--kind", "rgg", "--n", "30", "--radius", "nan", "--out", "x.graph"],
+    "graph_coordinates_not_finite": _graph_file("2 1 rgg 0\n0 1\nc 0.5 0.5\nc nan inf\n"),
     "gen_out_missing_dir": _out_under_missing_dir("gen"),
     "run_out_missing_dir": _out_under_missing_dir("run"),
     "analyze_out_missing_dir": _out_under_missing_dir("analyze"),

@@ -18,7 +18,9 @@ from tokengossip.fusion import (
     sum_fusion,
     weighted_avg_fusion,
 )
-from tokengossip.protocols import _fuse_ranks
+from tokengossip import _walk
+from tokengossip.graph import GraphSpec, generate
+from tokengossip.protocols import _fuse_ranks, init
 
 SUM = sum_fusion()
 MAX = max_fusion()
@@ -192,10 +194,12 @@ def test_rank_fusion_folds_fuse_in_the_same_order(data, spec):
     # the flood's fusion, one rank at a time across all nodes, against each
     # node folding spec.fuse over the ranks: the same values bit for bit
     # (repr tells -0.0 from 0.0), or an OverflowError on the same inputs
+    # that leaves the values as they were
     n = data.draw(st.integers(1, 8))
     origins = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
     order = np.array([data.draw(st.permutations(range(len(origins)))) for _ in range(n)]).T
     values = data.draw(st.lists(RANK_VALUES[spec], min_size=n, max_size=n))
+    state = init("crw", generate(GraphSpec.clique(n)), values, spec)
 
     def folded():
         out = []
@@ -210,6 +214,8 @@ def test_rank_fusion_folds_fuse_in_the_same_order(data, spec):
         want = folded()
     except OverflowError:
         with pytest.raises(OverflowError, match="sum fusion overflowed 64-bit range"):
-            _fuse_ranks(spec, values, origins, order)
+            _fuse_ranks(state, origins, order)
+        assert _walk._decode(state) == values
         return
-    assert repr(_fuse_ranks(spec, values, origins, order)) == repr(want)
+    _fuse_ranks(state, origins, order)
+    assert repr(_walk._decode(state)) == repr(want)

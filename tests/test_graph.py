@@ -1,8 +1,12 @@
 import itertools
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tokengossip.graph import (
     Graph,
@@ -336,6 +340,27 @@ def test_file_round_trip(tmp_path):
         assert p.read_bytes() == p2.read_bytes()
 
 
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(spec=st.one_of(
+    st.builds(GraphSpec.clique, st.integers(1, 12)),
+    st.builds(GraphSpec.ring, st.integers(3, 30)),
+    st.builds(GraphSpec.torus, st.integers(3, 5), st.integers(1, 3)),
+    st.builds(GraphSpec.grid2d, st.integers(2, 8)),
+    st.builds(GraphSpec.rgg, st.integers(8, 40), seed=st.integers(0, 1000)),
+    st.builds(GraphSpec.random_regular, st.integers(5, 15).map(lambda h: 2 * h),
+              st.sampled_from([3, 4]), seed=st.integers(0, 1000)),
+))
+def test_every_generator_kind_round_trips(spec):
+    g = generate(spec)
+    with tempfile.TemporaryDirectory() as tmp:
+        p, p2 = Path(tmp, "g.graph"), Path(tmp, "g2.graph")
+        save_graph(g, p)
+        h = load_graph(p)
+        save_graph(h, p2)
+        assert h == g
+        assert p.read_bytes() == p2.read_bytes()
+
+
 @pytest.mark.parametrize("text", [
     "4 4 ring 0\n0 1\n1 2\n2 3\n3 4\n",  # endpoint >= n
     "4 4 ring 0\n0 1\n1 2\n2 3\n3 -1\n",  # negative endpoint
@@ -354,10 +379,12 @@ def test_file_round_trip(tmp_path):
     "3 2.0 path 0\n0 1\n1 2\n",  # non-integer edge count
     "3 2 path s\n0 1\n1 2\n",  # non-integer seed
     "0 0 none 0\n",  # no nodes
+    "2 1 pair 0\n0 1\nc 0.1 0.2\nc nan inf\n",  # coordinates that are no numbers
 ], ids=["endpoint-n", "endpoint-neg", "short-edge-block", "disconnected",
         "disconnected-enough-edges", "self-loop", "duplicate-edge", "empty",
         "short-coord-block", "coord-tag", "coord-fields", "edge-3-fields", "edge-1-field",
-        "edge-not-int", "header-m-not-int", "header-seed-not-int", "no-nodes"])
+        "edge-not-int", "header-m-not-int", "header-seed-not-int", "no-nodes",
+        "coord-not-finite"])
 def test_load_graph_rejects_malformed_files(tmp_path, text):
     p = tmp_path / "bad.graph"
     p.write_text(text)
@@ -369,6 +396,9 @@ def test_load_graph_names_the_bad_line(tmp_path):
     p = tmp_path / "bad.graph"
     p.write_text("3 2 path 0\n0 1\n1 2 7\n")
     with pytest.raises(GraphFileError, match="line 3 must read 'u v', not '1 2 7'"):
+        load_graph(p)
+    p.write_text("2 1 pair 0\n0 1\nc 0.1 -inf\nc 0.3 0.4\n")
+    with pytest.raises(GraphFileError, match="line 3: coordinates 'c 0.1 -inf' must be finite"):
         load_graph(p)
 
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from reference_loops import handle_receive, handle_send, synchronous_round
+from reference_loops import Lists, handle_receive, handle_send, synchronous_round
 
 from tokengossip import graph as graph_module
 from tokengossip.engine import Continuous, SynchronousDiscrete
@@ -49,22 +49,22 @@ def test_init_activates_every_node_as_activate_does(kind, x, fusion):
     ref = SimState(g, fusion, st.kind, st.clock, st.stream)
     for i in range(g.n):
         ref.activate(i)
-    assert (st.status, st.active_list, st.active_pos) == (ref.status, ref.active_list,
-                                                         ref.active_pos)
+    assert (st.status, st.active_list[:st.active_count].tolist(), st.active_pos.tolist()) == (
+        ref.status, ref.active_list[:ref.active_count].tolist(), ref.active_pos.tolist())
     assert type(st.status) is bytearray
 
 
 def test_init_srw_single_origin():
     g = generate(GraphSpec.ring(4))
     st = init("srw", g, [1, 1, 1, 1], SUM, params={"origin": 2}, seed=0)
-    assert st.active_list == [2]
+    assert st.active_list[:st.active_count].tolist() == [2]
     assert st.status[2] and not st.status[0]
 
 
 def test_init_gossip_values():
     g = generate(GraphSpec.clique(2))
     st = init("gossip", g, [0, 2], None, seed=0)
-    assert st.values == [0.0, 2.0]
+    assert st.yv.tolist() == [0.0, 2.0]
     assert st.active_count == 2
 
 
@@ -95,7 +95,7 @@ def test_send_one_step_hand_execution():
     # one send on ring(3), all values 1: receiver fuses to (2, count 2),
     # sender is left holding the identity with count 0, inactive
     g = generate(GraphSpec.ring(3))
-    st = init("srw", g, [1, 1, 1], SUM, params={"origin": 0}, seed=1)
+    st = Lists(init("srw", g, [1, 1, 1], SUM, params={"origin": 0}, seed=1))
     handle_send(st, 0)
     assert (st.values[0], st.counts[0], st.status[0]) == (0, 0, 0)
     j = st.active_list[0]
@@ -107,14 +107,14 @@ def test_send_one_step_hand_execution():
 
 def test_send_from_inactive_is_a_bug():
     g = generate(GraphSpec.ring(3))
-    st = init("srw", g, [1, 1, 1], SUM, params={"origin": 0}, seed=1)
+    st = Lists(init("srw", g, [1, 1, 1], SUM, params={"origin": 0}, seed=1))
     with pytest.raises(ProtocolError):
         handle_send(st, 1)
 
 
 def test_crw_coalescence_drops_active_count():
     g = generate(GraphSpec.clique(2))
-    st = init("crw", g, [3, 4], SUM, seed=2)
+    st = Lists(init("crw", g, [3, 4], SUM, seed=2))
     assert st.active_count == 2
     handle_send(st, 0)
     assert st.active_count == 1
@@ -125,8 +125,8 @@ def test_hybrid_send_to_active_neighbour_relaxes_both():
     # clique 2 with k = 2: the receiver is always active, so the contact
     # relaxes both (estimate, weight) pairs and moves no permit
     g = generate(GraphSpec.clique(2))
-    st = init("hybrid_k", g, [(1.0, 1.0), (3.0, 3.0)], weighted_avg_fusion(),
-              params={"k": 2}, seed=0)
+    st = Lists(init("hybrid_k", g, [(1.0, 1.0), (3.0, 3.0)], weighted_avg_fusion(),
+                    params={"k": 2}, seed=0))
     handle_send(st, 0)
     assert st.values == [(2.5, 2.0), (2.5, 2.0)]
     assert st.counts == [1, 1] and bytes(st.status) == b"\x01\x01"
@@ -136,7 +136,7 @@ def test_hybrid_send_to_active_neighbour_relaxes_both():
 
 def test_receive_cases():
     g = generate(GraphSpec.ring(4))
-    st = init("crw", g, [10, 20, 30, 40], SUM, seed=3)
+    st = Lists(init("crw", g, [10, 20, 30, 40], SUM, seed=3))
     # active node coalesces: fuses and stays active
     handle_receive(st, 1, TokenPayload(5, 1))
     assert (st.values[1], st.counts[1], st.status[1]) == (25, 2, 1)
@@ -162,7 +162,7 @@ def test_detect_termination():
     st = init("crw", g, [1] * 4, SUM, seed=4)
     assert st.holder is None and max(st.counts) < 4
     tr = run(st, Termination())
-    assert st.counts.index(4) == tr.holder
+    assert st.counts.tolist().index(4) == tr.holder
     g1 = generate(GraphSpec.clique(1))
     st1 = init("srw", g1, [9], SUM, seed=5)
     assert st1.holder == 0
@@ -210,7 +210,7 @@ def test_loop_replays_handle_send(spec, kind, fusion):
     x = [(7 * i) % 11 - 5 for i in range(g.n)]
     for seed in (0, 1, 2):
         tr = run(init(kind, g, x, fusion, seed=seed), Termination())
-        st = init(kind, g, x, fusion, seed=seed)
+        st = Lists(init(kind, g, x, fusion, seed=seed))
         replayed = _replay_with_handle_send(st)
         assert (tr.tau, tr.times, tr.active_counts, tr.message_counts) == replayed
         assert (tr.eta, tr.per_node_sends, tr.per_node_receives) == (st.eta, st.sends, st.receives)
@@ -260,7 +260,7 @@ def test_conservation_instrumented():
 def test_srw_transitions_uniform():
     # drive the single token by hand; its hops must be uniform over neighbors
     g = generate(GraphSpec.ring(4))
-    st = init("srw", g, [1] * 4, SUM, params={"origin": 0}, seed=10)
+    st = Lists(init("srw", g, [1] * 4, SUM, params={"origin": 0}, seed=10))
     counts = {}
     prev = 0
     for _ in range(20_000):
@@ -303,7 +303,7 @@ def test_gossip_step_k2():
     st = init("gossip", g, [0.0, 2.0], None, seed=13)
     tr = run(st, GossipEps(0.5))
     assert tr.gossip_exchanges == 1
-    assert st.values == [1.0, 1.0]
+    assert st.yv.tolist() == [1.0, 1.0]
     assert st.eta == 2
 
 
@@ -312,7 +312,7 @@ def test_gossip_step_preserves_sum():
     st = init("gossip", g, [4.0, 0.0, 0.0, 0.0], None, seed=14)
     for t in range(1, 51):
         run(st, MaxTime(0.25 * t))
-        assert math.isclose(sum(st.values), 4.0, rel_tol=0, abs_tol=1e-12)
+        assert math.isclose(sum(st.yv.tolist()), 4.0, rel_tol=0, abs_tol=1e-12)
     assert st.eta > 0
 
 
@@ -384,7 +384,7 @@ def test_gossip_converges_on_ring():
 
 def test_swap_does_not_coalesce():
     g = generate(GraphSpec.clique(2))
-    st = init("crw", g, [1, 1], SUM, seed=18, clock=SynchronousDiscrete(0.0))
+    st = Lists(init("crw", g, [1, 1], SUM, seed=18, clock=SynchronousDiscrete(0.0)))
     for _ in range(10):
         synchronous_round(st)
         assert st.active_count == 2  # tokens swap across the edge forever
@@ -393,8 +393,8 @@ def test_swap_does_not_coalesce():
 
 def test_single_token_moves_to_neighbor():
     g = generate(GraphSpec.ring(4))
-    st = init("srw", g, [1] * 4, SUM, params={"origin": 0}, seed=19,
-              clock=SynchronousDiscrete(0.0))
+    st = Lists(init("srw", g, [1] * 4, SUM, params={"origin": 0}, seed=19,
+                    clock=SynchronousDiscrete(0.0)))
     synchronous_round(st)
     assert st.active_list[0] in (1, 3)
 
@@ -428,10 +428,10 @@ def single_origin_state(g, origin, total, clock):
     st = init("crw", g, [0] * g.n, SUM, seed=21, clock=clock)
     for i in range(g.n):
         if i != origin:
-            st.values[i] = st.fusion.identity
+            st.ival[i] = st.fusion.identity
             st.counts[i] = 0
             st.deactivate(i)
-    st.values[origin] = 123
+    st.ival[origin] = 123
     st.counts[origin] = g.n
     return st
 
@@ -482,11 +482,11 @@ def test_cfld_two_origins_counts_add():
     st = init("crw", g, [1] * 6, SUM, seed=22)
     for i in range(6):
         if i not in (0, 3):
-            st.values[i] = st.fusion.identity
+            st.ival[i] = st.fusion.identity
             st.counts[i] = 0
             st.deactivate(i)
-    st.values[0], st.counts[0] = 3, 3
-    st.values[3], st.counts[3] = 3, 3
+    st.ival[0], st.counts[0] = 3, 3
+    st.ival[3], st.counts[3] = 3, 3
     tr = cfld_run(st)
     assert all(c == 6 for c in tr.final_counts)
     assert set(tr.final_values) == {6}

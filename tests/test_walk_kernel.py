@@ -76,8 +76,9 @@ def snapshot(s) -> tuple:
     """A simulation state and its sampler, as comparable values."""
     smp = s.sampler
     return (
-        s.t, s.eta, s.values, s.counts, bytes(s.status), s.active_list, s.active_pos,
-        s.sends, s.receives, s.holder, s.active_active, s.times, s.active_counts,
+        s.t, s.eta, _walk._decode(s), s.counts.tolist(), bytes(s.status),
+        s.active_list[:s.active_count].tolist(), s.active_pos.tolist(), s.sends.tolist(),
+        s.receives.tolist(), s.holder, s.active_active, s.times, s.active_counts,
         s.message_counts, s.rounds, smp._ui, smp._ei, smp._ua.tolist(), smp._ea.tolist(),
         smp._rng.bit_generator.state,
     )
@@ -285,13 +286,10 @@ def test_sum_overflow_raises_at_the_same_event():
 @pytest.mark.parametrize("x", [[2**63, 1, 2], [-(2**63), 1, 2], [1, 2.5, 3]])
 def test_values_the_kernel_cannot_hold_raise(x):
     # MAX ints outside (INT64_MIN, INT64_MAX] and floats have no exact
-    # place in the kernel's arrays
+    # place in the kernel's arrays, so init refuses them
     g = generate(GraphSpec.ring(3))
-    s = init("srw", g, [1, 2, 3], max_fusion(), seed=1)
-    s.values[:] = x
     with pytest.raises(FusionError):
-        _walk.walk(s, float("inf"), True)
-    assert s.values == x and s.eta == 0
+        init("srw", g, x, max_fusion(), seed=1)
 
 
 def test_neighbour_outside_the_graph_raises_in_python():
@@ -563,7 +561,7 @@ def test_flood_whose_second_origin_cannot_reach_every_node_names_it(clock):
 
     def unreached(cfld):
         s = init("two_phase", one_way, [1, 2, 3, 4], sum_fusion(), seed=1, clock=clock)
-        s.values[:], s.counts[:] = [0, 3, 0, 7], [0, 2, 0, 2]
+        s.ival[:], s.counts[:] = [0, 3, 0, 7], [0, 2, 0, 2]
         s.deactivate(0)
         s.deactivate(2)
         with pytest.raises(ProtocolError) as err:

@@ -1,24 +1,31 @@
 """Write a BENCH file: perfbench's end-to-end and per-layer metrics for
-every workload, on fixed seeds.
+every workload, on fixed seeds, and the Tier-1 test run.
 
-    python3 tools/bench.py --out BENCH_21.json [--root .]
+    python3 tools/bench.py --out BENCH_22.json [--root .]
 
 Runs ``perfbench/run.py`` of the checkout at ``--root`` as a subprocess,
 one run at a time and each for the ``run_seconds`` of its
 ``BENCHMARK.json``: each workload untraced (``--trace 0``) on seeds 1 to
-5, then traced (``--trace 1``) on seed 1.  The file holds the
-environment stamp that the harness prints, the median and quartiles of
-each end-to-end metric over the seeds, each run's digest, the per-layer
-metrics of the traced run, and notes on known faults of the harness,
-which this script records rather than edits.
+5, then traced (``--trace 1``) on seed 1.  Then runs the checkout's
+Tier-1 tests once (``python -m pytest -q --continue-on-collection-errors``
+with ``<root>/src`` on ``PYTHONPATH``).  The file holds the environment
+stamp that the harness prints, the median and quartiles of each
+end-to-end metric over the seeds, each run's digest, the per-layer
+metrics of the traced run, the Tier-1 counts, failed test ids and wall
+time, and notes on known faults of the harness, which this script
+records rather than edits.  A failed perfbench run, or a Tier-1 run that
+exits with neither 0 nor 1 (1: some test failed), stops it.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -62,6 +69,25 @@ def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) 
     return run
 
 
+def tier1(root: Path) -> dict:
+    """One Tier-1 run of the checkout's tests: counts, failed ids, wall time."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    src = str(root.resolve() / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else src}
+    started = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - started
+    if proc.returncode not in (0, 1):
+        raise SystemExit(f"{' '.join(cmd)} exited {proc.returncode}: "
+                         f"{proc.stdout.strip().splitlines()[-1:]}")
+    lines = proc.stdout.splitlines()
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed)", lines[-1])}
+    return {"passed": counts.get("passed", 0), "failed": counts.get("failed", 0),
+            "failed_ids": [line[7:].split(" - ")[0] for line in lines if line.startswith("FAILED ")],
+            "wall_s": wall}
+
+
 def spread(values: list) -> dict:
     """Median and quartiles."""
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
@@ -94,6 +120,8 @@ def main() -> int:
         print(f"bench: {workload} traced, seed {SEEDS[0]}", file=sys.stderr, flush=True)
         traced = perfbench(args.root, workload, SEEDS[0], seconds, 1)
         bench["workloads"][workload]["per_layer"] = traced["metrics"]
+    print("bench: tier-1 tests", file=sys.stderr, flush=True)
+    bench["tier1"] = tier1(args.root)
     bench["notes"] = NOTES
     args.out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
     return 0
