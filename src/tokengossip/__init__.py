@@ -1,6 +1,6 @@
 """Simulation laboratory for token-based gossip aggregation on graphs."""
 
-from .engine import BlockSampler, Continuous, RngStream, SynchronousDiscrete
+from .engine import Continuous, RngStream, SynchronousDiscrete
 from .fusion import (
     FusionKind,
     FusionSpec,
@@ -31,7 +31,6 @@ from .protocols import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockSampler",
     "Continuous",
     "FusionKind",
     "FusionSpec",

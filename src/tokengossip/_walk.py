@@ -4,9 +4,10 @@ averaging, which is the hybrid with every node active (``exchange``).
 
 ``_walk.c`` runs the continuous-clock loop (an exponential wait, a uniform
 pick of the firing token, a send to a uniform neighbour) and synchronized
-rounds.  It draws from the sampler's blocks and refills them in place with
-numpy's C fill functions on the sampler's own bit generator, so the
-generator sees the calls that the sampler's own methods would make.  Given
+rounds.  It draws from the state's blocks at the state's cursors and
+refills a used-up block in place, when the next draw is asked for, with
+numpy's C fill functions on the state's bit generator: the calls behind
+``Generator.random`` and ``Generator.standard_exponential``.  Given
 the expected fold of the values, it checks conservation after every event
 (``walk``).
 
@@ -167,33 +168,32 @@ def _run(state, max_t, terminating, active_active, check=0, folded=0, pause=-1, 
     if not state.active_count:
         raise ValueError("a token walk needs at least one active token")
     lib = load()
-    sampler = state.sampler
     discrete = isinstance(state.clock, SynchronousDiscrete)
     n, (indptr, indices) = state.graph.n, state.graph.csr
     gossip = state.kind == "gossip"
     ints, floats = state._ints, state._floats
     ints[:_NIV] = [state.active_count, state.eta, -1 if state.holder is None else state.holder,
-                   active_active, sampler._ui, sampler._ei, 0, 0, 0, state.rounds, check, folded,
-                   pause]
+                   active_active, state.ui, state.ei, 0, 0, 0, state.rounds, check, folded, pause]
     floats[:_NDV] = [state.t, max_t, state.clock.lazy_prob if discrete else 0.0, q, threshold]
 
     status = (ctypes.c_uint8 * n).from_buffer(state.status)
     kind = FusionKind.WEIGHTED_AVG if gossip else state.fusion.kind
     graph = (n, indptr.ctypes.data, indices.ctypes.data, _FUSION[kind])
-    buffers = (sampler._block, ints.ctypes.data, floats.ctypes.data)
-    bits = sampler._rng.bit_generator
+    buffers = (state.ublock.size, ints.ctypes.data, floats.ctypes.data)
+    bits = state.rng.bit_generator
     with bits.lock:  # ctypes lets go of the GIL during the call
         if discrete:
             rc = lib.tg_walk_discrete(*graph, terminating, status, bits.ctypes.bit_generator,
-                                      sampler._ua.ctypes.data, *buffers)
+                                      state.ublock.ctypes.data, *buffers)
         else:
             rc = lib.tg_walk_continuous(*graph, gossip or state.kind == "hybrid_k", terminating,
                                         status, bits.ctypes.bit_generator,
-                                        sampler._ua.ctypes.data, sampler._ea.ctypes.data,
+                                        state.ublock.ctypes.data, state.eblock.ctypes.data,
                                         *buffers)
 
     iv = ints[:_NIV].tolist()
-    sampler._advance_to(iv[_UI], iv[_EI])
+    state.ui = iv[_UI]
+    state.ei = iv[_EI]
     state.active_count = iv[_NACTIVE]
     state.eta = iv[_ETA]
     state.holder = None if iv[_HOLDER] < 0 else iv[_HOLDER]

@@ -327,6 +327,8 @@ def estimate_decay(
     the message curve then uses per-round sums (every active token is
     charged one message per round) instead of the time integral.
     """
+    if trials < 1:
+        raise ValueError(f"decay estimate needs trials >= 1, not {trials!r}")
     if isinstance(stream, int):
         stream = RngStream(master_seed=stream, stream_id=0)
     discrete = lazy_prob is not None
@@ -409,7 +411,9 @@ def coalescing_oracle(
     walk started on B, at each requested time: CRW trials (streams
     ``stream_id + trial``) with the nodes outside B inactive and holding
     count 0, each read at every s (so the estimates are pathwise
-    nonincreasing in s)."""
+    nonincreasing in s); one trial gives standard errors of 0."""
+    if trials < 1:
+        raise ValueError(f"coalescing oracle needs trials >= 1, not {trials!r}")
     if isinstance(stream, int):
         stream = RngStream(master_seed=stream, stream_id=0)
     b = set(b)
@@ -429,7 +433,8 @@ def coalescing_oracle(
         tr = run(st, MaxTime(float(s_values.max())))
         counts[trial] = np.asarray(tr.active_counts)[_step_index(tr.times, s_values)]
     return [
-        MCEstimate(float(c.mean()), float(c.std(ddof=1) / math.sqrt(trials)), trials)
+        MCEstimate(float(c.mean()),
+                   float(c.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0, trials)
         for c in counts.T
     ]
 

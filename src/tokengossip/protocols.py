@@ -28,16 +28,12 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from . import _walk
-from .engine import (
-    RNG_ALGORITHM,
-    BlockSampler,
-    ClockMode,
-    Continuous,
-    RngStream,
-    SynchronousDiscrete,
-)
+from .engine import RNG_ALGORITHM, ClockMode, Continuous, RngStream, SynchronousDiscrete
 from .fusion import INT64_MIN, FusionKind, FusionSpec, TokenPayload, fold, weighted_avg_fusion
 from .graph import Graph
+
+
+BLOCK = 4096  # draws in each of a state's uniform and exponential blocks
 
 
 class ProtocolError(RuntimeError):
@@ -84,7 +80,13 @@ class SimState:
     message ledger, and the protocol's bookkeeping.  Confined to a single
     thread; the resulting Trace is immutable.  The node arrays are views on
     the walk kernel's buffers (``_walk._buffers``), values as ``_walk._encode``
-    writes them; ``active_list`` holds the active nodes in its first ``active_count``."""
+    writes them; ``active_list`` holds the active nodes in its first ``active_count``.
+    Its draws come from its stream's generator ``rng``: after its set-up
+    draws, ``init`` draws a block of ``BLOCK`` uniforms (``ublock``), then
+    one of unit exponentials (``eblock``).  ``ui`` and ``ei`` are the cursors
+    of their next unread draws; the walk kernel (``_walk``) reads the blocks
+    there and refills a used-up one in place from ``rng`` when the next draw
+    is asked for."""
 
     __slots__ = (
         "graph",
@@ -105,7 +107,11 @@ class SimState:
         "eta",
         "sends",
         "receives",
-        "sampler",
+        "rng",
+        "ublock",
+        "eblock",
+        "ui",
+        "ei",
         "stream",
         "holder",
         "times",
@@ -121,6 +127,7 @@ class SimState:
         self.kind = kind
         self.clock = clock
         self.stream = stream
+        self.rng = stream.generator()
         n = graph.n
         (self._ints, self._floats, self.counts, self.active_list, self.active_pos, self.sends,
          self.receives, self.ival, self.yv, self.wv) = _walk._buffers(
@@ -130,7 +137,8 @@ class SimState:
         self.active_pos[:] = -1
         self.t = 0.0
         self.eta = 0
-        self.sampler: BlockSampler = None  # set by init() after setup draws
+        self.ublock = self.eblock = None  # drawn by init() after its set-up draws
+        self.ui = self.ei = 0
         self.holder: Optional[int] = None
         self.times = [0.0]
         self.active_counts = [0]
@@ -186,10 +194,8 @@ def init(
     n = graph.n
     if len(x) != n:
         raise ValueError(f"need {n} initial values, got {len(x)}")
-    stream = RngStream(master_seed=seed, stream_id=stream_id)
-    rng = stream.generator()
-
-    state = SimState(graph, fusion, kind, clock, stream)
+    state = SimState(graph, fusion, kind, clock, RngStream(master_seed=seed, stream_id=stream_id))
+    rng = state.rng
     if kind is ProtocolKind.GOSSIP:
         if isinstance(clock, SynchronousDiscrete):
             raise ValueError("gossip runs on the continuous clock only")
@@ -225,7 +231,8 @@ def init(
         for i in sorted(rng.choice(n, size=k, replace=False).tolist()):
             state.activate(i)
 
-    state.sampler = BlockSampler(rng)
+    state.ublock = rng.random(BLOCK)
+    state.eblock = rng.standard_exponential(BLOCK)
     state.active_counts[0] = state.active_count
     if n == 1:
         state.holder = 0
@@ -383,7 +390,7 @@ def cfld_run(state: SimState) -> "Trace":
     continuous clock each forward waits an independent Exp(1) time, which
     is the law of an event loop over the pending forwards (by
     memorylessness): X is one ``standard_exponential((k, n))`` draw from
-    the sampler's generator, row o over nodes 0..n-1, and a is
+    the state's generator, row o over nodes 0..n-1, and a is
     first-passage percolation, one ``dijkstra`` solve on k copies of the
     graph whose edges out of v weigh X[o, v] in copy o.  v's first senders
     are the neighbors w with a[o, w] + X[o, w] == a[o, v] (bit for bit, as
@@ -415,7 +422,7 @@ def cfld_run(state: SimState) -> "Trace":
         x = 1.0
         a = dijkstra(g.adjacency_matrix, indices=origins, unweighted=True)  # hop distances
     else:
-        x = state.sampler._rng.standard_exponential((k, n))
+        x = state.rng.standard_exponential((k, n))
         copy, m = np.arange(k)[:, None], len(flat)
         blocks = csr_matrix((np.repeat(x, deg, axis=1).ravel(), (flat + n * copy).ravel(),
                              np.append((offsets[:-1] + m * copy).ravel(), k * m)),
@@ -531,6 +538,8 @@ def estimate_switch_time(
     """Pilot estimate of the first time the expected active-token count of
     CRW drops to gamma, on ``clock``: ``analysis.estimate_decay`` on
     streams ``(1 << 20) + trial``, read by ``DecayCurve.t_gamma``."""
+    if trials < 1:
+        raise ValueError(f"switch-time pilot needs trials >= 1, not {trials!r}")
     if not gamma >= 1:
         raise ValueError("gamma must be >= 1")
     if gamma >= graph.n:

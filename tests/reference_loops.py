@@ -6,8 +6,8 @@ compiled walk (``tokengossip._walk``) is tested against, draw for draw.
 exponential wait at the active count, a uniform pick of the firing token
 and ``handle_send``; in rounds ``synchronous_round``.  Given ``expected``,
 it checks the state after every event with ``_check_event_invariants``.
-A test that watches its sampler's draws (a sampler subclass) must run
-this loop: the kernel reads the sampler's blocks directly.
+A test that watches the draws (patching ``Lists.exponential``) must run
+this loop: the kernel reads the state's blocks directly.
 
 ``run_gossip`` takes the place of ``protocols._run_gossip``: it runs every
 pairwise exchange and the stop rule in one Python loop.
@@ -23,6 +23,9 @@ in law on the flood's duration and the per-node receives.
 
 The loops step a ``Lists`` copy of the state, whose node arrays are
 Python lists and whose values are decoded, and write it back at exit.
+``Lists.uniform`` and ``Lists.exponential`` are the only draws made in
+Python: they read the state's blocks at its cursors and refill a used-up
+block in place, as the kernel does, so both leave the same stream.
 """
 import math
 
@@ -38,17 +41,18 @@ from tokengossip.protocols import (
     _trace,
 )
 
-SHARED = ("graph", "fusion", "kind", "clock", "sampler", "status", "times", "active_counts",
-          "message_counts")
-SCALARS = ("t", "eta", "holder", "rounds", "active_active")
+SHARED = ("graph", "fusion", "kind", "clock", "rng", "ublock", "eblock", "status", "times",
+          "active_counts", "message_counts")
+SCALARS = ("t", "eta", "holder", "rounds", "active_active", "ui", "ei")
 LISTS = ("counts", "active_pos", "sends", "receives")
 
 
 class Lists:
     """A SimState as the reference loops step it: its values (decoded),
     counts, active list, active positions, sends and receives as Python
-    lists, and its scalars, sharing its graph, clock, sampler, status and
-    curve.  ``store`` writes them back."""
+    lists, and its scalars (draw cursors included), sharing its graph,
+    clock, generator, draw blocks, status and curve.  ``store`` writes them
+    back."""
 
     def __init__(self, state: SimState):
         self.state = state
@@ -88,6 +92,21 @@ class Lists:
     def active_count(self) -> int:
         return len(self.active_list)
 
+    def uniform(self) -> float:
+        if self.ui == self.ublock.size:
+            self.rng.random(out=self.ublock)
+            self.ui = 0
+        self.ui += 1
+        return self.ublock.item(self.ui - 1)
+
+    def exponential(self) -> float:
+        """One Exp(1) draw."""
+        if self.ei == self.eblock.size:
+            self.rng.standard_exponential(out=self.eblock)
+            self.ei = 0
+        self.ei += 1
+        return self.eblock.item(self.ei - 1)
+
     record_curve_point = SimState.record_curve_point
 
 
@@ -116,7 +135,7 @@ def handle_send(state: Lists, i: int) -> None:
     nbrs = state.graph.adjacency[i]
     if not nbrs:  # a lone node has no one to send to
         return
-    j = nbrs[int(state.sampler.uniform() * len(nbrs))]
+    j = nbrs[int(state.uniform() * len(nbrs))]
     if state.kind is ProtocolKind.HYBRID_K and state.status[j]:
         values = state.values
         yi, wi = values[i]
@@ -158,16 +177,15 @@ def synchronous_round(state: Lists) -> None:
     co-location after the round.
     """
     lazy = state.clock.lazy_prob if isinstance(state.clock, SynchronousDiscrete) else 0.0
-    sampler = state.sampler
     nbr = state.graph.adjacency
     deliveries = []
     for i in list(state.active_list):
-        if lazy and sampler.uniform() < lazy:
+        if lazy and state.uniform() < lazy:
             continue
         nbrs = nbr[i]
         if not nbrs:  # a lone node has no one to send to
             continue
-        j = nbrs[int(sampler.uniform() * len(nbrs))]
+        j = nbrs[int(state.uniform() * len(nbrs))]
         deliveries.append((j, _release(state, i)))
     for j, payload in deliveries:
         handle_receive(state, j, payload)
@@ -194,7 +212,6 @@ def walk(sim, max_t, terminating, expected=None):
     state = Lists(sim)
     try:
         continuous = not isinstance(state.clock, SynchronousDiscrete)
-        sampler = state.sampler
         active = state.active_list
         last_count = len(active)
         while True:
@@ -202,12 +219,12 @@ def walk(sim, max_t, terminating, expected=None):
                 return True
             if continuous:
                 k = len(active)
-                t = state.t + sampler.exponential() / k
+                t = state.t + state.exponential() / k
                 if t > max_t:
                     state.t = max_t
                     return False
                 state.t = t
-                handle_send(state, active[int(sampler.uniform() * k)])
+                handle_send(state, active[int(state.uniform() * k)])
             else:
                 if state.t + 1.0 > max_t:
                     return False
@@ -230,7 +247,6 @@ def run_gossip(sim: SimState, stop):
         raise ValueError(f"unsupported stop condition {stop!r} for gossip")
 
     state = Lists(sim)
-    sampler = state.sampler
     n = state.graph.n
     z = state.values
     zbar = math.fsum(z) / n
@@ -254,15 +270,15 @@ def run_gossip(sim: SimState, stop):
     while not completed:
         if exchanges >= horizon:
             break
-        dt = sampler.exponential() / n
+        dt = state.exponential() / n
         if state.t + dt > max_t:
             state.t = max_t
             completed = not isinstance(stop, GossipEps)
             break
         state.t += dt
-        i = int(sampler.uniform() * n)
+        i = int(state.uniform() * n)
         nbrs = nbr[i]
-        j = nbrs[int(sampler.uniform() * len(nbrs))]
+        j = nbrs[int(state.uniform() * len(nbrs))]
         a = z[i]
         b = z[j]
         mean = (a + b) * 0.5
@@ -336,7 +352,6 @@ def cfld_run(sim: SimState) -> "Trace":
     receives = state.receives
     nbr = g.adjacency
     phase_start_eta = state.eta
-    sampler = state.sampler
 
     if isinstance(state.clock, SynchronousDiscrete):
         rounds_to_complete = 0
@@ -373,8 +388,8 @@ def cfld_run(sim: SimState) -> "Trace":
     else:
         while pending:
             m = len(pending)
-            state.t += sampler.exponential() / m
-            idx = int(sampler.uniform() * m)
+            state.t += state.exponential() / m
+            idx = int(state.uniform() * m)
             v, oi = pending[idx]
             pending[idx] = pending[-1]
             pending.pop()

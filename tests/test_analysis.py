@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -452,6 +453,29 @@ def test_coalescing_oracle_time_zero_and_monotone():
     ests = an.coalescing_oracle(g, range(5), [0.0, 1.0, 2.0], trials=400, stream=16)
     assert ests[0].mean == 5.0
     assert ests[0].mean >= ests[1].mean >= ests[2].mean
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_monte_carlo_estimates_refuse_fewer_than_one_trial(trials):
+    # zero trials used to give an all-NaN decay curve, and negative ones
+    # numpy's "negative dimensions are not allowed"
+    g = generate(GraphSpec.grid2d(4))
+    with pytest.raises(ValueError, match=rf"^decay estimate needs trials >= 1, not {trials}$"):
+        an.estimate_decay(g, trials=trials)
+    with pytest.raises(ValueError, match=rf"^coalescing oracle needs trials >= 1, not {trials}$"):
+        an.coalescing_oracle(g, range(4), [1.0], trials=trials)
+
+
+def test_one_trial_estimates_give_zero_stderr():
+    # the oracle follows estimate_decay: one trial has no spread to estimate
+    g = generate(GraphSpec.clique(5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ests = an.coalescing_oracle(g, range(5), [0.0, 1.0], trials=1, stream=16)
+        dc = an.estimate_decay(g, trials=1, stream=16)
+    assert [e.stderr for e in ests] == [0.0, 0.0] and [e.trials for e in ests] == [1, 1]
+    assert ests[0].mean == 5.0
+    assert not dc.n_se.any() and not dc.m_se.any()
 
 
 def test_car_bound_k5():

@@ -57,7 +57,7 @@ def test_bench_writes_medians_quartiles_digests_and_layers(tmp_path):
     assert run_out["digests"] == {str(s): f"d{s}" for s in range(1, 6)}
     assert run_out["per_layer"] == {"protocols.cfld_s": 0.1}
     assert (run_out["correct"], run_out["attempted"], run_out["failed"]) == (True, 50, 0)
-    assert len(bench["notes"]) == 4
+    assert len(bench["notes"]) == 6
     tier1 = bench["tier1"]
     assert (tier1["passed"], tier1["failed"]) == (1, 1)
     assert tier1["failed_ids"] == ["tests/test_stand_in.py::test_fails"]

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from reference_loops import Lists
 from scipy import stats
 
-from tokengossip.engine import BlockSampler, RngStream, SynchronousDiscrete
-from tokengossip.fusion import sum_fusion
+from tokengossip.engine import RngStream, SynchronousDiscrete
+from tokengossip.fusion import sum_fusion, weighted_avg_fusion
 from tokengossip.graph import GraphSpec, generate
 from tokengossip.protocols import Termination, init, run
 
 
 def sampler(seed, stream=0):
-    return BlockSampler(RngStream(master_seed=seed, stream_id=stream).generator())
+    """The reference loops' Python draws on stream (seed, stream): a
+    one-node CRW state makes no set-up draw, so its blocks start the stream."""
+    return Lists(init("crw", generate(GraphSpec.clique(1)), [0], sum_fusion(), seed=seed,
+                      stream_id=stream))
 
 
 def test_next_firing_single_clock_mean():
@@ -46,6 +50,33 @@ def test_block_refill_preserves_stream():
     rng = RngStream(master_seed=9).generator()
     direct = rng.random(4096).tolist()
     assert big[:4096] == direct
+    rng.standard_exponential(4096)
+    assert big[4096:8192] == rng.random(4096).tolist()
+    assert all(type(u) is float for u in big)
+
+
+@pytest.mark.parametrize("kind,params", [("srw", {}), ("hybrid_k", {"k": 3}), ("crw", {})])
+def test_init_lays_out_the_stream(kind, params):
+    # the set-up draws (an SRW origin, a hybrid's k nodes), then a block of
+    # 4096 uniforms, then one of 4096 exponentials; the next uniform block
+    # starts where that exponential block ends
+    g = generate(GraphSpec.ring(10))
+    s = init(kind, g, [(1.0, 1.0)] * g.n, weighted_avg_fusion(), params=params, seed=21,
+             stream_id=5)
+    rng = RngStream(21, 5).generator()
+    if kind == "srw":
+        assert s.active_list[:s.active_count].tolist() == [rng.integers(g.n)]
+    elif kind == "hybrid_k":
+        chosen = sorted(rng.choice(g.n, size=3, replace=False).tolist())
+        assert sorted(s.active_list[:s.active_count].tolist()) == chosen
+    assert s.ublock.tolist() == rng.random(4096).tolist()
+    assert s.eblock.tolist() == rng.standard_exponential(4096).tolist()
+    assert (s.ui, s.ei) == (0, 0)
+    assert s.rng.bit_generator.state == rng.bit_generator.state
+    reader = Lists(s)
+    for _ in range(4096):
+        reader.uniform()
+    assert [reader.uniform() for _ in range(3)] == rng.random(4096)[:3].tolist()
 
 
 def test_lazy_prob_validated():

@@ -6,8 +6,7 @@ import reference_loops
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokengossip import _walk, protocols
-from tokengossip.engine import BlockSampler
+from tokengossip import _walk
 from tokengossip.fusion import fold, max_fusion, sum_fusion
 from tokengossip.graph import GraphSpec, generate
 from tokengossip.protocols import Termination, hybrid_k_run, init, run
@@ -25,22 +24,14 @@ specs = st.one_of(
 seeds = st.integers(0, 2**32 - 1)
 
 
-class CountingSampler(BlockSampler):
-    """A BlockSampler that counts its exponential draws: one per event,
-    plus the one that overshoots the horizon.  The walk kernel reads the
-    blocks directly, so the reference loop, equal to it draw for draw,
-    runs the walk."""
-
-    last = None  # the most recently created instance
-
-    def __init__(self, rng, block=4096):
-        super().__init__(rng, block)
-        self.exponentials = 0
-        CountingSampler.last = self
-
-    def exponential(self):
-        self.exponentials += 1
-        return super().exponential()
+def counting_exponentials():
+    """Patch the reference loops' exponential draw with a mock that counts
+    them: one per event, plus the one that overshoots the horizon.  The walk
+    kernel reads the blocks directly, so the reference loop, equal to it
+    draw for draw, runs the walk."""
+    draw = reference_loops.Lists.exponential
+    return mock.patch.object(reference_loops.Lists, "exponential", autospec=True,
+                             side_effect=draw)
 
 
 @PROPERTY
@@ -49,10 +40,10 @@ def test_hybrid_keeps_k_tokens_and_conserves_weight(spec, seed, k_frac):
     g = generate(spec)
     k = 1 + int(k_frac * (g.n - 1))
     x = [(float((seed >> (i % 32)) % 7), 0.5 + i % 3) for i in range(g.n)]
-    with (mock.patch.object(protocols, "BlockSampler", CountingSampler),
+    with (counting_exponentials() as exponential,
           mock.patch.object(_walk, "walk", reference_loops.walk)):
         tr = hybrid_k_run(g, x, k=k, seed=seed, horizon=10.0)
-    events = CountingSampler.last.exponentials - 1
+    events = exponential.call_count - 1
     assert set(tr.active_counts) == {k}
     assert sum(tr.final_counts) == g.n
     total_w = math.fsum(w for _, w in tr.final_values)

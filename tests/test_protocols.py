@@ -181,13 +181,12 @@ def _replay_with_handle_send(st):
     """run(st, Termination()) rebuilt from the reference primitives: one
     exponential at the active count, a uniform pick of the firing token,
     then handle_send.  Returns (tau, times, active counts, messages)."""
-    sampler = st.sampler
     t = 0.0
     times, counts, messages = [0.0], [st.active_count], [0]
     while st.holder is None:
         k = st.active_count
-        t += sampler.exponential() / k
-        handle_send(st, st.active_list[int(sampler.uniform() * k)])
+        t += st.exponential() / k
+        handle_send(st, st.active_list[int(st.uniform() * k)])
         if st.active_count != counts[-1]:
             times.append(t)
             counts.append(st.active_count)
@@ -548,6 +547,16 @@ def test_two_phase_switch_validation():
     for t in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             two_phase_run(g, [1] * 4, SUM, t, seed=0)
+
+
+@pytest.mark.parametrize("gamma", [4, 100])
+@pytest.mark.parametrize("trials", [0, -3])
+def test_switch_time_pilot_refuses_fewer_than_one_trial(gamma, trials):
+    # zero trials used to read 0.0 off an empty pilot, and gamma >= n
+    # must not skip the check
+    g = generate(GraphSpec.grid2d(6))
+    with pytest.raises(ValueError, match=rf"^switch-time pilot needs trials >= 1, not {trials}$"):
+        estimate_switch_time(g, gamma, trials=trials)
 
 
 def test_crw_passage_time_to_gamma_on_clique16():

@@ -4,13 +4,12 @@ Every case runs twice: once with each walk on the kernel, once with
 ``_walk.walk`` patched to the reference loop (``reference_loops.walk``),
 gossip's ``protocols._run_gossip`` to ``reference_loops.run_gossip``, or
 the flood's ``protocols.cfld_run`` to ``reference_loops.cfld_run``.
-Both must give equal traces and leave the state and its sampler equal,
+Both must give equal traces and leave the state and its draws equal,
 except for the continuous flood, which draws its delays in one block and
 so matches the reference loop in law and where no draw decides.
 """
 import ctypes
 import dataclasses
-import functools
 import math
 import random
 import re
@@ -26,7 +25,7 @@ from hypothesis import strategies as st
 import reference_loops
 from tokengossip import _walk, analysis, protocols
 from tokengossip.cli import main
-from tokengossip.engine import BlockSampler, Continuous, SynchronousDiscrete
+from tokengossip.engine import Continuous, SynchronousDiscrete
 from tokengossip.experiments import initial_values, slow_mode_start
 from tokengossip.fusion import (
     INT64_MAX,
@@ -73,14 +72,14 @@ def values(fusion: str, n: int, seed: int) -> list:
 
 
 def snapshot(s) -> tuple:
-    """A simulation state and its sampler, as comparable values."""
-    smp = s.sampler
+    """A simulation state, its draw blocks and cursors and its generator, as
+    comparable values."""
     return (
         s.t, s.eta, _walk._decode(s), s.counts.tolist(), bytes(s.status),
         s.active_list[:s.active_count].tolist(), s.active_pos.tolist(), s.sends.tolist(),
         s.receives.tolist(), s.holder, s.active_active, s.times, s.active_counts,
-        s.message_counts, s.rounds, smp._ui, smp._ei, smp._ua.tolist(), smp._ea.tolist(),
-        smp._rng.bit_generator.state,
+        s.message_counts, s.rounds, s.ui, s.ei, s.ublock.tolist(), s.eblock.tolist(),
+        s.rng.bit_generator.state,
     )
 
 
@@ -93,10 +92,10 @@ def on_both(fn):
 
 
 def small_blocks(block: int):
-    """Samplers of ``block`` draws, so walks cross many block boundaries,
-    including the one between an event's exponential and its uniforms."""
-    return mock.patch.object(protocols, "BlockSampler",
-                             functools.partial(BlockSampler, block=block))
+    """States whose blocks hold ``block`` draws, so walks cross many block
+    boundaries, including the one between an event's exponential and its
+    uniforms."""
+    return mock.patch.object(protocols, "BLOCK", block)
 
 
 def test_kernel_loads_here():
@@ -233,16 +232,23 @@ def test_two_phase_stops_mid_block_then_floods(block):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_python_draws_after_a_walk_see_its_refills(seed):
-    # Python has listed both blocks before the walk, and the kernel then
-    # refills them in place: later Python draws must not read the old lists
+    # Python draws from both blocks before the walk, and the kernel then
+    # refills them in place: later Python draws must read the refilled
+    # blocks at the kernel's cursors
     g = generate(GraphSpec.ring(10))
+
+    def python_draws(s, count):
+        state = reference_loops.Lists(s)
+        got = [(state.uniform(), state.exponential()) for _ in range(count)]
+        state.store()
+        return got
 
     def draws():
         with small_blocks(3):
             s = init("crw", g, values("sum", g.n, seed), sum_fusion(), seed=seed)
-        before = (s.sampler.uniform(), s.sampler.exponential())
+        before = python_draws(s, 1)
         trace = run(s, MaxTime(2.0))
-        after = [(s.sampler.uniform(), s.sampler.exponential()) for _ in range(5)]
+        after = python_draws(s, 5)
         return before, trace, after, snapshot(s)
 
     got, want = on_both(draws)

@@ -40,6 +40,12 @@ NOTES = [
     "than the untraced ones, so it measures the host's speed drift, not the tracer's cost.",
     "setup_s on the analysis workload spreads about as wide as its 25% bound between runs "
     "of the same code.",
+    "setup_s on run_out and sweep reads two to three times higher on the first run of a "
+    "series than on the runs after it, so whichever tree runs first in a paired comparison "
+    "carries that cost.",
+    "The perfbench/layers.py docstring says that the event loops bind sampler.uniform to a "
+    "local name; no Python event loop or sampler object remains in the package, whose walks "
+    "draw in the compiled kernel.",
 ]
 
 
