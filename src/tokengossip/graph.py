@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Real
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix, triu
@@ -187,26 +187,40 @@ class Graph:
 
 def _build(
     n: int,
-    edges: Iterable[Tuple[int, int]],
+    edges,
     kind: str,
     seed: int,
     coords=None,
     attempts: int = 1,
 ) -> Graph:
-    adj: list = [[] for _ in range(n)]
-    seen = set()
-    for u, v in edges:
-        if u == v:
-            raise GraphGenerationError(f"self-edge at node {u}")
-        a, b = (u, v) if u < v else (v, u)
-        if (a, b) in seen:
-            raise GraphGenerationError(f"duplicate edge ({a},{b})")
-        seen.add((a, b))
-        adj[a].append(b)
-        adj[b].append(a)
+    """The graph on nodes [0, n) with ``edges``, an (m, 2) int array-like of
+    node pairs.  Raises :class:`GraphGenerationError` for an endpoint outside
+    [0, n), and otherwise for the first edge, in input order, that is a
+    self-edge or repeats an earlier edge."""
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    outside = ((e < 0) | (e >= n)).any(axis=1)
+    if outside.any():
+        u, v = e[np.argmax(outside)].tolist()
+        raise GraphGenerationError(f"edge ({u},{v}) has an endpoint outside [0, {n})")
+    lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
+    src, dst = np.concatenate((lo, hi)), np.concatenate((hi, lo))
+    # one stable sort by (src, dst) lays out every row.  A self-edge's second
+    # direction, and each repeat of an edge, sorts right after an earlier
+    # copy of itself; its position mod m is its edge's place in the input
+    key = src * n + dst
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    bad = order[1:][key[1:] == key[:-1]] % len(e)
+    if len(bad):
+        a, b = e[bad.min()].tolist()
+        if a == b:
+            raise GraphGenerationError(f"self-edge at node {a}")
+        raise GraphGenerationError(f"duplicate edge ({min(a, b)},{max(a, b)})")
+    flat = dst[order].tolist()
+    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
     return Graph(
         n=n,
-        adjacency=tuple(tuple(sorted(a)) for a in adj),
+        adjacency=tuple(tuple(flat[s:t]) for s, t in zip([0] + ends, ends)),
         kind=kind,
         seed=seed,
         coords=coords,
@@ -220,49 +234,32 @@ def _build(
 
 
 def clique(n: int) -> Graph:
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return _build(n, edges, "clique", 0)
+    return _build(n, np.transpose(np.triu_indices(n, 1)), "clique", 0)
 
 
 def ring(n: int) -> Graph:
-    if n == 2:
-        edges = [(0, 1)]
-    else:
-        edges = [(i, (i + 1) % n) for i in range(n)]
+    i = np.arange(n)
+    edges = [(0, 1)] if n == 2 else np.stack((i, (i + 1) % n), axis=1)
     return _build(n, edges, "ring", 0)
 
 
 def torus(side: int, dim: int = 2) -> Graph:
     """d-dimensional lattice torus: every node has exactly 2*dim neighbors."""
     n = side**dim
-    strides = [side**k for k in range(dim)]
-
-    def coord(i):
-        return [(i // strides[k]) % side for k in range(dim)]
-
-    edges = []
-    for i in range(n):
-        c = coord(i)
-        for k in range(dim):
-            c2 = list(c)
-            c2[k] = (c[k] + 1) % side
-            j = sum(c2[q] * strides[q] for q in range(dim))
-            edges.append((i, j))
-    return _build(n, edges, f"torus{{N={side},d={dim}}}", 0)
+    i = np.arange(n)[:, None]
+    strides = side ** np.arange(dim)
+    c = i // strides % side
+    # node i's edges, in axis order: its coordinate k steps up by one, mod side
+    j = i + ((c + 1) % side - c) * strides
+    return _build(n, np.stack(np.broadcast_arrays(i, j), axis=2), f"torus{{N={side},d={dim}}}", 0)
 
 
 def grid2d(side: int) -> Graph:
     """N x N grid without wraparound (the 2-d mesh)."""
-    n = side * side
-    edges = []
-    for y in range(side):
-        for x in range(side):
-            u = y * side + x
-            if x + 1 < side:
-                edges.append((u, u + 1))
-            if y + 1 < side:
-                edges.append((u, u + side))
-    return _build(n, edges, f"grid2d{{N={side}}}", 0)
+    u = np.arange(side * side).reshape(side, side)
+    right = np.stack((u[:, :-1].ravel(), u[:, 1:].ravel()), axis=1)
+    down = np.stack((u[:-1].ravel(), u[1:].ravel()), axis=1)
+    return _build(side * side, np.concatenate((right, down)), f"grid2d{{N={side}}}", 0)
 
 
 def rgg(n: int, seed: int, radius: float = 0.0) -> Graph:
@@ -282,14 +279,12 @@ def rgg(n: int, seed: int, radius: float = 0.0) -> Graph:
         dx = pts[:, 0][:, None] - pts[:, 0][None, :]
         dy = pts[:, 1][:, None] - pts[:, 1][None, :]
         close = (dx * dx + dy * dy) <= r * r
-        iu, iv = np.nonzero(np.triu(close, k=1))
-        edges = list(zip(iu.tolist(), iv.tolist()))
         g = _build(
             n,
-            edges,
+            np.argwhere(np.triu(close, k=1)),
             f"rgg{{r={r!r}}}",
             seed,
-            coords=tuple((float(x), float(y)) for x, y in pts),
+            coords=tuple(map(tuple, pts.tolist())),
             attempts=attempt + 1,
         )
         if is_connected(g):
@@ -348,7 +343,7 @@ def random_regular(n: int, degree: int, seed: int) -> Graph:
             continue
         g = _build(
             n,
-            sorted(edges),
+            list(edges),
             f"random_regular{{d={degree}}}",
             seed,
             attempts=attempt + 1,
@@ -640,7 +635,7 @@ def load_graph(path) -> Graph:
                 raise GraphFileError(f"line {k + 1}: coordinates {lines[k]!r} must be finite")
             coords.append((x, y))
         coords = tuple(coords)
-    g = _build(n, edges, kind, seed, coords=coords)
+    g = _build(n, list(edges), kind, seed, coords=coords)
     if not is_connected(g):
         raise GraphFileError("graph is not connected")
     return g

@@ -26,12 +26,20 @@ Python lists and whose values are decoded, and write it back at exit.
 ``Lists.uniform`` and ``Lists.exponential`` are the only draws made in
 Python: they read the state's blocks at its cursors and refill a used-up
 block in place, as the kernel does, so both leave the same stream.
+
+``_build``, ``clique``, ``ring``, ``torus`` and ``grid2d`` are the graph
+constructors that ``tokengossip.graph`` builds from edge arrays: a loop
+over edge tuples that checks each for a self-edge or a repeat, and
+generators that list their edges a tuple at a time.  The array code must
+give equal graphs, and the same error for the same bad edge list.
 """
 import math
+from typing import Iterable, Tuple
 
 from tokengossip import _walk
 from tokengossip.engine import SynchronousDiscrete
 from tokengossip.fusion import TokenPayload, fold
+from tokengossip.graph import Graph, GraphGenerationError
 from tokengossip.protocols import (
     GossipEps,
     MaxTime,
@@ -424,3 +432,78 @@ def cfld_run(sim: SimState) -> "Trace":
         flood_messages_per_origin=per_origin_messages, flood_origins=len(origins),
         rounds=state.rounds,
     )
+
+
+def _build(
+    n: int,
+    edges: Iterable[Tuple[int, int]],
+    kind: str,
+    seed: int,
+    coords=None,
+    attempts: int = 1,
+) -> Graph:
+    adj: list = [[] for _ in range(n)]
+    seen = set()
+    for u, v in edges:
+        if u == v:
+            raise GraphGenerationError(f"self-edge at node {u}")
+        a, b = (u, v) if u < v else (v, u)
+        if (a, b) in seen:
+            raise GraphGenerationError(f"duplicate edge ({a},{b})")
+        seen.add((a, b))
+        adj[a].append(b)
+        adj[b].append(a)
+    return Graph(
+        n=n,
+        adjacency=tuple(tuple(sorted(a)) for a in adj),
+        kind=kind,
+        seed=seed,
+        coords=coords,
+        attempts=attempts,
+    )
+
+
+def clique(n: int) -> Graph:
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return _build(n, edges, "clique", 0)
+
+
+def ring(n: int) -> Graph:
+    if n == 2:
+        edges = [(0, 1)]
+    else:
+        edges = [(i, (i + 1) % n) for i in range(n)]
+    return _build(n, edges, "ring", 0)
+
+
+def torus(side: int, dim: int = 2) -> Graph:
+    """d-dimensional lattice torus: every node has exactly 2*dim neighbors."""
+    n = side**dim
+    strides = [side**k for k in range(dim)]
+
+    def coord(i):
+        return [(i // strides[k]) % side for k in range(dim)]
+
+    edges = []
+    for i in range(n):
+        c = coord(i)
+        for k in range(dim):
+            c2 = list(c)
+            c2[k] = (c[k] + 1) % side
+            j = sum(c2[q] * strides[q] for q in range(dim))
+            edges.append((i, j))
+    return _build(n, edges, f"torus{{N={side},d={dim}}}", 0)
+
+
+def grid2d(side: int) -> Graph:
+    """N x N grid without wraparound (the 2-d mesh)."""
+    n = side * side
+    edges = []
+    for y in range(side):
+        for x in range(side):
+            u = y * side + x
+            if x + 1 < side:
+                edges.append((u, u + 1))
+            if y + 1 < side:
+                edges.append((u, u + side))
+    return _build(n, edges, f"grid2d{{N={side}}}", 0)

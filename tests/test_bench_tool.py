@@ -1,5 +1,7 @@
 """``tools/bench.py`` against a stand-in harness that prints canned
-``perfbench/run.py`` output, and stand-in Tier-1 tests."""
+``perfbench/run.py`` output and logs its arguments, and stand-in Tier-1
+tests."""
+import importlib.util
 import json
 import subprocess
 import sys
@@ -11,6 +13,8 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench.py"
 
 FAKE_RUN = '''
 import json, sys
+with open("calls.log", "a") as log:
+    print(" ".join(sys.argv[1:]), file=log)
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 seed, trace = int(args["--seed"]), args["--trace"] == "1"
 print("env " + json.dumps({"python": "3"}))
@@ -40,7 +44,8 @@ def stand_in_root(root: Path, tests: str) -> list:
     (root / "perfbench" / "run.py").write_text(FAKE_RUN)
     (root / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 40,
                                                      "workloads": [{"name": "run_out"}]}))
-    (root / "src").mkdir()
+    (root / "src" / "tokengossip").mkdir(parents=True)
+    (root / "src" / "tokengossip" / "kernel.c").write_text("int answer = 42;\n")
     (root / "src" / "stand_in.py").write_text("ANSWER = 42\n")
     (root / "tests").mkdir()
     (root / "tests" / "test_stand_in.py").write_text(tests)
@@ -58,6 +63,11 @@ def test_bench_writes_medians_quartiles_digests_and_layers(tmp_path):
     assert run_out["per_layer"] == {"protocols.cfld_s": 0.1}
     assert (run_out["correct"], run_out["attempted"], run_out["failed"]) == (True, 50, 0)
     assert len(bench["notes"]) == 6
+    assert any("one discarded --size tiny --seconds 1 run" in note for note in bench["notes"])
+    calls = (tmp_path / "calls.log").read_text().splitlines()
+    assert calls[0] == "--workload run_out --seed 1 --seconds 1 --trace 0 --size tiny"
+    assert len(calls) == 7 and all(call.endswith("--size full") for call in calls[1:])
+    assert bench["tree"]["dirty"] is None  # the stand-in root is no git checkout
     tier1 = bench["tier1"]
     assert (tier1["passed"], tier1["failed"]) == (1, 1)
     assert tier1["failed_ids"] == ["tests/test_stand_in.py::test_fails"]
@@ -71,3 +81,34 @@ def test_bench_stops_when_tier1_exits_neither_0_nor_1(tmp_path, tests):
     assert proc.returncode != 0
     assert "pytest -q --continue-on-collection-errors exited" in proc.stderr
     assert not (tmp_path / "BENCH.json").exists()
+
+
+def git(root: Path, *args: str) -> None:
+    subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.invalid",
+                    *args], cwd=root, check=True, capture_output=True)
+
+
+def test_bench_records_whether_the_tree_is_dirty_and_a_hash_of_the_package(tmp_path):
+    cmd = stand_in_root(tmp_path, FAKE_TESTS)
+    (tmp_path / ".gitignore").write_text("__pycache__/\n.pytest_cache/\ncalls.log\nBENCH.json\n")
+    git(tmp_path, "init", "-q")
+    git(tmp_path, "add", "-A")
+    git(tmp_path, "commit", "-qm", "stand-in")
+    subprocess.run(cmd, check=True, capture_output=True)
+    recorded = json.loads((tmp_path / "BENCH.json").read_text())["tree"]
+    spec = importlib.util.spec_from_file_location("bench_tool", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    clean = tool.tree(tmp_path)
+    assert recorded == clean and clean["dirty"] is False and len(clean["src_sha256"]) == 64
+    package = tmp_path / "src" / "tokengossip"
+    (package / "__pycache__").mkdir()
+    (package / "__pycache__" / "kernel.pyc").write_bytes(b"\0")
+    (tmp_path / "BENCHMARK.json").write_text("{}")  # outside src and tests
+    assert tool.tree(tmp_path) == clean
+    (package / "kernel.c").write_text("int answer = 41;\n")
+    edited = tool.tree(tmp_path)
+    assert edited["dirty"] is True and edited["src_sha256"] != clean["src_sha256"]
+    git(tmp_path, "checkout", "--", "src")
+    (tmp_path / "tests" / "test_new.py").write_text("")
+    assert tool.tree(tmp_path) == {"dirty": True, "src_sha256": clean["src_sha256"]}

@@ -5,9 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import reference_loops
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tokengossip import graph
 from tokengossip.graph import (
     Graph,
     GraphFileError,
@@ -174,6 +176,94 @@ def test_distances_closed_forms():
                           manhattan)
     assert np.array_equal(distances_from(generate(GraphSpec.clique(6)), range(6)),
                           1 - np.eye(6, dtype=np.int64))
+
+
+def assert_same_graph(g: Graph, h: Graph) -> None:
+    """Equal graphs, with equal CSR arrays, degrees, edge counts and edges."""
+    assert g == h
+    for a, b in zip(g.csr, h.csr):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert (g.degrees, g.m, g.edges) == (h.degrees, h.m, h.edges)
+
+
+def reference_build(n, edges, *args, **kwargs) -> Graph:
+    """``reference_loops._build`` on the same edges, as tuples of ints."""
+    return reference_loops._build(n, [tuple(e) for e in np.asarray(edges).tolist()],
+                                  *args, **kwargs)
+
+
+@pytest.mark.parametrize("make, reference, args", [
+    (graph.clique, reference_loops.clique, [(n,) for n in range(1, 131)]),
+    (graph.ring, reference_loops.ring, [(n,) for n in range(2, 301)]),
+    (graph.torus, reference_loops.torus,
+     [(side, dim) for dim in (1, 2, 3) for side in range(3, 34)]),
+    (graph.grid2d, reference_loops.grid2d, [(side,) for side in range(2, 34)]),
+], ids=["clique", "ring", "torus", "grid2d"])
+def test_lattice_generators_match_the_reference_loops(make, reference, args):
+    for a in args:
+        assert_same_graph(make(*a), reference(*a))
+
+
+@pytest.mark.parametrize("spec", [
+    *(GraphSpec.rgg(n, seed=seed) for n in (2, 9, 100, 600) for seed in (0, 1, 2)),
+    GraphSpec.rgg(50, seed=4, radius=1.5),
+    GraphSpec.rgg(120, seed=5, radius=0.3),
+    *(GraphSpec.random_regular(n, d, seed=seed)
+      for n, d in ((4, 3), (20, 4), (101, 6)) for seed in (0, 1, 2)),
+], ids=str)
+def test_random_generators_and_load_graph_match_the_reference_build(spec, tmp_path, monkeypatch):
+    g = generate(spec)
+    save_graph(g, tmp_path / "g.graph")
+    loaded = load_graph(tmp_path / "g.graph")
+    monkeypatch.setattr(graph, "_build", reference_build)
+    assert_same_graph(g, generate(spec))
+    assert_same_graph(loaded, load_graph(tmp_path / "g.graph"))
+    assert_same_graph(loaded, g)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: graph.torus(2), "duplicate edge (0,1)"),
+    (lambda: graph.ring(1), "self-edge at node 0"),
+    (lambda: _build(5, [(0, 1), (1, -1)], "x", 0), "edge (1,-1) has an endpoint outside [0, 5)"),
+    (lambda: _build(5, [(2, 2), (0, 5)], "x", 0), "edge (0,5) has an endpoint outside [0, 5)"),
+    (lambda: _build(4, [(0, 1), (2, 3), (1, 0), (2, 2)], "x", 0), "duplicate edge (0,1)"),
+], ids=["torus-2", "ring-1", "negative-endpoint", "endpoint-n", "duplicate-before-self-edge"])
+def test_build_names_the_first_bad_edge(make, message):
+    with pytest.raises(GraphGenerationError) as err:
+        make()
+    assert str(err.value) == message
+
+
+@st.composite
+def edge_lists(draw):
+    """n, and distinct edges on [0, n) in either orientation with up to three
+    self-edges or repeats of an edge (either way round) put in anywhere."""
+    n = draw(st.integers(2, 16))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]),
+                          unique_by=frozenset, max_size=30))
+    for _ in range(draw(st.integers(0, 3))):
+        x = draw(node)
+        fault = ((x, x) if not edges or draw(st.booleans())
+                 else draw(st.sampled_from(edges))[::draw(st.sampled_from((1, -1)))])
+        edges.insert(draw(st.integers(0, len(edges))), fault)
+    return n, edges
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=edge_lists())
+def test_build_matches_the_reference_loop_on_any_edge_list(case):
+    n, edges = case
+    outcomes = []
+    for build in (_build, reference_loops._build):
+        try:
+            outcomes.append(build(n, edges, "edges", 0))
+        except GraphGenerationError as err:
+            outcomes.append(str(err))
+    if isinstance(outcomes[1], Graph):
+        assert_same_graph(*outcomes)
+    else:
+        assert outcomes[0] == outcomes[1]
 
 
 def test_distances_unreachable_is_minus_one():

@@ -4,21 +4,26 @@ every workload, on fixed seeds, and the Tier-1 test run.
     python3 tools/bench.py --out BENCH_22.json [--root .]
 
 Runs ``perfbench/run.py`` of the checkout at ``--root`` as a subprocess,
-one run at a time and each for the ``run_seconds`` of its
-``BENCHMARK.json``: each workload untraced (``--trace 0``) on seeds 1 to
-5, then traced (``--trace 1``) on seed 1.  Then runs the checkout's
+one run at a time: first one discarded ``--size tiny --seconds 1`` run of
+the first workload, then, each for the ``run_seconds`` of its
+``BENCHMARK.json``, each workload untraced (``--trace 0``) on seeds 1 to
+5 and traced (``--trace 1``) on seed 1.  Then runs the checkout's
 Tier-1 tests once (``python -m pytest -q --continue-on-collection-errors``
-with ``<root>/src`` on ``PYTHONPATH``).  The file holds the environment
-stamp that the harness prints, the median and quartiles of each
-end-to-end metric over the seeds, each run's digest, the per-layer
-metrics of the traced run, the Tier-1 counts, failed test ids and wall
-time, and notes on known faults of the harness, which this script
-records rather than edits.  A failed perfbench run, or a Tier-1 run that
-exits with neither 0 nor 1 (1: some test failed), stops it.
+with ``<root>/src`` on ``PYTHONPATH``).  The file holds the measured tree
+(whether ``git status --porcelain -- src tests`` lists any change, null
+outside a git checkout, and a SHA-256 over the files of
+``src/tokengossip``), the environment stamp that the harness prints, the
+median and quartiles of each end-to-end metric over the seeds, each run's
+digest, the per-layer metrics of the traced run, the Tier-1 counts,
+failed test ids and wall time, and notes on known faults of the harness,
+which this script records rather than edits.  A failed perfbench run, or
+a Tier-1 run that exits with neither 0 nor 1 (1: some test failed), stops
+it.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -42,17 +47,19 @@ NOTES = [
     "of the same code.",
     "setup_s on run_out and sweep reads two to three times higher on the first run of a "
     "series than on the runs after it, so whichever tree runs first in a paired comparison "
-    "carries that cost.",
+    "carries that cost; this tool makes one discarded --size tiny --seconds 1 run before "
+    "its series.",
     "The perfbench/layers.py docstring says that the event loops bind sampler.uniform to a "
     "local name; no Python event loop or sampler object remains in the package, whose walks "
     "draw in the compiled kernel.",
 ]
 
 
-def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int,
+              size: str = "full") -> dict:
     """One ``perfbench/run.py`` run, parsed: env, digest, metrics, result."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(seconds), "--trace", str(trace), "--size", size]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} exited {proc.returncode}: "
@@ -73,6 +80,23 @@ def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) 
             run.update(correct=result["correct"], attempted=result["attempted"],
                        failed=result["failed"])
     return run
+
+
+def tree(root: Path) -> dict:
+    """The measured tree: ``dirty`` if git lists a change under src or tests
+    (None outside a git checkout), and a SHA-256 over the path and bytes of
+    every file of ``src/tokengossip`` but its ``__pycache__``."""
+    proc = subprocess.run(["git", "status", "--porcelain", "--", "src", "tests"], cwd=root,
+                          capture_output=True, text=True)
+    package = root / "src" / "tokengossip"
+    digest = hashlib.sha256()
+    for path in sorted(package.rglob("*")):
+        if path.is_file() and "__pycache__" not in path.parts:
+            data = path.read_bytes()
+            digest.update(f"{path.relative_to(package).as_posix()}\0{len(data)}\0".encode())
+            digest.update(data)
+    return {"dirty": bool(proc.stdout.strip()) if proc.returncode == 0 else None,
+            "src_sha256": digest.hexdigest()}
 
 
 def tier1(root: Path) -> dict:
@@ -108,8 +132,11 @@ def main() -> int:
     spec = json.loads((args.root / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     bench = {"command": " ".join(["python3", "tools/bench.py", *sys.argv[1:]]), "seeds": SEEDS,
-             "seconds": seconds, "workloads": {}}
-    for workload in (w["name"] for w in spec["workloads"]):
+             "seconds": seconds, "tree": tree(args.root), "workloads": {}}
+    workloads = [w["name"] for w in spec["workloads"]]
+    print(f"bench: {workloads[0]} tiny, discarded", file=sys.stderr, flush=True)
+    perfbench(args.root, workloads[0], SEEDS[0], 1, 0, size="tiny")
+    for workload in workloads:
         runs = []
         for seed in SEEDS:
             print(f"bench: {workload} seed {seed}", file=sys.stderr, flush=True)
