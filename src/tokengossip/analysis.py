@@ -473,7 +473,7 @@ def check_gaussian_bound(g: Graph, t_max: int, lazy_prob: float = 0.5) -> Gaussi
     if n > GAUSSIAN_MAX_NODES:
         raise SolverError(f"dense matrix powers capped at {GAUSSIAN_MAX_NODES} nodes")
     p = _transition_matrix(g, lazy_prob)
-    dist = distances_from(g, range(n))
+    dist = g._hops
 
     def steps():
         """(t, mask, P_t + P_{t+1}, d^2) on the constraints mask = 1 <= d <= t,

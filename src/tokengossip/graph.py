@@ -15,8 +15,8 @@ from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix, triu
-from scipy.sparse.csgraph import connected_components, laplacian, shortest_path
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 
 class GraphGenerationError(RuntimeError):
@@ -149,6 +149,12 @@ class Graph:
         return connected_components(self.adjacency_matrix, directed=False)
 
     @cached_property
+    def _hops(self) -> np.ndarray:
+        """All-pairs hop distances, ``distances_from`` every node: the table
+        that the checkers visiting every node share."""
+        return distances_from(self, range(self.n))
+
+    @cached_property
     def _two_colouring(self) -> Optional[np.ndarray]:
         """Hop distances from node 0, mod 2, if they 2-colour the graph."""
         side = distances_from(self, 0) % 2
@@ -216,16 +222,21 @@ def _build(
         if a == b:
             raise GraphGenerationError(f"self-edge at node {a}")
         raise GraphGenerationError(f"duplicate edge ({min(a, b)},{max(a, b)})")
-    flat = dst[order].tolist()
-    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
-    return Graph(
+    flat = dst[order]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum(np.bincount(src, minlength=n))
+    items, ends = flat.tolist(), offsets.tolist()
+    g = Graph(
         n=n,
-        adjacency=tuple(tuple(flat[s:t]) for s, t in zip([0] + ends, ends)),
+        adjacency=tuple(tuple(items[s:t]) for s, t in zip(ends, ends[1:])),
         kind=kind,
         seed=seed,
         coords=coords,
         attempts=attempts,
     )
+    # the rows are already laid out, and every endpoint was checked above
+    object.__setattr__(g, "csr", (offsets, flat))
+    return g
 
 
 # ----------------------------------------------------------------------
@@ -278,7 +289,11 @@ def rgg(n: int, seed: int, radius: float = 0.0) -> Graph:
         pts = rng.random((n, 2))
         dx = pts[:, 0][:, None] - pts[:, 0][None, :]
         dy = pts[:, 1][:, None] - pts[:, 1][None, :]
-        close = (dx * dx + dy * dy) <= r * r
+        # dx * dx + dy * dy, in place: two n x n arrays instead of five
+        dx *= dx
+        dy *= dy
+        dx += dy
+        close = dx <= r * r
         g = _build(
             n,
             np.argwhere(np.triu(close, k=1)),
@@ -424,8 +439,24 @@ def diameter(g: Graph) -> int:
     """
     if g.n > 10_000:
         return eccentricity(g, int(np.argmax(distances_from(g, 0))))
-    rows = (1 << 20) // g.n
-    return max(eccentricity(g, range(s, min(s + rows, g.n))) for s in range(0, g.n, rows))
+    return max(eccentricity(g, range(g.n)[b]) for b in _blocks(g.n, g.n))
+
+
+def _blocks(count: int, width: int) -> list:
+    """Slices of range(count) that take rows of ``width`` entries a block at
+    a time, at most 2^20 entries to a block (one row if it holds more)."""
+    rows = max(1, (1 << 20) // width)
+    return [slice(s, min(s + rows, count)) for s in range(0, count, rows)]
+
+
+def _row_counts(rows: np.ndarray, width: int, weights=None) -> np.ndarray:
+    """``np.bincount`` of each row of ``rows`` into ``width`` bins, in one
+    call; ``weights`` is one weight per column.  Each bin sums its row's
+    entries in column order, as the row's own bincount would."""
+    k = len(rows)
+    keys = (rows + np.arange(k)[:, None] * width).ravel()
+    w = None if weights is None else np.tile(weights, k)
+    return np.bincount(keys, weights=w, minlength=k * width).reshape(k, width)
 
 
 # ----------------------------------------------------------------------
@@ -461,58 +492,60 @@ def check_geometric_neighborhood(g: Graph) -> GrowthReport:
     R runs from 2 to max(2, diameter/2): the radius-1 ball is the
     singleton {u} for every graph so it carries no growth information,
     and balls past half the diameter saturate against the boundary.
-    Exhaustive in (u, R, delta) up to 2000 nodes, sampled above.
+    Exhaustive in (u, R, delta) up to 2000 nodes, sampled above.  The
+    reported (u, R) and (u, R, delta) are the first extremes in that order.
     """
     if g.n < 2:
         raise ValueError("growth check needs n >= 2")
     sampled = g.n > 2000
     nodes = _sample_nodes(g, 64, 0xBA11) if sampled else range(g.n)
-    dist = distances_from(g, nodes)
+    dist = distances_from(g, nodes) if sampled else g._hops
     diam = diameter(g) if sampled else _farthest(dist)  # all rows: the largest is the diameter
     r_max = max(2, (diam + 1) // 2)
-    radii = (
-        sorted(set(np.unique(np.geomspace(2, r_max, 16).astype(int)).tolist()))
-        if sampled
-        else range(2, r_max + 1)
-    )
+    if sampled:
+        radii = [R for R in np.unique(np.geomspace(2, r_max, 16).astype(int)).tolist()
+                 if 2 <= R <= r_max]
+        pairs = [(R, delta) for R in radii for delta in sorted({1, R // 2 or 1, R})]
+    else:
+        radii = list(range(2, r_max + 1))
+        pairs = [(R, delta) for R in radii for delta in range(1, R + 1)]
+    radii = np.array(radii)
+    pair_r, delta = np.array(pairs).T  # the annulus pairs (R, delta), R-major
+    width = 2 * r_max + 2
     c0_best = math.inf
     c0_arg = (0, 0)
     c1_best = 0.0
     c1_arg = (0, 0, 0)
-    for u, row in zip(nodes, dist):
-        sizes = np.bincount(row, minlength=2 * r_max + 2).cumsum()
-        # sizes[k] = #{v : d(u,v) <= k} = |B(u, k+1)|
-        for R in radii:
-            if not 2 <= R <= r_max:
-                continue
-            ratio = sizes[R - 1] / (R * R)
-            if ratio < c0_best:
-                c0_best, c0_arg = float(ratio), (int(u), int(R))
-            deltas = (
-                sorted({1, R // 2 or 1, R}) if sampled else range(1, R + 1)
-            )
-            for delta in deltas:
-                annulus = sizes[R + delta - 1] - sizes[R - 1]
-                ratio1 = annulus / (delta * R)
-                if ratio1 > c1_best:
-                    c1_best, c1_arg = float(ratio1), (int(u), int(R), int(delta))
+    for b in _blocks(len(dist), max(g.n, width, len(delta))):
+        # sizes[i, k] = #{v : d(u_i, v) <= k} = |B(u_i, k+1)|; the last column,
+        # which no ratio reads, also counts the nodes farther out
+        sizes = _row_counts(np.minimum(dist[b], width - 1), width).cumsum(axis=1)
+        ratio = sizes[:, radii - 1] / (radii * radii)
+        i, k = divmod(int(np.argmin(ratio)), len(radii))
+        if ratio[i, k] < c0_best:
+            c0_best, c0_arg = float(ratio[i, k]), (int(nodes[b.start + i]), int(radii[k]))
+        ratio1 = (sizes[:, pair_r + delta - 1] - sizes[:, pair_r - 1]) / (delta * pair_r)
+        i, k = divmod(int(np.argmax(ratio1)), len(delta))
+        if ratio1[i, k] > c1_best:
+            c1_best = float(ratio1[i, k])
+            c1_arg = (int(nodes[b.start + i]), int(pair_r[k]), int(delta[k]))
     passed = math.isfinite(c0_best) and c0_best > 0 and math.isfinite(c1_best)
     return GrowthReport(c0_best, c0_arg, c1_best, c1_arg, passed, sampled, diam)
 
 
 def check_volume_doubling(g: Graph) -> float:
     """Worst Vol(u,2R)/Vol(u,R) over sampled (u, R), R from 2 up."""
-    nodes = _sample_nodes(g, 64, 0xBA11) if g.n > 2000 else range(g.n)
-    dist = distances_from(g, nodes)
+    dist = distances_from(g, _sample_nodes(g, 64, 0xBA11)) if g.n > 2000 else g._hops
     # a node's ratio is 1 once R passes its eccentricity + 1, so R need
     # not run past the table's largest entry + 1
     r_max = _farthest(dist) + 1
+    width = 2 * r_max + 1
     deg = np.asarray(g.degrees, dtype=float)
     worst = 0.0
-    for row in dist:
-        # volumes[R] = Vol(u, R) for the strict ball of radius R
-        volumes = np.bincount(row + 1, weights=deg, minlength=2 * r_max + 1).cumsum()
-        ratios = volumes[4 : 2 * r_max + 1 : 2] / volumes[2 : r_max + 1]  # R = 2 .. r_max
+    for b in _blocks(len(dist), max(g.n, width)):
+        # volumes[i, R] = Vol(u_i, R) for the strict ball of radius R
+        volumes = _row_counts(dist[b] + 1, width, deg).cumsum(axis=1)
+        ratios = volumes[:, 4 : 2 * r_max + 1 : 2] / volumes[:, 2 : r_max + 1]  # R = 2 .. r_max
         worst = max(worst, ratios.max(initial=0.0))
     return float(worst)
 
@@ -535,10 +568,16 @@ def check_isoperimetry(g: Graph, u: int, radius: int) -> IsoperimetryCertificate
     if len(nodes) < 2:
         raise ValueError("isoperimetry needs a ball with at least 2 nodes")
     k = len(nodes)
-    sub = g.adjacency_matrix[nodes][:, nodes]
-    # the induced ball is connected: each member's shortest path to u stays inside it
-    deg = np.diff(sub.indptr)
-    i, j = triu(sub, 1).nonzero()  # its edges, i < j
+    # the induced ball, its nodes renumbered 0 .. k-1 in order and -1 outside;
+    # it is connected: each member's shortest path to u stays inside it
+    offsets, flat = g.csr
+    local = np.full(g.n, -1)
+    local[nodes] = np.arange(k)
+    src, dst = np.repeat(local, np.diff(offsets)), local[flat]
+    inside = (src >= 0) & (dst >= 0)
+    src, dst = src[inside], dst[inside]
+    deg = np.bincount(src, minlength=k)
+    i, j = src[src < dst], dst[src < dst]  # its edges, i < j
     if k <= 16:
         mode = "exact"
         # bit b of a mask puts node b in S; node k-1 stays out, which halves the count
@@ -550,7 +589,9 @@ def check_isoperimetry(g: Graph, u: int, radius: int) -> IsoperimetryCertificate
         mode = "sweep"
         # S grows along the Fiedler vector; the prefix of t + 1 nodes cuts the
         # edges with one end at a position <= t and the other after it
-        order = np.argsort(np.linalg.eigh(laplacian(sub).toarray())[1][:, 1])
+        lap = np.diag(deg.astype(float))
+        lap[src, dst] = -1.0
+        order = np.argsort(np.linalg.eigh(lap)[1][:, 1])
         pos = np.argsort(order)
         lo, hi = np.minimum(pos[i], pos[j]), np.maximum(pos[i], pos[j])
         cut = (np.bincount(lo, minlength=k) - np.bincount(hi, minlength=k)).cumsum()[:-1]

@@ -32,14 +32,35 @@ constructors that ``tokengossip.graph`` builds from edge arrays: a loop
 over edge tuples that checks each for a self-edge or a repeat, and
 generators that list their edges a tuple at a time.  The array code must
 give equal graphs, and the same error for the same bad edge list.
+
+``check_geometric_neighborhood``, ``check_volume_doubling`` and
+``check_isoperimetry`` are the regularity checkers that
+``tokengossip.graph`` computes over blocks of rows of a distance table:
+loops over (u, R, delta) and over the rows, each with its own distance
+call, and the induced ball taken as a scipy submatrix.  The array code
+must give equal reports, float for float.
 """
 import math
 from typing import Iterable, Tuple
 
+import numpy as np
+from scipy.sparse import triu
+from scipy.sparse.csgraph import laplacian
+
 from tokengossip import _walk
 from tokengossip.engine import SynchronousDiscrete
 from tokengossip.fusion import TokenPayload, fold
-from tokengossip.graph import Graph, GraphGenerationError
+from tokengossip.graph import (
+    Graph,
+    GraphGenerationError,
+    GrowthReport,
+    IsoperimetryCertificate,
+    _farthest,
+    _sample_nodes,
+    ball,
+    diameter,
+    distances_from,
+)
 from tokengossip.protocols import (
     GossipEps,
     MaxTime,
@@ -507,3 +528,104 @@ def grid2d(side: int) -> Graph:
             if y + 1 < side:
                 edges.append((u, u + side))
     return _build(n, edges, f"grid2d{{N={side}}}", 0)
+
+
+def check_geometric_neighborhood(g: Graph) -> GrowthReport:
+    """Measure the quadratic-growth constants of ball sizes.
+
+    R runs from 2 to max(2, diameter/2): the radius-1 ball is the
+    singleton {u} for every graph so it carries no growth information,
+    and balls past half the diameter saturate against the boundary.
+    Exhaustive in (u, R, delta) up to 2000 nodes, sampled above.
+    """
+    if g.n < 2:
+        raise ValueError("growth check needs n >= 2")
+    sampled = g.n > 2000
+    nodes = _sample_nodes(g, 64, 0xBA11) if sampled else range(g.n)
+    dist = distances_from(g, nodes)
+    diam = diameter(g) if sampled else _farthest(dist)  # all rows: the largest is the diameter
+    r_max = max(2, (diam + 1) // 2)
+    radii = (
+        sorted(set(np.unique(np.geomspace(2, r_max, 16).astype(int)).tolist()))
+        if sampled
+        else range(2, r_max + 1)
+    )
+    c0_best = math.inf
+    c0_arg = (0, 0)
+    c1_best = 0.0
+    c1_arg = (0, 0, 0)
+    for u, row in zip(nodes, dist):
+        sizes = np.bincount(row, minlength=2 * r_max + 2).cumsum()
+        # sizes[k] = #{v : d(u,v) <= k} = |B(u, k+1)|
+        for R in radii:
+            if not 2 <= R <= r_max:
+                continue
+            ratio = sizes[R - 1] / (R * R)
+            if ratio < c0_best:
+                c0_best, c0_arg = float(ratio), (int(u), int(R))
+            deltas = (
+                sorted({1, R // 2 or 1, R}) if sampled else range(1, R + 1)
+            )
+            for delta in deltas:
+                annulus = sizes[R + delta - 1] - sizes[R - 1]
+                ratio1 = annulus / (delta * R)
+                if ratio1 > c1_best:
+                    c1_best, c1_arg = float(ratio1), (int(u), int(R), int(delta))
+    passed = math.isfinite(c0_best) and c0_best > 0 and math.isfinite(c1_best)
+    return GrowthReport(c0_best, c0_arg, c1_best, c1_arg, passed, sampled, diam)
+
+
+def check_volume_doubling(g: Graph) -> float:
+    """Worst Vol(u,2R)/Vol(u,R) over sampled (u, R), R from 2 up."""
+    nodes = _sample_nodes(g, 64, 0xBA11) if g.n > 2000 else range(g.n)
+    dist = distances_from(g, nodes)
+    # a node's ratio is 1 once R passes its eccentricity + 1, so R need
+    # not run past the table's largest entry + 1
+    r_max = _farthest(dist) + 1
+    deg = np.asarray(g.degrees, dtype=float)
+    worst = 0.0
+    for row in dist:
+        # volumes[R] = Vol(u, R) for the strict ball of radius R
+        volumes = np.bincount(row + 1, weights=deg, minlength=2 * r_max + 1).cumsum()
+        ratios = volumes[4 : 2 * r_max + 1 : 2] / volumes[2 : r_max + 1]  # R = 2 .. r_max
+        worst = max(worst, ratios.max(initial=0.0))
+    return float(worst)
+
+
+def check_isoperimetry(g: Graph, u: int, radius: int) -> IsoperimetryCertificate:
+    """Worst normalized cut R*Cut(S,Sc)/min(Vol(S),Vol(Sc)) of the induced ball.
+
+    Exact enumeration of all 2-partitions up to 16 ball nodes; above that
+    a Fiedler sweep cut, which only upper-bounds the true minimum (it can
+    certify failure, not success).  Volumes are taken within the induced
+    subgraph.
+    """
+    nodes = sorted(ball(g, u, radius))
+    if len(nodes) < 2:
+        raise ValueError("isoperimetry needs a ball with at least 2 nodes")
+    k = len(nodes)
+    sub = g.adjacency_matrix[nodes][:, nodes]
+    # the induced ball is connected: each member's shortest path to u stays inside it
+    deg = np.diff(sub.indptr)
+    i, j = triu(sub, 1).nonzero()  # its edges, i < j
+    if k <= 16:
+        mode = "exact"
+        # bit b of a mask puts node b in S; node k-1 stays out, which halves the count
+        masks = np.arange(1, 1 << (k - 1), dtype=np.int32)
+        bits = [(masks >> b) & 1 for b in range(k)]
+        vol_s = sum(d * b for d, b in zip(deg, bits))
+        cut = sum(bits[a] ^ bits[b] for a, b in zip(i, j))
+    else:
+        mode = "sweep"
+        # S grows along the Fiedler vector; the prefix of t + 1 nodes cuts the
+        # edges with one end at a position <= t and the other after it
+        order = np.argsort(np.linalg.eigh(laplacian(sub).toarray())[1][:, 1])
+        pos = np.argsort(order)
+        lo, hi = np.minimum(pos[i], pos[j]), np.maximum(pos[i], pos[j])
+        cut = (np.bincount(lo, minlength=k) - np.bincount(hi, minlength=k)).cumsum()[:-1]
+        vol_s = deg[order].cumsum()[:-1]
+    # cuts and volumes are small integers, so each ratio rounds as int / int does
+    denom = np.minimum(vol_s, deg.sum() - vol_s)
+    good = denom > 0
+    best = (radius * cut[good] / denom[good]).min(initial=math.inf)
+    return IsoperimetryCertificate(float(best), mode)

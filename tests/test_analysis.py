@@ -551,6 +551,20 @@ def test_gaussian_bound_memory_does_not_grow_with_t_max():
     assert peaks[1] <= 1.5 * peaks[0]
 
 
+def test_gaussian_bound_memory_does_not_grow_with_t_max_on_fresh_graphs():
+    # each call builds the graph's distance table, as a first call does
+    import tracemalloc
+
+    peaks = []
+    for t_max in (10, 40):
+        g = generate(GraphSpec.torus(16, 2))
+        tracemalloc.start()
+        an.check_gaussian_bound(g, t_max=t_max)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
 # -- regularity bundle -----------------------------------------------------------
 
 

@@ -418,6 +418,43 @@ def test_isoperimetry_sweep_upper_bounds():
     assert cert.value > 0
 
 
+def isoperimetry_outcome(check, g, u, radius) -> str:
+    try:
+        return repr(check(g, u, radius))
+    except ValueError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("spec", [
+    GraphSpec.clique(2), GraphSpec.clique(9),
+    GraphSpec.ring(2), GraphSpec.ring(7), GraphSpec.ring(128),
+    GraphSpec.torus(6, 2), GraphSpec.torus(12, 2), GraphSpec.torus(3, 3), GraphSpec.torus(5, 3),
+    GraphSpec.grid2d(2), GraphSpec.grid2d(9),
+    GraphSpec.rgg(40, radius=0.22, seed=3), GraphSpec.rgg(150, seed=1),
+    GraphSpec.random_regular(30, 4, seed=2), GraphSpec.random_regular(150, 4, seed=1),
+    # above 2000 nodes the growth and doubling checks sample 64 nodes
+    GraphSpec.torus(50, 2), GraphSpec.rgg(2500, seed=0),
+], ids=str)
+def test_regularity_checkers_match_the_reference_loops(spec):
+    g = generate(spec)
+    growth = check_geometric_neighborhood(g)
+    assert growth.sampled == (g.n > 2000)
+    assert repr(growth) == repr(reference_loops.check_geometric_neighborhood(g))
+    assert repr(check_volume_doubling(g)) == repr(reference_loops.check_volume_doubling(g))
+    # balls from empty and single-node (an error), through exact, to sweep cuts
+    outcomes = set()
+    centres = np.unique(np.linspace(0, g.n - 1, 5).astype(int)).tolist()
+    for u, row in zip(centres, distances_from(g, centres)):
+        sizes = np.bincount(row).cumsum()
+        for radius in range(-1, int((sizes <= 120).sum()) + 2):
+            outcome = isoperimetry_outcome(check_isoperimetry, g, u, radius)
+            assert outcome == isoperimetry_outcome(reference_loops.check_isoperimetry, g, u, radius)
+            outcomes.add(outcome.split("mode=")[-1])
+    assert "isoperimetry needs a ball with at least 2 nodes" in outcomes
+    # the largest balls hold more than 120 nodes or all n: above 16 nodes, a sweep cut
+    assert ("'sweep')" in outcomes) == (g.n > 16)
+
+
 def test_file_round_trip(tmp_path):
     for spec in (GraphSpec.torus(4, 2), GraphSpec.rgg(50, seed=2)):
         g = generate(spec)
