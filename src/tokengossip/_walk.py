@@ -4,12 +4,15 @@ averaging, which is the hybrid with every node active (``exchange``).
 
 ``_walk.c`` runs the continuous-clock loop (an exponential wait, a uniform
 pick of the firing token, a send to a uniform neighbour) and synchronized
-rounds.  It draws from the state's blocks at the state's cursors and
-refills a used-up block in place, when the next draw is asked for, with
-numpy's C fill functions on the state's bit generator: the calls behind
-``Generator.random`` and ``Generator.standard_exponential``.  Given
-the expected fold of the values, it checks conservation after every event
-(``walk``).
+rounds.  It draws from the state's blocks at the state's cursors, and draws
+the blocks themselves lazily with numpy's C fill functions on the state's
+bit generator (the calls behind ``Generator.random`` and
+``Generator.standard_exponential``): a uniform block whole when its first
+draw is asked for, an exponential block in chunks of ``_CHUNK``, in the
+stream layout that ``protocols.SimState`` describes.  Given the expected
+fold of the values, it checks conservation after every event (``walk``).
+The arguments of a state's kernel calls never change, so ``_bind`` makes
+them once per state.
 
 The kernel is built on first use with the system C compiler, against
 numpy's headers and its static random library (``libnpyrandom.a``), into a
@@ -25,6 +28,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import math
 import os
 import shutil
 import subprocess
@@ -43,11 +47,12 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 # the return codes, the slots of the scalar arrays, the fusion codes and
 # the check bits of _walk.c
 _DONE, _MAX_TIME, _SUM_OVERFLOW, _CURVE_FULL, _BROKEN, _PAUSED = range(6)
-(_NACTIVE, _ETA, _HOLDER, _ACTIVE_ACTIVE, _UI, _EI, _NPOINTS, _ERR_J, _ERR_V, _ROUNDS, _CHECK,
- _EXPECTED, _PAUSE, _NIV) = range(14)
+(_NACTIVE, _ETA, _HOLDER, _ACTIVE_ACTIVE, _UI, _UF, _EI, _EF, _NPOINTS, _ERR_J, _ERR_V, _ROUNDS,
+ _CHECK, _EXPECTED, _PAUSE, _TERMINATING, _NIV) = range(17)
 _T, _MAX_T, _LAZY, _Q, _THRESHOLD, _NDV = range(6)
 _FUSION = {FusionKind.SUM: 0, FusionKind.MAX: 1, FusionKind.WEIGHTED_AVG: 2}
 _CHECK_COUNTS, _CHECK_VALUES, _CHECK_ONE_TOKEN = 1, 2, 4
+_CHUNK = 64  # exponentials drawn at a time
 
 
 def _cache_dir() -> Path:
@@ -102,9 +107,13 @@ def load():
     one-line OSError when it cannot be built or loaded."""
     lib = ctypes.CDLL(str(_build()))
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    lib.tg_walk_continuous.argtypes = [i64, ptr, ptr, i64, i64, i64, *[ptr] * 4, i64, ptr, ptr]
-    lib.tg_walk_discrete.argtypes = [i64, ptr, ptr, i64, i64, ptr, ptr, ptr, i64, ptr, ptr]
+    lib.tg_walk_continuous.argtypes = [i64, ptr, ptr, i64, i64, ptr, ptr, ptr, i64, ptr, ptr]
+    lib.tg_walk_discrete.argtypes = [i64, ptr, ptr, i64, ptr, ptr, ptr, i64, ptr, ptr]
     lib.tg_walk_continuous.restype = lib.tg_walk_discrete.restype = ctypes.c_int
+    # a bit generator's bitgen_t*, read from its capsule; its ctypes
+    # attribute would build three function wrappers for every generator
+    lib.bitgen = ctypes.PYFUNCTYPE(ptr, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
     return lib
 
 
@@ -120,15 +129,38 @@ def _buffers(n: int, discrete: bool) -> tuple:
 
 
 def _encode(state, values: list) -> None:
-    """Write the node values into ``state``'s arrays: gossip's plain values
-    as weighted averages of weight 1, weighted averages as estimates and
-    weights, SUM and MAX values as ints (MAX's -inf as INT64_MIN).  Raises
-    FusionError for a SUM or MAX value that is no int, and for a MAX value
-    outside (INT64_MIN, INT64_MAX]."""
+    """Check the node values and write them into ``state``'s arrays:
+    gossip's plain values as weighted averages of weight 1, weighted
+    averages as estimates and weights, SUM and MAX values as ints (MAX's
+    -inf as INT64_MIN).  SUM and MAX values that are all plain ints are
+    checked and converted in one pass; other values, and ints that fail a
+    check, go through ``_encode_each``, which raises the first bad value's
+    error."""
+    kind = None if state.kind == "gossip" else state.fusion.kind
+    if kind in (FusionKind.SUM, FusionKind.MAX) and set(map(type, values)) == {int}:
+        try:
+            state.ival[:] = values
+        except OverflowError:  # a value outside int64
+            pass
+        else:
+            if kind is FusionKind.SUM or state.ival.min() > INT64_MIN:
+                return
+    _encode_each(state, values)
+
+
+def _encode_each(state, values: list) -> None:
+    """``_encode`` value by value: raises ValueError for a gossip value
+    that is not finite, what ``FusionSpec.validate_values`` raises for a bad
+    fusion value, and FusionError for a SUM or MAX value that is no int,
+    and for a MAX value outside (INT64_MIN, INT64_MAX]."""
     if state.kind == "gossip":
+        values = [float(v) for v in values]
+        if not all(map(math.isfinite, values)):
+            raise ValueError("gossip values must be finite")
         state.yv[:] = values
         state.wv[:] = 1.0
         return
+    state.fusion.validate_values(values)
     kind = state.fusion.kind
     if kind is FusionKind.WEIGHTED_AVG:
         state.yv[:] = [float(y) for y, _ in values]
@@ -159,6 +191,31 @@ def _decode(state) -> list:
     return state.ival.tolist()
 
 
+def _address(a: np.ndarray) -> int:
+    """The address of writable ``a``'s data: ``a.ctypes.data`` at a third of
+    its cost."""
+    return ctypes.addressof((ctypes.c_char * 0).from_buffer(a))
+
+
+def _bind(state) -> tuple:
+    """``state``'s kernel entry point, the arguments of its calls (the
+    graph's CSR arrays, the status view, the bit generator's ``bitgen_t*``,
+    the draw blocks and the buffers, none of which change over the state's
+    life) and its generator's lock."""
+    lib = load()
+    n, (indptr, indices) = state.graph.n, state.graph.csr
+    kind = FusionKind.WEIGHTED_AVG if state.kind == "gossip" else state.fusion.kind
+    bits = state._rng.bit_generator
+    tail = ((ctypes.c_uint8 * n).from_buffer(state.status),
+            lib.bitgen(bits.capsule, b"BitGenerator"), _address(state.ublock),
+            state.ublock.size, _address(state._ints), _address(state._floats))
+    head = (n, _address(indptr), _address(indices), _FUSION[kind])
+    if isinstance(state.clock, SynchronousDiscrete):
+        return lib.tg_walk_discrete, head + tail, bits.lock
+    hybrid = state.kind in ("gossip", "hybrid_k")
+    return lib.tg_walk_continuous, head + (hybrid,) + tail, bits.lock
+
+
 def _run(state, max_t, terminating, active_active, check=0, folded=0, pause=-1, q=0.0,
          threshold=float("nan")):
     """Run the kernel on ``state``'s arrays, writing back its scalars but
@@ -167,39 +224,25 @@ def _run(state, max_t, terminating, active_active, check=0, folded=0, pause=-1, 
         raise ValueError(f"stop time {max_t!r} must be a number no earlier than {state.t!r}")
     if not state.active_count:
         raise ValueError("a token walk needs at least one active token")
-    lib = load()
-    discrete = isinstance(state.clock, SynchronousDiscrete)
-    n, (indptr, indices) = state.graph.n, state.graph.csr
-    gossip = state.kind == "gossip"
+    if state._call is None:
+        state._call = _bind(state)
+    kernel, args, lock = state._call
     ints, floats = state._ints, state._floats
     ints[:_NIV] = [state.active_count, state.eta, -1 if state.holder is None else state.holder,
-                   active_active, state.ui, state.ei, 0, 0, 0, state.rounds, check, folded, pause]
-    floats[:_NDV] = [state.t, max_t, state.clock.lazy_prob if discrete else 0.0, q, threshold]
-
-    status = (ctypes.c_uint8 * n).from_buffer(state.status)
-    kind = FusionKind.WEIGHTED_AVG if gossip else state.fusion.kind
-    graph = (n, indptr.ctypes.data, indices.ctypes.data, _FUSION[kind])
-    buffers = (state.ublock.size, ints.ctypes.data, floats.ctypes.data)
-    bits = state.rng.bit_generator
-    with bits.lock:  # ctypes lets go of the GIL during the call
-        if discrete:
-            rc = lib.tg_walk_discrete(*graph, terminating, status, bits.ctypes.bit_generator,
-                                      state.ublock.ctypes.data, *buffers)
-        else:
-            rc = lib.tg_walk_continuous(*graph, gossip or state.kind == "hybrid_k", terminating,
-                                        status, bits.ctypes.bit_generator,
-                                        state.ublock.ctypes.data, state.eblock.ctypes.data,
-                                        *buffers)
+                   active_active, state.ui, state.uf, state.ei, state.ef, 0, 0, 0, state.rounds,
+                   check, folded, pause, terminating]
+    floats[:_NDV] = [state.t, max_t, getattr(state.clock, "lazy_prob", 0.0), q, threshold]
+    with lock:  # ctypes lets go of the GIL during the call
+        rc = kernel(*args)
 
     iv = ints[:_NIV].tolist()
-    state.ui = iv[_UI]
-    state.ei = iv[_EI]
+    state.ui, state.uf, state.ei, state.ef = iv[_UI:_EF + 1]
     state.active_count = iv[_NACTIVE]
     state.eta = iv[_ETA]
     state.holder = None if iv[_HOLDER] < 0 else iv[_HOLDER]
     state.rounds = iv[_ROUNDS]
     state.t = floats[_T].item()
-    points = iv[_NPOINTS]
+    n, points = state.graph.n, iv[_NPOINTS]
     pt_count, pt_eta = ints[_NIV + 6 * n:_NIV + 8 * n + 2].reshape(2, n + 1)
     state.times.extend(floats[_NDV + 2 * n:_NDV + 2 * n + points].tolist())
     state.active_counts.extend(pt_count[:points].tolist())

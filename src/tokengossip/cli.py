@@ -221,6 +221,8 @@ def cmd_scale(args) -> int:
     config = json.loads(resolve_config_path(args.config).read_text())
     if not isinstance(config, dict):
         raise ValueError("a suite config must be a JSON object")
+    if args.jobs < 0:
+        raise ValueError(f"--jobs must be >= 0 (0: the config's jobs), not {args.jobs}")
     if args.jobs:
         config["jobs"] = args.jobs
     started = time.time()

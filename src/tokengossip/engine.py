@@ -6,8 +6,11 @@ rate equal to the active count followed by a uniform choice of the
 firing token.  Discrete time advances in synchronized rounds with a
 lazy-hold probability.  Every run is a pure function of its seed: a
 simulation state (``protocols.SimState``) holds its stream's generator and
-blocks of uniform and exponential draws, which the walk kernel (``_walk``)
-reads and refills.
+blocks of uniform and exponential draws, laid out U1 E1 U2 ... on the
+stream.  The walk kernel (``_walk``) draws each block when it first reads
+from it and completes a begun exponential block before the next uniform
+block; a draw in Python goes through ``SimState.rng``, which completes the
+begun blocks first.
 """
 from __future__ import annotations
 

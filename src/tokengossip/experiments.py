@@ -189,6 +189,8 @@ def resolve_two_phase(graph: Graph, params: dict, master_seed: int) -> dict:
     if gamma in (None, "log_n"):
         gamma = max(1, math.ceil(math.log(graph.n)))
     params["gamma"] = float(gamma)
+    if math.isinf(params["gamma"]):
+        raise ValueError(f"gamma must be finite, not {gamma}")
     params["switch_time"] = estimate_switch_time(
         graph,
         params["gamma"],
@@ -264,7 +266,8 @@ def run_point(
     out_dir: Optional[Path] = None,
 ) -> list:
     """All trials of one sweep point; order-independent by construction
-    (each trial is a pure function of (master_seed, trial index)).
+    (each trial is a pure function of (master_seed, trial index)), so
+    ``jobs`` > 1 runs them in min(jobs, trials) worker processes.
 
     With ``out_dir`` (created if missing), each trial writes its
     ``trial_files`` from its own trace before the trace is dropped, so
@@ -275,6 +278,8 @@ def run_point(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if type(jobs) is not int or jobs < 1:
+        raise ValueError(f"jobs must be an int >= 1, not {jobs!r}")
     _check_params(protocol, params, fusion_name)
     if protocol == "two_phase" and "switch_time" not in params:
         raise ValueError("two_phase needs parameter switch_time")
@@ -287,9 +292,10 @@ def run_point(
         (graph, protocol, fusion_name, list(x), params, master_seed, t, out_dir, expected)
         for t in range(trials)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            out = list(pool.map(_run_one, work, chunksize=max(1, trials // (4 * jobs))))
+    workers = min(jobs, trials)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            out = list(pool.map(_run_one, work, chunksize=max(1, trials // (4 * workers))))
     else:
         out = [_run_one(w) for w in work]
     out.sort(key=lambda s: s.trial)
@@ -510,6 +516,8 @@ def _enabled_rows(config: dict) -> list:
     if type(master_seed) is not int or type(jobs) is not int:
         raise ValueError(f"suite master_seed and jobs must be ints, not {master_seed!r} "
                          f"and {jobs!r}")
+    if jobs < 1:
+        raise ValueError(f"suite jobs must be >= 1, not {jobs}")
     out = []
     for i, row in enumerate(rows):
         try:

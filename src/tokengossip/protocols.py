@@ -81,12 +81,19 @@ class SimState:
     thread; the resulting Trace is immutable.  The node arrays are views on
     the walk kernel's buffers (``_walk._buffers``), values as ``_walk._encode``
     writes them; ``active_list`` holds the active nodes in its first ``active_count``.
-    Its draws come from its stream's generator ``rng``: after its set-up
-    draws, ``init`` draws a block of ``BLOCK`` uniforms (``ublock``), then
-    one of unit exponentials (``eblock``).  ``ui`` and ``ei`` are the cursors
-    of their next unread draws; the walk kernel (``_walk``) reads the blocks
-    there and refills a used-up one in place from ``rng`` when the next draw
-    is asked for."""
+
+    Its draws come from its stream's generator, laid out U1 E1 U2 ...:
+    after ``init``'s set-up draws, a block of ``BLOCK`` uniforms, then one
+    of ``BLOCK`` unit exponentials, and each later block from where the
+    generator stands when a draw first needs it.  ``init`` draws none of
+    them: the walk kernel (``_walk``) draws a block into ``ublock`` or
+    ``eblock`` when it first reads from it, the uniforms whole (U1 before
+    any exponential), the exponentials in chunks, and completes a begun
+    exponential block before it draws the next uniform block.  ``ui`` and
+    ``ei`` are the cursors of the next unread draws, ``uf`` and ``ef`` the
+    counts of drawn entries.  Any other draw must come through ``rng``,
+    which first completes the blocks the layout has begun, so that the draw
+    lands where it would after whole blocks."""
 
     __slots__ = (
         "graph",
@@ -107,11 +114,14 @@ class SimState:
         "eta",
         "sends",
         "receives",
-        "rng",
+        "_rng",
+        "_call",
         "ublock",
         "eblock",
         "ui",
+        "uf",
         "ei",
+        "ef",
         "stream",
         "holder",
         "times",
@@ -127,7 +137,8 @@ class SimState:
         self.kind = kind
         self.clock = clock
         self.stream = stream
-        self.rng = stream.generator()
+        self._rng = stream.generator()
+        self._call = None  # the kernel call's fixed arguments (_walk._bind)
         n = graph.n
         (self._ints, self._floats, self.counts, self.active_list, self.active_pos, self.sends,
          self.receives, self.ival, self.yv, self.wv) = _walk._buffers(
@@ -137,14 +148,28 @@ class SimState:
         self.active_pos[:] = -1
         self.t = 0.0
         self.eta = 0
-        self.ublock = self.eblock = None  # drawn by init() after its set-up draws
-        self.ui = self.ei = 0
+        self.ublock, self.eblock = np.empty((2, BLOCK))
+        self.ui = self.uf = self.ei = self.ef = 0
         self.holder: Optional[int] = None
         self.times = [0.0]
         self.active_counts = [0]
         self.message_counts = [0]
         self.rounds = 0
         self.active_active = 0  # hybrid-k active-to-active relaxations
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The stream's generator, for a draw outside the walk kernel.  It
+        first draws what the layout has begun: U1 if no uniform has been
+        drawn, then the rest of a begun exponential block.  The blocks'
+        draws are the same either way."""
+        if not self.uf:
+            self._rng.random(out=self.ublock)
+            self.uf = self.ublock.size
+        if self.ef < self.eblock.size:
+            self._rng.standard_exponential(out=self.eblock[self.ef:])
+            self.ef = self.eblock.size
+        return self._rng
 
     # -- active-set bookkeeping (O(1) activate/deactivate/sample) ------
 
@@ -195,19 +220,13 @@ def init(
     if len(x) != n:
         raise ValueError(f"need {n} initial values, got {len(x)}")
     state = SimState(graph, fusion, kind, clock, RngStream(master_seed=seed, stream_id=stream_id))
-    rng = state.rng
+    rng = state._rng  # the set-up draws come before U1
     if kind is ProtocolKind.GOSSIP:
         if isinstance(clock, SynchronousDiscrete):
             raise ValueError("gossip runs on the continuous clock only")
-        values = [float(v) for v in x]
-        if not all(map(math.isfinite, values)):
-            raise ValueError("gossip values must be finite")
-    else:
-        if fusion is None:
-            raise ValueError("token protocols need a fusion spec")
-        values = list(x)
-        fusion.validate_values(values)
-    _walk._encode(state, values)
+    elif fusion is None:
+        raise ValueError("token protocols need a fusion spec")
+    _walk._encode(state, list(x))
     state.counts[:] = 1
 
     if kind is ProtocolKind.SRW:
@@ -231,8 +250,6 @@ def init(
         for i in sorted(rng.choice(n, size=k, replace=False).tolist()):
             state.activate(i)
 
-    state.ublock = rng.random(BLOCK)
-    state.eblock = rng.standard_exponential(BLOCK)
     state.active_counts[0] = state.active_count
     if n == 1:
         state.holder = 0
@@ -390,7 +407,7 @@ def cfld_run(state: SimState) -> "Trace":
     continuous clock each forward waits an independent Exp(1) time, which
     is the law of an event loop over the pending forwards (by
     memorylessness): X is one ``standard_exponential((k, n))`` draw from
-    the state's generator, row o over nodes 0..n-1, and a is
+    ``state.rng`` (after the walk's blocks), row o over nodes 0..n-1, and a is
     first-passage percolation, one ``dijkstra`` solve on k copies of the
     graph whose edges out of v weigh X[o, v] in copy o.  v's first senders
     are the neighbors w with a[o, w] + X[o, w] == a[o, v] (bit for bit, as

@@ -24,8 +24,10 @@ in law on the flood's duration and the per-node receives.
 The loops step a ``Lists`` copy of the state, whose node arrays are
 Python lists and whose values are decoded, and write it back at exit.
 ``Lists.uniform`` and ``Lists.exponential`` are the only draws made in
-Python: they read the state's blocks at its cursors and refill a used-up
-block in place, as the kernel does, so both leave the same stream.
+Python: they read the state's blocks at its cursors and draw them lazily,
+as the kernel does (a uniform block whole, an exponential block in chunks of
+``_walk._CHUNK``; U1 before E1, and a begun exponential block completed
+before the next uniform block), so both leave the same stream.
 
 ``_build``, ``clique``, ``ring``, ``torus`` and ``grid2d`` are the graph
 constructors that ``tokengossip.graph`` builds from edge arrays: a loop
@@ -70,9 +72,9 @@ from tokengossip.protocols import (
     _trace,
 )
 
-SHARED = ("graph", "fusion", "kind", "clock", "rng", "ublock", "eblock", "status", "times",
+SHARED = ("graph", "fusion", "kind", "clock", "ublock", "eblock", "status", "times",
           "active_counts", "message_counts")
-SCALARS = ("t", "eta", "holder", "rounds", "active_active", "ui", "ei")
+SCALARS = ("t", "eta", "holder", "rounds", "active_active", "ui", "uf", "ei", "ef")
 LISTS = ("counts", "active_pos", "sends", "receives")
 
 
@@ -85,6 +87,7 @@ class Lists:
 
     def __init__(self, state: SimState):
         self.state = state
+        self.rng = state._rng  # the blocks' generator, as the kernel sees it
         for name in SHARED + SCALARS:
             setattr(self, name, getattr(state, name))
         for name in LISTS:
@@ -122,17 +125,27 @@ class Lists:
         return len(self.active_list)
 
     def uniform(self) -> float:
-        if self.ui == self.ublock.size:
+        if self.ui == self.uf:
+            if self.uf:  # U_k is used up: E_k comes before U_k+1
+                self.rng.standard_exponential(out=self.eblock[self.ef:])
+                self.ef = self.eblock.size
+                self.ui = 0
             self.rng.random(out=self.ublock)
-            self.ui = 0
+            self.uf = self.ublock.size
         self.ui += 1
         return self.ublock.item(self.ui - 1)
 
     def exponential(self) -> float:
         """One Exp(1) draw."""
-        if self.ei == self.eblock.size:
-            self.rng.standard_exponential(out=self.eblock)
-            self.ei = 0
+        if self.ei == self.ef:
+            if not self.uf:  # E1 starts where U1 ends
+                self.rng.random(out=self.ublock)
+                self.uf = self.ublock.size
+            if self.ef == self.eblock.size:
+                self.ei = self.ef = 0
+            chunk = self.eblock[self.ef:self.ef + _walk._CHUNK]
+            self.rng.standard_exponential(out=chunk)
+            self.ef += chunk.size
         self.ei += 1
         return self.eblock.item(self.ei - 1)
 

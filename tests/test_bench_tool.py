@@ -1,6 +1,6 @@
 """``tools/bench.py`` against a stand-in harness that prints canned
-``perfbench/run.py`` output and logs its arguments, and stand-in Tier-1
-tests."""
+``perfbench/run.py`` output and logs its arguments, a stand-in package
+whose trial does nothing, and stand-in Tier-1 tests."""
 import importlib.util
 import json
 import subprocess
@@ -37,15 +37,28 @@ def test_fails():
 '''
 
 
+# the names the trial timing imports, doing nothing
+STAND_IN_PACKAGE = {
+    "__init__.py": "",
+    "graph.py": "class GraphSpec:\n    clique = staticmethod(str)\n\n\ngenerate = str\n",
+    "fusion.py": "def sum_fusion():\n    return sum\n",
+    "protocols.py": ("class Termination:\n    pass\n\n\n"
+                     "def init(kind, g, x, fusion, seed=0, stream_id=0):\n    return g\n\n\n"
+                     "def run(state, stop):\n    return state\n"),
+}
+
+
 def stand_in_root(root: Path, tests: str) -> list:
-    """A checkout with the stand-in harness, a module under src and
-    ``tests`` as its one test file; returns the tool's command line."""
+    """A checkout with the stand-in harness, the stand-in package under src
+    and ``tests`` as its one test file; returns the tool's command line."""
     (root / "perfbench").mkdir()
     (root / "perfbench" / "run.py").write_text(FAKE_RUN)
     (root / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 40,
                                                      "workloads": [{"name": "run_out"}]}))
     (root / "src" / "tokengossip").mkdir(parents=True)
     (root / "src" / "tokengossip" / "kernel.c").write_text("int answer = 42;\n")
+    for name, text in STAND_IN_PACKAGE.items():
+        (root / "src" / "tokengossip" / name).write_text(text)
     (root / "src" / "stand_in.py").write_text("ANSWER = 42\n")
     (root / "tests").mkdir()
     (root / "tests" / "test_stand_in.py").write_text(tests)
@@ -67,6 +80,9 @@ def test_bench_writes_medians_quartiles_digests_and_layers(tmp_path):
     calls = (tmp_path / "calls.log").read_text().splitlines()
     assert calls[0] == "--workload run_out --seed 1 --seconds 1 --trace 0 --size tiny"
     assert len(calls) == 7 and all(call.endswith("--size full") for call in calls[1:])
+    micro = bench["micro"]
+    assert (micro["trial"], micro["trials"]) == ("clique-4 CRW, init + run", 20_000)
+    assert len(micro["us"]) == 3 and micro["best_us"] == min(micro["us"]) > 0
     assert bench["tree"]["dirty"] is None  # the stand-in root is no git checkout
     tier1 = bench["tier1"]
     assert (tier1["passed"], tier1["failed"]) == (1, 1)
@@ -80,6 +96,15 @@ def test_bench_stops_when_tier1_exits_neither_0_nor_1(tmp_path, tests):
     proc = subprocess.run(stand_in_root(tmp_path, tests), capture_output=True, text=True)
     assert proc.returncode != 0
     assert "pytest -q --continue-on-collection-errors exited" in proc.stderr
+    assert not (tmp_path / "BENCH.json").exists()
+
+
+def test_bench_stops_when_the_trial_timing_fails(tmp_path):
+    cmd = stand_in_root(tmp_path, FAKE_TESTS)
+    (tmp_path / "src" / "tokengossip" / "protocols.py").write_text("")
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode != 0
+    assert "the clique-4 trial timing exited 1" in proc.stderr
     assert not (tmp_path / "BENCH.json").exists()
 
 

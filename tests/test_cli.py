@@ -558,6 +558,16 @@ BAD_INPUTS = {
     "scale_master_seed_is_a_float": _suite_file({"master_seed": 1.5, "rows": SMALL_SUITE["rows"]}),
     "scale_master_seed_is_a_string": _suite_file({"master_seed": "7", "rows": SMALL_SUITE["rows"]}),
     "scale_jobs_is_a_float": _suite_file({"jobs": 2.5, "rows": SMALL_SUITE["rows"]}),
+    "scale_jobs_zero": _suite_file({"jobs": 0, "rows": SMALL_SUITE["rows"]}),
+    "scale_jobs_negative": _suite_file({"jobs": -3, "rows": SMALL_SUITE["rows"]}),
+    "scale_jobs_flag_negative": _suite_file(SMALL_SUITE, "--jobs", "-3"),
+    "run_jobs_zero": lambda tmp_path: [
+        "run", "--proto", "crw", "--kind", "ring", "--n", "8", "--trials", "2", "--jobs", "0"],
+    "run_jobs_negative": lambda tmp_path: [
+        "run", "--proto", "crw", "--kind", "ring", "--n", "8", "--trials", "2", "--jobs", "-3"],
+    "run_two_phase_infinite_gamma": lambda tmp_path: [
+        "run", "--proto", "two_phase", "--kind", "ring", "--n", "8", "--gamma", "inf",
+        "--trials", "1", "--out", "g1"],
     "scale_gossip_z0_typo": _suite_scale(protocol="gossip", metric="eta_per_node",
                                          params={"eps": 0.01}, values="slowmode"),
     "scale_gossip_with_fusion": _suite_scale(protocol="gossip", metric="eta_per_node",
@@ -612,6 +622,37 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
     assert rc == 2
     assert len(err.splitlines()) == 1 and err.startswith("invalid input: ")
     assert "Traceback" not in err
+
+
+def test_jobs_and_gamma_refusals_name_their_flag(tmp_path, monkeypatch, capsys):
+    for name, words in [("run_jobs_zero", "jobs must be an int >= 1, not 0"),
+                        ("scale_jobs_negative", "suite jobs must be >= 1, not -3"),
+                        ("scale_jobs_flag_negative", "--jobs must be >= 0"),
+                        ("run_two_phase_infinite_gamma", "gamma must be finite, not inf")]:
+        assert run_cli(BAD_INPUTS[name](tmp_path), monkeypatch, tmp_path) == 2
+        assert words in capsys.readouterr().err
+    assert not (tmp_path / "g1").exists()
+
+
+def _strict_json(path: Path):
+    def refuse(constant):
+        raise ValueError(f"{path.name} holds {constant}, which RFC 8259 JSON has no place for")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--proto", "two_phase", "--kind", "ring", "--n", "8", "--gamma", "8"],
+    ["--proto", "two_phase", "--kind", "grid2d", "--side", "4", "--lazy", "0.5"],
+    ["--proto", "crw", "--kind", "torus", "--side", "4"],
+    ["--proto", "gossip", "--kind", "ring", "--n", "8"],
+    ["--proto", "hybrid_k", "--kind", "ring", "--n", "8", "--fusion", "wavg", "--horizon", "5"],
+], ids=["two_phase_gamma_n", "two_phase_rounds", "crw", "gossip", "hybrid_k"])
+def test_run_out_writes_strict_json(flags, tmp_path, monkeypatch):
+    assert run_cli(["run", *flags, "--trials", "2", "--out", "o"], monkeypatch, tmp_path) == 0
+    files = sorted((tmp_path / "o").glob("*.json"))
+    assert len(files) == 3  # two trials' metadata and the manifest
+    for path in files:
+        _strict_json(path)
 
 
 @pytest.mark.parametrize("name", ["run_hybrid_k_without_wavg",

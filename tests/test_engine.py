@@ -59,7 +59,9 @@ def test_block_refill_preserves_stream():
 def test_init_lays_out_the_stream(kind, params):
     # the set-up draws (an SRW origin, a hybrid's k nodes), then a block of
     # 4096 uniforms, then one of 4096 exponentials; the next uniform block
-    # starts where that exponential block ends
+    # starts where that exponential block ends.  init draws no block, so
+    # the draws must find them there: an exponential before any uniform,
+    # and the next uniform block with most of the exponential block unread
     g = generate(GraphSpec.ring(10))
     s = init(kind, g, [(1.0, 1.0)] * g.n, weighted_avg_fusion(), params=params, seed=21,
              stream_id=5)
@@ -69,14 +71,15 @@ def test_init_lays_out_the_stream(kind, params):
     elif kind == "hybrid_k":
         chosen = sorted(rng.choice(g.n, size=3, replace=False).tolist())
         assert sorted(s.active_list[:s.active_count].tolist()) == chosen
-    assert s.ublock.tolist() == rng.random(4096).tolist()
-    assert s.eblock.tolist() == rng.standard_exponential(4096).tolist()
-    assert (s.ui, s.ei) == (0, 0)
-    assert s.rng.bit_generator.state == rng.bit_generator.state
+    assert s._rng.bit_generator.state == rng.bit_generator.state
+    u1, e1 = rng.random(4096).tolist(), rng.standard_exponential(4096).tolist()
     reader = Lists(s)
-    for _ in range(4096):
-        reader.uniform()
+    assert reader.exponential() == e1[0]
+    assert [reader.uniform() for _ in range(4096)] == u1
     assert [reader.uniform() for _ in range(3)] == rng.random(4096)[:3].tolist()
+    assert [reader.exponential() for _ in range(4095)] == e1[1:]
+    reader.store()
+    assert s.rng.bit_generator.state == rng.bit_generator.state
 
 
 def test_lazy_prob_validated():

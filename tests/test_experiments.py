@@ -51,6 +51,46 @@ def test_run_trials_parallel_matches_serial():
     assert [(s.tau, s.eta) for s in a] == [(s.tau, s.eta) for s in b]
 
 
+class SerialPool:
+    """A stand-in for ``ProcessPoolExecutor`` that runs in this process and
+    records the worker count it was asked for."""
+
+    asked = []
+
+    def __init__(self, max_workers):
+        self.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs,trials,workers", [(64, 3, [3]), (2, 5, [2]), (9, 1, [])])
+def test_run_point_starts_at_most_one_worker_per_trial(monkeypatch, jobs, trials, workers):
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(SerialPool, "asked", [])
+    g = generate(GraphSpec.clique(6))
+    got = ex.run_point(g, "crw", "sum", [1] * 6, {}, trials, 4, jobs=jobs)
+    assert SerialPool.asked == workers
+    assert got == ex.run_point(g, "crw", "sum", [1] * 6, {}, trials, 4)
+
+
+@pytest.mark.parametrize("jobs", [0, -3, 1.5, True])
+def test_run_point_refuses_jobs_below_one(jobs):
+    with pytest.raises(ValueError, match="jobs must be an int >= 1"):
+        ex.run_point(generate(GraphSpec.clique(4)), "crw", "sum", [1] * 4, {}, 2, 4, jobs=jobs)
+
+
+def test_two_phase_infinite_gamma_is_rejected():
+    with pytest.raises(ValueError, match="gamma must be finite, not inf"):
+        ex.resolve_two_phase(generate(GraphSpec.ring(8)), {"gamma": "inf"}, 1)
+
+
 def test_incomplete_trial_aborts_point():
     cfg = ex.ExperimentConfig(
         graphs=[GraphSpec.torus(4, 2)], protocol="gossip", trials=3,

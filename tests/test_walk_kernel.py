@@ -8,6 +8,7 @@ Both must give equal traces and leave the state and its draws equal,
 except for the continuous flood, which draws its delays in one block and
 so matches the reference loop in law and where no draw decides.
 """
+import contextlib
 import ctypes
 import dataclasses
 import math
@@ -18,6 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -72,14 +74,15 @@ def values(fusion: str, n: int, seed: int) -> list:
 
 
 def snapshot(s) -> tuple:
-    """A simulation state, its draw blocks and cursors and its generator, as
+    """A simulation state, its draw cursors, the drawn parts of its blocks
+    and its generator once ``s.rng`` has completed the begun blocks, as
     comparable values."""
     return (
         s.t, s.eta, _walk._decode(s), s.counts.tolist(), bytes(s.status),
         s.active_list[:s.active_count].tolist(), s.active_pos.tolist(), s.sends.tolist(),
         s.receives.tolist(), s.holder, s.active_active, s.times, s.active_counts,
-        s.message_counts, s.rounds, s.ui, s.ei, s.ublock.tolist(), s.eblock.tolist(),
-        s.rng.bit_generator.state,
+        s.message_counts, s.rounds, s.ui, s.ei, s.uf, s.ef, s.ublock[:s.uf].tolist(),
+        s.eblock[:s.ef].tolist(), s.rng.bit_generator.state,
     )
 
 
@@ -255,6 +258,93 @@ def test_python_draws_after_a_walk_see_its_refills(seed):
     assert got == want
 
 
+class Eager:
+    """A state's draws as whole blocks: U1, then E1, from where the state's
+    set-up draws left its generator, drawn at once, and each later block
+    when a draw finds its block used up."""
+
+    def __init__(self, state):
+        self.rng = np.random.Generator(np.random.PCG64())
+        self.rng.bit_generator.state = state._rng.bit_generator.state
+        self.u = self.rng.random(state.ublock.size)
+        self.e = self.rng.standard_exponential(state.eblock.size)
+        self.ui = self.ei = 0
+
+    def uniform(self) -> float:
+        if self.ui == self.u.size:
+            self.rng.random(out=self.u)
+            self.ui = 0
+        self.ui += 1
+        return self.u.item(self.ui - 1)
+
+    def exponential(self) -> float:
+        if self.ei == self.e.size:
+            self.rng.standard_exponential(out=self.e)
+            self.ei = 0
+        self.ei += 1
+        return self.e.item(self.ei - 1)
+
+
+def lazy_against_eager(spec, seed, kind, clock, stop, block) -> tuple:
+    """Walk ``kind`` to ``stop`` on the kernel, then take a two-phase run's
+    flood delays from ``s.rng``; then the same with the reference loop
+    reading ``Eager`` blocks.  The states, the blocks, their cursors, the
+    delays and the generators must agree.  Returns the kernel's (ui, uf,
+    ei, ef) before ``s.rng`` completed its blocks."""
+    g = generate(spec)
+    fusion = "wavg" if kind == "hybrid_k" else "sum"
+    params = {"k": max(1, g.n // 2)} if kind == "hybrid_k" else None
+
+    def walked(reference: bool):
+        with small_blocks(block):
+            s = init(kind, g, values(fusion, g.n, seed), FUSIONS[fusion], params=params,
+                     seed=seed, clock=clock)
+        eager = Eager(s)
+        with contextlib.ExitStack() as patches:
+            if reference:
+                patches.enter_context(mock.patch.object(_walk, "walk", reference_loops.walk))
+                for draw in ("uniform", "exponential"):
+                    patches.enter_context(mock.patch.object(
+                        reference_loops.Lists, draw, lambda _, draw=draw: getattr(eager, draw)()))
+            _walk.walk(s, stop, kind != "hybrid_k")
+        counters = (s.ui, s.uf, s.ei, s.ef)
+        if reference:
+            rng, draws = eager.rng, (eager.ui, eager.ei, eager.u.tolist(), eager.e.tolist())
+        else:
+            rng = s.rng
+            draws = (s.ui, s.ei, s.ublock.tolist(), s.eblock.tolist())
+        delays = (rng.standard_exponential((s.active_count, g.n)).tolist()
+                  if kind == "two_phase" and clock == Continuous() else None)
+        return snapshot(s)[:15], draws, delays, rng.bit_generator.state, counters
+
+    got, want = walked(False), walked(True)
+    assert got[:4] == want[:4]
+    return got[4]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(spec=specs, seed=seeds, kind=st.sampled_from(["crw", "srw", "two_phase", "hybrid_k"]),
+       clock=st.sampled_from([Continuous(), SynchronousDiscrete(0.25), SynchronousDiscrete(0.5)]),
+       stop=st.sampled_from([0.0, 0.5, 3.0, 40.0, math.inf]),
+       block=st.sampled_from([1, 3, 100, 4096]))
+def test_lazy_blocks_leave_the_eager_stream(spec, seed, kind, clock, stop, block):
+    if kind == "hybrid_k":  # the hybrid runs on the continuous clock, to a horizon
+        clock, stop = Continuous(), min(stop, 40.0)
+    lazy_against_eager(spec, seed, kind, clock, stop, block)
+
+
+def test_a_discrete_walk_past_u1_completes_e1_unread():
+    ui, uf, ei, ef = lazy_against_eager(GraphSpec.torus(5), 3, "crw", SynchronousDiscrete(0.5),
+                                        40.0, 3)
+    assert (uf, ei, ef) == (3, 0, 3)
+
+
+def test_a_flood_draw_follows_a_partly_drawn_exponential_block():
+    ui, uf, ei, ef = lazy_against_eager(GraphSpec.ring(30), 1, "two_phase", Continuous(), 2.0,
+                                        4096)
+    assert uf == 4096 and 0 < ei <= ef < 4096
+
+
 def test_coalescing_oracle_start_state():
     g = generate(GraphSpec.torus(6, 2))
     b = {0, 3, 7, 14, 20, 33}
@@ -296,6 +386,35 @@ def test_values_the_kernel_cannot_hold_raise(x):
     g = generate(GraphSpec.ring(3))
     with pytest.raises(FusionError):
         init("srw", g, x, max_fusion(), seed=1)
+
+
+ints = st.integers(-3, 3) | st.sampled_from([INT64_MAX, INT64_MAX + 1, -INT64_MAX,
+                                              -INT64_MAX - 1, 2**1100, -(2**1100)])
+numbers = st.one_of(ints, st.floats(allow_nan=True, allow_infinity=True), st.booleans(),
+                    st.just(MAX_IDENTITY), st.builds(np.float64, st.floats(-9, 9)), st.just("1"))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["sum", "max", "wavg", "gossip"]),
+       x=st.lists(ints, min_size=4, max_size=4) | st.lists(numbers, min_size=4, max_size=4)
+       | st.lists(st.tuples(numbers, numbers), min_size=4, max_size=4))
+def test_one_pass_encoding_matches_the_value_by_value_checks(kind, x):
+    # _encode converts lists of plain ints at once and hands anything else
+    # to _encode_each: both must write the same arrays or raise the same error
+    g = generate(GraphSpec.ring(4))
+
+    def encoded(encode):
+        if kind == "gossip":
+            s = init("gossip", g, [0.0] * 4, None)
+        else:
+            s = init("crw", g, [(1.0, 1.0)] * 4 if kind == "wavg" else [0] * 4, FUSIONS[kind])
+        try:
+            encode(s, list(x))
+        except Exception as e:
+            return type(e), str(e)
+        return s.ival.tolist(), s.yv.tolist(), s.wv.tolist()
+
+    assert encoded(_walk._encode) == encoded(_walk._encode_each)
 
 
 def test_neighbour_outside_the_graph_raises_in_python():

@@ -1,5 +1,6 @@
 """Write a BENCH file: perfbench's end-to-end and per-layer metrics for
-every workload, on fixed seeds, and the Tier-1 test run.
+every workload, on fixed seeds, a clique-4 trial's cost and the Tier-1
+test run.
 
     python3 tools/bench.py --out BENCH_22.json [--root .]
 
@@ -7,18 +8,21 @@ Runs ``perfbench/run.py`` of the checkout at ``--root`` as a subprocess,
 one run at a time: first one discarded ``--size tiny --seconds 1`` run of
 the first workload, then, each for the ``run_seconds`` of its
 ``BENCHMARK.json``, each workload untraced (``--trace 0``) on seeds 1 to
-5 and traced (``--trace 1``) on seed 1.  Then runs the checkout's
-Tier-1 tests once (``python -m pytest -q --continue-on-collection-errors``
-with ``<root>/src`` on ``PYTHONPATH``).  The file holds the measured tree
+5 and traced (``--trace 1``) on seed 1.  Then times a clique-4 CRW trial
+(``init`` + ``run``) in a fresh process: the mean over 20 000 trials,
+three times.  Then runs the checkout's Tier-1 tests once
+(``python -m pytest -q --continue-on-collection-errors`` with
+``<root>/src`` on ``PYTHONPATH``).  The file holds the measured tree
 (whether ``git status --porcelain -- src tests`` lists any change, null
 outside a git checkout, and a SHA-256 over the files of
 ``src/tokengossip``), the environment stamp that the harness prints, the
 median and quartiles of each end-to-end metric over the seeds, each run's
-digest, the per-layer metrics of the traced run, the Tier-1 counts,
-failed test ids and wall time, and notes on known faults of the harness,
-which this script records rather than edits.  A failed perfbench run, or
-a Tier-1 run that exits with neither 0 nor 1 (1: some test failed), stops
-it.
+digest, the per-layer metrics of the traced run, the trial's cost per
+repeat and the best of them (``micro``), the Tier-1 counts, failed test
+ids and wall time, and notes on known faults of the harness, which this
+script records rather than edits.  A failed perfbench run or trial
+timing, or a Tier-1 run that exits with neither 0 nor 1 (1: some test
+failed), stops it.
 """
 from __future__ import annotations
 
@@ -34,6 +38,26 @@ import time
 from pathlib import Path
 
 SEEDS = (1, 2, 3, 4, 5)
+MICRO_TRIALS, MICRO_REPEATS = 20_000, 3
+
+# the clique-4 CRW trial, timed in the checkout's package; prints the mean
+# microseconds per trial of each repeat as a JSON list
+MICRO = f"""
+import json, time
+from tokengossip.fusion import sum_fusion
+from tokengossip.graph import GraphSpec, generate
+from tokengossip.protocols import Termination, init, run
+
+g, fusion, x = generate(GraphSpec.clique(4)), sum_fusion(), [0] * 4
+run(init("crw", g, x, fusion), Termination())  # builds the kernel if the cache lacks it
+per_trial = []
+for _ in range({MICRO_REPEATS}):
+    started = time.perf_counter()
+    for trial in range({MICRO_TRIALS}):
+        run(init("crw", g, x, fusion, seed=1, stream_id=trial), Termination())
+    per_trial.append((time.perf_counter() - started) / {MICRO_TRIALS} * 1e6)
+print(json.dumps(per_trial))
+"""
 
 NOTES = [
     "perfbench/README.md lines 107-108 say that the CLI pilot ignores --lazy and that "
@@ -99,14 +123,30 @@ def tree(root: Path) -> dict:
             "src_sha256": digest.hexdigest()}
 
 
+def src_env(root: Path) -> dict:
+    """The environment with the checkout's ``src`` first on ``PYTHONPATH``."""
+    src = str(root.resolve() / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else src}
+
+
+def micro(root: Path) -> dict:
+    """The clique-4 CRW trial's cost in microseconds, each repeat's and the best."""
+    proc = subprocess.run([sys.executable, "-c", MICRO], cwd=root, env=src_env(root),
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"the clique-4 trial timing exited {proc.returncode}: "
+                         f"{proc.stderr.strip().splitlines()[-1:]}")
+    per_trial = json.loads(proc.stdout)
+    return {"trial": "clique-4 CRW, init + run", "trials": MICRO_TRIALS, "us": per_trial,
+            "best_us": min(per_trial)}
+
+
 def tier1(root: Path) -> dict:
     """One Tier-1 run of the checkout's tests: counts, failed ids, wall time."""
     cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
-    src = str(root.resolve() / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else src}
     started = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=root, env=src_env(root), capture_output=True, text=True)
     wall = time.perf_counter() - started
     if proc.returncode not in (0, 1):
         raise SystemExit(f"{' '.join(cmd)} exited {proc.returncode}: "
@@ -153,6 +193,8 @@ def main() -> int:
         print(f"bench: {workload} traced, seed {SEEDS[0]}", file=sys.stderr, flush=True)
         traced = perfbench(args.root, workload, SEEDS[0], seconds, 1)
         bench["workloads"][workload]["per_layer"] = traced["metrics"]
+    print("bench: clique-4 trial", file=sys.stderr, flush=True)
+    bench["micro"] = micro(args.root)
     print("bench: tier-1 tests", file=sys.stderr, flush=True)
     bench["tier1"] = tier1(args.root)
     bench["notes"] = NOTES
