@@ -71,6 +71,7 @@ def test_init_lays_out_the_stream(kind, params):
     elif kind == "hybrid_k":
         chosen = sorted(rng.choice(g.n, size=3, replace=False).tolist())
         assert sorted(s.active_list[:s.active_count].tolist()) == chosen
+    assert (s.ui, s.uf, s.ei, s.ef) == (0, 0, 0, 0)
     assert s._rng.bit_generator.state == rng.bit_generator.state
     u1, e1 = rng.random(4096).tolist(), rng.standard_exponential(4096).tolist()
     reader = Lists(s)
