@@ -624,7 +624,7 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-def test_jobs_and_gamma_refusals_name_their_flag(tmp_path, monkeypatch, capsys):
+def test_jobs_and_gamma_refusals_say_what_is_wrong(tmp_path, monkeypatch, capsys):
     for name, words in [("run_jobs_zero", "jobs must be an int >= 1, not 0"),
                         ("scale_jobs_negative", "suite jobs must be >= 1, not -3"),
                         ("scale_jobs_flag_negative", "--jobs must be >= 0"),
