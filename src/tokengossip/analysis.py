@@ -12,6 +12,7 @@ serves both clocks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -459,48 +460,70 @@ class GaussianBoundReport:
 
 def check_gaussian_bound(g: Graph, t_max: int, lazy_prob: float = 0.5) -> GaussianBoundReport:
     """Fit constants for the lazy-walk transition lower bound
-    (c3/t) exp(-d(u,v)^2 / (c4 t)) <= P_t(u,v) + P_{t+1}(u,v).
+    (c3/t) exp(-d(u,v)^2 / (c4 t)) <= P_t(u,v) + P_{t+1}(u,v)
+    over all 1 <= d(u,v) <= t <= t_max.
 
-    c4 comes from least squares on log(t (P_t + P_{t+1})) against
-    d^2/t; c3 is then the largest constant with zero violations over
-    all 1 <= d(u,v) <= t <= t_max.
+    One pass over t = 1 .. t_max forms each power once and keeps two at a
+    time, so memory does not grow with t_max.  It lists the pairs with
+    P_t + P_{t+1} <= 0 (then the report is infeasible, with c3 = c4 = 0),
+    sums the least squares fit of log(t (P_t + P_{t+1})) against d^2/t
+    over the rest in row-major order, and keeps the least P_t + P_{t+1}
+    of each distance class.  c4 comes from the fit.  c3, the largest
+    constant with zero violations, is the least t q exp(d^2 / (t c4)):
+    the factor depends on (t, d) alone and rounding is monotone, so that
+    least value is found at each class's least q.
     """
     n = g.n
     if n < 2:
         raise ValueError("the Gaussian bound needs at least two nodes")
+    if isinstance(t_max, bool) or not isinstance(t_max, numbers.Integral):
+        raise ValueError(f"the Gaussian bound needs an integer t_max, not {t_max!r}")
     if t_max < 1:
         raise ValueError(f"the Gaussian bound needs t_max >= 1, not {t_max}")
+    if not (isinstance(lazy_prob, numbers.Real) and 0 <= lazy_prob <= 1):
+        raise ValueError(f"the Gaussian bound needs 0 <= lazy_prob <= 1, not {lazy_prob!r}")
     if n > GAUSSIAN_MAX_NODES:
         raise SolverError(f"dense matrix powers capped at {GAUSSIAN_MAX_NODES} nodes")
     p = _transition_matrix(g, lazy_prob)
-    dist = g._hops
-
-    def steps():
-        """(t, mask, P_t + P_{t+1}, d^2) on the constraints mask = 1 <= d <= t,
-        for t = 1 .. t_max.  Each pass recomputes the powers, so memory does
-        not grow with t_max."""
-        pt = p.copy()  # P^1
-        for t in range(1, t_max + 1):
-            pt1 = pt @ p
-            mask = (dist >= 1) & (dist <= t)
-            yield t, mask, (pt + pt1)[mask], dist[mask].astype(float) ** 2
-            pt = pt1
-
-    # pass 1: violations, and the least-squares sums of log(t q) on d^2/t
+    # hops < GAUSSIAN_MAX_NODES: the narrow table masks and sorts faster
+    dist = g._hops.astype(np.int16)
+    flat = dist.ravel()
+    if flat.max() < 1:
+        raise ValueError("the Gaussian bound needs a graph with an edge")
+    top = min(t_max, int(flat.max()))  # the largest distance with a constraint
+    # the flat indices of the pairs at distance 1 .. top, grouped by distance;
+    # distance d takes order[starts[d - 1]:ends[d - 1]], and no class is empty
+    sizes = np.bincount(flat[flat >= 1])[1:top + 1]
+    ends = sizes.cumsum()
+    starts = ends - sizes
+    order = np.argsort(flat, kind="stable")[np.count_nonzero(flat < 1):][:ends[-1]]
+    qmin = np.full((t_max, top), math.inf)  # qmin[t - 1, d - 1], for d <= t
     violations = []
     count = sx = sy = sxx = sxy = 0.0
-    for t, mask, q, d2 in steps():
-        zero = q <= 0
-        if np.any(zero):
+    mask = np.zeros(dist.shape, dtype=bool)  # the constraints 1 <= d <= t
+    pt = p.copy()  # P^1
+    for t in range(1, t_max + 1):
+        pt1 = pt @ p
+        k = min(t, top)  # the distance classes constrained at t
+        if t <= top:
+            mask |= dist == t
+        s = np.add(pt, pt1, out=pt)  # P_t + P_{t+1}, over P_t, which is not read again
+        qmin[t - 1, :k] = np.minimum.reduceat(s.ravel()[order[:ends[k - 1]]], starts[:k])
+        q = s[mask]
+        d2 = dist[mask].astype(float) ** 2
+        if qmin[t - 1, :k].min() <= 0:
+            zero = q <= 0
             for (u, v), val in zip(np.argwhere(mask)[zero], q[zero]):
                 violations.append((int(u), int(v), t, float(val)))
-        x = d2[~zero] / t
-        y = np.log(t * q[~zero])
+            d2, q = d2[~zero], q[~zero]
+        x = d2 / t
+        y = np.log(t * q)
         count += len(x)
         sx += x.sum()
         sy += y.sum()
         sxx += x @ x
         sxy += x @ y
+        pt = pt1
     if violations:
         return GaussianBoundReport(0.0, 0.0, t_max, lazy_prob, False, violations)
     # the normal equations of the fit; lstsq keeps the minimum-norm answer
@@ -508,12 +531,15 @@ def check_gaussian_bound(g: Graph, t_max: int, lazy_prob: float = 0.5) -> Gaussi
     (slope, _), *_ = np.linalg.lstsq(np.array([[sxx, sx], [sx, count]]),
                                      np.array([sxy, sy]), rcond=None)
     c4 = -1.0 / slope if slope < 0 else math.inf
-    # pass 2: c3, the largest constant with zero violations
-    c3 = math.inf
-    for t, _, q, d2 in steps():
-        tq = t * q
-        c3 = min(c3, float((tq if math.isinf(c4) else tq * np.exp(d2 / t / c4)).min()))
-    return GaussianBoundReport(float(c3), float(c4), t_max, lazy_prob, c3 > 0, [])
+    ts = np.arange(1, t_max + 1)[:, None]
+    d = np.arange(1, top + 1)
+    live = d <= ts
+    d2 = d.astype(float) ** 2
+    tq = (ts * qmin)[live]
+    if not math.isinf(c4):
+        tq = tq * np.exp((d2 / ts / c4)[live])
+    c3 = float(tq.min())
+    return GaussianBoundReport(c3, float(c4), t_max, lazy_prob, c3 > 0, [])
 
 
 # ----------------------------------------------------------------------

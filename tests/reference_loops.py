@@ -41,6 +41,13 @@ give equal graphs, and the same error for the same bad edge list.
 loops over (u, R, delta) and over the rows, each with its own distance
 call, and the induced ball taken as a scipy submatrix.  The array code
 must give equal reports, float for float.
+
+``check_gaussian_bound`` is the heat-kernel bound fitted in two passes
+over the matrix powers: the first gathers the violations and the least
+squares sums, the second forms every power again to take c3 as a minimum
+over all constraints.  ``tokengossip.analysis.check_gaussian_bound`` forms
+each power once and takes c3 from per-distance minima; the two must give
+equal reports, float for float.
 """
 import math
 from typing import Iterable, Tuple
@@ -50,6 +57,12 @@ from scipy.sparse import triu
 from scipy.sparse.csgraph import laplacian
 
 from tokengossip import _walk
+from tokengossip.analysis import (
+    GAUSSIAN_MAX_NODES,
+    GaussianBoundReport,
+    SolverError,
+    _transition_matrix,
+)
 from tokengossip.engine import SynchronousDiscrete
 from tokengossip.fusion import TokenPayload, fold
 from tokengossip.graph import (
@@ -642,3 +655,62 @@ def check_isoperimetry(g: Graph, u: int, radius: int) -> IsoperimetryCertificate
     good = denom > 0
     best = (radius * cut[good] / denom[good]).min(initial=math.inf)
     return IsoperimetryCertificate(float(best), mode)
+
+
+def check_gaussian_bound(g: Graph, t_max: int, lazy_prob: float = 0.5) -> GaussianBoundReport:
+    """Fit constants for the lazy-walk transition lower bound
+    (c3/t) exp(-d(u,v)^2 / (c4 t)) <= P_t(u,v) + P_{t+1}(u,v).
+
+    c4 comes from least squares on log(t (P_t + P_{t+1})) against
+    d^2/t; c3 is then the largest constant with zero violations over
+    all 1 <= d(u,v) <= t <= t_max.
+    """
+    n = g.n
+    if n < 2:
+        raise ValueError("the Gaussian bound needs at least two nodes")
+    if t_max < 1:
+        raise ValueError(f"the Gaussian bound needs t_max >= 1, not {t_max}")
+    if n > GAUSSIAN_MAX_NODES:
+        raise SolverError(f"dense matrix powers capped at {GAUSSIAN_MAX_NODES} nodes")
+    p = _transition_matrix(g, lazy_prob)
+    dist = g._hops
+
+    def steps():
+        """(t, mask, P_t + P_{t+1}, d^2) on the constraints mask = 1 <= d <= t,
+        for t = 1 .. t_max.  Each pass recomputes the powers, so memory does
+        not grow with t_max."""
+        pt = p.copy()  # P^1
+        for t in range(1, t_max + 1):
+            pt1 = pt @ p
+            mask = (dist >= 1) & (dist <= t)
+            yield t, mask, (pt + pt1)[mask], dist[mask].astype(float) ** 2
+            pt = pt1
+
+    # pass 1: violations, and the least-squares sums of log(t q) on d^2/t
+    violations = []
+    count = sx = sy = sxx = sxy = 0.0
+    for t, mask, q, d2 in steps():
+        zero = q <= 0
+        if np.any(zero):
+            for (u, v), val in zip(np.argwhere(mask)[zero], q[zero]):
+                violations.append((int(u), int(v), t, float(val)))
+        x = d2[~zero] / t
+        y = np.log(t * q[~zero])
+        count += len(x)
+        sx += x.sum()
+        sy += y.sum()
+        sxx += x @ x
+        sxy += x @ y
+    if violations:
+        return GaussianBoundReport(0.0, 0.0, t_max, lazy_prob, False, violations)
+    # the normal equations of the fit; lstsq keeps the minimum-norm answer
+    # when every constraint has the same d^2/t (t_max = 1)
+    (slope, _), *_ = np.linalg.lstsq(np.array([[sxx, sx], [sx, count]]),
+                                     np.array([sxy, sy]), rcond=None)
+    c4 = -1.0 / slope if slope < 0 else math.inf
+    # pass 2: c3, the largest constant with zero violations
+    c3 = math.inf
+    for t, _, q, d2 in steps():
+        tq = t * q
+        c3 = min(c3, float((tq if math.isinf(c4) else tq * np.exp(d2 / t / c4)).min()))
+    return GaussianBoundReport(float(c3), float(c4), t_max, lazy_prob, c3 > 0, [])

@@ -1,8 +1,12 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+import reference_loops
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.sparse import diags, identity, kron
 from scipy.sparse.linalg import splu
 
@@ -536,6 +540,72 @@ def test_gaussian_bound_size_cap():
 def test_gaussian_bound_needs_a_step():
     with pytest.raises(ValueError, match="t_max >= 1"):
         an.check_gaussian_bound(generate(GraphSpec.ring(6)), 0)
+
+
+@pytest.mark.parametrize("t_max, lazy_prob, message", [
+    (5, math.nan, "0 <= lazy_prob <= 1, not nan"),
+    (5, 1.5, "0 <= lazy_prob <= 1, not 1.5"),
+    (5, -0.5, "0 <= lazy_prob <= 1, not -0.5"),
+    (5, "0.5", "0 <= lazy_prob <= 1, not '0.5'"),
+    (2.5, 0.5, "an integer t_max, not 2.5"),
+    (True, 0.5, "an integer t_max, not True"),
+    ("3", 0.5, "an integer t_max, not '3'"),
+])
+def test_gaussian_bound_refuses_what_is_not_a_walk_or_a_step_count(t_max, lazy_prob, message):
+    with pytest.raises(ValueError, match=re.escape(message)) as err:
+        an.check_gaussian_bound(generate(GraphSpec.ring(6)), t_max, lazy_prob)
+    assert "\n" not in str(err.value)
+
+
+def test_gaussian_bound_refuses_a_graph_without_edges():
+    with pytest.raises(ValueError, match="needs a graph with an edge"):
+        an.check_gaussian_bound(Graph(3, ((), (), ()), "edges", 0), 4)
+
+
+def test_gaussian_bound_takes_numpy_integers_and_both_ends_of_the_lazy_range():
+    g = generate(GraphSpec.ring(6))
+    assert an.check_gaussian_bound(g, np.int64(3)) == an.check_gaussian_bound(g, 3)
+    assert an.check_gaussian_bound(g, 3, lazy_prob=0).feasible
+    # P = I, so every constraint fails: 12 pairs at d = 1, 12 at d = 2, 6 at d = 3
+    stay = an.check_gaussian_bound(g, 3, lazy_prob=1)
+    assert not stay.feasible and len(stay.violations) == 12 + 24 + 30
+
+
+@st.composite
+def gaussian_cases(draw):
+    """A graph, a t_max from 1 to past its diameter, and a lazy probability:
+    0 (on bipartite rings, grids and even tori too), 1/2, 1 (every
+    constraint fails), just below 1 (the far ones underflow to 0) or any."""
+    spec = draw(st.one_of(
+        st.builds(GraphSpec.ring, st.integers(2, 70)),
+        st.builds(GraphSpec.torus, st.integers(3, 7)),
+        st.builds(GraphSpec.grid2d, st.integers(2, 7)),
+        st.builds(GraphSpec.clique, st.integers(2, 9)),
+        st.builds(GraphSpec.rgg, st.integers(2, 60), seed=st.integers(0, 1000)),
+        st.builds(GraphSpec.random_regular, st.integers(5, 40), st.just(4),
+                  seed=st.integers(0, 1000)),
+    ))
+    g = generate(spec)
+    t_max = draw(st.integers(1, int(g._hops.max()) + 3))
+    lazy_prob = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1 - 2**-52, 1 - 2**-40]),
+                               st.floats(0.0, 1.0)))
+    return g, t_max, lazy_prob
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=gaussian_cases())
+@example(case=(generate(GraphSpec.ring(8)), 6, 0.0))
+@example(case=(generate(GraphSpec.grid2d(5)), 9, 0.0))
+@example(case=(generate(GraphSpec.ring(60)), 30, 1 - 2**-52))
+@example(case=(generate(GraphSpec.torus(4, 2)), 3, 1.0))
+def test_gaussian_bound_matches_the_two_pass_reference(case):
+    # repr spells every float exactly, so equal reprs are equal bits
+    g, t_max, lazy_prob = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # exp overflows as c4 -> 0
+        got = an.check_gaussian_bound(g, t_max, lazy_prob)
+        want = reference_loops.check_gaussian_bound(g, t_max, lazy_prob)
+    assert repr(got) == repr(want)
 
 
 def test_gaussian_bound_memory_does_not_grow_with_t_max():

@@ -73,13 +73,16 @@ def test_bench_writes_medians_quartiles_digests_and_layers(tmp_path):
     assert run_out["end_to_end"]["wall_s"] == {"median": 0.30000000000000004, "q1": 0.2,
                                                "q3": 0.4}
     assert run_out["digests"] == {str(s): f"d{s}" for s in range(1, 6)}
-    assert run_out["per_layer"] == {"protocols.cfld_s": 0.1}
+    # the traced runs on seeds 1 to 3 print 0.1, 0.2 and 0.3
+    assert run_out["per_layer"] == {"protocols.cfld_s": {"median": 0.2, "q1": 0.15000000000000002,
+                                                         "q3": 0.25}}
     assert (run_out["correct"], run_out["attempted"], run_out["failed"]) == (True, 50, 0)
     assert len(bench["notes"]) == 6
     assert any("one discarded --size tiny --seconds 1 run" in note for note in bench["notes"])
     calls = (tmp_path / "calls.log").read_text().splitlines()
     assert calls[0] == "--workload run_out --seed 1 --seconds 1 --trace 0 --size tiny"
-    assert len(calls) == 7 and all(call.endswith("--size full") for call in calls[1:])
+    assert len(calls) == 9 and all(call.endswith("--size full") for call in calls[1:])
+    assert [call.split()[3] for call in calls[1:] if "--trace 1" in call] == ["1", "2", "3"]
     micro = bench["micro"]
     assert (micro["trial"], micro["trials"]) == ("clique-4 CRW, init + run", 20_000)
     assert len(micro["us"]) == 3 and micro["best_us"] == min(micro["us"]) > 0

@@ -8,21 +8,21 @@ Runs ``perfbench/run.py`` of the checkout at ``--root`` as a subprocess,
 one run at a time: first one discarded ``--size tiny --seconds 1`` run of
 the first workload, then, each for the ``run_seconds`` of its
 ``BENCHMARK.json``, each workload untraced (``--trace 0``) on seeds 1 to
-5 and traced (``--trace 1``) on seed 1.  Then times a clique-4 CRW trial
-(``init`` + ``run``) in a fresh process: the mean over 20 000 trials,
-three times.  Then runs the checkout's Tier-1 tests once
+5 and traced (``--trace 1``) on seeds 1 to 3.  Then times a clique-4 CRW
+trial (``init`` + ``run``) in a fresh process: the mean over 20 000
+trials, three times.  Then runs the checkout's Tier-1 tests once
 (``python -m pytest -q --continue-on-collection-errors`` with
 ``<root>/src`` on ``PYTHONPATH``).  The file holds the measured tree
 (whether ``git status --porcelain -- src tests`` lists any change, null
 outside a git checkout, and a SHA-256 over the files of
 ``src/tokengossip``), the environment stamp that the harness prints, the
-median and quartiles of each end-to-end metric over the seeds, each run's
-digest, the per-layer metrics of the traced run, the trial's cost per
-repeat and the best of them (``micro``), the Tier-1 counts, failed test
-ids and wall time, and notes on known faults of the harness, which this
-script records rather than edits.  A failed perfbench run or trial
-timing, or a Tier-1 run that exits with neither 0 nor 1 (1: some test
-failed), stops it.
+median and quartiles of each end-to-end metric over the untraced seeds,
+each run's digest, the median and quartiles of each per-layer metric
+over the traced seeds, the trial's cost per repeat and the best of them
+(``micro``), the Tier-1 counts, failed test ids and wall time, and notes
+on known faults of the harness, which this script records rather than
+edits.  A failed perfbench run or trial timing, or a Tier-1 run that
+exits with neither 0 nor 1 (1: some test failed), stops it.
 """
 from __future__ import annotations
 
@@ -38,6 +38,7 @@ import time
 from pathlib import Path
 
 SEEDS = (1, 2, 3, 4, 5)
+TRACED_SEEDS = (1, 2, 3)  # one traced pass cannot tell a 10-15% layer change from drift
 MICRO_TRIALS, MICRO_REPEATS = 20_000, 3
 
 # the clique-4 CRW trial, timed in the checkout's package; prints the mean
@@ -190,9 +191,12 @@ def main() -> int:
             "failed": sum(r["failed"] for r in runs),
             "attempted": sum(r["attempted"] for r in runs),
         }
-        print(f"bench: {workload} traced, seed {SEEDS[0]}", file=sys.stderr, flush=True)
-        traced = perfbench(args.root, workload, SEEDS[0], seconds, 1)
-        bench["workloads"][workload]["per_layer"] = traced["metrics"]
+        traced = []
+        for seed in TRACED_SEEDS:
+            print(f"bench: {workload} traced, seed {seed}", file=sys.stderr, flush=True)
+            traced.append(perfbench(args.root, workload, seed, seconds, 1))
+        bench["workloads"][workload]["per_layer"] = {
+            name: spread([r["metrics"][name] for r in traced]) for name in traced[0]["metrics"]}
     print("bench: clique-4 trial", file=sys.stderr, flush=True)
     bench["micro"] = micro(args.root)
     print("bench: tier-1 tests", file=sys.stderr, flush=True)
