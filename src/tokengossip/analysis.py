@@ -128,7 +128,10 @@ def resistance_report(g: Graph) -> ResistanceReport:
     if n > 4000:
         raise SolverError("dense resistance table capped at 4000 nodes")
     lap = laplacian(g.adjacency_matrix).toarray()
-    lplus = np.linalg.pinv(lap, hermitian=True)
+    # eigh returns the Laplacian's null eigenvalue at up to about n eps times
+    # the largest; pinv's default cutoff, 1e-15 times the largest, can keep
+    # it, and its inverse then swamps every entry of L+
+    lplus = np.linalg.pinv(lap, hermitian=True, rtol=None)
     d = np.diag(lplus)
     rho = d[:, None] + d[None, :] - 2 * lplus
     np.fill_diagonal(rho, 0.0)

@@ -128,6 +128,17 @@ def test_resistance_symmetry_and_triangle():
         assert rho[u, w] <= rho[u, v] + rho[v, w] + 1e-9
 
 
+def test_resistance_drops_a_null_eigenvalue_above_the_default_cutoff():
+    # eigh puts this Laplacian's null eigenvalue at 4.6e-14, above pinv's
+    # default cutoff of 1e-15 times the largest (41.7); kept, it made L+'s
+    # entries about 1.4e11 and the table disagree with the grounded solve
+    g = generate(GraphSpec.rgg(150, seed=1169379991))
+    rho = an.resistance_report(g).rho
+    # L + 11^T/n is invertible on a connected graph, and its inverse is L+ + 11^T/n
+    m = np.linalg.inv(an.laplacian(g.adjacency_matrix).toarray() + 1 / g.n)
+    assert np.allclose(rho, np.diag(m)[:, None] + np.diag(m)[None, :] - 2 * m, rtol=0, atol=1e-9)
+
+
 def test_rayleigh_monotonicity():
     # deleting an edge never decreases any effective resistance
     g = generate(GraphSpec.torus(3, 2))
