@@ -538,10 +538,8 @@ def check_gaussian_bound(g: Graph, t_max: int, lazy_prob: float = 0.5) -> Gaussi
     d = np.arange(1, top + 1)
     live = d <= ts
     d2 = d.astype(float) ** 2
-    tq = (ts * qmin)[live]
-    if not math.isinf(c4):
-        tq = tq * np.exp((d2 / ts / c4)[live])
-    c3 = float(tq.min())
+    # with c4 = inf every factor is exp(0) = 1, and t q * 1 is t q exactly
+    c3 = float(((ts * qmin)[live] * np.exp((d2 / ts / c4)[live])).min())
     return GaussianBoundReport(c3, float(c4), t_max, lazy_prob, c3 > 0, [])
 
 
