@@ -1,13 +1,15 @@
 """Exact and Monte-Carlo analysis of random walks on the simulation graphs.
 
-Hitting and meeting times come from linear solves (dense fundamental
-matrix, or a sparse factorization over unordered pairs); meeting
-probabilities from the same chain over unordered pairs, uniformized
+Hitting times come from the dense fundamental matrix, meeting times
+from one eigendecomposition of the normalized Laplacian; meeting
+probabilities from the two-walk chain over unordered pairs, uniformized
 exactly; effective resistances from Laplacian solves on the
 unit-resistor network; token decay curves and the coalescing-walk counts
 from seeded Monte Carlo.  Discrete-step expectations equal continuous
 unit-rate expectations via the jump-and-hold construction, so one table
-serves both clocks.
+serves both clocks.  The last digits of a meeting table near the
+100-node cap depend on the number of BLAS threads; at a fixed count a
+rerun gives the same bits.
 """
 from __future__ import annotations
 
@@ -20,7 +22,6 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.sparse import csc_matrix, identity, kron
 from scipy.sparse.csgraph import laplacian
-from scipy.sparse.linalg import splu
 
 from .engine import Continuous, RngStream
 from .fusion import sum_fusion
@@ -40,6 +41,14 @@ class SolverError(RuntimeError):
 
 
 RESIDUAL_TOL = 1e-9  # largest relative residual a linear solve may leave
+
+
+def _check_connected(g: Graph, what: str) -> None:
+    """Refuse a graph with more than one component: its walks never meet
+    or hit across components, and a node without edges has no walk."""
+    count = g._components[0]
+    if count > 1:
+        raise ValueError(f"{what} needs a connected graph, not one of {count} components")
 
 
 # ----------------------------------------------------------------------
@@ -80,6 +89,7 @@ def mean_hitting_times(g: Graph) -> PairTimeTable:
         return PairTimeTable(np.zeros((1, 1)), 0.0)
     if n > 5000:
         raise SolverError("dense hitting-time solve capped at 5000 nodes")
+    _check_connected(g, "the hitting-time solve")
     p = _transition_matrix(g)
     deg = np.asarray(g.degrees, dtype=float)
     pi = deg / deg.sum()
@@ -90,7 +100,7 @@ def mean_hitting_times(g: Graph) -> PairTimeTable:
     res = h - 1.0 - p @ h
     np.fill_diagonal(res, 0.0)
     max_res = float(np.abs(res).max() / max(1.0, h.max()))
-    if max_res > RESIDUAL_TOL:
+    if not max_res <= RESIDUAL_TOL:
         raise SolverError(f"hitting-time residual {max_res:.2e} above {RESIDUAL_TOL:.0e}")
     return PairTimeTable(h, max_res)
 
@@ -127,6 +137,7 @@ def resistance_report(g: Graph) -> ResistanceReport:
     n = g.n
     if n > 4000:
         raise SolverError("dense resistance table capped at 4000 nodes")
+    _check_connected(g, "the resistance table")
     lap = laplacian(g.adjacency_matrix).toarray()
     # eigh returns the Laplacian's null eigenvalue at up to about n eps times
     # the largest; pinv's default cutoff, 1e-15 times the largest, can keep
@@ -146,10 +157,10 @@ def resistance_report(g: Graph) -> ResistanceReport:
         b = (np.arange(n) == u)[keep].astype(float)
         x = np.linalg.solve(reduced, b)
         res = np.linalg.norm(reduced @ x - b)
-        if res > RESIDUAL_TOL:
+        if not res <= RESIDUAL_TOL:
             raise SolverError(f"resistance solve residual {res:.2e}")
         direct = x[u - (u > v)]
-        if abs(direct - rho[u, v]) > RESIDUAL_TOL * max(1.0, direct):
+        if not abs(direct - rho[u, v]) <= RESIDUAL_TOL * max(1.0, direct):
             raise SolverError("pseudo-inverse and grounded solves disagree")
     return ResistanceReport(rho=rho, rho_star=float(rho[u, v]), argmax=(u, v), edges=g.m)
 
@@ -159,21 +170,28 @@ def resistance_report(g: Graph) -> ResistanceReport:
 # ----------------------------------------------------------------------
 
 
-MEETING_MAX_NODES = 100  # largest graph whose pair chain is built
+MEETING_MAX_NODES = 100  # largest graph of mean_meeting_times and estimate_alpha
+
+
+def _check_meeting_cap(n: int) -> None:
+    if n > MEETING_MAX_NODES:
+        raise SolverError(f"meeting times and probabilities capped at {MEETING_MAX_NODES} nodes")
 
 
 def _pair_chain(g: Graph) -> tuple:
     """The two-walk chain on unordered pairs: (x, y, S) with the k =
-    n(n-1)/2 pairs x < y and the k x k substochastic step matrix S.
+    n(n-1)/2 pairs x < y and the k x k substochastic step matrix S, which
+    ``estimate_alpha`` takes powers of.
 
     The product chain jumps at total rate 2; each jump moves one of the
     two walks, chosen fairly, and the diagonal absorbs.  Row x * n + y of
     (P kron I + I kron P) / 2, its columns (a, b) folded onto the pair
-    {a, b} and the diagonal ones dropped, is row (x, y) of S.
+    {a, b} and the diagonal ones dropped, is row (x, y) of S.  Mean
+    meeting times solve (I - S) M = 1/2 on this chain too, but
+    :func:`mean_meeting_times` takes them from n x n matrices instead.
     """
     n = g.n
-    if n > MEETING_MAX_NODES:
-        raise SolverError(f"meeting times and probabilities capped at {MEETING_MAX_NODES} nodes")
+    _check_meeting_cap(n)
     x, y = np.triu_indices(n, 1)
     k = len(x)
     pair = np.full((n, n), -1)
@@ -187,30 +205,52 @@ def _pair_chain(g: Graph) -> tuple:
 
 
 def mean_meeting_times(g: Graph) -> PairTimeTable:
-    """Exact sparse solve of pairwise meeting times.
+    """Pairwise mean meeting times of two unit-rate walks, from one
+    eigendecomposition of the n x n normalized Laplacian.
 
-    M(x, y) = M(y, x) and the diagonal is 0, so the unknowns are the
-    pairs x < y of :func:`_pair_chain`, and M = 1/2 + S M: the pair
-    chain holds for 1/2 on average before each jump.  Capped at
-    ``MEETING_MAX_NODES`` nodes.
+    Off the diagonal M = 1/2 + (PM + MP^T)/2, and M(x, x) = 0; with
+    L = I - P that is LM + ML^T = J + diag(c) for an unknown vector c.
+    Let I - D^-1/2 A D^-1/2 = U diag(lam) U^T, with lam_0 set to 0 (its
+    eigenvector is sqrt(d / 2m)), and K_ij = 1 / (lam_i + lam_j) with
+    K_00 = 0.  J lies wholly in the null mode, so
+    M = D^-1/2 U (K o U^T diag(e) U) U^T D^-1/2 + beta.  The n + 1
+    unknowns solve [[F, d], [d^T, 0]] [e; beta] = [0; -(2m)^2], with
+    F(x, y) = sum_ij U_xi U_yi K_ij U_xj U_yj: its first n rows set
+    M(x, x) = 0 and its last makes the null mode solvable.  O(n^4) flops
+    and O(n^3) memory.  The table mirrors its upper triangle, so it is
+    exactly symmetric, and its residual is read off the pair equations
+    with P.  Capped at ``MEETING_MAX_NODES`` nodes.
     """
-    if g.n == 1:
+    n = g.n
+    _check_meeting_cap(n)
+    if n == 1:
         return PairTimeTable(np.zeros((1, 1)), 0.0)
-    x, y, step = _pair_chain(g)
-    k = len(x)
-    mat = identity(k, format="csc") - step
-    rhs = np.full(k, 0.5)
-    # I - S is a diagonally dominant M-matrix, so its pivots may stay on the
-    # diagonal; a minimum-degree order of its symmetric pattern has the least
-    # fill of SuperLU's orderings on tori, grids, rings, rgg and regular graphs
-    sol = splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-               options={"SymmetricMode": True}).solve(rhs)
-    max_res = float(np.abs(mat @ sol - rhs).max() / max(1.0, sol.max()))
-    if max_res > RESIDUAL_TOL:
+    _check_connected(g, "the meeting-time solve")
+    deg = np.asarray(g.degrees, dtype=float)
+    scale = 1.0 / np.sqrt(deg)
+    lam, u = np.linalg.eigh(np.eye(n) - scale[:, None] * g.adjacency_matrix.toarray() * scale)
+    lam[0] = 0.0
+    pair_sum = lam[:, None] + lam
+    pair_sum[0, 0] = math.inf
+    k = 1.0 / pair_sum
+    z = (u[:, None, :] * u[None, :, :]).reshape(n * n, n)  # row x n + y: U_xi U_yi
+    border = np.zeros((n + 1, n + 1))
+    border[:n, :n] = np.einsum("ri,ri->r", z @ k, z).reshape(n, n)
+    border[:n, n] = border[n, :n] = deg
+    rhs = np.zeros(n + 1)
+    rhs[n] = -deg.sum() ** 2
+    sol = np.linalg.solve(border, rhs)
+    e, beta = sol[:n], sol[n]
+    m = scale[:, None] * (u @ (k * (u.T @ (e[:, None] * u))) @ u.T) * scale + beta
+    m = np.triu(m, 1)
+    m += m.T
+    pm = g.transition_matrix @ m
+    res = m - 0.5 - 0.5 * (pm + pm.T)
+    np.fill_diagonal(res, 0.0)
+    max_res = float(np.abs(res).max() / max(1.0, m.max()))
+    if not max_res <= RESIDUAL_TOL:
         raise SolverError(f"meeting-time residual {max_res:.2e} above {RESIDUAL_TOL:.0e}")
-    entry = np.zeros((g.n, g.n))
-    entry[x, y] = entry[y, x] = sol
-    return PairTimeTable(entry, max_res)
+    return PairTimeTable(m, max_res)
 
 
 def worst_case_meeting(g: Graph) -> float:
@@ -539,7 +579,8 @@ def check_gaussian_bound(g: Graph, t_max: int, lazy_prob: float = 0.5) -> Gaussi
     live = d <= ts
     d2 = d.astype(float) ** 2
     # with c4 = inf every factor is exp(0) = 1, and t q * 1 is t q exactly
-    c3 = float(((ts * qmin)[live] * np.exp((d2 / ts / c4)[live])).min())
+    with np.errstate(over="ignore"):  # a factor that overflows to inf allows any c3
+        c3 = float(((ts * qmin)[live] * np.exp((d2 / ts / c4)[live])).min())
     return GaussianBoundReport(c3, float(c4), t_max, lazy_prob, c3 > 0, [])
 
 

@@ -42,6 +42,12 @@ loops over (u, R, delta) and over the rows, each with its own distance
 call, and the induced ball taken as a scipy submatrix.  The array code
 must give equal reports, float for float.
 
+``mean_meeting_times`` solves the meeting times on the two-walk chain over
+the n(n-1)/2 unordered pairs, (I - S) M = 1/2, by a sparse LU.
+``tokengossip.analysis.mean_meeting_times`` takes them from one
+eigendecomposition of the n x n normalized Laplacian; the two must agree
+to rounding.
+
 ``check_gaussian_bound`` is the heat-kernel bound fitted in two passes
 over the matrix powers: the first gathers the violations and the least
 squares sums, the second forms every power again to take c3 as a minimum
@@ -53,14 +59,18 @@ import math
 from typing import Iterable, Tuple
 
 import numpy as np
-from scipy.sparse import triu
+from scipy.sparse import identity, triu
 from scipy.sparse.csgraph import laplacian
+from scipy.sparse.linalg import splu
 
 from tokengossip import _walk
 from tokengossip.analysis import (
     GAUSSIAN_MAX_NODES,
+    RESIDUAL_TOL,
     GaussianBoundReport,
+    PairTimeTable,
     SolverError,
+    _pair_chain,
     _transition_matrix,
 )
 from tokengossip.engine import SynchronousDiscrete
@@ -714,3 +724,29 @@ def check_gaussian_bound(g: Graph, t_max: int, lazy_prob: float = 0.5) -> Gaussi
         tq = t * q
         c3 = min(c3, float((tq if math.isinf(c4) else tq * np.exp(d2 / t / c4)).min()))
     return GaussianBoundReport(float(c3), float(c4), t_max, lazy_prob, c3 > 0, [])
+
+
+def mean_meeting_times(g: Graph) -> PairTimeTable:
+    """Exact sparse solve of pairwise meeting times.
+
+    M(x, y) = M(y, x) and the diagonal is 0, so the unknowns are the
+    pairs x < y of ``_pair_chain``, and M = 1/2 + S M: the pair chain
+    holds for 1/2 on average before each jump.
+    """
+    if g.n == 1:
+        return PairTimeTable(np.zeros((1, 1)), 0.0)
+    x, y, step = _pair_chain(g)
+    k = len(x)
+    mat = identity(k, format="csc") - step
+    rhs = np.full(k, 0.5)
+    # I - S is a diagonally dominant M-matrix, so its pivots may stay on the
+    # diagonal; a minimum-degree order of its symmetric pattern has the least
+    # fill of SuperLU's orderings on tori, grids, rings, rgg and regular graphs
+    sol = splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+               options={"SymmetricMode": True}).solve(rhs)
+    max_res = float(np.abs(mat @ sol - rhs).max() / max(1.0, sol.max()))
+    if max_res > RESIDUAL_TOL:
+        raise SolverError(f"meeting-time residual {max_res:.2e} above {RESIDUAL_TOL:.0e}")
+    entry = np.zeros((g.n, g.n))
+    entry[x, y] = entry[y, x] = sol
+    return PairTimeTable(entry, max_res)

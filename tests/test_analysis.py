@@ -200,11 +200,6 @@ def test_meeting_bounded_by_hitting():
         assert an.worst_case_meeting(g) <= an.worst_case_hitting(g) + 1e-9
 
 
-def test_meeting_cap():
-    with pytest.raises(an.SolverError):
-        an.mean_meeting_times(generate(GraphSpec.ring(101)))
-
-
 def product_chain_meeting_times(g):
     # independent oracle: the full n^2-state product chain, diagonal absorbing
     n = g.n
@@ -249,6 +244,27 @@ def test_meeting_cap_names_the_node_count():
         an.mean_meeting_times(generate(GraphSpec.ring(101)))
 
 
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(spec=st.one_of(
+    st.builds(GraphSpec.ring, st.integers(2, 40)),
+    st.builds(GraphSpec.torus, st.integers(3, 6)),
+    st.builds(GraphSpec.grid2d, st.integers(2, 6)),
+    st.builds(GraphSpec.rgg, st.integers(2, 40), seed=st.integers(0, 1000)),
+    st.builds(GraphSpec.random_regular, st.integers(5, 40), st.just(4),
+              seed=st.integers(0, 1000)),
+))
+@example(spec=GraphSpec.ring(100))
+@example(spec=GraphSpec.torus(10, 2))
+def test_meeting_matches_the_pair_chain_lu(spec):
+    # the eigendecomposition against the sparse LU over the n(n-1)/2 pairs
+    g = generate(spec)
+    table = an.mean_meeting_times(g).entry
+    want = reference_loops.mean_meeting_times(g).entry
+    assert np.abs(table - want).max() <= 1e-10 * want.max()
+    assert np.array_equal(table, table.T)
+    assert not np.diag(table).any()
+
+
 def test_alpha_stops_its_poisson_sum_once_every_survival_is_below_the_tail(monkeypatch):
     # S is substochastic, so once every entry of S^j 1 is at most e^-50 the
     # rest of the sum adds at most that: the sum stops at the first such j
@@ -277,6 +293,32 @@ def test_meeting_residual_above_tolerance_raises(monkeypatch):
     monkeypatch.setattr(an, "RESIDUAL_TOL", 0.0)
     with pytest.raises(an.SolverError, match="meeting-time residual"):
         an.mean_meeting_times(generate(GraphSpec.rgg(25, seed=4)))
+
+
+@pytest.mark.parametrize("solve, what", [
+    (an.mean_hitting_times, "the hitting-time solve"),
+    (an.mean_meeting_times, "the meeting-time solve"),
+    (an.resistance_report, "the resistance table"),
+], ids=["hitting", "meeting", "resistance"])
+@pytest.mark.parametrize("g", [
+    Graph(3, ((1,), (0,), ()), "hand", 0),  # a node without edges
+    Graph(4, ((1,), (0,), (3,), (2,)), "hand", 0),  # two K2
+], ids=["isolated_node", "two_k2"])
+def test_exact_solves_refuse_a_disconnected_graph(g, solve, what):
+    # without the guard, meeting gave M(0, 2) = 1 on the first graph and
+    # hitting an inf table whose nan residual passed its check
+    with pytest.raises(ValueError, match=rf"^{what} needs a connected graph, not one of 2 components$"):
+        solve(g)
+
+
+@pytest.mark.parametrize("solve", [an.mean_hitting_times, an.mean_meeting_times,
+                                   an.resistance_report],
+                         ids=["hitting", "meeting", "resistance"])
+def test_residual_checks_fail_on_nan(monkeypatch, solve):
+    # every check reads "not residual <= tolerance", which a nan fails
+    monkeypatch.setattr(an, "RESIDUAL_TOL", math.nan)
+    with pytest.raises(an.SolverError):
+        solve(generate(GraphSpec.ring(6)))
 
 
 # -- alpha estimates -------------------------------------------------------------
@@ -617,6 +659,19 @@ def test_gaussian_bound_matches_the_two_pass_reference(case):
         got = an.check_gaussian_bound(g, t_max, lazy_prob)
         want = reference_loops.check_gaussian_bound(g, t_max, lazy_prob)
     assert repr(got) == repr(want)
+
+
+def test_gaussian_bound_lets_no_overflow_warning_escape():
+    # near lazy_prob = 1 the fitted c4 is tiny and c3's exp(d^2 / (t c4))
+    # overflows to inf, which the report absorbs without a warning
+    g = generate(GraphSpec.ring(40))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = an.check_gaussian_bound(g, 30, 1 - 2**-52)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = reference_loops.check_gaussian_bound(g, 30, 1 - 2**-52)
+    assert got.feasible and repr(got) == repr(want)
 
 
 def test_gaussian_bound_memory_does_not_grow_with_t_max():
