@@ -305,8 +305,8 @@ def test_meeting_residual_above_tolerance_raises(monkeypatch):
     Graph(4, ((1,), (0,), (3,), (2,)), "hand", 0),  # two K2
 ], ids=["isolated_node", "two_k2"])
 def test_exact_solves_refuse_a_disconnected_graph(g, solve, what):
-    # without the guard, meeting gave M(0, 2) = 1 on the first graph and
-    # hitting an inf table whose nan residual passed its check
+    # walks never meet or hit across components, so no finite table exists;
+    # unguarded, a solve can still return one, or an inf table with a nan residual
     with pytest.raises(ValueError, match=rf"^{what} needs a connected graph, not one of 2 components$"):
         solve(g)
 
