@@ -201,15 +201,17 @@ def _bind(state) -> tuple:
     """``state``'s kernel entry point, the arguments of its calls (the
     graph's CSR arrays, the status view, the bit generator's ``bitgen_t*``,
     the draw blocks and the buffers, none of which change over the state's
-    life) and its generator's lock."""
+    life) and its generator's lock.  The graph's arrays may be read-only,
+    which ``_address`` refuses."""
     lib = load()
-    n, (indptr, indices) = state.graph.n, state.graph.csr
+    g = state.graph
+    n = g.n
     kind = FusionKind.WEIGHTED_AVG if state.kind == "gossip" else state.fusion.kind
     bits = state._rng.bit_generator
     tail = ((ctypes.c_uint8 * n).from_buffer(state.status),
             lib.bitgen(bits.capsule, b"BitGenerator"), _address(state.ublock),
             state.ublock.size, _address(state._ints), _address(state._floats))
-    head = (n, _address(indptr), _address(indices), _FUSION[kind])
+    head = (n, g.offsets.ctypes.data, g.flat.ctypes.data, _FUSION[kind])
     if isinstance(state.clock, SynchronousDiscrete):
         return lib.tg_walk_discrete, head + tail, bits.lock
     hybrid = state.kind in ("gossip", "hybrid_k")

@@ -8,7 +8,7 @@ isoperimetry constants that control how fast coalescing walks thin out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from numbers import Real
 from pathlib import Path
@@ -104,44 +104,85 @@ def default_rgg_radius(n: int) -> float:
     return math.sqrt(2.0 * math.log(n) / n)
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """An immutable simple undirected graph with generator provenance.
 
-    ``adjacency`` holds per-node sorted neighbor tuples; ``coords`` is
-    only set for geometric graphs.  Instances are safe to share across
-    concurrent trial executors.  The sparse ``adjacency_matrix`` and
-    ``transition_matrix`` are built once, on first use, and shared by
+    Node u's neighbours are ``flat[offsets[u]:offsets[u + 1]]`` (CSR layout;
+    generated and loaded graphs keep each row sorted), and ``coords`` is an
+    (n, 2) array for geometric graphs.  The constructor keeps write-protected
+    int64 and float64 copies of them, and raises ValueError for arrays the
+    walk kernel would read past: non-integer ones, offsets that do not rise
+    from 0 to ``len(flat)`` in n steps, a neighbour outside [0, n).
+    Rows may be asymmetric or empty.  Graphs compare by n, kind, seed and
+    arrays (not ``attempts``), and are not hashable.  Instances are safe to
+    share across concurrent trial executors.  The sparse ``adjacency_matrix``
+    and ``transition_matrix`` are built once, on first use, and shared by
     every caller: treat them as read-only.
     """
 
     n: int
-    adjacency: Tuple[Tuple[int, ...], ...]
+    offsets: np.ndarray
+    flat: np.ndarray
     kind: str
     seed: int
-    coords: Optional[Tuple[Tuple[float, float], ...]] = None
-    attempts: int = field(default=1, compare=False)  # generator retries used
+    coords: Optional[np.ndarray] = None
+    attempts: int = 1  # generator retries used
 
     def __post_init__(self):
-        if self.n <= 0:
+        n = self.n
+        if n <= 0:
             raise ValueError("graph must have at least one node")
-        if len(self.adjacency) != self.n:
-            raise ValueError("adjacency length does not match node count")
+        for name, dtype in (("offsets", np.int64), ("flat", np.int64), ("coords", np.float64)):
+            a = getattr(self, name)
+            if a is None:  # no coords
+                continue
+            a = np.asarray(a)
+            if dtype is np.int64 and a.dtype.kind not in "iu":
+                raise ValueError(f"{name} must hold integers, not {a.dtype}")
+            # a copy: the kernel trusts these checks, so no caller may write to it
+            a = np.array(a, dtype=dtype, order="C")
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        offsets, flat = self.offsets, self.flat
+        if offsets.shape != (n + 1,):
+            raise ValueError(f"offsets must hold n + 1 = {n + 1} entries, not {offsets.shape}")
+        if offsets[0] != 0:
+            raise ValueError(f"offsets must start at 0, not {offsets[0]}")
+        if np.any(offsets[1:] < offsets[:-1]):
+            u = np.argmax(offsets[1:] < offsets[:-1])
+            raise ValueError(f"offsets must not decrease, as they do after node {u}")
+        if flat.shape != (offsets[-1],):
+            raise ValueError(f"offsets end at {offsets[-1]}, but flat has shape {flat.shape}")
+        if len(flat) and not 0 <= flat.min() <= flat.max() < n:
+            bad = flat.min() if flat.min() < 0 else flat.max()
+            raise ValueError(f"neighbour {bad} lies outside the graph's nodes [0, {n})")
+        if self.coords is not None and self.coords.shape != (n, 2):
+            raise ValueError(f"coords must have shape ({n}, 2), not {self.coords.shape}")
 
-    @cached_property
-    def degrees(self) -> Tuple[int, ...]:
-        return tuple(len(a) for a in self.adjacency)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # np.array_equal(None, None) holds, and None equals no (n, 2) array
+        return (self.n, self.kind, self.seed) == (other.n, other.kind, other.seed) and all(
+            np.array_equal(getattr(self, f), getattr(other, f))
+            for f in ("offsets", "flat", "coords"))
 
-    @cached_property
+    @property
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    @property
     def m(self) -> int:
         """Number of undirected edges."""
-        return sum(self.degrees) // 2
+        return int(self.offsets[-1]) // 2
 
-    @cached_property
-    def edges(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(
-            (u, v) for u in range(self.n) for v in self.adjacency[u] if u < v
-        )
+    @property
+    def edges(self) -> np.ndarray:
+        """The (m, 2) pairs (u, v) with u < v, u-major, v in row order."""
+        src = np.repeat(np.arange(self.n), self.degrees)
+        keep = src < self.flat
+        return np.stack((src[keep], self.flat[keep]), axis=1)
 
     @cached_property
     def _components(self) -> Tuple[int, np.ndarray]:
@@ -158,51 +199,30 @@ class Graph:
     def _two_colouring(self) -> Optional[np.ndarray]:
         """Hop distances from node 0, mod 2, if they 2-colour the graph."""
         side = distances_from(self, 0) % 2
-        offsets, flat = self.csr
-        return None if np.any(np.repeat(side, np.diff(offsets)) == side[flat]) else side
-
-    @cached_property
-    def csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(offsets, flat neighbor array) in CSR layout, as int64 arrays for
-        the walk kernel (scipy keeps ``adjacency_matrix``'s as int32); raises
-        ValueError for a neighbour outside [0, n), which the kernel would
-        read past its arrays for."""
-        offsets = np.zeros(self.n + 1, dtype=np.int64)
-        offsets[1:] = np.cumsum(self.degrees)
-        flat = np.fromiter(
-            (v for a in self.adjacency for v in a), dtype=np.int64, count=offsets[-1]
-        )
-        if len(flat) and not 0 <= flat.min() <= flat.max() < self.n:
-            bad = flat.min() if flat.min() < 0 else flat.max()
-            raise ValueError(f"neighbour {bad} lies outside the graph's nodes [0, {self.n})")
-        return offsets, flat
+        return None if np.any(np.repeat(side, self.degrees) == side[self.flat]) else side
 
     @cached_property
     def adjacency_matrix(self) -> csr_matrix:
-        """Sparse 0/1 adjacency matrix A, laid out as ``csr``."""
-        offsets, flat = self.csr
-        return csr_matrix((np.ones(len(flat)), flat, offsets), shape=(self.n, self.n))
+        """Sparse 0/1 adjacency matrix A on ``offsets`` and ``flat`` (which
+        scipy copies to int32 when they fit)."""
+        return csr_matrix((np.ones(len(self.flat)), self.flat, self.offsets),
+                          shape=(self.n, self.n))
 
     @cached_property
     def transition_matrix(self) -> csr_matrix:
         """The simple random walk's sparse transition matrix D^-1 A."""
-        offsets, flat = self.csr
-        deg = np.diff(offsets)
-        return csr_matrix((1.0 / np.repeat(deg, deg), flat, offsets), shape=(self.n, self.n))
+        deg = self.degrees
+        return csr_matrix((1.0 / np.repeat(deg, deg), self.flat, self.offsets),
+                          shape=(self.n, self.n))
 
 
-def _build(
-    n: int,
-    edges,
-    kind: str,
-    seed: int,
-    coords=None,
-    attempts: int = 1,
-) -> Graph:
+def _build(n: int, edges, kind: str, seed: int, coords=None, attempts: int = 1) -> Graph:
     """The graph on nodes [0, n) with ``edges``, an (m, 2) int array-like of
-    node pairs.  Raises :class:`GraphGenerationError` for an endpoint outside
-    [0, n), and otherwise for the first edge, in input order, that is a
-    self-edge or repeats an earlier edge."""
+    node pairs, its ``offsets`` and ``flat`` laid out by one stable sort of
+    both directions of every edge, so each row is sorted.  Raises
+    :class:`GraphGenerationError` for an endpoint outside [0, n), and
+    otherwise for the first edge, in input order, that is a self-edge or
+    repeats an earlier edge."""
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     outside = ((e < 0) | (e >= n)).any(axis=1)
     if outside.any():
@@ -222,21 +242,9 @@ def _build(
         if a == b:
             raise GraphGenerationError(f"self-edge at node {a}")
         raise GraphGenerationError(f"duplicate edge ({min(a, b)},{max(a, b)})")
-    flat = dst[order]
     offsets = np.zeros(n + 1, dtype=np.int64)
     offsets[1:] = np.cumsum(np.bincount(src, minlength=n))
-    items, ends = flat.tolist(), offsets.tolist()
-    g = Graph(
-        n=n,
-        adjacency=tuple(tuple(items[s:t]) for s, t in zip(ends, ends[1:])),
-        kind=kind,
-        seed=seed,
-        coords=coords,
-        attempts=attempts,
-    )
-    # the rows are already laid out, and every endpoint was checked above
-    object.__setattr__(g, "csr", (offsets, flat))
-    return g
+    return Graph(n, offsets, dst[order], kind, seed, coords, attempts)
 
 
 # ----------------------------------------------------------------------
@@ -294,14 +302,8 @@ def rgg(n: int, seed: int, radius: float = 0.0) -> Graph:
         dy *= dy
         dx += dy
         close = dx <= r * r
-        g = _build(
-            n,
-            np.argwhere(np.triu(close, k=1)),
-            f"rgg{{r={r!r}}}",
-            seed,
-            coords=tuple(map(tuple, pts.tolist())),
-            attempts=attempt + 1,
-        )
+        g = _build(n, np.argwhere(np.triu(close, k=1)), f"rgg{{r={r!r}}}", seed, coords=pts,
+                   attempts=attempt + 1)
         if is_connected(g):
             return g
     raise GraphGenerationError(
@@ -356,13 +358,7 @@ def random_regular(n: int, degree: int, seed: int) -> Graph:
             stubs = [node for node, c in leftover.items() for _ in range(c)]
         if failed:
             continue
-        g = _build(
-            n,
-            list(edges),
-            f"random_regular{{d={degree}}}",
-            seed,
-            attempts=attempt + 1,
-        )
+        g = _build(n, list(edges), f"random_regular{{d={degree}}}", seed, attempts=attempt + 1)
         if is_connected(g):
             return g
     raise GraphGenerationError(
@@ -570,10 +566,9 @@ def check_isoperimetry(g: Graph, u: int, radius: int) -> IsoperimetryCertificate
     k = len(nodes)
     # the induced ball, its nodes renumbered 0 .. k-1 in order and -1 outside;
     # it is connected: each member's shortest path to u stays inside it
-    offsets, flat = g.csr
     local = np.full(g.n, -1)
     local[nodes] = np.arange(k)
-    src, dst = np.repeat(local, np.diff(offsets)), local[flat]
+    src, dst = np.repeat(local, g.degrees), local[g.flat]
     inside = (src >= 0) & (dst >= 0)
     src, dst = src[inside], dst[inside]
     deg = np.bincount(src, minlength=k)
@@ -616,9 +611,9 @@ def save_graph(g: Graph, path) -> None:
     Round-trips bit-exactly through :func:`load_graph`.
     """
     lines = [f"{g.n} {g.m} {g.kind} {g.seed}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
+    lines.extend(f"{u} {v}" for u, v in g.edges.tolist())
     if g.coords is not None:
-        lines.extend(f"c {x!r} {y!r}" for x, y in g.coords)
+        lines.extend(f"c {x!r} {y!r}" for x, y in g.coords.tolist())
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -675,7 +670,6 @@ def load_graph(path) -> Graph:
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise GraphFileError(f"line {k + 1}: coordinates {lines[k]!r} must be finite")
             coords.append((x, y))
-        coords = tuple(coords)
     g = _build(n, list(edges), kind, seed, coords=coords)
     if not is_connected(g):
         raise GraphFileError("graph is not connected")

@@ -431,8 +431,8 @@ def cfld_run(state: SimState) -> "Trace":
             "broken two-phase handoff"
         )
     k = len(origins)
-    offsets, flat = g.csr
-    deg = np.diff(offsets)
+    offsets, flat = g.offsets, g.flat
+    deg = g.degrees
     src = np.repeat(np.arange(n), deg)
     rounds = isinstance(state.clock, SynchronousDiscrete)
     if rounds:

@@ -101,10 +101,18 @@ SCALARS = ("t", "eta", "holder", "rounds", "active_active", "ui", "uf", "ei", "e
 LISTS = ("counts", "active_pos", "sends", "receives")
 
 
+def neighbours(g: Graph) -> list:
+    """Each node's neighbours as a list of ints, read off ``g.offsets`` and
+    ``g.flat``."""
+    flat, ends = g.flat.tolist(), g.offsets.tolist()
+    return [flat[s:t] for s, t in zip(ends, ends[1:])]
+
+
 class Lists:
     """A SimState as the reference loops step it: its values (decoded),
     counts, active list, active positions, sends and receives as Python
-    lists, and its scalars (draw cursors included), sharing its graph,
+    lists, its graph's ``neighbours`` (``nbr``), and its scalars (draw
+    cursors included), sharing its graph,
     clock, generator, draw blocks, status and curve.  ``store`` writes them
     back."""
 
@@ -117,6 +125,7 @@ class Lists:
             setattr(self, name, getattr(state, name).tolist())
         self.values = _walk._decode(state)
         self.active_list = state.active_list[:state.active_count].tolist()
+        self.nbr = neighbours(state.graph)
 
     def store(self) -> None:
         state = self.state
@@ -197,7 +206,7 @@ def handle_send(state: Lists, i: int) -> None:
     """
     if not state.status[i]:
         raise ProtocolError(f"send from inactive node {i}")
-    nbrs = state.graph.adjacency[i]
+    nbrs = state.nbr[i]
     if not nbrs:  # a lone node has no one to send to
         return
     j = nbrs[int(state.uniform() * len(nbrs))]
@@ -242,7 +251,7 @@ def synchronous_round(state: Lists) -> None:
     co-location after the round.
     """
     lazy = state.clock.lazy_prob if isinstance(state.clock, SynchronousDiscrete) else 0.0
-    nbr = state.graph.adjacency
+    nbr = state.nbr
     deliveries = []
     for i in list(state.active_list):
         if lazy and state.uniform() < lazy:
@@ -330,7 +339,7 @@ def run_gossip(sim: SimState, stop):
     exchanges = 0
     sends = state.sends
     receives = state.receives
-    nbr = state.graph.adjacency
+    nbr = state.nbr
     completed = first_passage is not None
     while not completed:
         if exchanges >= horizon:
@@ -407,7 +416,7 @@ def cfld_run(sim: SimState) -> "Trace":
     pending: list = []
     for oi, o in enumerate(origins):
         received[oi][o] = 1
-        if g.adjacency[o]:
+        if state.nbr[o]:
             pending.append((o, oi))
 
     fuse = state.fusion.fuse
@@ -415,7 +424,7 @@ def cfld_run(sim: SimState) -> "Trace":
     counts = state.counts
     sends = state.sends
     receives = state.receives
-    nbr = g.adjacency
+    nbr = state.nbr
     phase_start_eta = state.eta
 
     if isinstance(state.clock, SynchronousDiscrete):
@@ -510,9 +519,11 @@ def _build(
         seen.add((a, b))
         adj[a].append(b)
         adj[b].append(a)
+    rows = [sorted(a) for a in adj]
     return Graph(
         n=n,
-        adjacency=tuple(tuple(sorted(a)) for a in adj),
+        offsets=np.cumsum([0] + [len(a) for a in rows]),
+        flat=np.array([v for a in rows for v in a], dtype=np.int64),
         kind=kind,
         seed=seed,
         coords=coords,

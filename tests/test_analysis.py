@@ -71,7 +71,7 @@ def test_hitting_solver_vs_mc_torus():
     g = generate(GraphSpec.torus(5, 2))
     target = 12  # center-ish node; walks start at 0
     h = an.mean_hitting_times(g).entry
-    offsets, flat = g.csr
+    offsets, flat = g.offsets, g.flat
     deg = np.diff(offsets)
     rng = RngStream(43).generator()
     walks = 100_000
@@ -144,13 +144,13 @@ def test_rayleigh_monotonicity():
     g = generate(GraphSpec.torus(3, 2))
     before = an.resistance_report(g).rho
     rng = np.random.default_rng(3)
-    edges = list(g.edges)
-    for idx in rng.choice(len(edges), size=5, replace=False):
-        u, v = edges[int(idx)]
-        adj = [list(a) for a in g.adjacency]
+    for idx in rng.choice(g.m, size=5, replace=False):
+        u, v = g.edges[idx]
+        adj = reference_loops.neighbours(g)
         adj[u].remove(v)
         adj[v].remove(u)
-        cut = Graph(n=g.n, adjacency=tuple(tuple(a) for a in adj), kind="cut", seed=0)
+        cut = Graph(n=g.n, offsets=np.cumsum([0] + [len(a) for a in adj]),
+                    flat=np.concatenate(adj), kind="cut", seed=0)
         from tokengossip.graph import is_connected
 
         if not is_connected(cut):
@@ -301,8 +301,8 @@ def test_meeting_residual_above_tolerance_raises(monkeypatch):
     (an.resistance_report, "the resistance table"),
 ], ids=["hitting", "meeting", "resistance"])
 @pytest.mark.parametrize("g", [
-    Graph(3, ((1,), (0,), ()), "hand", 0),  # a node without edges
-    Graph(4, ((1,), (0,), (3,), (2,)), "hand", 0),  # two K2
+    Graph(3, [0, 1, 2, 2], [1, 0], "hand", 0),  # a node without edges
+    Graph(4, [0, 1, 2, 3, 4], [1, 0, 3, 2], "hand", 0),  # two K2
 ], ids=["isolated_node", "two_k2"])
 def test_exact_solves_refuse_a_disconnected_graph(g, solve, what):
     # walks never meet or hit across components, so no finite table exists;
@@ -612,7 +612,7 @@ def test_gaussian_bound_refuses_what_is_not_a_walk_or_a_step_count(t_max, lazy_p
 
 def test_gaussian_bound_refuses_a_graph_without_edges():
     with pytest.raises(ValueError, match="needs a graph with an edge"):
-        an.check_gaussian_bound(Graph(3, ((), (), ()), "edges", 0), 4)
+        an.check_gaussian_bound(Graph(3, [0, 0, 0, 0], np.zeros(0, dtype=int), "edges", 0), 4)
 
 
 def test_gaussian_bound_takes_numpy_integers_and_both_ends_of_the_lazy_range():

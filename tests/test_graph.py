@@ -31,10 +31,7 @@ from tokengossip.graph import _build
 
 
 def path_graph(n: int) -> Graph:
-    adj = tuple(
-        tuple(v for v in (i - 1, i + 1) if 0 <= v < n) for i in range(n)
-    )
-    return Graph(n=n, adjacency=adj, kind="path", seed=0)
+    return reference_loops._build(n, [(i, i + 1) for i in range(n - 1)], "path", 0)
 
 
 def test_clique_shape():
@@ -52,7 +49,7 @@ def test_torus_shape():
 
 def test_ring_edges():
     g = generate(GraphSpec.ring(4))
-    assert set(g.edges) == {(0, 1), (1, 2), (2, 3), (0, 3)}
+    assert g.edges.tolist() == [[0, 1], [0, 3], [1, 2], [2, 3]]
 
 
 def test_grid_degree_formula():
@@ -82,11 +79,12 @@ def test_adjacency_symmetric_no_self_edges():
         GraphSpec.random_regular(20, 4, seed=1),
     ):
         g = generate(spec)
+        nbr = reference_loops.neighbours(g)
         for u in range(g.n):
-            assert u not in g.adjacency[u]
-            assert len(set(g.adjacency[u])) == len(g.adjacency[u])
-            for v in g.adjacency[u]:
-                assert u in g.adjacency[v]
+            assert u not in nbr[u]
+            assert len(set(nbr[u])) == len(nbr[u])
+            for v in nbr[u]:
+                assert u in nbr[v]
         assert is_connected(g)
 
 
@@ -181,9 +179,10 @@ def test_distances_closed_forms():
 def assert_same_graph(g: Graph, h: Graph) -> None:
     """Equal graphs, with equal CSR arrays, degrees, edge counts and edges."""
     assert g == h
-    for a, b in zip(g.csr, h.csr):
+    for f in ("offsets", "flat", "degrees", "edges"):
+        a, b = getattr(g, f), getattr(h, f)
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert (g.degrees, g.m, g.edges) == (h.degrees, h.m, h.edges)
+    assert g.m == h.m
 
 
 def reference_build(n, edges, *args, **kwargs) -> Graph:
@@ -285,7 +284,7 @@ def test_ball_examples():
     assert ball(t, 7, 0) == set()
     assert ball(t, 7, 1) == {7}
     b2 = ball(t, 7, 2)
-    assert b2 == {7} | set(t.adjacency[7])
+    assert b2 == {7} | set(reference_loops.neighbours(t)[7])
     assert len(b2) == 5
 
 
@@ -393,13 +392,14 @@ def test_isoperimetry_clique():
 ], ids=lambda s: s.kind)
 def test_isoperimetry_is_exact_on_every_small_ball(spec):
     g = generate(spec)
+    nbr = reference_loops.neighbours(g)
     for u, row in enumerate(distances_from(g, range(g.n))):
         # the largest radius whose ball (d < radius) holds at most 12 nodes
         radius = int((np.bincount(row).cumsum() <= 12).sum())
         assert radius >= 2
         nodes = sorted(ball(g, u, radius))
         index = {v: i for i, v in enumerate(nodes)}
-        adj = [[index[w] for w in g.adjacency[v] if w in index] for v in nodes]
+        adj = [[index[w] for w in nbr[v] if w in index] for v in nodes]
         cert = check_isoperimetry(g, u, radius)
         assert cert.mode == "exact"
         assert cert.value == brute_force_isoperimetry(adj, radius)
@@ -465,6 +465,64 @@ def test_file_round_trip(tmp_path):
         p2 = tmp_path / "g2.graph"
         save_graph(h, p2)
         assert p.read_bytes() == p2.read_bytes()
+
+
+def test_save_graph_writes_the_pinned_format(tmp_path):
+    # the round trips above compare a file with itself; these bytes pin the format
+    rgg_text = (
+        "12 51 rgg{r=0.6435457313182957} 3\n0 1\n0 2\n0 3\n0 4\n0 5\n0 6\n0 7\n0 8\n0 9\n"
+        "0 10\n0 11\n1 3\n1 4\n1 5\n1 6\n1 8\n1 11\n2 3\n2 6\n2 7\n2 8\n2 9\n2 10\n2 11\n"
+        "3 4\n3 6\n3 7\n3 8\n3 9\n3 10\n3 11\n4 7\n4 11\n5 6\n5 8\n5 9\n5 10\n5 11\n6 8\n"
+        "6 9\n6 10\n6 11\n7 8\n7 10\n7 11\n8 9\n8 10\n8 11\n9 10\n9 11\n10 11\n"
+        "c 0.5413696492633944 0.37867835260281935\nc 0.899579830295347 0.6171785083419289\n"
+        "c 0.23936203483854612 0.381002787818137\nc 0.29764433350853425 0.514444456611888\n"
+        "c 0.6883455359900413 0.861590198843667\nc 0.907566764094316 0.21316732287533535\n"
+        "c 0.6445502346764059 0.14712682898265816\nc 0.1693928333108753 0.6408087332336028\n"
+        "c 0.48032048482432044 0.21304317186534438\nc 0.4417038942460927 0.054368076457515846\n"
+        "c 0.3988827385779017 0.10697798569325667\nc 0.6014912253531555 0.35521233959315257\n")
+    torus_text = ("9 18 torus{N=3,d=2} 0\n0 1\n0 2\n0 3\n0 6\n1 2\n1 4\n1 7\n2 5\n2 8\n"
+                  "3 4\n3 5\n3 6\n4 5\n4 7\n5 8\n6 7\n6 8\n7 8\n")
+    p = tmp_path / "g.graph"
+    for g, text in ((graph.rgg(12, seed=3), rgg_text), (graph.torus(3), torus_text)):
+        save_graph(g, p)
+        assert p.read_text() == text
+
+
+def test_graph_holds_write_protected_copies_of_its_arrays():
+    offsets, flat = np.array([0, 1, 2], dtype=np.int32), np.array([1, 0])
+    g = Graph(2, offsets, flat, "pair", 0, coords=[[0, 0], [1, 1]])
+    for a in (g.offsets, g.flat, g.coords):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+    flat[0] = 5  # the caller's arrays stay writable, and the graph's do not change
+    assert g.flat.tolist() == [1, 0]
+    assert g.offsets.dtype == g.flat.dtype == np.int64 and g.coords.dtype == np.float64
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(g)
+
+
+@pytest.mark.parametrize("n, offsets, flat, message", [
+    (2, [0.0, 1.0, 2.0], [1, 0], "offsets must hold integers, not float64"),
+    (2, [0, 1, 2], [True, False], "flat must hold integers, not bool"),
+    (2, [0, 2], [1, 0], r"offsets must hold n \+ 1 = 3 entries, not \(2,\)"),
+    (2, [1, 2, 3], [1, 0], "offsets must start at 0, not 1"),
+    (3, [0, 2, 1, 3], [1, 0, 1], "offsets must not decrease, as they do after node 1"),
+    (2, [0, 1, 2], [1, 0, 1], r"offsets end at 2, but flat has shape \(3,\)"),
+    (2, [0, 1, 2], [1, -1], r"neighbour -1 lies outside the graph's nodes \[0, 2\)"),
+    (2, [0, 1, 2], [2, 0], r"neighbour 2 lies outside the graph's nodes \[0, 2\)"),
+], ids=["float-offsets", "bool-flat", "offsets-length", "offsets-start",
+        "offsets-decrease", "offsets-end", "neighbour-negative", "neighbour-n"])
+def test_graph_refuses_arrays_the_kernel_would_read_past(n, offsets, flat, message):
+    with pytest.raises(ValueError, match=f"^{message}$") as err:
+        Graph(n, offsets, flat, "bad", 0)
+    assert "\n" not in str(err.value)
+
+
+def test_a_float_neighbour_is_refused_not_truncated():
+    # np.fromiter once truncated 1.7 to neighbour 1, while edges kept (0, 1.7)
+    # and save_graph wrote a line that load_graph refuses
+    with pytest.raises(ValueError, match="flat must hold integers"):
+        Graph(n=2, offsets=[0, 1, 2], flat=np.array([1.7, 0]), kind="h", seed=0)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)

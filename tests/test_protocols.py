@@ -333,7 +333,7 @@ def test_gossip_to_max_time_from_equal_values_stops_at_the_first_exchange():
 @pytest.mark.parametrize("kind,stop", [("crw", Termination()), ("srw", Termination()),
                                        ("gossip", GossipEps(0.01))])
 def test_run_that_could_never_end_on_a_disconnected_graph_raises(kind, stop):
-    g = Graph(n=3, adjacency=((1,), (0,), ()), kind="hand-built", seed=0)
+    g = Graph(n=3, offsets=[0, 1, 2, 2], flat=[1, 0], kind="hand-built", seed=0)
     st = init(kind, g, [1, 2, 3], None if kind == "gossip" else SUM, seed=1,
               params={"origin": 0} if kind == "srw" else None)
     with pytest.raises(ValueError, match="more than one component"):
@@ -348,7 +348,7 @@ def test_components_are_found_once_per_graph(monkeypatch):
     monkeypatch.setattr(graph_module, "connected_components",
                         lambda *a, **kw: calls.append(a) or real(*a, **kw))
     ring = generate(GraphSpec.ring(6))  # generate records its graphs' one component
-    hand_built = Graph(n=6, adjacency=ring.adjacency, kind="hand-built", seed=0)
+    hand_built = Graph(n=6, offsets=ring.offsets, flat=ring.flat, kind="hand-built", seed=0)
     for g in (ring, hand_built):
         for seed in range(5):
             assert run(init("crw", g, [1] * 6, SUM, seed=seed), Termination()).completed

@@ -12,6 +12,7 @@ import contextlib
 import ctypes
 import dataclasses
 import math
+import pickle
 import random
 import re
 import shutil
@@ -419,12 +420,26 @@ def test_one_pass_encoding_matches_the_value_by_value_checks(kind, x):
 
 
 def test_neighbour_outside_the_graph_raises_in_python():
-    # the kernel would index past its arrays: the graph's CSR arrays refuse it
-    g = Graph(n=3, adjacency=((1,), (0, 5), (1,)), kind="bad", seed=0)
-    s = init("srw", g, [1, 2, 3], sum_fusion(), seed=1, params={"origin": 1})
+    # the kernel would index past its arrays: the graph refuses them when it is made
     with pytest.raises(ValueError, match="neighbour 5 lies outside"):
-        run(s, Termination())
-    assert s.eta == 0
+        Graph(n=3, offsets=[0, 1, 3, 4], flat=[1, 0, 5, 1], kind="bad", seed=0)
+
+
+def test_the_kernel_runs_on_read_only_graph_arrays():
+    # a pickled graph's arrays come back writable under protocol 4 and
+    # read-only under protocol 5; the kernel takes either
+    g = generate(GraphSpec.torus(4, 2))
+    with pytest.raises(ValueError, match="read-only"):
+        g.flat[0] = 1
+    copies = [pickle.loads(pickle.dumps(g, protocol=k)) for k in (4, 5)]
+    assert [h.flat.flags.writeable for h in copies] == [True, False]
+
+    def crw(h):
+        s = init("crw", h, list(range(16)), sum_fusion(), seed=5)
+        assert run(s, Termination()).completed
+        return snapshot(s)
+
+    assert crw(g) == crw(copies[0]) == crw(copies[1])
 
 
 CLOCKS = [Continuous(), SynchronousDiscrete(0.5)]
@@ -683,7 +698,7 @@ def test_flood_whose_second_origin_cannot_reach_every_node_names_it(clock):
     # a hand-built directed path 0 - 1 - 2 -> 3, where node 3 sends to no
     # one, after nodes 0 and 2 have handed their tokens to 1 and 3: the
     # flood from origin 1 reaches every node, the one from origin 3 only 3
-    one_way = Graph(n=4, adjacency=((1,), (0, 2), (1, 3), ()), kind="hand-built", seed=0)
+    one_way = Graph(n=4, offsets=[0, 1, 3, 5, 5], flat=[1, 0, 2, 1, 3], kind="hand-built", seed=0)
 
     def unreached(cfld):
         s = init("two_phase", one_way, [1, 2, 3, 4], sum_fusion(), seed=1, clock=clock)
@@ -700,7 +715,7 @@ def test_flood_whose_second_origin_cannot_reach_every_node_names_it(clock):
 
 @pytest.mark.parametrize("clock", CLOCKS, ids=["continuous", "rounds"])
 def test_flood_that_cannot_reach_every_node_raises_as_the_python_loop(clock):
-    two_pairs = Graph(n=4, adjacency=((1,), (0,), (3,), (2,)), kind="hand-built", seed=0)
+    two_pairs = Graph(n=4, offsets=[0, 1, 2, 3, 4], flat=[1, 0, 3, 2], kind="hand-built", seed=0)
 
     def unreached(cfld):
         s = init("two_phase", two_pairs, [1, 2, 3, 4], sum_fusion(), seed=1, clock=clock)
