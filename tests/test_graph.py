@@ -499,6 +499,8 @@ def test_graph_holds_write_protected_copies_of_its_arrays():
     assert g.offsets.dtype == g.flat.dtype == np.int64 and g.coords.dtype == np.float64
     with pytest.raises(TypeError, match="unhashable"):
         hash(g)
+    with pytest.raises(ValueError, match=r"^coords must have shape \(2, 2\), not \(2,\)$"):
+        Graph(2, [0, 1, 2], [1, 0], "pair", 0, coords=[0.5, 0.5])
 
 
 @pytest.mark.parametrize("n, offsets, flat, message", [
