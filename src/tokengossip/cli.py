@@ -48,7 +48,8 @@ ERROR_EXITS = (
     ((GraphGenerationError,), EXIT_GENERATION, "generation failed"),
     ((ex.ExperimentError,), EXIT_SIMULATION, "simulation failed"),
     ((an.SolverError, np.linalg.LinAlgError), EXIT_ANALYSIS, "analysis failed"),
-    ((ValueError, OSError, OverflowError, ProtocolError), EXIT_USAGE, "invalid input"),
+    ((ValueError, OSError, OverflowError, MemoryError, ProtocolError), EXIT_USAGE,
+     "invalid input"),
 )
 
 

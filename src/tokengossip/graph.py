@@ -118,7 +118,8 @@ class Graph:
     arrays (not ``attempts``), and are not hashable.  Instances are safe to
     share across concurrent trial executors.  The sparse ``adjacency_matrix``
     and ``transition_matrix`` are built once, on first use, and shared by
-    every caller: treat them as read-only.
+    every caller: treat them as read-only.  A pickled graph carries its
+    arrays only and comes back through the constructor.
     """
 
     n: int
@@ -167,6 +168,11 @@ class Graph:
         return (self.n, self.kind, self.seed) == (other.n, other.kind, other.seed) and all(
             np.array_equal(getattr(self, f), getattr(other, f))
             for f in ("offsets", "flat", "coords"))
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so checked and read-only, without the cached tables
+        return Graph, (self.n, self.offsets, self.flat, self.kind, self.seed, self.coords,
+                       self.attempts)
 
     @property
     def degrees(self) -> np.ndarray:

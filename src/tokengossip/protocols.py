@@ -401,18 +401,19 @@ def cfld_run(state: SimState) -> "Trace":
     node forwards an origin's flood once, when it first hears it, to every
     neighbor but the sender(s) of that first receipt.
 
-    Both clocks read the flood off (k x n) tables for the k origins in
-    increasing order: node v first hears origin o at a[o, v] and forwards
-    it X[o, v] later.  On rounds X = 1 and a is the hop distance.  On the
-    continuous clock each forward waits an independent Exp(1) time, which
-    is the law of an event loop over the pending forwards (by
-    memorylessness): X is one ``standard_exponential((k, n))`` draw from
-    ``state.rng`` (after the walk's blocks), row o over nodes 0..n-1, and a is
-    first-passage percolation, one ``dijkstra`` solve on k copies of the
-    graph whose edges out of v weigh X[o, v] in copy o.  v's first senders
-    are the neighbors w with a[o, w] + X[o, w] == a[o, v] (bit for bit, as
-    the solve forms a), and v sends to every other neighbor.  Each node
-    fuses the other origins' payloads in order of (a, origin index).
+    Both clocks read the flood off a (k x n) table of arrival times for the
+    k origins in increasing order: node v first hears origin o at a[o, v]
+    and forwards it X[o, v] later.  On rounds X = 1 and a is the hop
+    distance.  On the continuous clock each forward waits an independent
+    Exp(1) time, which is the law of an event loop over the pending
+    forwards (by memorylessness): X is one ``standard_exponential((k, n))``
+    draw from ``state.rng`` (after the walk's blocks), row o over nodes
+    0..n-1, and a is first-passage percolation.  Each origin takes one
+    ``dijkstra`` solve on the graph whose edges out of v weigh X[o, v].
+    v's first senders are the neighbors w with a[o, w] + X[o, w] == a[o, v]
+    (bit for bit, as the solve forms a), and v sends to every other
+    neighbor.  Each node fuses the other origins' payloads in order of
+    (a, origin index).
 
     On return every node holds the fused combination of all origin
     payloads with count n.  Transmissions are counted per link, so each
@@ -431,34 +432,31 @@ def cfld_run(state: SimState) -> "Trace":
             "broken two-phase handoff"
         )
     k = len(origins)
-    offsets, flat = g.offsets, g.flat
-    deg = g.degrees
+    flat, deg = g.flat, g.degrees
     src = np.repeat(np.arange(n), deg)
     rounds = isinstance(state.clock, SynchronousDiscrete)
-    if rounds:
-        x = 1.0
-        a = dijkstra(g.adjacency_matrix, indices=origins, unweighted=True)  # hop distances
-    else:
-        x = state.rng.standard_exponential((k, n))
-        copy, m = np.arange(k)[:, None], len(flat)
-        blocks = csr_matrix((np.repeat(x, deg, axis=1).ravel(), (flat + n * copy).ravel(),
-                             np.append((offsets[:-1] + m * copy).ravel(), k * m)),
-                            shape=(k * n, k * n))
-        a = dijkstra(blocks, indices=n * copy.ravel() + origins, min_only=True).reshape(k, n)
-    unreached = np.isinf(a).any(axis=1)
-    if unreached.any():
-        raise ProtocolError(f"flood from origin {origins[unreached.argmax()]} did not reach "
-                            "all nodes")
-
-    forward = a + x
-    # per origin, v sends to each neighbour w that is not one of its first senders
-    link = forward[:, flat] != np.repeat(a, deg, axis=1)
-    per_edge = link.sum(axis=0)
+    x = np.ones((k, n)) if rounds else state.rng.standard_exponential((k, n))
+    # not g.adjacency_matrix, which other callers share: each origin writes its weights here
+    w = csr_matrix((np.empty(len(flat)), flat, g.offsets), shape=(n, n))
+    a = np.empty((k, n))
+    per_edge = np.zeros(len(flat), dtype=np.int64)
+    per_origin, last = [], 0.0
+    for i, o in enumerate(origins):
+        w.data[:] = np.repeat(x[i], deg)
+        a[i] = dijkstra(w, indices=o, min_only=True)
+        if np.isinf(a[i]).any():
+            raise ProtocolError(f"flood from origin {o} did not reach all nodes")
+        forward = a[i] + x[i]
+        # v sends to each neighbour w that is not one of its first senders
+        link = forward[flat] != a[i][src]
+        per_edge += link
+        per_origin.append(int(link.sum()))
+        last = forward[src[link]].max(initial=last)  # the last forward
     state.sends += np.bincount(src, per_edge, n).astype(np.int64)
     state.receives += np.bincount(flat, per_edge, n).astype(np.int64)
     flood_messages = int(per_edge.sum())
     state.eta += flood_messages
-    state.t += float(np.repeat(forward, deg, axis=1)[link].max(initial=0.0))  # the last forward
+    state.t += float(last)
     if rounds:
         state.rounds += int(a.max())
     _fuse_ranks(state, origins, np.argsort(a, axis=0, kind="stable"))
@@ -468,8 +466,7 @@ def cfld_run(state: SimState) -> "Trace":
         raise ProtocolError("flood completed but some node's count is not n")
     return _trace(
         state, True, payload_at=0, final_values=True, flood_messages=flood_messages,
-        flood_messages_per_origin=link.sum(axis=1).tolist(), flood_origins=k,
-        rounds=state.rounds,
+        flood_messages_per_origin=per_origin, flood_origins=k, rounds=state.rounds,
     )
 
 

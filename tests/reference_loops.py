@@ -21,6 +21,13 @@ uniform pick), whose law ``protocols.cfld_run`` keeps without its draws:
 the two agree exactly on messages, sends, counts and SUM/MAX results, and
 in law on the flood's duration and the per-node receives.
 
+``cfld_block`` is ``protocols.cfld_run`` as one arrival-time solve for
+all k origins: a hop-distance search over the origins on rounds, and on
+the continuous clock one ``dijkstra`` over a block-diagonal matrix that
+holds k copies of the graph, copy o weighted by origin o's delays, with
+(k x 2|E|) link tables.  ``protocols.cfld_run`` solves one origin at a
+time in O(|E|) memory; the two must agree exactly, draws included.
+
 The loops step a ``Lists`` copy of the state, whose node arrays are
 Python lists and whose values are decoded, and write it back at exit.
 ``Lists.uniform`` and ``Lists.exponential`` are the only draws made in
@@ -59,8 +66,8 @@ import math
 from typing import Iterable, Tuple
 
 import numpy as np
-from scipy.sparse import identity, triu
-from scipy.sparse.csgraph import laplacian
+from scipy.sparse import csr_matrix, identity, triu
+from scipy.sparse.csgraph import dijkstra, laplacian
 from scipy.sparse.linalg import splu
 
 from tokengossip import _walk
@@ -92,6 +99,7 @@ from tokengossip.protocols import (
     ProtocolError,
     ProtocolKind,
     SimState,
+    _fuse_ranks,
     _trace,
 )
 
@@ -496,6 +504,63 @@ def cfld_run(sim: SimState) -> "Trace":
     return _trace(
         sim, True, payload_at=0, final_values=True, flood_messages=state.eta - phase_start_eta,
         flood_messages_per_origin=per_origin_messages, flood_origins=len(origins),
+        rounds=state.rounds,
+    )
+
+
+def cfld_block(state: SimState) -> "Trace":
+    """``protocols.cfld_run`` with one arrival-time solve for all k origins."""
+    g = state.graph
+    n = g.n
+    origins = sorted(state.active_list[:state.active_count].tolist())
+    if not origins:
+        raise ProtocolError("flood needs at least one origin")
+    own = state.counts[origins]
+    total = int(own.sum())
+    if total != n or state.counts.sum() != n:
+        raise ProtocolError(
+            f"origin counts sum to {total} (of total {state.counts.sum()}), expected {n}: "
+            "broken two-phase handoff"
+        )
+    k = len(origins)
+    offsets, flat = g.offsets, g.flat
+    deg = g.degrees
+    src = np.repeat(np.arange(n), deg)
+    rounds = isinstance(state.clock, SynchronousDiscrete)
+    if rounds:
+        x = 1.0
+        a = dijkstra(g.adjacency_matrix, indices=origins, unweighted=True)  # hop distances
+    else:
+        x = state.rng.standard_exponential((k, n))
+        copy, m = np.arange(k)[:, None], len(flat)
+        blocks = csr_matrix((np.repeat(x, deg, axis=1).ravel(), (flat + n * copy).ravel(),
+                             np.append((offsets[:-1] + m * copy).ravel(), k * m)),
+                            shape=(k * n, k * n))
+        a = dijkstra(blocks, indices=n * copy.ravel() + origins, min_only=True).reshape(k, n)
+    unreached = np.isinf(a).any(axis=1)
+    if unreached.any():
+        raise ProtocolError(f"flood from origin {origins[unreached.argmax()]} did not reach "
+                            "all nodes")
+
+    forward = a + x
+    # per origin, v sends to each neighbour w that is not one of its first senders
+    link = forward[:, flat] != np.repeat(a, deg, axis=1)
+    per_edge = link.sum(axis=0)
+    state.sends += np.bincount(src, per_edge, n).astype(np.int64)
+    state.receives += np.bincount(flat, per_edge, n).astype(np.int64)
+    flood_messages = int(per_edge.sum())
+    state.eta += flood_messages
+    state.t += float(np.repeat(forward, deg, axis=1)[link].max(initial=0.0))  # the last forward
+    if rounds:
+        state.rounds += int(a.max())
+    _fuse_ranks(state, origins, np.argsort(a, axis=0, kind="stable"))
+    state.counts += n
+    state.counts[origins] -= own
+    if np.any(state.counts != n):
+        raise ProtocolError("flood completed but some node's count is not n")
+    return _trace(
+        state, True, payload_at=0, final_values=True, flood_messages=flood_messages,
+        flood_messages_per_origin=link.sum(axis=1).tolist(), flood_origins=k,
         rounds=state.rounds,
     )
 

@@ -37,14 +37,21 @@ def test_fails():
 '''
 
 
-# the names the trial timing imports, doing nothing
+# the names the trial timing and the flood probe import, doing nothing
 STAND_IN_PACKAGE = {
     "__init__.py": "",
-    "graph.py": "class GraphSpec:\n    clique = staticmethod(str)\n\n\ngenerate = str\n",
+    "engine.py": "Continuous = SynchronousDiscrete = str\n",
+    "graph.py": ("class GraphSpec:\n    clique = torus = staticmethod(str)\n\n\n"
+                 "class Graph:\n    n = 4\n\n\n"
+                 "def generate(spec):\n    return Graph()\n"),
     "fusion.py": "def sum_fusion():\n    return sum\n",
     "protocols.py": ("class Termination:\n    pass\n\n\n"
+                     "class Trace:\n    flood_origins = 3\n\n\n"
                      "def init(kind, g, x, fusion, seed=0, stream_id=0):\n    return g\n\n\n"
-                     "def run(state, stop):\n    return state\n"),
+                     "def run(state, stop):\n    return state\n\n\n"
+                     "def cfld_run(state):\n    return Trace()\n\n\n"
+                     "def two_phase_run(g, x, fusion, switch_time, seed=0, clock=None):\n"
+                     "    return cfld_run(None)\n"),
 }
 
 
@@ -86,6 +93,12 @@ def test_bench_writes_medians_quartiles_digests_and_layers(tmp_path):
     micro = bench["micro"]
     assert (micro["trial"], micro["trials"]) == ("clique-4 CRW, init + run", 20_000)
     assert len(micro["us"]) == 3 and micro["best_us"] == min(micro["us"]) > 0
+    flood = bench["flood"]
+    assert sorted(flood) == ["continuous", "rounds"]
+    assert [flood[c]["switch_time"] for c in flood] == [16000.0, 32000.0]
+    for clock in flood.values():
+        assert sorted(clock) == ["cfld_s", "flood_origins", "rss_growth_mb", "switch_time"]
+        assert clock["flood_origins"] == 3 and clock["cfld_s"] >= 0 <= clock["rss_growth_mb"]
     assert bench["tree"]["dirty"] is None  # the stand-in root is no git checkout
     tier1 = bench["tier1"]
     assert (tier1["passed"], tier1["failed"]) == (1, 1)

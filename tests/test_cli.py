@@ -606,6 +606,11 @@ BAD_INPUTS = {
         "--horizon", "inf", "--trials", "1"],
     "gen_rgg_negative_radius": lambda tmp_path: [
         "gen", "--kind", "rgg", "--n", "30", "--radius", "-1", "--out", "x.graph"],
+    # first arrays of 355 PiB and 2 EiB: past any host's address space, so they fail at once
+    "gen_torus_too_large": lambda tmp_path: [
+        "gen", "--kind", "torus", "--side", "3", "--dim", "35", "--out", "x.graph"],
+    "gen_grid2d_too_large": lambda tmp_path: [
+        "gen", "--kind", "grid2d", "--side", "536870912", "--out", "x.graph"],
     "gen_rgg_nan_radius": lambda tmp_path: [
         "gen", "--kind", "rgg", "--n", "30", "--radius", "nan", "--out", "x.graph"],
     "graph_coordinates_not_finite": _graph_file("2 1 rgg 0\n0 1\nc 0.5 0.5\nc nan inf\n"),

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokengossip import graph
+from tokengossip.analysis import regularity_report
 from tokengossip.graph import (
     Graph,
     GraphFileError,
@@ -501,6 +503,20 @@ def test_graph_holds_write_protected_copies_of_its_arrays():
         hash(g)
     with pytest.raises(ValueError, match=r"^coords must have shape \(2, 2\), not \(2,\)$"):
         Graph(2, [0, 1, 2], [1, 0], "pair", 0, coords=[0.5, 0.5])
+
+
+@pytest.mark.parametrize("protocol", [2, 3, 4, 5])
+def test_a_pickled_graph_leaves_its_tables_behind_and_comes_back_read_only(protocol):
+    # regularity_report caches the all-pairs hop table and the matrices
+    g = generate(GraphSpec.torus(30))
+    fresh = len(pickle.dumps(g, protocol))
+    regularity_report(g, t_max=5)
+    data = pickle.dumps(g, protocol)
+    assert len(data) == fresh < 50_000
+    h = pickle.loads(data)
+    assert h == g and h.attempts == g.attempts
+    for a in (h.offsets, h.flat):
+        assert not a.flags.writeable
 
 
 @pytest.mark.parametrize("n, offsets, flat, message", [

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -489,6 +490,29 @@ def test_cfld_two_origins_counts_add():
     tr = cfld_run(st)
     assert all(c == 6 for c in tr.final_counts)
     assert set(tr.final_values) == {6}
+
+
+@pytest.mark.parametrize("clock", [Continuous(), SynchronousDiscrete(0.5)],
+                         ids=["continuous", "rounds"])
+def test_flood_memory_grows_with_the_edges_not_with_origins_times_edges(clock):
+    # 12 origins on clique(400), 159,600 links: one solve per origin peaks
+    # at about 7 MiB, tables over all origins' links at 33-56 MiB
+    g = generate(GraphSpec.clique(400))
+    st = init("two_phase", g, [1] * g.n, SUM, seed=5, clock=clock)
+    origins = list(range(0, 400, 34))
+    for i in range(g.n):
+        if i not in origins:
+            st.counts[i] = 0
+            st.deactivate(i)
+    st.counts[origins] = [400 - 11 * 33] + [33] * 11
+    tracemalloc.start()
+    try:
+        tr = cfld_run(st)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.flood_origins == 12
+    assert peak < 16 * 2**20
 
 
 def test_cfld_rejects_broken_handoff():

@@ -6,7 +6,9 @@ gossip's ``protocols._run_gossip`` to ``reference_loops.run_gossip``, or
 the flood's ``protocols.cfld_run`` to ``reference_loops.cfld_run``.
 Both must give equal traces and leave the state and its draws equal,
 except for the continuous flood, which draws its delays in one block and
-so matches the reference loop in law and where no draw decides.
+so matches the reference loop in law and where no draw decides.  The
+flood must also equal the block solve (``reference_loops.cfld_block``)
+exactly, on both clocks.
 """
 import contextlib
 import ctypes
@@ -426,13 +428,13 @@ def test_neighbour_outside_the_graph_raises_in_python():
 
 
 def test_the_kernel_runs_on_read_only_graph_arrays():
-    # a pickled graph's arrays come back writable under protocol 4 and
-    # read-only under protocol 5; the kernel takes either
+    # a graph's arrays are read-only, and so are a pickled copy's, rebuilt
+    # through the constructor under protocols 4 and 5 alike
     g = generate(GraphSpec.torus(4, 2))
     with pytest.raises(ValueError, match="read-only"):
         g.flat[0] = 1
     copies = [pickle.loads(pickle.dumps(g, protocol=k)) for k in (4, 5)]
-    assert [h.flat.flags.writeable for h in copies] == [True, False]
+    assert [h.flat.flags.writeable for h in copies] == [False, False]
 
     def crw(h):
         s = init("crw", h, list(range(16)), sum_fusion(), seed=5)
@@ -693,18 +695,29 @@ def test_continuous_flood_has_the_python_loops_law(spec):
         assert ks_2samp(a, b).pvalue > LAW_LEVEL
 
 
+# a hand-built directed path 0 - 1 - 2 -> 3, where node 3 sends to no one
+ONE_WAY = Graph(n=4, offsets=[0, 1, 3, 5, 5], flat=[1, 0, 2, 1, 3], kind="hand-built", seed=0)
+# two disjoint edges, 0 - 1 and 2 - 3
+TWO_PAIRS = Graph(n=4, offsets=[0, 1, 2, 3, 4], flat=[1, 0, 3, 2], kind="hand-built", seed=0)
+
+
+def hand_over(s, origins: list, counts: list) -> None:
+    """Leave the tokens of state ``s`` at ``origins`` only, holding ``counts``."""
+    s.counts[:] = 0
+    s.counts[origins] = counts
+    for i in range(s.graph.n):
+        if i not in origins:
+            s.deactivate(i)
+
+
 @pytest.mark.parametrize("clock", CLOCKS, ids=["continuous", "rounds"])
 def test_flood_whose_second_origin_cannot_reach_every_node_names_it(clock):
-    # a hand-built directed path 0 - 1 - 2 -> 3, where node 3 sends to no
-    # one, after nodes 0 and 2 have handed their tokens to 1 and 3: the
+    # ONE_WAY after nodes 0 and 2 have handed their tokens to 1 and 3: the
     # flood from origin 1 reaches every node, the one from origin 3 only 3
-    one_way = Graph(n=4, offsets=[0, 1, 3, 5, 5], flat=[1, 0, 2, 1, 3], kind="hand-built", seed=0)
-
     def unreached(cfld):
-        s = init("two_phase", one_way, [1, 2, 3, 4], sum_fusion(), seed=1, clock=clock)
-        s.ival[:], s.counts[:] = [0, 3, 0, 7], [0, 2, 0, 2]
-        s.deactivate(0)
-        s.deactivate(2)
+        s = init("two_phase", ONE_WAY, [1, 2, 3, 4], sum_fusion(), seed=1, clock=clock)
+        s.ival[:] = [0, 3, 0, 7]
+        hand_over(s, [1, 3], [2, 2])
         with pytest.raises(ProtocolError) as err:
             cfld(s)
         return str(err.value)
@@ -715,16 +728,65 @@ def test_flood_whose_second_origin_cannot_reach_every_node_names_it(clock):
 
 @pytest.mark.parametrize("clock", CLOCKS, ids=["continuous", "rounds"])
 def test_flood_that_cannot_reach_every_node_raises_as_the_python_loop(clock):
-    two_pairs = Graph(n=4, offsets=[0, 1, 2, 3, 4], flat=[1, 0, 3, 2], kind="hand-built", seed=0)
-
     def unreached(cfld):
-        s = init("two_phase", two_pairs, [1, 2, 3, 4], sum_fusion(), seed=1, clock=clock)
+        s = init("two_phase", TWO_PAIRS, [1, 2, 3, 4], sum_fusion(), seed=1, clock=clock)
         with pytest.raises(ProtocolError) as err:
             cfld(s)
         return str(err.value)
 
     assert unreached(protocols.cfld_run) == unreached(reference_loops.cfld_run) == (
         "flood from origin 0 did not reach all nodes")
+
+
+def same_as_the_block_solve(make_state) -> None:
+    """The flood of a fresh ``make_state()`` gives the trace, the state and
+    the draws of the block solve (``reference_loops.cfld_block``), or the
+    same ProtocolError."""
+    def flood(cfld):
+        s = make_state()
+        try:
+            return cfld(s), snapshot(s)
+        except ProtocolError as err:
+            return str(err)
+
+    assert flood(protocols.cfld_run) == flood(reference_loops.cfld_block)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(spec=specs, seed=seeds, fusion=st.sampled_from(sorted(FUSIONS)),
+       clock=st.sampled_from(CLOCKS + [SynchronousDiscrete(0.0)]),
+       origins=st.sampled_from(["all", "walk", "one"]))
+def test_flood_matches_the_block_solve(spec, seed, fusion, clock, origins):
+    # every node an origin (k = n), the survivors of a walk to t = 2, or one
+    # origin holding every count (k = 1)
+    g = generate(spec)
+    x = values(fusion, g.n, seed)
+
+    def state():
+        s = init("two_phase", g, x, FUSIONS[fusion], seed=seed, clock=clock, stream_id=2)
+        if origins == "walk":
+            protocols._walk_until(s, 2.0)
+        elif origins == "one":
+            hand_over(s, [seed % g.n], [g.n])
+        return s
+
+    same_as_the_block_solve(state)
+
+
+@pytest.mark.parametrize("clock", CLOCKS, ids=["continuous", "rounds"])
+@pytest.mark.parametrize("graph, origins", [
+    (ONE_WAY, [1]), (ONE_WAY, [1, 3]), (ONE_WAY, [0, 1, 2, 3]), (TWO_PAIRS, [0, 1, 2, 3]),
+    (TWO_PAIRS, [2]), (generate(GraphSpec.clique(1)), [0])],
+    ids=["one_way-1", "one_way-1-3", "one_way-all", "two_pairs-all", "two_pairs-2", "n1"])
+def test_hand_built_floods_match_the_block_solve(clock, graph, origins):
+    def state():
+        s = init("two_phase", graph, list(range(graph.n)), sum_fusion(), seed=3, clock=clock)
+        counts = [graph.n // len(origins)] * len(origins)
+        counts[0] += graph.n % len(origins)
+        hand_over(s, origins, counts)
+        return s
+
+    same_as_the_block_solve(state)
 
 
 @pytest.mark.parametrize("lazy", [0.0, 0.5])

@@ -1,6 +1,6 @@
 """Write a BENCH file: perfbench's end-to-end and per-layer metrics for
-every workload, on fixed seeds, a clique-4 trial's cost and the Tier-1
-test run.
+every workload, on fixed seeds, a clique-4 trial's cost, the flood's cost
+at n = 2^16 and the Tier-1 test run.
 
     python3 tools/bench.py --out BENCH_22.json [--root .]
 
@@ -10,7 +10,10 @@ the first workload, then, each for the ``run_seconds`` of its
 ``BENCHMARK.json``, each workload untraced (``--trace 0``) on seeds 1 to
 5 and traced (``--trace 1``) on seeds 1 to 3.  Then times a clique-4 CRW
 trial (``init`` + ``run``) in a fresh process: the mean over 20 000
-trials, three times.  Then runs the checkout's Tier-1 tests once
+trials, three times.  Then, in a fresh process per clock, runs
+``two_phase_run`` on torus 256x256 to a switch time that leaves about 12
+origins and times its flood (``cfld_run``).  Then runs the checkout's
+Tier-1 tests once
 (``python -m pytest -q --continue-on-collection-errors`` with
 ``<root>/src`` on ``PYTHONPATH``).  The file holds the measured tree
 (whether ``git status --porcelain -- src tests`` lists any change, null
@@ -19,10 +22,12 @@ outside a git checkout, and a SHA-256 over the files of
 median and quartiles of each end-to-end metric over the untraced seeds,
 each run's digest, the median and quartiles of each per-layer metric
 over the traced seeds, the trial's cost per repeat and the best of them
-(``micro``), the Tier-1 counts, failed test ids and wall time, and notes
-on known faults of the harness, which this script records rather than
-edits.  A failed perfbench run or trial timing, or a Tier-1 run that
-exits with neither 0 nor 1 (1: some test failed), stops it.
+(``micro``), each clock's flood origins, flood wall time and peak-RSS
+growth across the flood (``flood``), the Tier-1 counts, failed test ids
+and wall time, and notes on known faults of the harness, which this
+script records rather than edits.  A failed perfbench run, trial timing
+or flood, or a Tier-1 run that exits with neither 0 nor 1 (1: some test
+failed), stops it.
 """
 from __future__ import annotations
 
@@ -59,6 +64,38 @@ for _ in range({MICRO_REPEATS}):
     per_trial.append((time.perf_counter() - started) / {MICRO_TRIALS} * 1e6)
 print(json.dumps(per_trial))
 """
+
+# two-phase on torus 256x256 (n = 2^16) to argv[2] on the clock argv[1]; prints
+# the flood's origin count, its wall time and the growth of the peak RSS across
+# it as JSON
+FLOOD = """
+import json, resource, sys, time
+from tokengossip import protocols
+from tokengossip.engine import Continuous, SynchronousDiscrete
+from tokengossip.fusion import sum_fusion
+from tokengossip.graph import GraphSpec, generate
+
+clock = Continuous() if sys.argv[1] == "continuous" else SynchronousDiscrete(0.5)
+g = generate(GraphSpec.torus(256))
+cfld_run, measured = protocols.cfld_run, {}
+
+
+def timed(state):
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    started = time.perf_counter()
+    trace = cfld_run(state)
+    measured["cfld_s"] = time.perf_counter() - started
+    measured["rss_growth_mb"] = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss) / 1024
+    return trace
+
+
+protocols.cfld_run = timed
+trace = protocols.two_phase_run(g, [1] * g.n, sum_fusion(), float(sys.argv[2]), seed=1,
+                                clock=clock)
+print(json.dumps({"flood_origins": trace.flood_origins, **measured}))
+"""
+# switch times that leave 12 origins on the continuous clock and 13 on lazy rounds
+FLOOD_SWITCH = {"continuous": 16000.0, "rounds": 32000.0}
 
 NOTES = [
     "perfbench/README.md lines 107-108 say that the CLI pilot ignores --lazy and that "
@@ -131,16 +168,30 @@ def src_env(root: Path) -> dict:
     return {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else src}
 
 
-def micro(root: Path) -> dict:
-    """The clique-4 CRW trial's cost in microseconds, each repeat's and the best."""
-    proc = subprocess.run([sys.executable, "-c", MICRO], cwd=root, env=src_env(root),
+def probe(root: Path, what: str, code: str, *args: str):
+    """The JSON that ``code`` prints, run with ``args`` in a fresh process on
+    the checkout's package."""
+    proc = subprocess.run([sys.executable, "-c", code, *args], cwd=root, env=src_env(root),
                           capture_output=True, text=True)
     if proc.returncode != 0:
-        raise SystemExit(f"the clique-4 trial timing exited {proc.returncode}: "
+        raise SystemExit(f"{what} exited {proc.returncode}: "
                          f"{proc.stderr.strip().splitlines()[-1:]}")
-    per_trial = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def micro(root: Path) -> dict:
+    """The clique-4 CRW trial's cost in microseconds, each repeat's and the best."""
+    per_trial = probe(root, "the clique-4 trial timing", MICRO)
     return {"trial": "clique-4 CRW, init + run", "trials": MICRO_TRIALS, "us": per_trial,
             "best_us": min(per_trial)}
+
+
+def flood(root: Path) -> dict:
+    """Each clock's two-phase flood on torus 256x256: its switch time, origin
+    count, wall time and peak-RSS growth in MB."""
+    return {clock: {"switch_time": switch,
+                    **probe(root, f"the {clock} flood", FLOOD, clock, str(switch))}
+            for clock, switch in FLOOD_SWITCH.items()}
 
 
 def tier1(root: Path) -> dict:
@@ -199,6 +250,8 @@ def main() -> int:
             name: spread([r["metrics"][name] for r in traced]) for name in traced[0]["metrics"]}
     print("bench: clique-4 trial", file=sys.stderr, flush=True)
     bench["micro"] = micro(args.root)
+    print("bench: torus 256x256 floods", file=sys.stderr, flush=True)
+    bench["flood"] = flood(args.root)
     print("bench: tier-1 tests", file=sys.stderr, flush=True)
     bench["tier1"] = tier1(args.root)
     bench["notes"] = NOTES
