@@ -5,7 +5,7 @@ Exit codes are a stable contract: 0 success, 2 invalid input, 3
 generation failure, 4 simulation failure, 5 analysis/solver failure.
 ``main`` alone maps library errors to them (``ERROR_EXITS``) and prints
 one stderr line per failure; any other exception keeps its traceback.  A
-run manifest (config hash, seed, version, timestamps, outputs)
+run manifest (config hash, seed, version, BLAS threads, timestamps, outputs)
 accompanies every run that writes files.
 """
 from __future__ import annotations
@@ -25,6 +25,7 @@ from . import __version__
 from . import analysis as an
 from . import experiments as ex
 from .graph import (
+    _BLAS_THREADS,
     GRAPH_KINDS,
     GraphGenerationError,
     GraphSpec,
@@ -60,6 +61,7 @@ def _out_root() -> Path:
 def _write_manifest(out_dir: Path, config: dict, master_seed: int, started: float,
                     outputs: list) -> None:
     manifest = {
+        "blas_threads": _BLAS_THREADS,  # numpy's OpenBLAS, as the import pinned it
         "config_hash": ex.config_hash(config),
         "config": config,
         "master_seed": master_seed,

@@ -4,10 +4,16 @@ All generators produce simple, undirected, connected graphs and are
 deterministic functions of their spec (including the seed).  The
 regularity checkers measure the ball-growth, volume-doubling, and
 isoperimetry constants that control how fast coalescing walks thin out.
+
+Importing this module pins the OpenBLAS builds bundled with numpy and
+scipy to one thread, process-wide (see ``_pin_openblas``).
 """
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Real
@@ -15,8 +21,50 @@ from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+import scipy
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
+
+
+def _pin_openblas() -> Optional[int]:
+    """Set numpy's and scipy's bundled OpenBLAS to one thread and return
+    numpy's thread count read back (None if it cannot be read).
+
+    A dense solve's last bits depend on how many threads split its sums,
+    so one thread makes every analysis output the same whatever
+    ``OPENBLAS_NUM_THREADS`` says.  On the package's matrices, a few
+    hundred rows at most in its suites, a second thread doubles the CPU
+    time for about 5% less wall time.  Both
+    libraries are mapped once ``scipy.sparse.csgraph`` is imported, so the
+    lookup (``RTLD_NOLOAD``) loads nothing.  A library whose setter is not
+    found runs unpinned, with one stderr line for all of them."""
+    threads, unpinned = None, []
+    for module, pattern, suffix in ((np, "numpy.libs/libscipy_openblas64_*.so", "64_"),
+                                    (scipy, "scipy.libs/libscipy_openblas*.so", "")):
+        handle = None
+        for lib in sorted(Path(module.__file__).parent.parent.glob(pattern)):
+            try:
+                handle = ctypes.CDLL(str(lib), mode=os.RTLD_NOLOAD)
+                break
+            except (OSError, AttributeError):  # not mapped here, or no RTLD_NOLOAD
+                pass
+        setter = getattr(handle, f"scipy_openblas_set_num_threads{suffix}", None)
+        if setter is None:
+            unpinned.append(module.__name__)
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+        getter = getattr(handle, f"scipy_openblas_get_num_threads{suffix}", None)
+        if module is np and getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            threads = getter()
+    if unpinned:
+        print(f"tokengossip: found no OpenBLAS thread setter for {' and '.join(unpinned)}; "
+              "their dense solves run unpinned", file=sys.stderr)
+    return threads
+
+
+_BLAS_THREADS = _pin_openblas()
 
 
 class GraphGenerationError(RuntimeError):

@@ -452,9 +452,11 @@ def cfld_run(state: SimState) -> "Trace":
         per_edge += link
         per_origin.append(int(link.sum()))
         last = forward[src[link]].max(initial=last)  # the last forward
+    del x, w  # freed, with src and per_edge below, before the fusion sets the peak memory
     state.sends += np.bincount(src, per_edge, n).astype(np.int64)
     state.receives += np.bincount(flat, per_edge, n).astype(np.int64)
     flood_messages = int(per_edge.sum())
+    del src, per_edge
     state.eta += flood_messages
     state.t += float(last)
     if rounds:

@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
+import tokengossip
 from tokengossip.cli import main
-from tokengossip.graph import load_graph
+from tokengossip.graph import GraphSpec, generate, load_graph, save_graph
 
 
 def run_cli(args, monkeypatch, tmp_path):
@@ -127,6 +131,7 @@ def test_run_writes_traces_and_manifest(tmp_path, monkeypatch):
     assert manifest["tool_version"]
     assert manifest["master_seed"] == 5
     assert manifest["config_hash"]
+    assert manifest["blas_threads"] == 1  # the import pinned numpy's OpenBLAS
 
 
 def test_run_two_phase_lazy_pilot_follows_clock(tmp_path, monkeypatch):
@@ -394,6 +399,7 @@ def test_scale_passes_and_reruns_identically(tmp_path, monkeypatch, capsys):
     assert rc1 == 0 and rc2 == 0
     for name in ("summary.csv", "fits.json", "table_report.txt"):
         assert (tmp_path / "s1" / name).read_bytes() == (tmp_path / "s2" / name).read_bytes()
+    assert json.loads((tmp_path / "s1" / "run_manifest.json").read_text())["blas_threads"] == 1
 
 
 def test_scale_empty_config_exit_2(tmp_path, monkeypatch):
@@ -665,3 +671,90 @@ def test_run_out_writes_strict_json(flags, tmp_path, monkeypatch):
 def test_hybrid_k_without_wavg_says_it_needs_wavg(name, tmp_path, monkeypatch, capsys):
     assert run_cli(BAD_INPUTS[name](tmp_path), monkeypatch, tmp_path) == 2
     assert "fusion wavg" in capsys.readouterr().err
+
+
+# -- the import's OpenBLAS pin ---------------------------------------------
+
+SRC = str(Path(tokengossip.__file__).resolve().parents[1])
+
+# the thread counts of numpy's and scipy's bundled OpenBLAS after importing
+# tokengossip.graph alone, and whether that imported the analysis module
+GETTERS = """
+import ctypes, json, os, sys
+from pathlib import Path
+import numpy, scipy
+import tokengossip.graph
+threads = []
+for module, pattern, getter in (
+        (numpy, "numpy.libs/libscipy_openblas64_*.so", "scipy_openblas_get_num_threads64_"),
+        (scipy, "scipy.libs/libscipy_openblas*.so", "scipy_openblas_get_num_threads")):
+    lib, = Path(module.__file__).parent.parent.glob(pattern)
+    get = getattr(ctypes.CDLL(str(lib), mode=os.RTLD_NOLOAD), getter)
+    get.restype = ctypes.c_int
+    threads.append(get())
+print(json.dumps([threads, "tokengossip.analysis" in sys.modules]))
+"""
+
+# sys.argv[1:] through cli.main, with the OpenBLAS lookup finding no library
+# while the package is imported
+UNPINNED = """
+import pathlib, sys
+glob = pathlib.Path.glob
+pathlib.Path.glob = lambda self, pattern: iter(())
+from tokengossip.cli import main
+pathlib.Path.glob = glob
+sys.exit(main(sys.argv[1:]))
+"""
+
+# each analysis through cli.main on the graph files one directory up, writing
+# its --out file in the working directory
+ANALYSES = """
+from tokengossip.cli import main
+for what, graph, *flags in (("meeting", "rgg100"), ("hitting", "rgg400"),
+                            ("gaussian", "torus30", "--tmax", "30")):
+    assert main(["analyze", "--what", what, "--graph", f"../{graph}", *flags,
+                 "--out", what]) == 0
+"""
+
+
+def _python(code: str, *args: str, threads: int = 2, cwd=None) -> subprocess.CompletedProcess:
+    """``code`` run in a fresh interpreter on the package, with
+    ``OPENBLAS_NUM_THREADS`` set to ``threads``."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_analysis_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # unpinned, max M of this meeting table and the Gaussian c3 differ in
+    # their last digits between one OpenBLAS thread and two
+    for name, spec in (("rgg100", GraphSpec.rgg(100, seed=2)), ("rgg400", GraphSpec.rgg(400, seed=2)),
+                       ("torus30", GraphSpec.torus(30))):
+        save_graph(generate(spec), tmp_path / name)
+    outputs = {}
+    for threads in (1, 2):
+        cwd = tmp_path / f"threads{threads}"
+        cwd.mkdir()
+        done = _python(ANALYSES, threads=threads, cwd=cwd)
+        assert done.returncode == 0, done.stderr
+        outputs[threads] = {what: (cwd / what).read_bytes()
+                            for what in ("meeting", "hitting", "gaussian")}
+    assert outputs[1] == outputs[2]
+
+
+def test_importing_the_graph_module_pins_both_openblas_libraries_to_one_thread():
+    done = _python(GETTERS, threads=2)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[1, 1], False]
+    assert done.stderr == ""
+
+
+def test_without_a_thread_setter_the_import_says_so_once_and_analysis_runs(tmp_path):
+    save_graph(generate(GraphSpec.torus(4)), tmp_path / "t.graph")
+    done = _python(UNPINNED, "analyze", "--what", "hitting", "--graph", "t.graph", cwd=tmp_path)
+    assert done.returncode == 0 and "Traceback" not in done.stderr
+    assert done.stderr.splitlines() == [
+        "tokengossip: found no OpenBLAS thread setter for numpy and scipy; "
+        "their dense solves run unpinned"]
+    assert json.loads(done.stdout)["max_residual"] < 1e-9
