@@ -105,8 +105,9 @@ NOTES = [
     "reason for 36-node meeting graphs; that reason no longer holds.",
     "bench.trace_overhead_frac reads negative on run_out: the traced passes can run faster "
     "than the untraced ones, so it measures the host's speed drift, not the tracer's cost.",
-    "setup_s on the analysis workload spreads about as wide as its 25% bound between runs "
-    "of the same code.",
+    "setup_s on the analysis workload spreads between runs of the same code by about 10% "
+    "of its median (quartiles over ten 40 s runs, seeds 1-10) in some series and about as "
+    "wide as its 25% bound in others.",
     "setup_s on run_out and sweep reads two to three times higher on the first run of a "
     "series than on the runs after it, so whichever tree runs first in a paired comparison "
     "carries that cost; this tool makes one discarded --size tiny --seconds 1 run before "
