@@ -24,7 +24,6 @@ from scipy.sparse import csc_matrix, identity, kron
 from scipy.sparse.csgraph import laplacian
 
 from .engine import Continuous, RngStream
-from .fusion import sum_fusion
 from .graph import (
     Graph,
     _sample_nodes,
@@ -33,7 +32,7 @@ from .graph import (
     check_volume_doubling,
     distances_from,
 )
-from .protocols import MaxTime, ProtocolKind, SynchronousDiscrete, Termination, init, run
+from .protocols import MaxTime, SynchronousDiscrete, Termination, _crw_starts, run
 
 
 class SolverError(RuntimeError):
@@ -366,31 +365,22 @@ def estimate_decay(
 ) -> DecayCurve:
     """Monte-Carlo token-decay curve of CRW.
 
-    Runs full CRW trials and reads the active-count step functions on a
-    shared grid.  ``lazy_prob`` switches to synchronized discrete rounds;
-    the message curve then uses per-round sums (every active token is
-    charged one message per round) instead of the time integral.
+    Runs full CRW trials (streams ``stream_id + trial``) and reads the
+    active-count step functions on a shared grid; the message curve is
+    their time integral.  ``lazy_prob`` switches to synchronized discrete
+    rounds on a grid of whole rounds.  Every token active after round j
+    is then charged one message in round j + 1, so the messages by grid
+    round t sum the counts after rounds 0..t: the integral up to t + 1,
+    since the counts change only at whole rounds.  Those sums are
+    integers, exact in float64.
     """
     if trials < 1:
         raise ValueError(f"decay estimate needs trials >= 1, not {trials!r}")
-    if isinstance(stream, int):
-        stream = RngStream(master_seed=stream, stream_id=0)
     discrete = lazy_prob is not None
-    clock = SynchronousDiscrete(lazy_prob) if discrete else None
-    fusion = sum_fusion()
-    zero = [0] * g.n
+    clock = SynchronousDiscrete(lazy_prob) if discrete else Continuous()
     curves = []
     t_end = 0.0
-    for trial in range(trials):
-        st = init(
-            ProtocolKind.CRW,
-            g,
-            zero,
-            fusion,
-            seed=stream.master_seed,
-            stream_id=stream.stream_id + trial,
-            clock=clock if discrete else Continuous(),
-        )
+    for st in _crw_starts(g, trials, stream, clock):
         tr = run(st, Termination())
         curves.append((np.asarray(tr.times), np.asarray(tr.active_counts, dtype=float)))
         t_end = max(t_end, tr.tau)
@@ -403,14 +393,7 @@ def estimate_decay(
     integrals = np.empty((trials, len(grid)))
     for i, (times, counts) in enumerate(curves):
         samples[i] = counts[_step_index(times, grid)]
-        if discrete:
-            # per-round message accounting: sum of counts over rounds <= t
-            rounds = np.arange(0.0, grid[-1] + 1.0)
-            per_round = counts[_step_index(times, rounds)]
-            cum = np.concatenate([[0.0], np.cumsum(per_round)])
-            integrals[i] = cum[np.clip(grid.astype(np.int64) + 1, 0, len(cum) - 1)]
-        else:
-            integrals[i] = _step_integral(times, counts, grid)
+        integrals[i] = _step_integral(times, counts, grid + 1 if discrete else grid)
     n_hat = samples.mean(axis=0)
     n_se = samples.std(axis=0, ddof=1) / math.sqrt(trials) if trials > 1 else np.zeros_like(n_hat)
     m_hat = integrals.mean(axis=0)
@@ -458,22 +441,12 @@ def coalescing_oracle(
     nonincreasing in s); one trial gives standard errors of 0."""
     if trials < 1:
         raise ValueError(f"coalescing oracle needs trials >= 1, not {trials!r}")
-    if isinstance(stream, int):
-        stream = RngStream(master_seed=stream, stream_id=0)
     b = set(b)
     if not b or not b <= set(range(g.n)):
         raise ValueError("start set must be a nonempty set of nodes")
     s_values = np.asarray(s_values, dtype=float)
-    fusion = sum_fusion()
     counts = np.empty((trials, len(s_values)))
-    for trial in range(trials):
-        st = init(ProtocolKind.CRW, g, [0] * g.n, fusion, seed=stream.master_seed,
-                  stream_id=stream.stream_id + trial)
-        for i in range(g.n):
-            if i not in b:
-                st.deactivate(i)
-                st.counts[i] = 0
-        st.active_counts[0] = st.active_count
+    for trial, st in enumerate(_crw_starts(g, trials, stream, Continuous(), b)):
         tr = run(st, MaxTime(float(s_values.max())))
         counts[trial] = np.asarray(tr.active_counts)[_step_index(tr.times, s_values)]
     return [

@@ -29,7 +29,8 @@ from scipy.sparse.csgraph import dijkstra
 
 from . import _walk
 from .engine import RNG_ALGORITHM, ClockMode, Continuous, RngStream, SynchronousDiscrete
-from .fusion import INT64_MIN, FusionKind, FusionSpec, TokenPayload, fold, weighted_avg_fusion
+from .fusion import (INT64_MIN, FusionKind, FusionSpec, TokenPayload, fold, sum_fusion,
+                     weighted_avg_fusion)
 from .graph import Graph
 
 
@@ -256,6 +257,28 @@ def init(
     return state
 
 
+def _crw_starts(graph: Graph, trials: int, stream: RngStream | int, clock: ClockMode,
+                start=None):
+    """The start states of ``trials`` Monte-Carlo CRW trials on ``clock``,
+    one at a time, on streams ``stream_id + trial`` (an int is the master
+    seed of stream 0): SUM of zeros, with every node active and counted,
+    or only the nodes of the set ``start``, the others deactivated in
+    ascending order and holding count 0."""
+    if isinstance(stream, int):
+        stream = RngStream(master_seed=stream, stream_id=0)
+    fusion, zero = sum_fusion(), [0] * graph.n
+    for trial in range(trials):
+        state = init(ProtocolKind.CRW, graph, zero, fusion, seed=stream.master_seed,
+                     stream_id=stream.stream_id + trial, clock=clock)
+        if start is not None:
+            for i in range(graph.n):
+                if i not in start:
+                    state.deactivate(i)
+                    state.counts[i] = 0
+            state.active_counts[0] = state.active_count
+        yield state
+
+
 # -- the event loops -----------------------------------------------------
 
 
@@ -475,31 +498,33 @@ def cfld_run(state: SimState) -> "Trace":
 def _fuse_ranks(state: SimState, origins: list, order: np.ndarray) -> None:
     """Fuse into each node w of ``state`` the origins' payloads (their
     values) rank by rank: at rank r that of origin ``origins[order[r, w]]``,
-    unless it is w.  All nodes move together, in the state's arrays, and
-    every node's result is its fold of ``fusion.fuse`` bit for bit: SUM
-    raises the fusion's OverflowError, leaving the values as they were, at
-    the first rank where a partial sum leaves int64, and WAVG keeps
-    ``_fuse_wavg``'s zero-weight identities and operation order.
+    unless it is w.  All nodes move together, one rank at a time, and every
+    node's result is its fold of ``fusion.fuse`` bit for bit: SUM raises the
+    fusion's OverflowError, leaving the values as they were, at the first
+    rank, then the lowest node, where a partial sum leaves int64, and WAVG
+    keeps ``_fuse_wavg``'s zero-weight identities and operation order.
     """
-    fusion, ival, yv, wv = state.fusion, state.ival, state.yv, state.wv
+    fusion, ival, yv, wv = state.fusion, state.ival.copy(), state.yv, state.wv
     n = len(ival)
     own = np.full(n, -1)
     own[origins] = np.arange(len(origins))
-    skip = order == own
-    if fusion.kind is FusionKind.SUM:
-        b = np.where(skip, 0, ival[origins][order])
-        s = np.cumsum(np.vstack([ival, b]), axis=0)  # the partial sums, wrapping on overflow
-        over = ((s[:-1] ^ s[1:]) & (b ^ s[1:])) < 0
-        if over.any():
-            r, w = divmod(int(over.argmax()), n)
-            fusion.fuse(int(s[r, w]), int(b[r, w]))  # raises with the exact sum
-        ival[:] = s[-1]
-    elif fusion.kind is FusionKind.MAX:
-        np.maximum(ival, np.where(skip, INT64_MIN, ival[origins][order]).max(axis=0), out=ival)
-    else:
-        zero = wv[origins] == 0.0  # fuses as (0.0, 0.0), which _fuse_wavg returns for two zeros
-        py, pw = np.where(zero, 0.0, yv[origins])[order], np.where(zero, 0.0, wv[origins])[order]
-        for yb, wb, own_b in zip(py, pw, skip):
+    oi = ival[origins]
+    zero = wv[origins] == 0.0  # fuses as (0.0, 0.0), which _fuse_wavg returns for two zeros
+    oy, ow = np.where(zero, 0.0, yv[origins]), np.where(zero, 0.0, wv[origins])
+    for rank in order:
+        own_b = rank == own
+        if fusion.kind is FusionKind.SUM:
+            b = np.where(own_b, 0, oi[rank])
+            s = ival + b  # wraps on overflow
+            over = ((ival ^ s) & (b ^ s)) < 0
+            if over.any():
+                w = int(over.argmax())
+                fusion.fuse(int(ival[w]), int(b[w]))  # raises with the exact sum
+            ival = s
+        elif fusion.kind is FusionKind.MAX:
+            np.maximum(ival, np.where(own_b, INT64_MIN, oi[rank]), out=ival)
+        else:
+            yb, wb = oy[rank], ow[rank]
             with np.errstate(all="ignore"):  # 0/0 where the formula is not taken
                 w = wv + wb
                 y = (wv * yv + wb * yb) / w
@@ -507,7 +532,7 @@ def _fuse_ranks(state: SimState, origins: list, order: np.ndarray) -> None:
             keep = own_b | (wb == 0.0)
             yv = np.where(take_b, yb, np.where(keep, yv, y))
             wv = np.where(take_b, wb, np.where(keep, wv, w))
-        state.yv[:], state.wv[:] = yv, wv
+    state.ival[:], state.yv[:], state.wv[:] = ival, yv, wv
 
 
 def two_phase_run(

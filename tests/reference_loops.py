@@ -61,6 +61,13 @@ squares sums, the second forms every power again to take c3 as a minimum
 over all constraints.  ``tokengossip.analysis.check_gaussian_bound`` forms
 each power once and takes c3 from per-distance minima; the two must give
 equal reports, float for float.
+
+``decay_messages_in_rounds`` is ``tokengossip.analysis.estimate_decay``'s
+message curve on rounds as it was first written: each trial set up by
+``init``, then a sum of the active counts over every round up to each
+grid round.  ``estimate_decay`` takes the step integral of the counts up
+to one round past each grid round instead; the two must give equal
+arrays.
 """
 import math
 from typing import Iterable, Tuple
@@ -78,10 +85,12 @@ from tokengossip.analysis import (
     PairTimeTable,
     SolverError,
     _pair_chain,
+    _step_index,
     _transition_matrix,
+    geometric_grid,
 )
-from tokengossip.engine import SynchronousDiscrete
-from tokengossip.fusion import TokenPayload, fold
+from tokengossip.engine import RngStream, SynchronousDiscrete
+from tokengossip.fusion import TokenPayload, fold, sum_fusion
 from tokengossip.graph import (
     Graph,
     GraphGenerationError,
@@ -99,8 +108,11 @@ from tokengossip.protocols import (
     ProtocolError,
     ProtocolKind,
     SimState,
+    Termination,
     _fuse_ranks,
     _trace,
+    init,
+    run,
 )
 
 SHARED = ("graph", "fusion", "kind", "clock", "ublock", "eblock", "status", "times",
@@ -826,3 +838,39 @@ def mean_meeting_times(g: Graph) -> PairTimeTable:
     entry = np.zeros((g.n, g.n))
     entry[x, y] = entry[y, x] = sol
     return PairTimeTable(entry, max_res)
+
+
+def decay_messages_in_rounds(g: Graph, trials: int, stream, lazy_prob: float) -> tuple:
+    """(m_hat, m_se) of ``estimate_decay(g, trials, stream, lazy_prob)``,
+    with per-round message accounting: every token active after a round is
+    charged one message in the next."""
+    if isinstance(stream, int):
+        stream = RngStream(master_seed=stream, stream_id=0)
+    fusion = sum_fusion()
+    zero = [0] * g.n
+    curves = []
+    t_end = 0.0
+    for trial in range(trials):
+        st = init(
+            ProtocolKind.CRW,
+            g,
+            zero,
+            fusion,
+            seed=stream.master_seed,
+            stream_id=stream.stream_id + trial,
+            clock=SynchronousDiscrete(lazy_prob),
+        )
+        tr = run(st, Termination())
+        curves.append((np.asarray(tr.times), np.asarray(tr.active_counts, dtype=float)))
+        t_end = max(t_end, tr.tau)
+    grid = np.unique(np.concatenate([[0.0], np.rint(geometric_grid(t_end))]))
+    integrals = np.empty((trials, len(grid)))
+    for i, (times, counts) in enumerate(curves):
+        # per-round message accounting: sum of counts over rounds <= t
+        rounds = np.arange(0.0, grid[-1] + 1.0)
+        per_round = counts[_step_index(times, rounds)]
+        cum = np.concatenate([[0.0], np.cumsum(per_round)])
+        integrals[i] = cum[np.clip(grid.astype(np.int64) + 1, 0, len(cum) - 1)]
+    m_hat = integrals.mean(axis=0)
+    m_se = integrals.std(axis=0, ddof=1) / math.sqrt(trials) if trials > 1 else np.zeros_like(m_hat)
+    return m_hat, m_se

@@ -492,6 +492,34 @@ def test_decay_discrete_mode():
     assert np.all(np.diff(dc.m_hat) >= -1e-12)
 
 
+@st.composite
+def rounds_decay_cases(draw):
+    """A graph, a lazy probability (1/2, 0.9, or 0 where the graph is not
+    bipartite, which a lazy-0 run to termination refuses), trials and a seed."""
+    g = generate(draw(st.one_of(
+        st.builds(GraphSpec.ring, st.integers(2, 30)),
+        st.builds(GraphSpec.torus, st.integers(3, 5)),
+        st.builds(GraphSpec.grid2d, st.integers(2, 5)),
+        st.builds(GraphSpec.clique, st.integers(1, 9)),
+        st.builds(GraphSpec.rgg, st.integers(2, 30), seed=st.integers(0, 1000)),
+        st.builds(GraphSpec.random_regular, st.integers(5, 20).map(lambda h: 2 * h),
+                  st.sampled_from([3, 4]), seed=st.integers(0, 1000)),
+    )))
+    lazy = [0.5, 0.9] + ([0.0] if g._two_colouring is None else [])
+    return g, draw(st.sampled_from(lazy)), draw(st.integers(1, 6)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=rounds_decay_cases())
+def test_decay_rounds_messages_match_the_per_round_sums(case):
+    # the counts change only at whole rounds, so the step integral up to one
+    # round past each grid round is the per-round sum, exactly
+    g, lazy, trials, seed = case
+    dc = an.estimate_decay(g, trials, stream=seed, lazy_prob=lazy)
+    m_hat, m_se = reference_loops.decay_messages_in_rounds(g, trials, seed, lazy)
+    assert np.array_equal(dc.m_hat, m_hat) and np.array_equal(dc.m_se, m_se)
+
+
 def test_decay_csv(tmp_path):
     g = generate(GraphSpec.clique(4))
     dc = an.estimate_decay(g, trials=20, stream=15)

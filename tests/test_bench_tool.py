@@ -1,6 +1,7 @@
 """``tools/bench.py`` against a stand-in harness that prints canned
-``perfbench/run.py`` output and logs its arguments, a stand-in package
-whose trial does nothing, and stand-in Tier-1 tests."""
+``perfbench/run.py`` output and logs its arguments, a stand-in host-speed
+loop that always takes twice its nominal time, a stand-in package whose
+trial does nothing, and stand-in Tier-1 tests."""
 import importlib.util
 import json
 import subprocess
@@ -22,6 +23,15 @@ print(f"workload {args['--workload']} seed {seed} passes 3 digest d{seed}")
 name = "protocols.cfld_s" if trace else "wall_s"
 print(f"metric {name} {0.1 * seed!r} s")
 print(json.dumps({"correct": True, "attempted": 10, "failed": 0, "metrics": {}}))
+'''
+
+# every loop reads twice NOMINAL_S: the host runs at half its nominal speed
+FAKE_HOSTSPEED = '''
+NOMINAL_S = 0.01
+
+
+def seconds(reps):
+    return 0.02
 '''
 
 FAKE_TESTS = '''
@@ -60,6 +70,7 @@ def stand_in_root(root: Path, tests: str) -> list:
     and ``tests`` as its one test file; returns the tool's command line."""
     (root / "perfbench").mkdir()
     (root / "perfbench" / "run.py").write_text(FAKE_RUN)
+    (root / "perfbench" / "hostspeed.py").write_text(FAKE_HOSTSPEED)
     (root / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 40,
                                                      "workloads": [{"name": "run_out"}]}))
     (root / "src" / "tokengossip").mkdir(parents=True)
@@ -93,6 +104,11 @@ def test_bench_writes_medians_quartiles_digests_and_layers(tmp_path):
     micro = bench["micro"]
     assert (micro["trial"], micro["trials"]) == ("clique-4 CRW, init + run", 20_000)
     assert len(micro["us"]) == 3 and micro["best_us"] == min(micro["us"]) > 0
+    # scaled to nominal host speed, NOMINAL_S over the loop's time: the
+    # stand-in host runs at half of it
+    assert micro["scaled_us"] == [us * 0.01 / 0.02 for us in micro["us"]]
+    assert micro["best_scaled_us"] == min(micro["scaled_us"])
+    assert micro["best_scaled_us"] == pytest.approx(micro["best_us"] / 2)
     flood = bench["flood"]
     assert sorted(flood) == ["continuous", "rounds"]
     assert [flood[c]["switch_time"] for c in flood] == [16000.0, 32000.0]

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 import reference_loops
 from tokengossip import _walk, analysis, protocols
 from tokengossip.cli import main
-from tokengossip.engine import Continuous, SynchronousDiscrete
+from tokengossip.engine import Continuous, RngStream, SynchronousDiscrete
 from tokengossip.experiments import initial_values, slow_mode_start
 from tokengossip.fusion import (
     INT64_MAX,
@@ -350,16 +350,32 @@ def test_a_flood_draw_follows_a_partly_drawn_exponential_block():
 
 
 def test_coalescing_oracle_start_state():
+    # _crw_starts leaves each trial as init and a loop that deactivates the
+    # nodes outside the start set in ascending order do, on both clocks: the
+    # active list's order decides which token fires
     g = generate(GraphSpec.torus(6, 2))
     b = {0, 3, 7, 14, 20, 33}
 
+    def looped(clock, start, stream_id):
+        s = init("crw", g, [0] * g.n, sum_fusion(), seed=9, stream_id=stream_id, clock=clock)
+        if start is not None:
+            for i in range(g.n):
+                if i not in start:
+                    s.deactivate(i)
+                    s.counts[i] = 0
+            s.active_counts[0] = s.active_count
+        return s
+
+    for clock in (Continuous(), SynchronousDiscrete(0.5)):
+        for start in (None, b):
+            starts = protocols._crw_starts(g, 3, RngStream(9, 4), clock, start)
+            assert [snapshot(s) for s in starts] == [snapshot(looped(clock, start, 4 + trial))
+                                                     for trial in range(3)]
+    assert [s.stream for s in protocols._crw_starts(g, 2, 9, Continuous())] == [
+        RngStream(9, 0), RngStream(9, 1)]
+
     def oracle_trial():
-        s = init("crw", g, [0] * g.n, sum_fusion(), seed=9, stream_id=4)
-        for i in range(g.n):
-            if i not in b:
-                s.deactivate(i)
-                s.counts[i] = 0
-        s.active_counts[0] = s.active_count
+        s = looped(Continuous(), b, 4)
         return run(s, MaxTime(30.0)), snapshot(s)
 
     got, want = on_both(oracle_trial)

@@ -10,10 +10,12 @@ the first workload, then, each for the ``run_seconds`` of its
 ``BENCHMARK.json``, each workload untraced (``--trace 0``) on seeds 1 to
 5 and traced (``--trace 1``) on seeds 1 to 3.  Then times a clique-4 CRW
 trial (``init`` + ``run``) in a fresh process: the mean over 20 000
-trials, three times.  Then, in a fresh process per clock, runs
-``two_phase_run`` on torus 256x256 to a switch time that leaves about 12
-origins and times its flood (``cfld_run``).  Then runs the checkout's
-Tier-1 tests once
+trials, three times, each between two timings of perfbench's host-speed
+loop (``perfbench/hostspeed.py``), which scale it to nominal host speed
+as perfbench scales its passes.  Then, in a fresh process per clock,
+runs ``two_phase_run`` on torus 256x256 to a switch time that leaves
+about 12 origins and times its flood (``cfld_run``).  Then runs the
+checkout's Tier-1 tests once
 (``python -m pytest -q --continue-on-collection-errors`` with
 ``<root>/src`` on ``PYTHONPATH``).  The file holds the measured tree
 (whether ``git status --porcelain -- src tests`` lists any change, null
@@ -21,11 +23,11 @@ outside a git checkout, and a SHA-256 over the files of
 ``src/tokengossip``), the environment stamp that the harness prints, the
 median and quartiles of each end-to-end metric over the untraced seeds,
 each run's digest, the median and quartiles of each per-layer metric
-over the traced seeds, the trial's cost per repeat and the best of them
-(``micro``), each clock's flood origins, flood wall time and peak-RSS
-growth across the flood (``flood``), the Tier-1 counts, failed test ids
-and wall time, and notes on known faults of the harness, which this
-script records rather than edits.  A failed perfbench run, trial timing
+over the traced seeds, the trial's cost per repeat and the best of them,
+measured and scaled (``micro``), each clock's flood origins, flood wall
+time and peak-RSS growth across the flood (``flood``), the Tier-1
+counts, failed test ids and wall time, and notes on known faults of the
+harness, which this script records rather than edits.  A failed perfbench run, trial timing
 or flood, or a Tier-1 run that exits with neither 0 nor 1 (1: some test
 failed), stops it.
 """
@@ -45,24 +47,31 @@ from pathlib import Path
 SEEDS = (1, 2, 3, 4, 5)
 TRACED_SEEDS = (1, 2, 3)  # one traced pass cannot tell a 10-15% layer change from drift
 MICRO_TRIALS, MICRO_REPEATS = 20_000, 3
+HOST_LOOPS = 4  # host-speed loops before and after each repeat, as perfbench's worker runs
 
 # the clique-4 CRW trial, timed in the checkout's package; prints the mean
-# microseconds per trial of each repeat as a JSON list
+# microseconds per trial of each repeat, as measured ("us") and scaled by the
+# host-speed loop's NOMINAL_S over its mean time around the repeat ("scaled_us")
 MICRO = f"""
-import json, time
+import json, sys, time
+sys.path.insert(0, "perfbench")
+import hostspeed
 from tokengossip.fusion import sum_fusion
 from tokengossip.graph import GraphSpec, generate
 from tokengossip.protocols import Termination, init, run
 
 g, fusion, x = generate(GraphSpec.clique(4)), sum_fusion(), [0] * 4
 run(init("crw", g, x, fusion), Termination())  # builds the kernel if the cache lacks it
-per_trial = []
+per_trial, scaled = [], []
 for _ in range({MICRO_REPEATS}):
+    before = hostspeed.seconds({HOST_LOOPS})
     started = time.perf_counter()
     for trial in range({MICRO_TRIALS}):
         run(init("crw", g, x, fusion, seed=1, stream_id=trial), Termination())
     per_trial.append((time.perf_counter() - started) / {MICRO_TRIALS} * 1e6)
-print(json.dumps(per_trial))
+    host_s = (before + hostspeed.seconds({HOST_LOOPS})) / 2
+    scaled.append(per_trial[-1] * hostspeed.NOMINAL_S / host_s)
+print(json.dumps({{"us": per_trial, "scaled_us": scaled}}))
 """
 
 # two-phase on torus 256x256 (n = 2^16) to argv[2] on the clock argv[1]; prints
@@ -181,10 +190,11 @@ def probe(root: Path, what: str, code: str, *args: str):
 
 
 def micro(root: Path) -> dict:
-    """The clique-4 CRW trial's cost in microseconds, each repeat's and the best."""
-    per_trial = probe(root, "the clique-4 trial timing", MICRO)
-    return {"trial": "clique-4 CRW, init + run", "trials": MICRO_TRIALS, "us": per_trial,
-            "best_us": min(per_trial)}
+    """The clique-4 CRW trial's cost in microseconds, each repeat's and the
+    best, measured and scaled to nominal host speed."""
+    timed = probe(root, "the clique-4 trial timing", MICRO)
+    return {"trial": "clique-4 CRW, init + run", "trials": MICRO_TRIALS, **timed,
+            "best_us": min(timed["us"]), "best_scaled_us": min(timed["scaled_us"])}
 
 
 def flood(root: Path) -> dict:
