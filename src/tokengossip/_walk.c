@@ -11,20 +11,9 @@
  * after the relax that brings iv[ACTIVE_ACTIVE] to iv[PAUSE] or its running
  * q -= 0.5*(yi - yj)^2 to dv[THRESHOLD]; the hybrid passes -1 and NaN.
  *
- * The caller passes the state's numpy bit generator and its two draw
- * blocks, uniforms then exponentials, with their cursors UI and EI and the
- * counts UF and EF of drawn entries.  The stream is laid out U1 E1 U2 ...:
- * the uniform block U1 from where the state's set-up draws left the
- * generator, the exponential block E1 from where U1 ends, and each later
- * block from where the generator stands when a draw first needs it.  The
- * blocks are drawn lazily, by numpy's own fill functions (the ones behind
- * Generator.random and Generator.standard_exponential): a uniform block
- * whole on its first draw, an exponential block CHUNK draws at a time (a
- * chunked fill leaves the same values and generator as a whole one).  So
- * that every block starts where the layout puts it, U1 is drawn before E1's
- * first chunk, and a begun exponential block is completed before the next
- * uniform block is drawn; Python completes both before any draw of its own
- * (SimState.rng).
+ * The caller passes the state's numpy bit generator.  Each variate is drawn
+ * from it where it is used, in event order, by numpy's own samplers (the
+ * ones behind Generator.random and Generator.standard_exponential).
  *
  * With CHECK bits set in iv, the walk checks after every event (every
  * round, on the discrete clock) that the counts sum to n, that the SUM or
@@ -47,80 +36,19 @@
 
 #include "numpy/random/bitgen.h"
 
-/* numpy's block fills, from libnpyrandom.a (numpy/random/distributions.h
+/* numpy's samplers, from libnpyrandom.a (numpy/random/distributions.h
  * declares them but needs Python.h) */
-typedef void fill_t(bitgen_t *, intptr_t, double *);
-fill_t random_standard_uniform_fill, random_standard_exponential_fill;
+double random_standard_uniform(bitgen_t *);
+double random_standard_exponential(bitgen_t *);
 
 enum { DONE, MAX_TIME, SUM_OVERFLOW, CURVE_FULL, BROKEN, PAUSED };
 enum { SUM, MAX, WAVG };
 enum { CHECK_COUNTS = 1, CHECK_VALUES = 2, CHECK_ONE_TOKEN = 4 };
-enum { CHUNK = 64 };
 /* slots of iv */
-enum { NACTIVE, ETA, HOLDER, ACTIVE_ACTIVE, UI, UF, EI, EF, NPOINTS, ERR_J, ERR_V, ROUNDS, CHECK,
-       EXPECTED, PAUSE, TERMINATING, NIV };
+enum { NACTIVE, ETA, HOLDER, ACTIVE_ACTIVE, NPOINTS, ERR_J, ERR_V, ROUNDS, CHECK, EXPECTED, PAUSE,
+       TERMINATING, NIV };
 /* slots of dv */
 enum { T, MAX_T, LAZY, Q, THRESHOLD, NDV };
-
-/* the state's draw blocks: cursors, drawn counts and their generator */
-typedef struct {
-    bitgen_t *bg;
-    double *u, *e;
-    int64_t ui, uf, ei, ef, size;
-} draws_t;
-
-static draws_t load_draws(bitgen_t *bg, double *blocks, int64_t size, const int64_t *iv)
-{
-    draws_t d = {bg, blocks, blocks + size, iv[UI], iv[UF], iv[EI], iv[EF], size};
-    return d;
-}
-
-static void store_draws(const draws_t *d, int64_t *iv)
-{
-    iv[UI] = d->ui;
-    iv[UF] = d->uf;
-    iv[EI] = d->ei;
-    iv[EF] = d->ef;
-}
-
-static void fill_uniforms(draws_t *d)
-{
-    random_standard_uniform_fill(d->bg, d->size, d->u);
-    d->uf = d->size;
-}
-
-/* the next uniform; a used-up block U_k gives way to U_k+1, which starts
- * where E_k ends */
-static inline double uniform(draws_t *d)
-{
-    if (d->ui == d->uf) {
-        if (d->uf) {
-            if (d->ef < d->size) {
-                random_standard_exponential_fill(d->bg, d->size - d->ef, d->e + d->ef);
-                d->ef = d->size;
-            }
-            d->ui = 0;
-        }
-        fill_uniforms(d);
-    }
-    return d->u[d->ui++];
-}
-
-/* the next exponential, drawing the block's next chunk if it has none;
- * E1 starts where U1 ends, a later block where the generator stands */
-static inline double exponential(draws_t *d)
-{
-    if (d->ei == d->ef) {
-        if (!d->uf)
-            fill_uniforms(d);
-        if (d->ef == d->size)
-            d->ei = d->ef = 0;
-        const int64_t c = d->size - d->ef < CHUNK ? d->size - d->ef : CHUNK;
-        random_standard_exponential_fill(d->bg, c, d->e + d->ef);
-        d->ef += c;
-    }
-    return d->e[d->ei++];
-}
 
 /* the node arrays of a walk and its scalars */
 typedef struct {
@@ -266,7 +194,7 @@ static inline void relax(walk_t *s, int64_t i, int64_t j)
 
 int tg_walk_continuous(
     int64_t n, const int64_t *indptr, const int64_t *indices, int64_t fusion, int64_t hybrid,
-    uint8_t *status, bitgen_t *bg, double *blocks, int64_t block, int64_t *I, double *D)
+    uint8_t *status, bitgen_t *bg, int64_t *I, double *D)
 {
     walk_t s = unpack(n, fusion, status, I, D);
     int64_t *iv = I, *active = s.active;
@@ -274,7 +202,6 @@ int tg_walk_continuous(
     double *dv = D, *pt_t = s.wv + n;
     const int64_t pt_cap = n + 1, check = iv[CHECK], expected = iv[EXPECTED], pause = iv[PAUSE];
     const int64_t terminating = iv[TERMINATING];
-    draws_t rnd = load_draws(bg, blocks, block, iv);
     int64_t active_active = iv[ACTIVE_ACTIVE], npoints = iv[NPOINTS];
     double t = dv[T], q = dv[Q];
     const double max_t = dv[MAX_T], threshold = dv[THRESHOLD];
@@ -284,17 +211,17 @@ int tg_walk_continuous(
             rc = DONE;
             break;
         }
-        const double nt = t + exponential(&rnd) / (double)s.k;
+        const double nt = t + random_standard_exponential(bg) / (double)s.k;
         if (nt > max_t) {
             t = max_t;
             rc = MAX_TIME;
             break;
         }
         t = nt;
-        const int64_t i = active[(int64_t)(uniform(&rnd) * (double)s.k)];
+        const int64_t i = active[(int64_t)(random_standard_uniform(bg) * (double)s.k)];
         const int64_t lo = indptr[i], deg = indptr[i + 1] - lo, before = s.k;
         if (deg > 0) {
-            const int64_t j = indices[lo + (int64_t)(uniform(&rnd) * (double)deg)];
+            const int64_t j = indices[lo + (int64_t)(random_standard_uniform(bg) * (double)deg)];
             if (hybrid && status[j]) {
                 const double d = s.yv[i] - s.yv[j];
                 relax(&s, i, j);
@@ -330,7 +257,6 @@ int tg_walk_continuous(
     }
     pack(&s, I);
     iv[ACTIVE_ACTIVE] = active_active;
-    store_draws(&rnd, iv);
     iv[NPOINTS] = npoints;
     dv[T] = t;
     dv[Q] = q;
@@ -343,7 +269,7 @@ int tg_walk_continuous(
  * deliveries received, in order. */
 int tg_walk_discrete(
     int64_t n, const int64_t *indptr, const int64_t *indices, int64_t fusion,
-    uint8_t *status, bitgen_t *bg, double *blocks, int64_t block, int64_t *I, double *D)
+    uint8_t *status, bitgen_t *bg, int64_t *I, double *D)
 {
     walk_t s = unpack(n, fusion, status, I, D);
     int64_t *iv = I, *pt_count = s.ival + n, *pt_eta = pt_count + n + 1;
@@ -351,7 +277,6 @@ int tg_walk_discrete(
     double *dv = D, *pt_t = s.wv + n, *dy = pt_t + n + 1, *dw = dy + n;
     const int64_t pt_cap = n + 1, check = iv[CHECK], expected = iv[EXPECTED];
     const int64_t terminating = iv[TERMINATING];
-    draws_t rnd = load_draws(bg, blocks, block, iv);
     int64_t npoints = iv[NPOINTS], rounds = iv[ROUNDS];
     double t = dv[T];
     const double max_t = dv[MAX_T], lazy = dv[LAZY];
@@ -371,12 +296,12 @@ int tg_walk_discrete(
         int64_t nd = 0;
         for (int64_t r = 0; r < nsnap; r++) {
             const int64_t i = snap[r];
-            if (lazy != 0.0 && uniform(&rnd) < lazy)
+            if (lazy != 0.0 && random_standard_uniform(bg) < lazy)
                 continue;
             const int64_t lo = indptr[i], deg = indptr[i + 1] - lo;
             if (deg == 0)
                 continue;
-            dj[nd] = indices[lo + (int64_t)(uniform(&rnd) * (double)deg)];
+            dj[nd] = indices[lo + (int64_t)(random_standard_uniform(bg) * (double)deg)];
             const payload_t p = release(&s, i);
             dval[nd] = p.v;
             dcount[nd] = p.c;
@@ -414,7 +339,6 @@ int tg_walk_discrete(
         }
     }
     pack(&s, I);
-    store_draws(&rnd, iv);
     iv[NPOINTS] = npoints;
     iv[ROUNDS] = rounds;
     dv[T] = t;

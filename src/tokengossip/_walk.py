@@ -4,15 +4,13 @@ averaging, which is the hybrid with every node active (``exchange``).
 
 ``_walk.c`` runs the continuous-clock loop (an exponential wait, a uniform
 pick of the firing token, a send to a uniform neighbour) and synchronized
-rounds.  It draws from the state's blocks at the state's cursors, and draws
-the blocks themselves lazily with numpy's C fill functions on the state's
-bit generator (the calls behind ``Generator.random`` and
-``Generator.standard_exponential``): a uniform block whole when its first
-draw is asked for, an exponential block in chunks of ``_CHUNK``, in the
-stream layout that ``protocols.SimState`` describes.  Given the expected
-fold of the values, it checks conservation after every event (``walk``).
-The arguments of a state's kernel calls never change, so ``_bind`` makes
-them once per state.
+rounds.  It draws each variate where it uses it, with numpy's C samplers on
+the state's bit generator (the calls behind ``Generator.random`` and
+``Generator.standard_exponential``), so a walk leaves the generator where
+the same draws made in Python would.  Given the expected fold of the
+values, it checks conservation after every event (``walk``).  The
+arguments of a state's kernel calls never change, so ``_bind`` makes them
+once per state.
 
 The kernel is built on first use with the system C compiler, against
 numpy's headers and its static random library (``libnpyrandom.a``), into a
@@ -47,12 +45,11 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 # the return codes, the slots of the scalar arrays, the fusion codes and
 # the check bits of _walk.c
 _DONE, _MAX_TIME, _SUM_OVERFLOW, _CURVE_FULL, _BROKEN, _PAUSED = range(6)
-(_NACTIVE, _ETA, _HOLDER, _ACTIVE_ACTIVE, _UI, _UF, _EI, _EF, _NPOINTS, _ERR_J, _ERR_V, _ROUNDS,
- _CHECK, _EXPECTED, _PAUSE, _TERMINATING, _NIV) = range(17)
+(_NACTIVE, _ETA, _HOLDER, _ACTIVE_ACTIVE, _NPOINTS, _ERR_J, _ERR_V, _ROUNDS, _CHECK, _EXPECTED,
+ _PAUSE, _TERMINATING, _NIV) = range(13)
 _T, _MAX_T, _LAZY, _Q, _THRESHOLD, _NDV = range(6)
 _FUSION = {FusionKind.SUM: 0, FusionKind.MAX: 1, FusionKind.WEIGHTED_AVG: 2}
 _CHECK_COUNTS, _CHECK_VALUES, _CHECK_ONE_TOKEN = 1, 2, 4
-_CHUNK = 64  # exponentials drawn at a time
 
 
 def _cache_dir() -> Path:
@@ -107,8 +104,8 @@ def load():
     one-line OSError when it cannot be built or loaded."""
     lib = ctypes.CDLL(str(_build()))
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    lib.tg_walk_continuous.argtypes = [i64, ptr, ptr, i64, i64, ptr, ptr, ptr, i64, ptr, ptr]
-    lib.tg_walk_discrete.argtypes = [i64, ptr, ptr, i64, ptr, ptr, ptr, i64, ptr, ptr]
+    lib.tg_walk_continuous.argtypes = [i64, ptr, ptr, i64, i64, ptr, ptr, ptr, ptr]
+    lib.tg_walk_discrete.argtypes = [i64, ptr, ptr, i64, ptr, ptr, ptr, ptr]
     lib.tg_walk_continuous.restype = lib.tg_walk_discrete.restype = ctypes.c_int
     # a bit generator's bitgen_t*, read from its capsule; its ctypes
     # attribute would build three function wrappers for every generator
@@ -207,10 +204,10 @@ def _bind(state) -> tuple:
     g = state.graph
     n = g.n
     kind = FusionKind.WEIGHTED_AVG if state.kind == "gossip" else state.fusion.kind
-    bits = state._rng.bit_generator
+    bits = state.rng.bit_generator
     tail = ((ctypes.c_uint8 * n).from_buffer(state.status),
-            lib.bitgen(bits.capsule, b"BitGenerator"), _address(state.ublock),
-            state.ublock.size, _address(state._ints), _address(state._floats))
+            lib.bitgen(bits.capsule, b"BitGenerator"), _address(state._ints),
+            _address(state._floats))
     head = (n, g.offsets.ctypes.data, g.flat.ctypes.data, _FUSION[kind])
     if isinstance(state.clock, SynchronousDiscrete):
         return lib.tg_walk_discrete, head + tail, bits.lock
@@ -231,14 +228,12 @@ def _run(state, max_t, terminating, active_active, check=0, folded=0, pause=-1, 
     kernel, args, lock = state._call
     ints, floats = state._ints, state._floats
     ints[:_NIV] = [state.active_count, state.eta, -1 if state.holder is None else state.holder,
-                   active_active, state.ui, state.uf, state.ei, state.ef, 0, 0, 0, state.rounds,
-                   check, folded, pause, terminating]
+                   active_active, 0, 0, 0, state.rounds, check, folded, pause, terminating]
     floats[:_NDV] = [state.t, max_t, getattr(state.clock, "lazy_prob", 0.0), q, threshold]
     with lock:  # ctypes lets go of the GIL during the call
         rc = kernel(*args)
 
     iv = ints[:_NIV].tolist()
-    state.ui, state.uf, state.ei, state.ef = iv[_UI:_EF + 1]
     state.active_count = iv[_NACTIVE]
     state.eta = iv[_ETA]
     state.holder = None if iv[_HOLDER] < 0 else iv[_HOLDER]

@@ -7,9 +7,10 @@ exactly; effective resistances from Laplacian solves on the
 unit-resistor network; token decay curves and the coalescing-walk counts
 from seeded Monte Carlo.  Discrete-step expectations equal continuous
 unit-rate expectations via the jump-and-hold construction, so one table
-serves both clocks.  The last digits of a meeting table near the
-100-node cap depend on the number of BLAS threads; at a fixed count a
-rerun gives the same bits.
+serves both clocks.  Importing the package pins the bundled OpenBLAS to
+one thread, so a dense solve's last digits, a meeting table's near the
+100-node cap included, are the same in every run, whatever the thread
+settings.
 """
 from __future__ import annotations
 

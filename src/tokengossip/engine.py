@@ -5,12 +5,9 @@ thinning: only active tokens are sampled, with a single exponential at
 rate equal to the active count followed by a uniform choice of the
 firing token.  Discrete time advances in synchronized rounds with a
 lazy-hold probability.  Every run is a pure function of its seed: a
-simulation state (``protocols.SimState``) holds its stream's generator and
-blocks of uniform and exponential draws, laid out U1 E1 U2 ... on the
-stream.  The walk kernel (``_walk``) draws each block when it first reads
-from it and completes a begun exponential block before the next uniform
-block; a draw in Python goes through ``SimState.rng``, which completes the
-begun blocks first.
+simulation state (``protocols.SimState``) holds its stream's generator,
+and the walk kernel (``_walk``) and the Python code draw each variate from
+it where it is used, in event order.
 """
 from __future__ import annotations
 

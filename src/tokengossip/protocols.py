@@ -34,9 +34,6 @@ from .fusion import (INT64_MIN, FusionKind, FusionSpec, TokenPayload, fold, sum_
 from .graph import Graph
 
 
-BLOCK = 4096  # draws in each of a state's uniform and exponential blocks
-
-
 class ProtocolError(RuntimeError):
     """A protocol invariant was violated (a bug, never a random outcome)."""
 
@@ -83,18 +80,9 @@ class SimState:
     the walk kernel's buffers (``_walk._buffers``), values as ``_walk._encode``
     writes them; ``active_list`` holds the active nodes in its first ``active_count``.
 
-    Its draws come from its stream's generator, laid out U1 E1 U2 ...:
-    after ``init``'s set-up draws, a block of ``BLOCK`` uniforms, then one
-    of ``BLOCK`` unit exponentials, and each later block from where the
-    generator stands when a draw first needs it.  ``init`` draws none of
-    them: the walk kernel (``_walk``) draws a block into ``ublock`` or
-    ``eblock`` when it first reads from it, the uniforms whole (U1 before
-    any exponential), the exponentials in chunks, and completes a begun
-    exponential block before it draws the next uniform block.  ``ui`` and
-    ``ei`` are the cursors of the next unread draws, ``uf`` and ``ef`` the
-    counts of drawn entries.  Any other draw must come through ``rng``,
-    which first completes the blocks the layout has begun, so that the draw
-    lands where it would after whole blocks."""
+    Its draws come from ``rng``, its stream's generator: ``init``'s set-up
+    draws, then the walk kernel's (``_walk``) and the flood's, each drawn
+    where it is used."""
 
     __slots__ = (
         "graph",
@@ -115,14 +103,8 @@ class SimState:
         "eta",
         "sends",
         "receives",
-        "_rng",
+        "rng",
         "_call",
-        "ublock",
-        "eblock",
-        "ui",
-        "uf",
-        "ei",
-        "ef",
         "stream",
         "holder",
         "times",
@@ -138,7 +120,7 @@ class SimState:
         self.kind = kind
         self.clock = clock
         self.stream = stream
-        self._rng = stream.generator()
+        self.rng = stream.generator()
         self._call = None  # the kernel call's fixed arguments (_walk._bind)
         n = graph.n
         (self._ints, self._floats, self.counts, self.active_list, self.active_pos, self.sends,
@@ -149,28 +131,12 @@ class SimState:
         self.active_pos[:] = -1
         self.t = 0.0
         self.eta = 0
-        self.ublock, self.eblock = np.empty((2, BLOCK))
-        self.ui = self.uf = self.ei = self.ef = 0
         self.holder: Optional[int] = None
         self.times = [0.0]
         self.active_counts = [0]
         self.message_counts = [0]
         self.rounds = 0
         self.active_active = 0  # hybrid-k active-to-active relaxations
-
-    @property
-    def rng(self) -> np.random.Generator:
-        """The stream's generator, for a draw outside the walk kernel.  It
-        first draws what the layout has begun: U1 if no uniform has been
-        drawn, then the rest of a begun exponential block.  The blocks'
-        draws are the same either way."""
-        if not self.uf:
-            self._rng.random(out=self.ublock)
-            self.uf = self.ublock.size
-        if self.ef < self.eblock.size:
-            self._rng.standard_exponential(out=self.eblock[self.ef:])
-            self.ef = self.eblock.size
-        return self._rng
 
     # -- active-set bookkeeping (O(1) activate/deactivate/sample) ------
 
@@ -221,7 +187,6 @@ def init(
     if len(x) != n:
         raise ValueError(f"need {n} initial values, got {len(x)}")
     state = SimState(graph, fusion, kind, clock, RngStream(master_seed=seed, stream_id=stream_id))
-    rng = state._rng  # the set-up draws come before U1
     if kind is ProtocolKind.GOSSIP:
         if isinstance(clock, SynchronousDiscrete):
             raise ValueError("gossip runs on the continuous clock only")
@@ -233,7 +198,7 @@ def init(
     if kind is ProtocolKind.SRW:
         origin = params.get("origin")
         if origin is None:
-            origin = int(rng.integers(n))
+            origin = int(state.rng.integers(n))
             params["origin"] = origin
         if not 0 <= origin < n:
             raise ValueError(f"origin {origin} out of range")
@@ -248,7 +213,7 @@ def init(
             raise ValueError(f"hybrid needs 1 <= k <= n, got {k}")
         if fusion is None or fusion.kind.value != "wavg":
             raise ValueError("hybrid active-active relaxation is defined for weighted averages only")
-        for i in sorted(rng.choice(n, size=k, replace=False).tolist()):
+        for i in sorted(state.rng.choice(n, size=k, replace=False).tolist()):
             state.activate(i)
 
     state.active_counts[0] = state.active_count
@@ -263,18 +228,27 @@ def _crw_starts(graph: Graph, trials: int, stream: RngStream | int, clock: Clock
     one at a time, on streams ``stream_id + trial`` (an int is the master
     seed of stream 0): SUM of zeros, with every node active and counted,
     or only the nodes of the set ``start``, the others deactivated in
-    ascending order and holding count 0."""
+    ascending order and holding count 0.  The start set's status, active
+    list, positions and counts draw nothing, so the first trial's are
+    copied into the others."""
     if isinstance(stream, int):
         stream = RngStream(master_seed=stream, stream_id=0)
     fusion, zero = sum_fusion(), [0] * graph.n
+    first = None
     for trial in range(trials):
         state = init(ProtocolKind.CRW, graph, zero, fusion, seed=stream.master_seed,
                      stream_id=stream.stream_id + trial, clock=clock)
         if start is not None:
-            for i in range(graph.n):
-                if i not in start:
-                    state.deactivate(i)
-                    state.counts[i] = 0
+            if first is None:
+                for i in range(graph.n):
+                    if i not in start:
+                        state.deactivate(i)
+                        state.counts[i] = 0
+                first = (state.status[:], state.active_list.copy(), state.active_pos.copy(),
+                         state.counts.copy(), state.active_count)
+            else:
+                (state.status[:], state.active_list[:], state.active_pos[:], state.counts[:],
+                 state.active_count) = first
             state.active_counts[0] = state.active_count
         yield state
 
@@ -430,7 +404,7 @@ def cfld_run(state: SimState) -> "Trace":
     distance.  On the continuous clock each forward waits an independent
     Exp(1) time, which is the law of an event loop over the pending
     forwards (by memorylessness): X is one ``standard_exponential((k, n))``
-    draw from ``state.rng`` (after the walk's blocks), row o over nodes
+    draw from ``state.rng``, where the walk left it, row o over nodes
     0..n-1, and a is first-passage percolation.  Each origin takes one
     ``dijkstra`` solve on the graph whose edges out of v weigh X[o, v].
     v's first senders are the neighbors w with a[o, w] + X[o, w] == a[o, v]

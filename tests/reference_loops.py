@@ -7,7 +7,7 @@ exponential wait at the active count, a uniform pick of the firing token
 and ``handle_send``; in rounds ``synchronous_round``.  Given ``expected``,
 it checks the state after every event with ``_check_event_invariants``.
 A test that watches the draws (patching ``Lists.exponential``) must run
-this loop: the kernel reads the state's blocks directly.
+this loop: the kernel draws from the state's generator directly.
 
 ``run_gossip`` takes the place of ``protocols._run_gossip``: it runs every
 pairwise exchange and the stop rule in one Python loop.
@@ -31,10 +31,8 @@ time in O(|E|) memory; the two must agree exactly, draws included.
 The loops step a ``Lists`` copy of the state, whose node arrays are
 Python lists and whose values are decoded, and write it back at exit.
 ``Lists.uniform`` and ``Lists.exponential`` are the only draws made in
-Python: they read the state's blocks at its cursors and draw them lazily,
-as the kernel does (a uniform block whole, an exponential block in chunks of
-``_walk._CHUNK``; U1 before E1, and a begun exponential block completed
-before the next uniform block), so both leave the same stream.
+Python: each is one scalar draw from the state's generator, as the kernel
+draws it, so both leave the same stream.
 
 ``_build``, ``clique``, ``ring``, ``torus`` and ``grid2d`` are the graph
 constructors that ``tokengossip.graph`` builds from edge arrays: a loop
@@ -115,9 +113,9 @@ from tokengossip.protocols import (
     run,
 )
 
-SHARED = ("graph", "fusion", "kind", "clock", "ublock", "eblock", "status", "times",
-          "active_counts", "message_counts")
-SCALARS = ("t", "eta", "holder", "rounds", "active_active", "ui", "uf", "ei", "ef")
+SHARED = ("graph", "fusion", "kind", "clock", "rng", "status", "times", "active_counts",
+          "message_counts")
+SCALARS = ("t", "eta", "holder", "rounds", "active_active")
 LISTS = ("counts", "active_pos", "sends", "receives")
 
 
@@ -131,14 +129,12 @@ def neighbours(g: Graph) -> list:
 class Lists:
     """A SimState as the reference loops step it: its values (decoded),
     counts, active list, active positions, sends and receives as Python
-    lists, its graph's ``neighbours`` (``nbr``), and its scalars (draw
-    cursors included), sharing its graph,
-    clock, generator, draw blocks, status and curve.  ``store`` writes them
+    lists, its graph's ``neighbours`` (``nbr``), and its scalars, sharing
+    its graph, clock, generator, status and curve.  ``store`` writes them
     back."""
 
     def __init__(self, state: SimState):
         self.state = state
-        self.rng = state._rng  # the blocks' generator, as the kernel sees it
         for name in SHARED + SCALARS:
             setattr(self, name, getattr(state, name))
         for name in LISTS:
@@ -177,29 +173,12 @@ class Lists:
         return len(self.active_list)
 
     def uniform(self) -> float:
-        if self.ui == self.uf:
-            if self.uf:  # U_k is used up: E_k comes before U_k+1
-                self.rng.standard_exponential(out=self.eblock[self.ef:])
-                self.ef = self.eblock.size
-                self.ui = 0
-            self.rng.random(out=self.ublock)
-            self.uf = self.ublock.size
-        self.ui += 1
-        return self.ublock.item(self.ui - 1)
+        """One U[0, 1) draw."""
+        return self.rng.random()
 
     def exponential(self) -> float:
         """One Exp(1) draw."""
-        if self.ei == self.ef:
-            if not self.uf:  # E1 starts where U1 ends
-                self.rng.random(out=self.ublock)
-                self.uf = self.ublock.size
-            if self.ef == self.eblock.size:
-                self.ei = self.ef = 0
-            chunk = self.eblock[self.ef:self.ef + _walk._CHUNK]
-            self.rng.standard_exponential(out=chunk)
-            self.ef += chunk.size
-        self.ei += 1
-        return self.eblock.item(self.ei - 1)
+        return self.rng.standard_exponential()
 
     record_curve_point = SimState.record_curve_point
 

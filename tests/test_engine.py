@@ -11,7 +11,7 @@ from tokengossip.protocols import Termination, init, run
 
 def sampler(seed, stream=0):
     """The reference loops' Python draws on stream (seed, stream): a
-    one-node CRW state makes no set-up draw, so its blocks start the stream."""
+    one-node CRW state makes no set-up draw, so its draws start the stream."""
     return Lists(init("crw", generate(GraphSpec.clique(1)), [0], sum_fusion(), seed=seed,
                       stream_id=stream))
 
@@ -43,25 +43,10 @@ def test_streams_differ():
     assert [s1.uniform() for _ in range(8)] != [s2.uniform() for _ in range(8)]
 
 
-def test_block_refill_preserves_stream():
-    # drawing past the block boundary must keep following the generator
-    s = sampler(9)
-    big = [s.uniform() for _ in range(10_000)]
-    rng = RngStream(master_seed=9).generator()
-    direct = rng.random(4096).tolist()
-    assert big[:4096] == direct
-    rng.standard_exponential(4096)
-    assert big[4096:8192] == rng.random(4096).tolist()
-    assert all(type(u) is float for u in big)
-
-
 @pytest.mark.parametrize("kind,params", [("srw", {}), ("hybrid_k", {"k": 3}), ("crw", {})])
-def test_init_lays_out_the_stream(kind, params):
-    # the set-up draws (an SRW origin, a hybrid's k nodes), then a block of
-    # 4096 uniforms, then one of 4096 exponentials; the next uniform block
-    # starts where that exponential block ends.  init draws no block, so
-    # the draws must find them there: an exponential before any uniform,
-    # and the next uniform block with most of the exponential block unread
+def test_init_makes_only_the_set_up_draws(kind, params):
+    # an SRW origin or a hybrid's k nodes come first on the stream, and
+    # init leaves the generator just past them for the walk's draws
     g = generate(GraphSpec.ring(10))
     s = init(kind, g, [(1.0, 1.0)] * g.n, weighted_avg_fusion(), params=params, seed=21,
              stream_id=5)
@@ -71,15 +56,6 @@ def test_init_lays_out_the_stream(kind, params):
     elif kind == "hybrid_k":
         chosen = sorted(rng.choice(g.n, size=3, replace=False).tolist())
         assert sorted(s.active_list[:s.active_count].tolist()) == chosen
-    assert (s.ui, s.uf, s.ei, s.ef) == (0, 0, 0, 0)
-    assert s._rng.bit_generator.state == rng.bit_generator.state
-    u1, e1 = rng.random(4096).tolist(), rng.standard_exponential(4096).tolist()
-    reader = Lists(s)
-    assert reader.exponential() == e1[0]
-    assert [reader.uniform() for _ in range(4096)] == u1
-    assert [reader.uniform() for _ in range(3)] == rng.random(4096)[:3].tolist()
-    assert [reader.exponential() for _ in range(4095)] == e1[1:]
-    reader.store()
     assert s.rng.bit_generator.state == rng.bit_generator.state
 
 

@@ -10,7 +10,6 @@ so matches the reference loop in law and where no draw decides.  The
 flood must also equal the block solve (``reference_loops.cfld_block``)
 exactly, on both clocks.
 """
-import contextlib
 import ctypes
 import dataclasses
 import math
@@ -77,15 +76,12 @@ def values(fusion: str, n: int, seed: int) -> list:
 
 
 def snapshot(s) -> tuple:
-    """A simulation state, its draw cursors, the drawn parts of its blocks
-    and its generator once ``s.rng`` has completed the begun blocks, as
-    comparable values."""
+    """A simulation state and its generator's state, as comparable values."""
     return (
         s.t, s.eta, _walk._decode(s), s.counts.tolist(), bytes(s.status),
         s.active_list[:s.active_count].tolist(), s.active_pos.tolist(), s.sends.tolist(),
         s.receives.tolist(), s.holder, s.active_active, s.times, s.active_counts,
-        s.message_counts, s.rounds, s.ui, s.ei, s.uf, s.ef, s.ublock[:s.uf].tolist(),
-        s.eblock[:s.ef].tolist(), s.rng.bit_generator.state,
+        s.message_counts, s.rounds, s.rng.bit_generator.state,
     )
 
 
@@ -95,13 +91,6 @@ def on_both(fn):
     with mock.patch.object(_walk, "walk", reference_loops.walk):
         want = fn()
     return got, want
-
-
-def small_blocks(block: int):
-    """States whose blocks hold ``block`` draws, so walks cross many block
-    boundaries, including the one between an event's exponential and its
-    uniforms."""
-    return mock.patch.object(protocols, "BLOCK", block)
 
 
 def test_kernel_loads_here():
@@ -126,14 +115,13 @@ def test_python_mirrors_every_kernel_constant():
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(spec=specs, seed=seeds, kind=st.sampled_from(["crw", "srw"]),
-       fusion=st.sampled_from(sorted(FUSIONS)), block=st.sampled_from([1, 3, 4096]))
-def test_walk_matches_python_loop(spec, seed, kind, fusion, block):
+       fusion=st.sampled_from(sorted(FUSIONS)))
+def test_walk_matches_python_loop(spec, seed, kind, fusion):
     g = generate(spec)
     x = values(fusion, g.n, seed)
 
     def walk():
-        with small_blocks(block):
-            s = init(kind, g, x, FUSIONS[fusion], seed=seed)
+        s = init(kind, g, x, FUSIONS[fusion], seed=seed)
         return run(s, Termination()), snapshot(s)
 
     got, want = on_both(walk)
@@ -141,15 +129,14 @@ def test_walk_matches_python_loop(spec, seed, kind, fusion, block):
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
-@given(spec=specs, seed=seeds, k_frac=st.floats(0.0, 1.0), block=st.sampled_from([2, 4096]))
-def test_hybrid_matches_python_loop(spec, seed, k_frac, block):
+@given(spec=specs, seed=seeds, k_frac=st.floats(0.0, 1.0))
+def test_hybrid_matches_python_loop(spec, seed, k_frac):
     g = generate(spec)
     k = 1 + int(k_frac * (g.n - 1))
     x = values("wavg", g.n, seed)
 
     def hybrid():
-        with small_blocks(block):
-            return hybrid_k_run(g, x, k=k, seed=seed, horizon=10.0)
+        return hybrid_k_run(g, x, k=k, seed=seed, horizon=10.0)
 
     got, want = on_both(hybrid)
     assert got == want
@@ -165,11 +152,10 @@ def gossip_start(start: str, g, seed: int) -> list:
     return initial_values(start, g, "sum", seed)
 
 
-def gossip_on_both(g, x, seed, stop, block=4096):
+def gossip_on_both(g, x, seed, stop):
     """A gossip run's trace and end state on the kernel, then on the reference loop."""
     def gossip():
-        with small_blocks(block):
-            s = init("gossip", g, x, None, seed=seed)
+        s = init("gossip", g, x, None, seed=seed)
         return run(s, stop), snapshot(s)
 
     got = gossip()
@@ -186,21 +172,20 @@ def gossip_on_both(g, x, seed, stop, block=4096):
        stop=st.one_of(st.builds(GossipEps, st.sampled_from([0.5, 0.1, 0.01, 1e-6]),
                                 st.one_of(st.integers(1, 70), st.sampled_from([4096, 8193]))),
                       st.builds(GossipEps, st.sampled_from([0.3, 0.01, 1e-6])),
-                      st.builds(MaxTime, st.floats(0.0, 400.0))),
-       block=st.sampled_from([1, 3, 4096]))
-def test_gossip_matches_python_loop(spec, seed, start, stop, block):
+                      st.builds(MaxTime, st.floats(0.0, 400.0))))
+def test_gossip_matches_python_loop(spec, seed, start, stop):
     g = generate(spec)
-    got, want = gossip_on_both(g, gossip_start(start, g, seed), seed, stop, block)
+    got, want = gossip_on_both(g, gossip_start(start, g, seed), seed, stop)
     assert got == want
 
 
 def test_gossip_stops_where_values_become_exactly_equal():
-    # q reaches the threshold 0 exactly at exchange 3, which is no log or
+    # q reaches the threshold 0 exactly at exchange 26, which is no log or
     # refresh point: only the kernel's q <= threshold pause can stop there
-    got, want = gossip_on_both(generate(GraphSpec.ring(4)), [0.0, 2.0, 0.0, 2.0], 1,
+    got, want = gossip_on_both(generate(GraphSpec.ring(4)), [0.0, 2.0, 0.0, 2.0], 3,
                                MaxTime(100.0))
     assert got == want
-    assert got[0].gossip_first_passage == 3 and got[0].final_values == [1.0] * 4
+    assert got[0].gossip_first_passage == 26 and got[0].final_values == [1.0] * 4
 
 
 @pytest.mark.parametrize("spec,kind,fusion", [
@@ -208,7 +193,7 @@ def test_gossip_stops_where_values_become_exactly_equal():
     (GraphSpec.ring(256), "srw", "max"),
     (GraphSpec.ring(200), "crw", "wavg"),
 ])
-def test_walk_crosses_blocks(spec, kind, fusion):
+def test_long_walks_match_python_loop(spec, kind, fusion):
     g = generate(spec)
     x = values(fusion, g.n, 11)
 
@@ -218,135 +203,96 @@ def test_walk_crosses_blocks(spec, kind, fusion):
 
     got, want = on_both(walk)
     assert got == want
-    assert got[0].eta >= 3 * 4096  # at least 3 exponential and 6 uniform blocks
+    assert got[0].eta >= 3 * 4096
 
 
-@pytest.mark.parametrize("block", [1, 2, 4096])
-def test_two_phase_stops_mid_block_then_floods(block):
+def drawn_walk(g, kind: str, seed: int, stream_id: int, max_t: float,
+               terminating: bool = True) -> tuple:
+    """A continuous-clock walk of ``kind`` with every node counted once, to
+    ``max_t`` or, when ``terminating``, until some count reaches n, stepped
+    straight from a fresh generator of stream (seed, stream_id): an SRW's
+    origin, then for each event a ``standard_exponential()`` wait at the
+    active count, a ``random()`` pick of the firing token from the active
+    list and a ``random()`` pick of its neighbour.  Returns the curve
+    points, sends, receives, counts, the active list and the generator."""
+    rng = RngStream(seed, stream_id).generator()
+    n, ends = g.n, g.offsets.tolist()
+    nbr = [g.flat[a:b].tolist() for a, b in zip(ends, ends[1:])]
+    active = [int(rng.integers(n))] if kind == "srw" else list(range(n))
+    counts, sends, receives = [1] * n, [0] * n, [0] * n
+    t, eta, points = 0.0, 0, [(0.0, len(active), 0)]
+    while not (terminating and max(counts) == n):
+        k = len(active)
+        nt = t + rng.standard_exponential() / k
+        if nt > max_t:
+            t = max_t
+            break
+        t = nt
+        i = active[int(rng.random() * k)]
+        j = nbr[i][int(rng.random() * len(nbr[i]))]
+        active[active.index(i)] = active[-1]  # i leaves, the last token takes its place
+        active.pop()
+        if j not in active:
+            active.append(j)
+        counts[j] += counts[i]
+        counts[i] = 0
+        sends[i] += 1
+        receives[j] += 1
+        eta += 1
+        if len(active) != k:
+            points.append((t, len(active), eta))
+    if points[-1] != (t, len(active), eta):
+        points.append((t, len(active), eta))
+    return points, sends, receives, counts, active, rng
+
+
+@pytest.mark.parametrize("spec", [GraphSpec.clique(6), GraphSpec.ring(9), GraphSpec.torus(4)],
+                         ids=["clique6", "ring9", "torus4x4"])
+@pytest.mark.parametrize("kind", ["crw", "srw"])
+@pytest.mark.parametrize("max_t", [2.5, math.inf])
+def test_a_walk_draws_each_variate_from_the_generator_in_event_order(spec, kind, max_t):
+    # on a clique every CRW event coalesces, so the curve holds every event time
+    g = generate(spec)
+    for seed in range(5):
+        s = init(kind, g, [0] * g.n, sum_fusion(), seed=seed, stream_id=3)
+        tr = run(s, MaxTime(max_t) if max_t < math.inf else Termination())
+        points, sends, receives, counts, active, rng = drawn_walk(g, kind, seed, 3, max_t)
+        assert list(zip(tr.times, tr.active_counts, tr.message_counts)) == points
+        assert (tr.per_node_sends, tr.per_node_receives, tr.final_counts) == (
+            sends, receives, counts)
+        assert s.active_list[:s.active_count].tolist() == active
+        assert s.rng.bit_generator.state == rng.bit_generator.state
+
+
+def test_a_continuous_flood_draws_its_delays_where_the_walk_stopped():
+    # on one edge, origin o's flood ends when o's own forward arrives, after
+    # the delay in o's column of the origin's row of the flood's one draw
+    g = generate(GraphSpec.clique(2))
+    survivors = set()
+    for seed in range(20):
+        s = init("two_phase", g, [1, 2], sum_fusion(), seed=seed)
+        protocols._walk_until(s, 0.3)
+        *_, active, rng = drawn_walk(g, "crw", seed, 0, 0.3, terminating=False)
+        assert s.rng.bit_generator.state == rng.bit_generator.state
+        delays = rng.standard_exponential((len(active), g.n))
+        tr = protocols.cfld_run(s)
+        assert tr.tau == 0.3 + max(delays[r, o] for r, o in enumerate(sorted(active)))
+        assert s.rng.bit_generator.state == rng.bit_generator.state
+        survivors.add(len(active))
+    assert survivors == {1, 2}
+
+
+def test_two_phase_stops_at_max_time_then_floods():
     # the walk ends on a MaxTime draw; the flood then draws its delays from
-    # the same generator, so the kernel must not have refilled a block early
+    # the same generator, where the walk left it
     g = generate(GraphSpec.grid2d(10))
     x = values("sum", g.n, 3)
     for switch in (0.5, 7.25, 40.0):
         def two_phase():
-            with small_blocks(block):
-                return two_phase_run(g, x, sum_fusion(), switch, seed=5, stream_id=2)
+            return two_phase_run(g, x, sum_fusion(), switch, seed=5, stream_id=2)
 
         got, want = on_both(two_phase)
         assert got == want
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_python_draws_after_a_walk_see_its_refills(seed):
-    # Python draws from both blocks before the walk, and the kernel then
-    # refills them in place: later Python draws must read the refilled
-    # blocks at the kernel's cursors
-    g = generate(GraphSpec.ring(10))
-
-    def python_draws(s, count):
-        state = reference_loops.Lists(s)
-        got = [(state.uniform(), state.exponential()) for _ in range(count)]
-        state.store()
-        return got
-
-    def draws():
-        with small_blocks(3):
-            s = init("crw", g, values("sum", g.n, seed), sum_fusion(), seed=seed)
-        before = python_draws(s, 1)
-        trace = run(s, MaxTime(2.0))
-        after = python_draws(s, 5)
-        return before, trace, after, snapshot(s)
-
-    got, want = on_both(draws)
-    assert got == want
-
-
-class Eager:
-    """A state's draws as whole blocks: U1, then E1, from where the state's
-    set-up draws left its generator, drawn at once, and each later block
-    when a draw finds its block used up."""
-
-    def __init__(self, state):
-        self.rng = np.random.Generator(np.random.PCG64(0))
-        self.rng.bit_generator.state = state._rng.bit_generator.state
-        self.u = self.rng.random(state.ublock.size)
-        self.e = self.rng.standard_exponential(state.eblock.size)
-        self.ui = self.ei = 0
-
-    def uniform(self) -> float:
-        if self.ui == self.u.size:
-            self.rng.random(out=self.u)
-            self.ui = 0
-        self.ui += 1
-        return self.u.item(self.ui - 1)
-
-    def exponential(self) -> float:
-        if self.ei == self.e.size:
-            self.rng.standard_exponential(out=self.e)
-            self.ei = 0
-        self.ei += 1
-        return self.e.item(self.ei - 1)
-
-
-def lazy_against_eager(spec, seed, kind, clock, stop, block) -> tuple:
-    """Walk ``kind`` to ``stop`` on the kernel, then take a two-phase run's
-    flood delays from ``s.rng``; then the same with the reference loop
-    reading ``Eager`` blocks.  The states, the blocks, their cursors, the
-    delays and the generators must agree.  Returns the kernel's (ui, uf,
-    ei, ef) before ``s.rng`` completed its blocks."""
-    g = generate(spec)
-    fusion = "wavg" if kind == "hybrid_k" else "sum"
-    params = {"k": max(1, g.n // 2)} if kind == "hybrid_k" else None
-
-    def walked(reference: bool):
-        with small_blocks(block):
-            s = init(kind, g, values(fusion, g.n, seed), FUSIONS[fusion], params=params,
-                     seed=seed, clock=clock)
-        eager = Eager(s)
-        with contextlib.ExitStack() as patches:
-            if reference:
-                patches.enter_context(mock.patch.object(_walk, "walk", reference_loops.walk))
-                for draw in ("uniform", "exponential"):
-                    patches.enter_context(mock.patch.object(
-                        reference_loops.Lists, draw, lambda _, draw=draw: getattr(eager, draw)()))
-            _walk.walk(s, stop, kind != "hybrid_k")
-        counters = (s.ui, s.uf, s.ei, s.ef)
-        if reference:
-            rng, draws = eager.rng, (eager.ui, eager.ei, eager.u.tolist(), eager.e.tolist())
-        else:
-            rng = s.rng
-            draws = (s.ui, s.ei, s.ublock.tolist(), s.eblock.tolist())
-        delays = (rng.standard_exponential((s.active_count, g.n)).tolist()
-                  if kind == "two_phase" and clock == Continuous() else None)
-        state = snapshot(s)[:15]  # all but the draw fields, compared in draws
-        return state, draws, delays, rng.bit_generator.state, counters
-
-    got, want = walked(False), walked(True)
-    assert got[:4] == want[:4]
-    return got[4]
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(spec=specs, seed=seeds, kind=st.sampled_from(["crw", "srw", "two_phase", "hybrid_k"]),
-       clock=st.sampled_from([Continuous(), SynchronousDiscrete(0.25), SynchronousDiscrete(0.5)]),
-       stop=st.sampled_from([0.0, 0.5, 3.0, 40.0, math.inf]),
-       block=st.sampled_from([1, 3, 100, 4096]))
-def test_lazy_blocks_leave_the_eager_stream(spec, seed, kind, clock, stop, block):
-    if kind == "hybrid_k":  # the hybrid runs on the continuous clock, to a horizon
-        clock, stop = Continuous(), min(stop, 40.0)
-    lazy_against_eager(spec, seed, kind, clock, stop, block)
-
-
-def test_a_discrete_walk_past_u1_completes_e1_unread():
-    ui, uf, ei, ef = lazy_against_eager(GraphSpec.torus(5), 3, "crw", SynchronousDiscrete(0.5),
-                                        40.0, 3)
-    assert (uf, ei, ef) == (3, 0, 3)
-
-
-def test_a_flood_draw_follows_a_partly_drawn_exponential_block():
-    ui, uf, ei, ef = lazy_against_eager(GraphSpec.ring(30), 1, "two_phase", Continuous(), 2.0,
-                                        4096)
-    assert uf == 4096 and 0 < ei <= ef < 4096
 
 
 def test_coalescing_oracle_start_state():
@@ -524,24 +470,30 @@ def test_a_lone_token_sends_nothing_and_draws_no_neighbour(clock):
 
     got, want = on_both(walk)
     assert got == want
-    t, eta, uniforms, exponentials = got[0], got[1], got[15], got[16]
-    assert (t, eta) == (30.0, 0)
+    assert (got[0], got[1]) == (30.0, 0)
     # one uniform per event: the pick of the firing token, or the lazy hold
-    assert uniforms == (exponentials - 1 if clock == Continuous() else 30)
+    rng, events = RngStream(4, 0).generator(), 0
+    if clock == Continuous():
+        t = rng.standard_exponential()
+        while t <= 30.0:
+            rng.random()
+            t += rng.standard_exponential()
+            events += 1
+    else:
+        events = len(rng.random(30))
+    assert events > 0 and got[-1] == rng.bit_generator.state
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(spec=specs, seed=seeds, kind=st.sampled_from(["crw", "srw"]),
-       fusion=st.sampled_from(sorted(FUSIONS)), block=st.sampled_from([1, 3, 4096]),
-       lazy=st.sampled_from([0.0, 0.25, 0.5]))
-def test_rounds_match_python_loop(spec, seed, kind, fusion, block, lazy):
+       fusion=st.sampled_from(sorted(FUSIONS)), lazy=st.sampled_from([0.0, 0.25, 0.5]))
+def test_rounds_match_python_loop(spec, seed, kind, fusion, lazy):
     g = generate(spec)
     assume(lazy or g._two_colouring is None)  # lazy 0 never ends with tokens on both sides
     x = values(fusion, g.n, seed)
 
     def rounds():
-        with small_blocks(block):
-            s = init(kind, g, x, FUSIONS[fusion], seed=seed, clock=SynchronousDiscrete(lazy))
+        s = init(kind, g, x, FUSIONS[fusion], seed=seed, clock=SynchronousDiscrete(lazy))
         return run(s, Termination()), snapshot(s)
 
     got, want = on_both(rounds)
@@ -555,17 +507,15 @@ def test_discrete_crw_runs_on_the_kernel():
     assert s.counts[s.holder] == g.n and s.rounds == s.t > 0
 
 
-@pytest.mark.parametrize("block", [1, 3, 4096])
 @pytest.mark.parametrize("lazy", [0.25, 0.5])
-def test_rounds_stop_at_max_time_then_flood(block, lazy):
+def test_rounds_stop_at_max_time_then_flood(lazy):
     g = generate(GraphSpec.grid2d(10))
     clock = SynchronousDiscrete(lazy)
     for fusion in ("sum", "max", "wavg"):
         x = values(fusion, g.n, 3)
 
         def stopped():
-            with small_blocks(block):
-                s = init("crw", g, x, FUSIONS[fusion], seed=4, clock=clock)
+            s = init("crw", g, x, FUSIONS[fusion], seed=4, clock=clock)
             return run(s, MaxTime(17.5)), snapshot(s)
 
         got, want = on_both(stopped)
@@ -573,9 +523,8 @@ def test_rounds_stop_at_max_time_then_flood(block, lazy):
         assert not got[0].completed and got[0].tau == 17.0
         for switch in (0.5, 7.0, 40.0):
             def two_phase():
-                with small_blocks(block):
-                    return two_phase_run(g, x, FUSIONS[fusion], switch, seed=5, clock=clock,
-                                         stream_id=2)
+                return two_phase_run(g, x, FUSIONS[fusion], switch, seed=5, clock=clock,
+                                     stream_id=2)
 
             got, want = on_both(two_phase)
             assert got == want
@@ -605,8 +554,8 @@ def big_sums(n: int, seed: int) -> list:
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(spec=specs, seed=seeds, fusion=st.sampled_from(["sum", "max", "wavg", "big_sum"]),
        clock=st.sampled_from([SynchronousDiscrete(p) for p in (0.0, 0.25, 0.5)]),
-       switch=st.sampled_from([0.0, 0.5, 2.0, 7.25, 40.0]), block=st.sampled_from([1, 3, 4096]))
-def test_flood_matches_python_loop(spec, seed, fusion, clock, switch, block):
+       switch=st.sampled_from([0.0, 0.5, 2.0, 7.25, 40.0]))
+def test_flood_matches_python_loop(spec, seed, fusion, clock, switch):
     # a run that raises OverflowError must raise it with both floods
     g = generate(spec)
     if fusion == "big_sum":
@@ -615,8 +564,7 @@ def test_flood_matches_python_loop(spec, seed, fusion, clock, switch, block):
         x = values(fusion, g.n, seed)
 
     def flood():
-        with small_blocks(block):
-            s = init("two_phase", g, x, FUSIONS[fusion], seed=seed, clock=clock, stream_id=2)
+        s = init("two_phase", g, x, FUSIONS[fusion], seed=seed, clock=clock, stream_id=2)
         try:
             if switch > 0:  # as two_phase_run
                 protocols._walk_until(s, switch)
