@@ -111,7 +111,7 @@ def test_bench_writes_medians_quartiles_digests_and_layers(tmp_path):
     assert micro["best_scaled_us"] == pytest.approx(micro["best_us"] / 2)
     flood = bench["flood"]
     assert sorted(flood) == ["continuous", "rounds"]
-    assert [flood[c]["switch_time"] for c in flood] == [16000.0, 32000.0]
+    assert [flood[c]["switch_time"] for c in flood] == [26000.0, 50000.0]
     for clock in flood.values():
         assert sorted(clock) == ["cfld_s", "flood_origins", "rss_growth_mb", "switch_time"]
         assert clock["flood_origins"] == 3 and clock["cfld_s"] >= 0 <= clock["rss_growth_mb"]

@@ -104,7 +104,7 @@ trace = protocols.two_phase_run(g, [1] * g.n, sum_fusion(), float(sys.argv[2]), 
 print(json.dumps({"flood_origins": trace.flood_origins, **measured}))
 """
 # switch times that leave 12 origins on the continuous clock and 13 on lazy rounds
-FLOOD_SWITCH = {"continuous": 16000.0, "rounds": 32000.0}
+FLOOD_SWITCH = {"continuous": 26000.0, "rounds": 50000.0}
 
 NOTES = [
     "perfbench/README.md lines 107-108 say that the CLI pilot ignores --lazy and that "
