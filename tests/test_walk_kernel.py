@@ -295,6 +295,30 @@ def test_two_phase_stops_at_max_time_then_floods():
         assert got == want
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_python_draws_around_a_walk_share_its_generator(seed):
+    # Python draws from the state's generator before the walk, and again
+    # after it: the kernel must start where the first draws left the
+    # generator and leave it where its own last draw did
+    g = generate(GraphSpec.ring(10))
+
+    def python_draws(s, count):
+        state = reference_loops.Lists(s)
+        got = [(state.uniform(), state.exponential()) for _ in range(count)]
+        state.store()
+        return got
+
+    def draws():
+        s = init("crw", g, values("sum", g.n, seed), sum_fusion(), seed=seed)
+        before = python_draws(s, 1)
+        trace = run(s, MaxTime(2.0))
+        after = python_draws(s, 5)
+        return before, trace, after, snapshot(s)
+
+    got, want = on_both(draws)
+    assert got == want
+
+
 def test_coalescing_oracle_start_state():
     # _crw_starts leaves each trial as init and a loop that deactivates the
     # nodes outside the start set in ascending order do, on both clocks: the
